@@ -55,6 +55,8 @@ class RunConfig:
             raise InputError("theta must lie in (0, 1)")
         if self.output_format not in ("csv", "json"):
             raise InputError("format must be csv or json")
+        if self.trials < 1:
+            raise InputError("trials must be >= 1")
 
     @property
     def eval_config(self) -> zeta.EvalConfig:
@@ -63,17 +65,28 @@ class RunConfig:
         )
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_replace(path: Path, write) -> None:
+    """Build `path` by write(tmp) on a unique temp file in the same directory,
+    then rename it into place; on any failure the temp file is removed and
+    `path` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+
+    _atomic_replace(path, write)
 
 
 def _json_text(obj) -> str:
@@ -104,10 +117,7 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
             f"zero cache {path} missing; run the 'zeros' subcommand first"
         )
     zlist = zeros.scan_and_refine(SCAN_T_LO, cfg.t_max + SCAN_MARGIN, cfg.eval_config)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    zeros.export_zeros(zlist, tmp)
-    os.replace(tmp, path)
+    _atomic_replace(path, lambda tmp: zeros.export_zeros(zlist, tmp))
     return zlist
 
 
@@ -119,10 +129,7 @@ def _load_or_build_sieve(cfg: RunConfig) -> sieve.SieveTable:
         except ZmlError:
             pass
     table = sieve.build_sieve(cfg.sieve_limit)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    sieve.save_sieve(table, tmp)
-    os.replace(tmp, path)
+    _atomic_replace(path, lambda tmp: sieve.save_sieve(table, tmp))
     return table
 
 
@@ -160,15 +167,24 @@ def cmd_moments(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg)
     table = _load_or_build_sieve(cfg)
     thetas = list(cfg.theta_sweep) if cfg.theta_sweep else [cfg.theta]
+    grid = [(T_req, zeros.snap_to_midgap(zlist, T_req)) for T_req in _moment_grid(cfg)]
+    points = [(th, T) for _, T in grid for th in thetas]
+    if cfg.theta_sweep:
+        T_sweep = zeros.snap_to_midgap(zlist, cfg.t_max)
+        points += [
+            (th, T_sweep) for th in thetas
+            if moments.point_error(zlist, table, th, T_sweep) is None
+        ]
+    points = list(dict.fromkeys(points))
+    reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
     all_ok = True
-    reports = []
-    for T_req in _moment_grid(cfg):
-        T = zeros.snap_to_midgap(zlist, T_req)
+    summary = []
+    for T_req, T in grid:
         for th in thetas:
-            rep = moments.moment_report(zlist, table, th, T)
+            rep = reports[(th, T)]
             ok = moments.cauchy_chain(rep)
             all_ok &= ok
-            reports.append(rep)
+            summary.append(rep)
             name = f"moments_T{T_req:g}_theta{th:g}"
             if cfg.output_format == "json":
                 _atomic_write(cfg.out_dir / f"{name}.json", _json_text(rep.to_json_dict()))
@@ -176,15 +192,9 @@ def cmd_moments(cfg: RunConfig) -> int:
                 f"moments: T={T:.3f} theta={th:g} J={rep.j_minus_1:.3f} "
                 f"ratio={rep.j_minus_1 / rep.gonek_pred:.4f} cauchy_ok={ok}"
             )
-    keys = sorted(reports[0].to_json_dict())
-    lines = [",".join(keys)]
-    for rep in reports:
-        d = rep.to_json_dict()
-        lines.append(",".join(repr(d[k]) for k in keys))
-    _atomic_write(cfg.out_dir / "moments_summary.csv", "\n".join(lines) + "\n")
+    _atomic_write(cfg.out_dir / "moments_summary.csv", moments.reports_csv_text(summary))
     if cfg.theta_sweep:
-        T = zeros.snap_to_midgap(zlist, cfg.t_max)
-        rows = moments.theta_sweep(zlist, table, T, thetas)
+        rows = moments.theta_sweep(zlist, table, T_sweep, thetas, known=reports)
         _atomic_write(cfg.out_dir / "theta_sweep.json", _json_text(rows))
         for row in rows:
             if "error" in row:
@@ -388,6 +398,16 @@ def _parse_sweep(text: str) -> tuple:
     return tuple(out)
 
 
+def _parse_x(text: str) -> tuple:
+    try:
+        xs = tuple(float(p) for p in text.split(","))
+    except ValueError as exc:
+        raise InputError(f"--x expects comma-separated numbers, got {text!r}") from exc
+    if not all(math.isfinite(x) for x in xs):
+        raise InputError(f"--x values must be finite, got {text!r}")
+    return xs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="zml",
@@ -435,7 +455,7 @@ def config_from_args(args) -> RunConfig:
         deriv_step=args.deriv_step,
         trials=args.trials,
         mv_bound=args.mv_bound,
-        x_values=tuple(float(p) for p in args.x.split(",")),
+        x_values=_parse_x(args.x),
     )
 
 

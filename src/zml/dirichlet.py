@@ -1,5 +1,6 @@
 """Finite Dirichlet polynomials: the Mobius mollifier, tapered variants,
-pointwise evaluation, and the exact pairwise mean-value integral.
+pointwise evaluation, batch evaluation of every truncation at the zeros,
+and the exact pairwise mean-value integral.
 
 The closed form
 
@@ -24,6 +25,8 @@ from .sieve import SieveTable
 
 PAIR_BUDGET = 10**8
 TAPER_DEGREE_CAP = 8
+# Largest (ordinates x terms) block of exponentials held at once.
+CHUNK_ELEMS = 4_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,16 +100,48 @@ def eval_poly(poly: DirichletPoly, s: complex) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-def eval_poly_at_zeros(poly: DirichletPoly, gammas: np.ndarray) -> np.ndarray:
-    """Batch evaluation at s = 1/2 + i*gamma for an ordinate array."""
+def eval_truncations_at_zeros(poly: DirichletPoly, xis, gammas: np.ndarray) -> np.ndarray:
+    """Truncations sum_{n<=xi} a_n n^(-1/2-i*gamma) for every xi in xis and
+    every ordinate; shape (len(gammas), len(xis)), xis in [1, poly.length].
+
+    exp(-i gamma log n) is computed once per (gamma, n), and only where
+    a_n != 0.  Each segment between consecutive sorted truncation points is
+    one matrix-vector product, and a cumulative sum over the segments gives
+    every truncation.  The ordinates go in chunks of at most CHUNK_ELEMS
+    exponentials, each chunk's matrix freed before the next is built.
+    """
+    xis = np.asarray(xis, dtype=np.int64)
+    if xis.ndim != 1 or xis.size == 0:
+        raise InputError("xis must be a non-empty 1-d sequence")
+    if xis.min() < 1 or xis.max() > poly.length:
+        raise InputError(f"truncation points must lie in [1, {poly.length}]")
     gammas = np.asarray(gammas, dtype=float)
-    w = poly.coeffs * np.exp(-0.5 * poly.logs)
-    out = np.empty(gammas.shape, dtype=complex)
-    chunk = max(1, 4_000_000 // poly.length)
+    points, inverse = np.unique(xis, return_inverse=True)
+    # coefficient index i holds a_{i+1}, so n <= xi means i < xi
+    support = np.flatnonzero(poly.coeffs[: points[-1]])
+    ends = np.searchsorted(support, points)
+    logs = poly.logs[support]
+    minus_i_logs = -1j * logs
+    w = poly.coeffs[support] * np.exp(-0.5 * logs)
+    out = np.empty((gammas.size, xis.size), dtype=complex)
+    chunk = max(1, CHUNK_ELEMS // max(1, support.size))
     for lo in range(0, gammas.size, chunk):
         block = gammas[lo: lo + chunk]
-        out[lo: lo + chunk] = np.exp(-1j * np.outer(block, poly.logs)) @ w
+        exps = np.multiply.outer(block, minus_i_logs)
+        np.exp(exps, out=exps)
+        seg = np.empty((block.size, points.size), dtype=complex)
+        start = 0
+        for b, end in enumerate(ends):
+            seg[:, b] = exps[:, start:end] @ w[start:end]
+            start = end
+        del exps
+        out[lo: lo + chunk] = np.cumsum(seg, axis=1)[:, inverse]
     return out
+
+
+def eval_poly_at_zeros(poly: DirichletPoly, gammas: np.ndarray) -> np.ndarray:
+    """Batch evaluation at s = 1/2 + i*gamma for an ordinate array."""
+    return eval_truncations_at_zeros(poly, [poly.length], gammas)[:, 0]
 
 
 # ---------------------------------------------------------------------------

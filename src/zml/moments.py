@@ -13,6 +13,14 @@ Predicted main terms (natural logs throughout):
 
 Every sum over zeros uses math.fsum of per-zero terms, so results are
 deterministic and independent of the order the zeros are fed in.
+
+moment_grid computes a whole (theta, T) grid in one pass: the mollifier is
+evaluated once per zero up to the largest T, truncated at every xi of the
+grid, and each T takes a prefix of the ascending zeros; M1 and M2 share
+those values.  moment_report and theta_sweep are built on it.  Per-zero
+mollifier values differ from a single-truncation evaluation only in the
+order of the inner BLAS sums (measured <= 7e-14 relative at xi = 3980 over
+the zeros below 10^4); the reductions over zeros stay math.fsum.
 """
 from __future__ import annotations
 
@@ -22,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletPoly, eval_poly_at_zeros
+from .dirichlet import DirichletPoly, eval_poly_at_zeros, eval_truncations_at_zeros
 from .errors import InputError, SimplicityError
 from .sieve import SieveTable, squarefree_harmonic
 from .zeros import SIMPLICITY_GUARD, ZeroList
@@ -180,6 +188,15 @@ def predict_m2(params: MollifierParams) -> float:
     return GONEK_CONSTANT * (th + th * th) * params.T * math.log(params.T) ** 2
 
 
+def _m1_from_values(vals: np.ndarray, zeta_primes: np.ndarray) -> complex:
+    terms = np.conj(vals) / zeta_primes
+    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+
+
+def _m2_from_values(vals: np.ndarray) -> float:
+    return math.fsum(np.abs(vals) ** 2)
+
+
 def m1_sum(zlist: ZeroList, poly: DirichletPoly, T: float) -> complex:
     """M1 = sum_{0<gamma<=T} conj(M(rho)) / zeta'(rho).
 
@@ -194,8 +211,7 @@ def m1_sum(zlist: ZeroList, poly: DirichletPoly, T: float) -> complex:
     if idx.size == 0:
         return 0.0 + 0.0j
     vals = eval_poly_at_zeros(poly, zlist.ordinates[idx])
-    terms = np.conj(vals) / zlist.zeta_primes[idx]
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
+    return _m1_from_values(vals, zlist.zeta_primes[idx])
 
 
 def m2_sum(zlist: ZeroList, poly: DirichletPoly, T: float) -> float:
@@ -205,14 +221,70 @@ def m2_sum(zlist: ZeroList, poly: DirichletPoly, T: float) -> float:
     _guard_simplicity(zlist, idx)
     if idx.size == 0:
         return 0.0
-    vals = eval_poly_at_zeros(poly, zlist.ordinates[idx])
-    return math.fsum(np.abs(vals) ** 2)
+    return _m2_from_values(eval_poly_at_zeros(poly, zlist.ordinates[idx]))
 
 
 def cauchy_chain(report: MomentReport) -> bool:
     """Exact Cauchy-Schwarz inequality J_{-1} >= |M1|^2 / M2 (rounding slack
     1e-12 relative only)."""
     return report.j_minus_1 >= report.cauchy_lb - 1e-12 * abs(report.cauchy_lb)
+
+
+def _check_point(
+    zlist: ZeroList, table: SieveTable, theta_exp: float, T: float
+) -> tuple[MollifierParams, int]:
+    """(params, number of zeros up to T) of one gridpoint, after every check
+    a moment report needs; InputError or SimplicityError otherwise."""
+    params = MollifierParams.from_theta(theta_exp, T)
+    if params.xi > table.limit:
+        raise InputError(f"xi = {params.xi} exceeds sieve limit {table.limit}")
+    _require_certified(zlist)
+    idx = _check_window(zlist, T)
+    _guard_simplicity(zlist, idx)
+    return params, idx.size
+
+
+def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
+    """One MomentReport per (theta, T) point, from a single pass over the zeros.
+
+    The mollifier of the largest xi is evaluated once at every zero up to
+    the largest T, truncated at each distinct xi of the grid
+    (dirichlet.eval_truncations_at_zeros); the window of each T is a prefix
+    of the ascending zeros, and M1 and M2 come from the same values.  Every
+    point is checked (theta range, sieve limit, certificate, t_max, the
+    simplicity guard over its window), in order, before any evaluation.
+    Each T must already be snapped mid-gap (see zeros.snap_to_midgap).
+    """
+    from .dirichlet import mollifier
+
+    checked = [_check_point(zlist, table, th, T) for th, T in points]
+    if not checked:
+        return []
+    xis = sorted({params.xi for params, _ in checked})
+    column = {xi: b for b, xi in enumerate(xis)}
+    n_max = max(n for _, n in checked)
+    vals = eval_truncations_at_zeros(
+        mollifier(table, xis[-1]), xis, zlist.ordinates[:n_max]
+    )
+    reports = []
+    for params, n in checked:
+        v = vals[:n, column[params.xi]]
+        m1 = _m1_from_values(v, zlist.zeta_primes[:n])
+        m2 = _m2_from_values(v)
+        T = params.T
+        reports.append(MomentReport(
+            params=params,
+            j_minus_1=j_moment(zlist, 1.0, T),
+            m1=m1,
+            m2=m2,
+            m1_pred=predict_m1(params),
+            m2_pred=predict_m2(params),
+            cauchy_lb=(abs(m1) ** 2 / m2) if m2 > 0.0 else 0.0,
+            gonek_pred=gonek_prediction(T),
+            halfbound_pred=halfbound_prediction(T),
+            sweep_pred=sweep_prediction(params.theta_exp, T),
+        ))
+    return reports
 
 
 def moment_report(
@@ -222,28 +294,7 @@ def moment_report(
 
     T must already be snapped mid-gap (see zeros.snap_to_midgap).
     """
-    from .dirichlet import mollifier
-
-    params = MollifierParams.from_theta(theta_exp, T)
-    if params.xi > table.limit:
-        raise InputError(f"xi = {params.xi} exceeds sieve limit {table.limit}")
-    poly = mollifier(table, params.xi)
-    j1 = j_moment(zlist, 1.0, T)
-    m1 = m1_sum(zlist, poly, T)
-    m2 = m2_sum(zlist, poly, T)
-    lb = (abs(m1) ** 2 / m2) if m2 > 0.0 else 0.0
-    return MomentReport(
-        params=params,
-        j_minus_1=j1,
-        m1=m1,
-        m2=m2,
-        m1_pred=predict_m1(params),
-        m2_pred=predict_m2(params),
-        cauchy_lb=lb,
-        gonek_pred=gonek_prediction(T),
-        halfbound_pred=halfbound_prediction(T),
-        sweep_pred=sweep_prediction(theta_exp, T),
-    )
+    return moment_grid(zlist, table, [(theta_exp, T)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +306,37 @@ def sweep_prediction(theta_exp: float, T: float) -> float:
     return GONEK_CONSTANT * T / (1.0 + 1.0 / theta_exp)
 
 
-def theta_sweep(zlist: ZeroList, table: SieveTable, T: float, thetas) -> list:
+def point_error(zlist: ZeroList, table: SieveTable, theta_exp: float, T: float):
+    """The InputError text moment_grid would raise for the point (theta, T)
+    (xi beyond the sieve limit, say), or None if the point computes."""
+    try:
+        _check_point(zlist, table, theta_exp, T)
+    except InputError as exc:
+        return str(exc)
+    return None
+
+
+def theta_sweep(
+    zlist: ZeroList, table: SieveTable, T: float, thetas, known=None
+) -> list:
     """Per-theta rows of (cauchy_lb, sweep_pred, ratio); a row whose xi
     exceeds the sieve limit carries an error string, other rows still
-    compute."""
+    compute.
+
+    `known` maps (theta, T) points to reports already computed, which are
+    reused; the other rows are computed in one moment_grid pass.
+    """
+    errors = {th: point_error(zlist, table, th, T) for th in thetas}
+    reports = dict(known or {})
+    todo = [(th, T) for th, err in errors.items() if err is None and (th, T) not in reports]
+    reports.update(zip(todo, moment_grid(zlist, table, todo)))
     rows = []
     for th in thetas:
         entry = {"theta_exp": th, "t": T}
-        try:
-            rep = moment_report(zlist, table, th, T)
+        if errors[th] is not None:
+            entry["error"] = errors[th]
+        else:
+            rep = reports[(th, T)]
             entry.update(
                 xi=rep.params.xi,
                 cauchy_lb=rep.cauchy_lb,
@@ -272,8 +345,6 @@ def theta_sweep(zlist: ZeroList, table: SieveTable, T: float, thetas) -> list:
                 j_minus_1=rep.j_minus_1,
                 cauchy_ok=cauchy_chain(rep),
             )
-        except InputError as exc:
-            entry["error"] = str(exc)
         rows.append(entry)
     return rows
 
@@ -323,13 +394,21 @@ def report_to_json(report, path) -> None:
         fh.write("\n")
 
 
-def reports_to_csv(reports, path) -> None:
-    """One CSV row per report, columns from to_json_dict (sorted keys)."""
+def reports_csv_text(reports) -> str:
+    """One CSV row per report, columns from to_json_dict (sorted keys),
+    floats in repr form."""
     if not reports:
         raise InputError("no reports to write")
     keys = sorted(reports[0].to_json_dict())
+    lines = [",".join(keys)]
+    for rep in reports:
+        d = rep.to_json_dict()
+        lines.append(",".join(repr(d[k]) for k in keys))
+    return "\n".join(lines) + "\n"
+
+
+def reports_to_csv(reports, path) -> None:
+    """Write reports_csv_text(reports) to path."""
+    text = reports_csv_text(reports)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(keys) + "\n")
-        for rep in reports:
-            d = rep.to_json_dict()
-            fh.write(",".join(repr(d[k]) for k in keys) + "\n")
+        fh.write(text)

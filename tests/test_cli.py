@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from zml import cli
+from zml import cli, moments, sieve, zeros
 
 
 def run_cli(tmp_path, *args):
@@ -71,6 +71,39 @@ class TestMomentsCommand:
         preds = [r["sweep_pred"] for r in rows]
         assert preds == sorted(preds)
 
+    def test_sweep_off_the_grid(self, tmp_path):
+        # the sweep's T (2500) is no gridpoint, so the one pass must cover it too
+        rc = run_cli(
+            tmp_path, "moments", "--t-max", "2500", "--theta-sweep", "0.3:0.7:0.2",
+            "--sieve-limit", "5000",
+        )
+        assert rc == 0
+        rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
+        cache = next((tmp_path / "cache").glob("zeros_t2500_*.txt"))
+        zlist = zeros.import_zeros(cache)
+        table = sieve.build_sieve(5000)
+        T = zeros.snap_to_midgap(zlist, 2500.0)
+        summary = (tmp_path / "out" / "moments_summary.csv").read_text().splitlines()
+        assert len(summary) == 1 + 2 * 3     # T = 1000, 2000 by three thetas
+        for row in rows:
+            rep = moments.moment_report(zlist, table, row["theta_exp"], T)
+            assert row["t"] == T and row["xi"] == rep.params.xi
+            assert row["j_minus_1"] == rep.j_minus_1
+            assert row["cauchy_lb"] == pytest.approx(rep.cauchy_lb, rel=1e-12)
+            assert row["cauchy_ok"]
+
+    def test_sweep_row_beyond_sieve_limit(self, tmp_path, capsys):
+        # xi(0.9, 2500) = 1143 > 1000, while every gridpoint fits the sieve
+        rc = run_cli(
+            tmp_path, "moments", "--t-max", "2500", "--theta-sweep", "0.3:0.9:0.6",
+            "--sieve-limit", "1000",
+        )
+        assert rc == 0
+        rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
+        assert "cauchy_lb" in rows[0]
+        assert rows[1]["error"] == "xi = 1143 exceeds sieve limit 1000"
+        assert "sweep theta=0.9: xi = 1143" in capsys.readouterr().out
+
 
 class TestMvCheckCommand:
     def test_deterministic_stats(self, tmp_path):
@@ -92,6 +125,11 @@ class TestMvCheckCommand:
         rc = run_cli(tmp_path, "mv-check", "--trials", "10", "--mv-bound", "1e-9")
         assert rc == 2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_no_trials_rejected(self, tmp_path, capsys, trials):
+        assert run_cli(tmp_path, "mv-check", "--trials", trials) == 1
+        assert "error: trials must be >= 1" in capsys.readouterr().err
+
 
 class TestLandauCommand:
     def test_reports_and_plot_data(self, tmp_path):
@@ -104,6 +142,11 @@ class TestLandauCommand:
         assert rep4["main_term"] < 0.0
         plot = (tmp_path / "out" / "landau_dev_x2.txt").read_text().splitlines()
         assert all(len(line.split()) == 2 for line in plot)
+
+    @pytest.mark.parametrize("xs", ["abc", "2,,3", "2,inf", "nan"])
+    def test_bad_x_rejected(self, tmp_path, capsys, xs):
+        assert run_cli(tmp_path, "landau", "--t-max", "100", "--x", xs) == 1
+        assert capsys.readouterr().err.startswith("error: --x")
 
 
 class TestReportCommand:
@@ -158,3 +201,42 @@ class TestConfig:
     def test_t_max_ceiling(self, tmp_path):
         rc = run_cli(tmp_path, "zeros", "--t-max", "2e5")
         assert rc == 1
+
+
+class TestAtomicWrite:
+    def test_failing_writer_leaves_nothing(self, tmp_path):
+        target = tmp_path / "cache" / "sieve_10.bin"
+
+        def write(tmp):
+            with open(tmp, "wb") as fh:
+                fh.write(b"partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            cli._atomic_replace(target, write)
+        assert list(target.parent.iterdir()) == []
+
+    def test_failure_keeps_the_old_file(self, tmp_path):
+        target = tmp_path / "report.json"
+        cli._atomic_write(target, "old\n")
+
+        def write(tmp):
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            cli._atomic_replace(target, write)
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert target.read_text() == "old\n"
+
+    def test_caches_written_through_unique_temp_files(self, tmp_path, monkeypatch):
+        names = []
+        real = cli._atomic_replace
+
+        def spy(path, write):
+            names.append(path.name)
+            real(path, write)
+
+        monkeypatch.setattr(cli, "_atomic_replace", spy)
+        assert run_cli(tmp_path, "landau", "--t-max", "50", "--sieve-limit", "100") == 0
+        assert "sieve_100.bin" in names and any(n.startswith("zeros_t50_") for n in names)
+        assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".bin", ".txt"]

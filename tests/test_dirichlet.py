@@ -96,6 +96,29 @@ class TestEval:
         for g, b in zip(gammas, batch):
             assert b == pytest.approx(dirichlet.eval_poly(poly, complex(0.5, g)), rel=1e-12)
 
+    def test_truncations_match_scalar(self, sieve_10k):
+        # complex coefficients, zeros at the squarefull n and at n = xi (P(0) = 0);
+        # truncation points unsorted and repeated
+        tapered = dirichlet.tapered_mollifier(sieve_10k, 60, dirichlet.TaperSpec((0.0, 1.0)))
+        coeffs = tapered.coeffs * np.exp(1j * np.arange(60) / 7.0)
+        poly = dirichlet.DirichletPoly(coeffs=coeffs)
+        assert np.count_nonzero(coeffs) < 60 and coeffs[-1] == 0.0
+        xis = [60, 1, 17, 4, 17, 59, 5]
+        gammas = np.array([0.0, 14.13, 777.7, 9999.9])
+        vals = dirichlet.eval_truncations_at_zeros(poly, xis, gammas)
+        assert vals.shape == (4, 7)
+        for b, xi in enumerate(xis):
+            trunc = dirichlet.DirichletPoly(coeffs=coeffs[:xi])
+            for g, v in zip(gammas, vals[:, b]):
+                assert v == pytest.approx(dirichlet.eval_poly(trunc, complex(0.5, g)), rel=1e-12)
+
+    def test_truncations_validate_points(self, sieve_10k):
+        poly = dirichlet.mollifier(sieve_10k, 10)
+        for bad in ([], [0, 5], [11]):
+            with pytest.raises(InputError, match="xis|truncation"):
+                dirichlet.eval_truncations_at_zeros(poly, bad, np.array([14.13]))
+        assert dirichlet.eval_truncations_at_zeros(poly, [3, 10], np.array([])).shape == (0, 2)
+
 
 class TestPairIntegral:
     def test_single_diagonal_term(self):

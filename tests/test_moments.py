@@ -23,6 +23,16 @@ def poly_one():
     return dirichlet.DirichletPoly(coeffs=np.array([1.0]))
 
 
+def _tampered(zlist, i):
+    """zlist with |zeta'| of zero i set below the simplicity guard."""
+    tiny = dataclasses.replace(
+        zlist.records[i], z_prime=1e-5, zeta_prime=complex(1e-5, 0.0), zeta_prime_mod=1e-5
+    )
+    return dataclasses.replace(
+        zlist, records=zlist.records[:i] + (tiny,) + zlist.records[i + 1:]
+    )
+
+
 class TestJMoment:
     def test_empty_range(self, zeros_110):
         assert moments.j_moment(zeros_110, 1.0, 12.0) == 0.0
@@ -174,15 +184,7 @@ class TestM1M2:
             moments.m1_sum(zeros_110, poly, 50.0)
 
     def test_simplicity_guard_halts(self, zeros_110, poly10):
-        tiny = dataclasses.replace(
-            zeros_110.records[3],
-            z_prime=1e-5,
-            zeta_prime=complex(1e-5, 0.0),
-            zeta_prime_mod=1e-5,
-        )
-        tampered = dataclasses.replace(
-            zeros_110, records=zeros_110.records[:3] + (tiny,) + zeros_110.records[4:]
-        )
+        tampered = _tampered(zeros_110, 3)
         with pytest.raises(SimplicityError, match="guard"):
             moments.m1_sum(tampered, poly10, 50.0)
         with pytest.raises(SimplicityError):
@@ -211,7 +213,63 @@ class TestCauchyChain:
         assert abs(m1) ** 2 / n <= j * (1 + 1e-12)
 
 
+class TestMomentGrid:
+    def test_matches_per_point_sums(self, zeros_1010, sieve_10k):
+        # unsorted, with one point repeated; compared with the per-window path
+        # (one mollifier per point, evaluated by eval_poly_at_zeros)
+        Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (1000.0, 100.0, 300.0)]
+        points = [(th, T) for T in Ts for th in (0.9, 0.3, 0.5, 0.7)] + [(0.5, Ts[1])]
+        reports = moments.moment_grid(zeros_1010, sieve_10k, points)
+        assert len(reports) == len(points)
+        for (th, T), rep in zip(points, reports):
+            assert (rep.params.theta_exp, rep.params.T) == (th, T)
+            poly = dirichlet.mollifier(sieve_10k, rep.params.xi)
+            assert rep.j_minus_1 == moments.j_moment(zeros_1010, 1.0, T)
+            assert rep.m1 == pytest.approx(moments.m1_sum(zeros_1010, poly, T), rel=1e-12)
+            assert rep.m2 == pytest.approx(moments.m2_sum(zeros_1010, poly, T), rel=1e-12)
+            assert rep.sweep_pred == moments.sweep_prediction(th, T)
+            assert rep.m1_pred == moments.predict_m1(rep.params)
+            assert rep.m2_pred == moments.predict_m2(rep.params)
+
+    def test_empty_grid_and_empty_window(self, zeros_110, sieve_10k):
+        assert moments.moment_grid(zeros_110, sieve_10k, []) == []
+        rep, = moments.moment_grid(zeros_110, sieve_10k, [(0.5, 12.0)])
+        assert (rep.j_minus_1, rep.m1, rep.m2, rep.cauchy_lb) == (0.0, 0j, 0.0, 0.0)
+
+    def test_simplicity_error_from_any_point(self, zeros_110, sieve_10k):
+        tampered = _tampered(zeros_110, 3)
+        g = tampered.ordinates[3]
+        before, after = 0.5 * (tampered.ordinates[2] + g), 50.0
+        for points in ([(0.5, after)], [(0.5, before), (0.3, after)],
+                       [(0.3, after), (0.5, before)]):
+            with pytest.raises(SimplicityError, match="guard"):
+                moments.moment_grid(tampered, sieve_10k, points)
+        with pytest.raises(SimplicityError):
+            moments.theta_sweep(tampered, sieve_10k, after, [0.3, 0.5])
+        assert moments.moment_grid(tampered, sieve_10k, [(0.5, before)])[0].m2 > 0.0
+
+    def test_checks_every_point(self, zeros_110, sieve_10k):
+        with pytest.raises(InputError, match="sieve limit"):
+            moments.moment_grid(zeros_110, sieve.build_sieve(5), [(0.3, 50.0), (0.5, 50.0)])
+        with pytest.raises(InputError, match="t_max"):
+            moments.moment_grid(zeros_110, sieve_10k, [(0.5, 50.0), (0.5, 500.0)])
+        bad = dataclasses.replace(zeros_110, certified=False)
+        with pytest.raises(InputError, match="certified"):
+            moments.moment_grid(bad, sieve_10k, [(0.5, 50.0)])
+
+
 class TestThetaSweep:
+    def test_known_reports_are_reused(self, zeros_1010, sieve_10k):
+        T = zeros.snap_to_midgap(zeros_1010, 1000.0)
+        rows = moments.theta_sweep(zeros_1010, sieve_10k, T, [0.3, 0.5])
+        rep = moments.moment_report(zeros_1010, sieve_10k, 0.5, T)
+        marked = dataclasses.replace(rep, cauchy_lb=-1.0)
+        reused = moments.theta_sweep(zeros_1010, sieve_10k, T, [0.3, 0.5],
+                                     known={(0.5, T): marked})
+        assert reused[0] == rows[0]
+        assert reused[1]["cauchy_lb"] == -1.0
+        assert rows[1]["cauchy_lb"] == rep.cauchy_lb
+
     def test_rows_and_limit_error(self, zeros_1010, sieve_10k):
         T = zeros.snap_to_midgap(zeros_1010, 1000.0)
         rows = moments.theta_sweep(zeros_1010, sieve_10k, T, [0.3, 0.5, 0.99])
