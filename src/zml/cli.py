@@ -28,6 +28,7 @@ from .errors import InputError, ZmlError
 
 SCAN_T_LO = 10.0
 SCAN_MARGIN = 5.0
+MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
 EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
 
 
@@ -57,6 +58,8 @@ class RunConfig:
             raise InputError("format must be csv or json")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if not (math.isfinite(self.mv_bound) and self.mv_bound > 0.0):
+            raise InputError("mv_bound must be finite and positive")
 
     @property
     def eval_config(self) -> zeta.EvalConfig:
@@ -116,7 +119,8 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
         raise InputError(
             f"zero cache {path} missing; run the 'zeros' subcommand first"
         )
-    zlist = zeros.scan_and_refine(SCAN_T_LO, cfg.t_max + SCAN_MARGIN, cfg.eval_config)
+    t_top = min(cfg.t_max + SCAN_MARGIN, zeta.T_MAX)
+    zlist = zeros.scan_and_refine(SCAN_T_LO, t_top, cfg.eval_config)
     _atomic_replace(path, lambda tmp: zeros.export_zeros(zlist, tmp))
     return zlist
 
@@ -388,8 +392,10 @@ def _parse_sweep(text: str) -> tuple:
         a, b, step = (float(p) for p in text.split(":"))
     except ValueError as exc:
         raise InputError(f"--theta-sweep expects a:b:step, got {text!r}") from exc
-    if step <= 0 or not (0.0 < a <= b < 1.0):
+    if not (step > 0 and 0.0 < a <= b < 1.0):
         raise InputError("--theta-sweep needs 0 < a <= b < 1 and step > 0")
+    if (b + 1e-12 - a) / step >= MAX_SWEEP:
+        raise InputError(f"--theta-sweep gives more than {MAX_SWEEP} theta values")
     out = []
     th = a
     while th <= b + 1e-12:

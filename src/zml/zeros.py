@@ -102,7 +102,12 @@ class ZeroList:
 # ---------------------------------------------------------------------------
 
 def gram_points_many(ks: np.ndarray) -> np.ndarray:
-    """Solve theta(g_k) = k*pi by Newton iteration for an array of k >= -1."""
+    """Solve theta(g_k) = k*pi by Newton iteration for an array of k >= -1.
+
+    Stops when every residual is <= 1e-10 or, after 50 steps, when the last
+    step moved no point by more than 4 ulp (the double-precision floor of
+    theta near t = 1e5 lies above 1e-10).
+    """
     ks = np.asarray(ks, dtype=float)
     target = ks * math.pi
     g = 2.0 * math.pi * np.exp(1.0 + lambertw((8.0 * ks + 1.0) / (8.0 * math.e)).real)
@@ -111,7 +116,10 @@ def gram_points_many(ks: np.ndarray) -> np.ndarray:
         if np.all(np.abs(resid) <= 1e-10):
             return g
         slope = 0.5 * np.log(g / (2.0 * math.pi))
-        g = g - resid / slope
+        step = resid / slope
+        g = g - step
+    if np.all(np.abs(step) <= 4.0 * np.spacing(g)):
+        return g
     raise NumericsError("Gram-point Newton iteration failed to converge")
 
 
@@ -131,30 +139,47 @@ def _good_mask(ks: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return sign * zs > 0.0
 
 
-def _block_brackets(lo_pts, lo_zs, m_expected, cfg):
-    """Find >= m_expected sign-change brackets inside one Gram block.
+def _block_brackets(good_idx, gs, zs, cfg):
+    """Sign-change brackets (lows, highs, Z at lows) for every Gram block.
 
-    lo_pts / lo_zs are the block's Gram points and Z values.  Subdivides
-    every Gram interval into 2^depth slices until enough sign changes
-    appear; depth is capped at MAX_SUBDIV_DEPTH.
+    Block i runs from Gram point good_idx[i] to good_idx[i + 1] and must
+    hold m = good_idx[i + 1] - good_idx[i] sign changes.  At depth d every
+    Gram interval of each pending block is cut into 2^d slices at the
+    linspace points; blocks that show m sign changes are done, the rest
+    go one depth deeper.  Depth 0 needs no evaluation; each deeper level
+    makes one hardy_z_many call for all pending blocks, up to
+    MAX_SUBDIV_DEPTH.  Brackets come back in ascending order.
     """
-    for depth in range(1, MAX_SUBDIV_DEPTH + 1):
+    m = np.diff(good_idx)
+    owner = np.repeat(np.arange(len(m)), m)       # the block of each Gram interval
+    intervals = np.arange(good_idx[0], good_idx[-1])
+    pending = np.ones(len(m), dtype=bool)
+    found = []
+    for depth in range(MAX_SUBDIV_DEPTH + 1):
         n_sub = 2 ** depth
-        pts = []
-        for a, b in zip(lo_pts[:-1], lo_pts[1:]):
-            pts.append(np.linspace(a, b, n_sub + 1)[:-1])
-        pts = np.concatenate(pts + [lo_pts[-1:]])
-        zs = np.empty(pts.shape)
-        zs[:: n_sub] = lo_zs
-        inner = np.ones(pts.shape, dtype=bool)
-        inner[:: n_sub] = False
-        zs[inner] = zeta.hardy_z_many(pts[inner], cfg)
-        flips = np.nonzero(zs[:-1] * zs[1:] < 0.0)[0]
-        if len(flips) >= m_expected:
-            return [(pts[i], pts[i + 1], zs[i]) for i in flips]
+        live = pending[owner]
+        iv, block = intervals[live], owner[live]
+        pts = np.linspace(gs[iv], gs[iv + 1], n_sub + 1, axis=1)[:, :-1]
+        vals = np.empty(pts.shape)
+        vals[:, 0] = zs[iv]
+        if n_sub > 1:
+            vals[:, 1:] = zeta.hardy_z_many(pts[:, 1:].ravel(), cfg).reshape(-1, n_sub - 1)
+        nxt_pts = np.column_stack([pts[:, 1:], gs[iv + 1]])
+        nxt_vals = np.column_stack([vals[:, 1:], zs[iv + 1]])
+        flips = vals * nxt_vals < 0.0
+        done = pending & (np.bincount(block, flips.sum(axis=1), minlength=len(m)) >= m)
+        take = flips & done[block][:, None]
+        found.append((pts[take], nxt_pts[take], vals[take]))
+        pending &= ~done
+        if not pending.any():
+            lows, highs, f_lows = (np.concatenate(c) for c in zip(*found))
+            order = np.argsort(lows)
+            return lows[order], highs[order], f_lows[order]
+    first = np.argmax(pending)
+    lo, hi = good_idx[first], good_idx[first + 1]
     raise NumericsError(
-        f"block [{lo_pts[0]:.6f}, {lo_pts[-1]:.6f}] still holds "
-        f"{m_expected} expected zeros after depth {MAX_SUBDIV_DEPTH}; "
+        f"block [{gs[lo]:.6f}, {gs[hi]:.6f}] still holds "
+        f"{hi - lo} expected zeros after depth {MAX_SUBDIV_DEPTH}; "
         "possible close pair - rerun with a tighter EvalConfig"
     )
 
@@ -193,11 +218,15 @@ def _build_records(gammas, errs, cfg) -> tuple:
 
 
 def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
-    """Good Gram anchors (k_a below t_lo, k_b at/above t_hi) plus the grid."""
+    """Good Gram anchors (k_a below t_lo, k_b at/above t_hi) plus the grid.
+
+    Anchors are evaluated through hardy_z_many, which has no T_MAX check,
+    so the anchor above t_hi = T_MAX may lie just past the ceiling.
+    """
     k_a = int(math.floor(zeta.rs_theta(t_lo) / math.pi))
     while k_a >= -1:
         g = gram_point(k_a)
-        if g < t_lo and _good_mask(np.array([k_a]), np.array([zeta.hardy_z(g, cfg)]))[0]:
+        if g < t_lo and _good_mask(np.array([k_a]), zeta.hardy_z_many(np.array([g]), cfg))[0]:
             break
         k_a -= 1
     else:
@@ -205,7 +234,7 @@ def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
     k_b = int(math.ceil(zeta.rs_theta(t_hi) / math.pi))
     while True:
         g = gram_point(k_b)
-        if g >= t_hi and _good_mask(np.array([k_b]), np.array([zeta.hardy_z(g, cfg)]))[0]:
+        if g >= t_hi and _good_mask(np.array([k_b]), zeta.hardy_z_many(np.array([g]), cfg))[0]:
             break
         k_b += 1
         if k_b - k_a > 200000:
@@ -228,28 +257,14 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     good = _good_mask(ks, zs)
     good_idx = np.nonzero(good)[0]
 
-    brackets_a, brackets_b, brackets_f = [], [], []
-    for lo, hi in zip(good_idx[:-1], good_idx[1:]):
-        m = int(hi - lo)
-        if m == 1 and zs[lo] * zs[hi] < 0.0:
-            brackets_a.append(gs[lo])
-            brackets_b.append(gs[hi])
-            brackets_f.append(zs[lo])
-            continue
-        found = _block_brackets(gs[lo: hi + 1], zs[lo: hi + 1], m, cfg)
-        for a, b, fa in found:
-            brackets_a.append(a)
-            brackets_b.append(b)
-            brackets_f.append(fa)
+    lows, highs, f_lows = _block_brackets(good_idx, gs, zs, cfg)
 
     expected = int(ks[good_idx[-1]] - ks[good_idx[0]])
-    certified = len(brackets_a) == expected
-    if len(brackets_a) == 0:
+    certified = len(lows) == expected
+    if len(lows) == 0:
         return ZeroList(records=(), t_max=t_hi, certified=certified)
 
-    gammas, errs = _refine_brackets(brackets_a, brackets_b, brackets_f, cfg)
-    order = np.argsort(gammas)
-    gammas, errs = gammas[order], errs[order]
+    gammas, errs = _refine_brackets(lows, highs, f_lows, cfg)
     keep = (gammas > t_lo) & (gammas <= t_hi)
     records = _build_records(gammas[keep], errs[keep], cfg)
     return ZeroList(records=records, t_max=t_hi, certified=certified)

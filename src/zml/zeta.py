@@ -36,6 +36,7 @@ EM_T_MAX = 1.0e4        # Euler-Maclaurin envelope for the default config
 RS_T_MIN = 30.0         # below this the Riemann-Siegel expansion degrades
 RS_CROSSOVER = 300.0    # hardy_z auto-routing boundary (RS error < 1e-9 above)
 T_MAX = 1.0e5           # hard evaluation ceiling
+RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
 
 # B_2, B_4, ..., B_50
 _B2K = (
@@ -215,35 +216,37 @@ def rs_theta(t: float) -> float:
     return float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * LOG_PI
 
 
-def rs_theta_deriv(t: float) -> float:
-    """theta'(t) (leading terms; enough for Newton steps and bounds)."""
-    return 0.5 * math.log(t / TWO_PI) - _THETA_TAIL[0] / (t * t)
-
-
 # ---------------------------------------------------------------------------
 # Hardy Z
 # ---------------------------------------------------------------------------
 
 def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
-    """Riemann-Siegel Z(t) for an array of t (all >= RS_T_MIN)."""
+    """Riemann-Siegel Z(t) for an array of t (all >= RS_T_MIN).
+
+    The main sum of each point has exactly m = floor(sqrt(t/2pi)) terms:
+    points are grouped by m and each group is summed in chunks of at most
+    RS_CHUNK terms, so a point's value does not depend on its batch.
+    """
     ts = np.asarray(ts, dtype=float)
     a = np.sqrt(ts / TWO_PI)
     m = np.floor(a).astype(np.int64)
     u = 2.0 * (a - m) - 1.0
     theta = rs_theta_many(ts)
 
-    m_max = int(m.max())
-    ns = np.arange(1, m_max + 1, dtype=float)
+    ns = np.arange(1, int(m.max()) + 1, dtype=float)
     logn = np.log(ns)
     rsqrt = 1.0 / np.sqrt(ns)
     out = np.empty(ts.shape)
-    chunk = max(1, 4_000_000 // max(m_max, 1))
-    for lo in range(0, ts.size, chunk):
-        sl = slice(lo, lo + chunk)
-        phases = theta[sl, None] - ts[sl, None] * logn[None, :]
-        terms = np.cos(phases) * rsqrt[None, :]
-        mask = ns[None, :] <= m[sl, None]
-        out[sl] = 2.0 * (terms * mask).sum(axis=1)
+    by_m = np.argsort(m, kind="stable")
+    for group in np.split(by_m, np.flatnonzero(np.diff(m[by_m])) + 1):
+        k = int(m[group[0]])
+        rows = max(1, RS_CHUNK // k)
+        for lo in range(0, group.size, rows):
+            idx = group[lo:lo + rows]
+            terms = theta[idx, None] - ts[idx, None] * logn[None, :k]
+            np.cos(terms, out=terms)
+            terms *= rsqrt[:k]
+            out[idx] = 2.0 * terms.sum(axis=1)
 
     inv_a = 1.0 / a
     corr = np.zeros(ts.shape)
@@ -263,7 +266,7 @@ def hardy_z_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray
     low = ts < RS_CROSSOVER
     if low.any():
         t = ts[low]
-        zs = _em_batch(0.5 + 1j * t, DEFAULT_CONFIG if cfg is None else cfg)
+        zs = _em_batch(0.5 + 1j * t, cfg)
         out[low] = (np.exp(1j * rs_theta_many(t)) * zs).real
     if (~low).any():
         out[~low] = _z_rs_batch(ts[~low], cfg.rs_correction_order)

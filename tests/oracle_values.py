@@ -80,3 +80,7 @@ N_ZEROS_BELOW_100 = 29
 # exact hand sums over small ranges (rationals evaluated exactly)
 SQUAREFREE_HARMONIC_10 = 513.0 / 210.0     # n in {1,2,3,5,6,7,10}
 ENVELOPE_INV_N_5 = 137.0 / 60.0            # sum_{n<=5} 1/n
+
+# Lehmer's close pair of zeros near t = 7005 (zeros 6709 and 6710), mpmath
+# zetazero at 20 digits
+LEHMER_PAIR = (7005.0628661749205814, 7005.1005646726467216)

@@ -125,6 +125,11 @@ class TestMvCheckCommand:
         rc = run_cli(tmp_path, "mv-check", "--trials", "10", "--mv-bound", "1e-9")
         assert rc == 2
 
+    @pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
+    def test_bad_bound_rejected(self, tmp_path, capsys, bound):
+        assert run_cli(tmp_path, "mv-check", "--trials", "3", "--mv-bound", bound) == 1
+        assert "error: mv_bound must be finite and positive" in capsys.readouterr().err
+
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_rejected(self, tmp_path, capsys, trials):
         assert run_cli(tmp_path, "mv-check", "--trials", trials) == 1
@@ -201,6 +206,26 @@ class TestConfig:
     def test_t_max_ceiling(self, tmp_path):
         rc = run_cli(tmp_path, "zeros", "--t-max", "2e5")
         assert rc == 1
+
+    def test_scan_top_clamped_to_t_max(self, tmp_path, monkeypatch):
+        tops = []
+
+        def scan(t_lo, t_hi, cfg):
+            tops.append(t_hi)
+            return zeros.ZeroList(records=(), t_max=t_hi, certified=False)
+
+        monkeypatch.setattr(cli.zeros, "scan_and_refine", scan)
+        run_cli(tmp_path, "zeros", "--t-max", "99999")
+        assert tops == [1e5]
+
+    @pytest.mark.parametrize("sweep", ["0.3:0.9:1e-15", "0.3:0.9:0.0006", "0.1:0.9:1e-300"])
+    def test_oversized_sweep_rejected(self, tmp_path, capsys, sweep):
+        rc = run_cli(tmp_path, "moments", "--t-max", "100", "--theta-sweep", sweep)
+        assert rc == 1
+        assert "error: --theta-sweep gives more than 1000" in capsys.readouterr().err
+
+    def test_largest_sweep_accepted(self):
+        assert len(cli._parse_sweep("0.3:0.9:0.0007")) == 858
 
 
 class TestAtomicWrite:

@@ -30,6 +30,15 @@ class TestGramPoints:
         with pytest.raises(InputError):
             zeros.gram_point(-2)
 
+    def test_rounding_floor_near_t_max(self):
+        # theta(g) near g = 1e5 cannot reach a 1e-10 residual in doubles;
+        # the stalled Newton iterate is accepted
+        ks = np.arange(138000, 138100, dtype=float)
+        gs = zeros.gram_points_many(ks)
+        assert np.all(np.diff(gs) > 0)
+        resid = np.abs(zeta.rs_theta_many(gs) - ks * math.pi)
+        assert np.all(resid <= 4.0 * np.spacing(ks * math.pi))
+
 
 class TestScan:
     def test_first_ten_ordinates(self, zeros_110):
@@ -73,6 +82,85 @@ class TestScan:
             zeros.scan_and_refine(5.0, 50.0)
         with pytest.raises(InputError):
             zeros.scan_and_refine(100.0, 50.0)
+
+
+def _per_block_brackets(gs, zs, good_idx, cfg):
+    """The subdivision as one loop per Gram block, in block order (the code
+    that batched subdivision replaced)."""
+    lows, highs, f_lows = [], [], []
+    for lo, hi in zip(good_idx[:-1], good_idx[1:]):
+        m = int(hi - lo)
+        if m == 1 and zs[lo] * zs[hi] < 0.0:
+            lows.append(gs[lo])
+            highs.append(gs[hi])
+            f_lows.append(zs[lo])
+            continue
+        for depth in range(1, zeros.MAX_SUBDIV_DEPTH + 1):
+            n_sub = 2 ** depth
+            pts = np.concatenate(
+                [np.linspace(a, b, n_sub + 1)[:-1] for a, b in zip(gs[lo:hi], gs[lo + 1:hi + 1])]
+                + [gs[hi:hi + 1]])
+            vals = np.empty(pts.shape)
+            vals[::n_sub] = zs[lo:hi + 1]
+            inner = np.ones(pts.shape, dtype=bool)
+            inner[::n_sub] = False
+            vals[inner] = zeta.hardy_z_many(pts[inner], cfg)
+            flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
+            if len(flips) >= m:
+                lows.extend(pts[flips])
+                highs.extend(pts[flips + 1])
+                f_lows.extend(vals[flips])
+                break
+    return np.array(lows), np.array(highs), np.array(f_lows)
+
+
+class TestSubdivision:
+    def _gram_blocks(self, t_lo, t_hi):
+        ks, gs = zeros._anchored_gram_range(t_lo, t_hi, CFG)
+        zs = zeta.hardy_z_many(gs, CFG)
+        return gs, zs, np.nonzero(zeros._good_mask(ks, zs))[0]
+
+    def test_batched_matches_per_block_loop(self):
+        gs, zs, good_idx = self._gram_blocks(10.0, 3000.0)
+        assert np.diff(good_idx).max() >= 3
+        lows, highs, f_lows = zeros._block_brackets(good_idx, gs, zs, CFG)
+        want_lows, want_highs, want_f = _per_block_brackets(gs, zs, good_idx, CFG)
+        assert np.array_equal(lows, want_lows)
+        assert np.array_equal(highs, want_highs)
+        assert np.array_equal(np.sign(f_lows), np.sign(want_f))
+        # the Euler-Maclaurin route below RS_CROSSOVER sizes its sum by the
+        # batch, so only Riemann-Siegel values are batch-independent
+        rs = lows >= zeta.RS_CROSSOVER
+        assert np.array_equal(f_lows[rs], want_f[rs])
+        assert np.abs(f_lows - want_f).max() <= 1e-10
+
+    def test_one_evaluation_call_per_depth(self, monkeypatch):
+        gs, zs, good_idx = self._gram_blocks(10.0, 3000.0)
+        calls = []
+        real = zeta.hardy_z_many
+
+        def counted(ts, cfg):
+            calls.append(len(ts))
+            return real(ts, cfg)
+
+        monkeypatch.setattr(zeta, "hardy_z_many", counted)
+        lows, _, _ = zeros._block_brackets(good_idx, gs, zs, CFG)
+        assert len(lows) == good_idx[-1] - good_idx[0]
+        assert 1 <= len(calls) <= zeros.MAX_SUBDIV_DEPTH
+
+    def test_lehmer_pair(self):
+        zl = zeros.scan_and_refine(7000.0, 7010.0)
+        assert zl.certified
+        pair = zl.ordinates[np.abs(zl.ordinates - 7005.08) < 0.05]
+        assert pair == pytest.approx(ov.LEHMER_PAIR, abs=1e-8)
+
+    @pytest.mark.parametrize("t_lo, t_hi, count", [
+        (58400.0, 58500.0, 146), (99900.0, 100000.0, 154)])
+    def test_domain_edge_windows_certify(self, t_lo, t_hi, count):
+        zl = zeros.scan_and_refine(t_lo, t_hi)
+        assert zl.certified
+        assert len(zl) == count
+        assert np.abs(zeta.hardy_z_many(zl.ordinates, CFG)).max() <= 1e-8
 
 
 class TestCountCheck:

@@ -147,6 +147,41 @@ class TestHardyZ:
             zeta.hardy_z(20.0, CFG, method="rs")
 
 
+def _dense_masked_z(ts, order):
+    """The Riemann-Siegel Z of a dense main sum: m_max terms for every point,
+    masked to each point's m (the formula the grouped sum replaced)."""
+    a = np.sqrt(ts / zeta.TWO_PI)
+    m = np.floor(a).astype(np.int64)
+    u = 2.0 * (a - m) - 1.0
+    ns = np.arange(1, m.max() + 1, dtype=float)
+    phases = zeta.rs_theta_many(ts)[:, None] - ts[:, None] * np.log(ns)[None, :]
+    terms = np.cos(phases) / np.sqrt(ns)[None, :]
+    main = 2.0 * (terms * (ns[None, :] <= m[:, None])).sum(axis=1)
+    corr = sum(np.polyval(zeta._RS_SERIES[j], u) / a ** j for j in range(order + 1))
+    return main + np.where(m % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
+
+
+class TestRiemannSiegelSum:
+    def test_grouped_sum_matches_dense_formula(self):
+        rng = np.random.default_rng(5)
+        edges = 2.0 * math.pi * np.arange(7, 127, 10, dtype=float) ** 2
+        ts = np.concatenate([
+            rng.uniform(300.0, 1e5, 400),
+            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+        ])
+        ts = rng.permutation(np.concatenate([ts, ts[:50]]))
+        got = zeta._z_rs_batch(ts, 4)
+        assert np.abs(got - _dense_masked_z(ts, 4)).max() <= 1e-13
+
+    def test_value_does_not_depend_on_the_batch(self):
+        ts = np.random.default_rng(8).uniform(300.0, 1e5, 2000)
+        batch = zeta.hardy_z_many(ts, CFG)
+        alone = np.array([zeta.hardy_z_many(ts[i:i + 1], CFG)[0] for i in range(ts.size)])
+        assert np.array_equal(batch, alone)
+        perm = np.random.default_rng(9).permutation(ts.size)[:700]
+        assert np.array_equal(zeta.hardy_z_many(ts[perm], CFG), batch[perm])
+
+
 class TestHardyZPrime:
     def test_first_zero_derivative(self):
         assert zeta.hardy_z_prime(ov.ZERO_ORDINATES[0], CFG) == pytest.approx(
