@@ -5,12 +5,24 @@ and the exact pairwise mean-value integral.
 The closed form
 
     int_0^T (sum_n a_n n^-it)(sum_m b_m m^it) dt
-        = sum_{n,m} a_n b_m K(T log(m/n)),   K(x) = T e^(ix/2) sinc(x/2)
+        = T sum_n a_n b_n + sum_{n != m} a_n b_m (e^(iT lam) - 1)/(i lam),
 
-(with K(0) = T on the diagonal) is exact up to rounding, so it serves as
-the oracle side of every mean-value statement; the Montgomery-Vaughan
+lam = log m - log n, is exact up to rounding, so it serves as the oracle
+side of every mean-value statement; the Montgomery-Vaughan
 main-term-plus-envelope decomposition is reported against it, never used
-in its place.
+in its place.  The off-diagonal part is the bilinear form with kernel
+1/(log m - log n) of Montgomery and Vaughan's Hilbert-type inequality, and
+it splits: with u_n = a_n n^(-iT), v_m = b_m m^(iT) and R the real matrix
+1/(log m - log n), zero on the diagonal,
+
+    int_0^T = -i (u^T R v - a^T R b) + T sum_{n <= min} a_n b_n,
+
+one exponential per coefficient instead of one kernel per pair.  Against
+30-digit evaluations (the pairwise sum, or its power series in T at small
+T) the relative error measured at most 2.3e-12 over 40 campaign-sized
+pairs (lengths <= 200, T in [10, 1e4]), 1e-12 at T = 0.01 with 500 x 500
+coefficients, where the two bilinear terms cancel most, and 2e-13 at T = 1
+with 2000 x 2000; the tests hold it to 1e-10.
 """
 from __future__ import annotations
 
@@ -162,35 +174,48 @@ class MeanValueReport:
     ratio: float
 
 
+def _diagonal(A: DirichletPoly, B: DirichletPoly) -> complex:
+    """sum_{n <= min(len A, len B)} a_n b_n, exactly rounded."""
+    n_diag = min(A.length, B.length)
+    prod = A.coeffs[:n_diag] * B.coeffs[:n_diag]
+    return complex(math.fsum(np.real(prod)), math.fsum(np.imag(prod)))
+
+
 def pair_integral_exact(A: DirichletPoly, B: DirichletPoly, T: float) -> complex:
     """int_0^T A(it)~B(it) dt in closed form (the module's oracle).
 
-    A enters as sum a_n n^(-it), B as sum b_m m^(+it).  Cost is one kernel
-    per (n, m) pair, capped at PAIR_BUDGET pairs.
+    A enters as sum a_n n^(-it), B as sum b_m m^(+it).  The off-diagonal
+    part is -i (u^T R v - a^T R b) (see the module docstring): len A +
+    len B exponentials, then one real product of R with the columns
+    Re v, Im v, Re b, Im b per block of at most CHUNK_ELEMS entries of R.
+    Capped at PAIR_BUDGET coefficient pairs.
     """
     n_pairs = A.length * B.length
     if n_pairs > PAIR_BUDGET:
         raise BudgetError(f"{n_pairs} coefficient pairs exceed budget {PAIR_BUDGET}")
-    ns = np.arange(1, A.length + 1, dtype=float)
-    ms = np.arange(1, B.length + 1, dtype=float)
-    re_acc, im_acc = [], []
-    chunk = max(1, 4_000_000 // B.length)
+    u = A.coeffs * np.exp(-1j * T * A.logs)
+    v = B.coeffs * np.exp(1j * T * B.logs)
+    cols = np.column_stack([v.real, v.imag, np.real(B.coeffs), np.imag(B.coeffs)])
+    diag = T * _diagonal(A, B)
+    re_acc, im_acc = [diag.real], [diag.imag]
+    chunk = max(1, CHUNK_ELEMS // B.length)
     for lo in range(0, A.length, chunk):
         hi = min(A.length, lo + chunk)
-        x = T * np.log(ms[None, :] / ns[lo:hi, None])
-        kernel = T * np.exp(0.5j * x) * np.sinc(x / (2.0 * math.pi))
-        block = (A.coeffs[lo:hi, None] * B.coeffs[None, :] * kernel).sum(axis=1)
-        re_acc.append(block.real.sum())
-        im_acc.append(block.imag.sum())
+        lam = B.logs[None, :] - A.logs[lo:hi, None]
+        on_diag = np.arange(lo, min(hi, B.length))
+        lam[on_diag - lo, on_diag] = np.inf      # R = 1/lam is 0 there
+        rc = np.reciprocal(lam, out=lam) @ cols
+        rv, rb = rc[:, 0] + 1j * rc[:, 1], rc[:, 2] + 1j * rc[:, 3]
+        off = u[lo:hi] @ rv - A.coeffs[lo:hi] @ rb
+        re_acc.append(off.imag)         # -i * off
+        im_acc.append(-off.real)
     return complex(math.fsum(re_acc), math.fsum(im_acc))
 
 
 def mv_report(A: DirichletPoly, B: DirichletPoly, T: float) -> MeanValueReport:
     """Main term T sum a_n b_n and envelope sqrt(sum n|a_n|^2 sum n|b_n|^2)
     against the exact integral."""
-    n_diag = min(A.length, B.length)
-    prod = A.coeffs[:n_diag] * B.coeffs[:n_diag]
-    main = T * complex(math.fsum(np.real(prod)), math.fsum(np.imag(prod)))
+    main = T * _diagonal(A, B)
     ns_a = np.arange(1, A.length + 1, dtype=float)
     ns_b = np.arange(1, B.length + 1, dtype=float)
     env = math.sqrt(math.fsum(ns_a * np.abs(A.coeffs) ** 2)) * math.sqrt(

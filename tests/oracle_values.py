@@ -84,3 +84,8 @@ ENVELOPE_INV_N_5 = 137.0 / 60.0            # sum_{n<=5} 1/n
 # Lehmer's close pair of zeros near t = 7005 (zeros 6709 and 6710), mpmath
 # zetazero at 20 digits
 LEHMER_PAIR = (7005.0628661749205814, 7005.1005646726467216)
+
+# Regression pin, not an independent oracle: max and mean of
+# cli.mv_campaign(seed=42, trials=1000) as the pairwise-kernel pair integral
+# (one T e^(ix/2) sinc(x/2) per coefficient pair) computed them
+MV_CAMPAIGN_42_1000 = (1.7752939804375987, 0.163495699432795)

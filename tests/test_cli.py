@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -5,6 +6,8 @@ import os
 import pytest
 
 from zml import cli, moments, sieve, zeros
+
+import oracle_values as ov
 
 
 def run_cli(tmp_path, *args):
@@ -39,6 +42,27 @@ class TestZerosCommand:
         run_cli(tmp_path, "zeros", "--t-max", "120")
         run_cli(tmp_path, "zeros", "--t-max", "120", "--rs-order", "3")
         assert len(list((tmp_path / "cache").glob("zeros_t120_*.txt"))) == 2
+
+    def test_unversioned_cache_not_read(self, tmp_path):
+        # a list cached under the key without a version is never imported
+        cfg = cli.RunConfig(t_max=120.0, cache_dir=tmp_path / "cache")
+        ec = cfg.eval_config
+        old_key = (f"{cfg.t_max!r}|{ec.em_terms}|{ec.rs_correction_order}|"
+                   f"{ec.deriv_step!r}|{ec.target_abs_err!r}")
+        old = cfg.cache_dir / f"zeros_t120_{hashlib.sha256(old_key.encode()).hexdigest()[:10]}.txt"
+        old.parent.mkdir()
+        old.write_text("not a zero list\n")
+        assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
+        assert old.read_text() == "not a zero list\n"
+        assert sorted((tmp_path / "cache").glob("zeros_t120_*.txt")) == sorted(
+            [old, cli._zero_cache_path(cfg)])
+
+    def test_cache_key_carries_the_version(self, monkeypatch):
+        cfg = cli.RunConfig(t_max=120.0)
+        path = cli._zero_cache_path(cfg)
+        monkeypatch.setattr(cli, "ZERO_CACHE_VERSION", cli.ZERO_CACHE_VERSION + 1)
+        bumped = cli._zero_cache_path(cfg)
+        assert bumped != path and bumped.name.startswith("zeros_t120_")
 
     def test_trivial_window(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "zeros", "--t-max", "12")
@@ -223,6 +247,21 @@ class TestConfig:
         rc = run_cli(tmp_path, "moments", "--t-max", "100", "--theta-sweep", sweep)
         assert rc == 1
         assert "error: --theta-sweep gives more than 1000" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["1e-12", "50", "2.9e-5", "3.1e-3", "nan"])
+    def test_bad_deriv_step_rejected(self, tmp_path, capsys, step):
+        rc = run_cli(tmp_path, "zeros", "--t-max", "50", "--deriv-step", step)
+        assert rc == 1
+        assert "error: deriv_step must lie in [3e-05, 0.003]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", ["3e-5", "3e-3"])
+    def test_deriv_step_range_ends(self, tmp_path, step):
+        # both ends keep Z'(gamma) within 1e-6 of mpmath at the first zeros
+        assert run_cli(tmp_path, "zeros", "--t-max", "50", "--deriv-step", step) == 0
+        zlist = zeros.import_zeros(next((tmp_path / "cache").glob("zeros_t50_*.txt")))
+        assert len(zlist) >= len(ov.Z_PRIME)
+        for got, ref in zip(zlist.z_primes, ov.Z_PRIME):
+            assert abs(got - ref) <= 1e-6
 
     def test_largest_sweep_accepted(self):
         assert len(cli._parse_sweep("0.3:0.9:0.0007")) == 858

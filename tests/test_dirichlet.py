@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,56 @@ def quad_pair_integral(A, B, T):
     re, _ = quad(lambda t: f(t).real, 0.0, T, limit=800, epsabs=1e-11, epsrel=1e-11)
     im, _ = quad(lambda t: f(t).imag, 0.0, T, limit=800, epsabs=1e-11, epsrel=1e-11)
     return complex(re, im)
+
+
+def mp_pair_integral(a, b, T):
+    """30-digit pairwise sum of the closed form: T a_n b_n on the diagonal,
+    a_n b_m (e^(iT lam) - 1)/(i lam) off it, lam = log m - log n."""
+    with mp.workdps(30):
+        T = mp.mpf(T)
+        la = [mp.log(n) for n in range(1, len(a) + 1)]
+        lb = [mp.log(m) for m in range(1, len(b) + 1)]
+        ea = [mp.expj(-T * x) for x in la]
+        eb = [mp.expj(T * x) for x in lb]
+        bs = [mp.mpc(complex(x)) for x in b]
+        diag, off = mp.mpc(0), mp.mpc(0)
+        for n, an in enumerate(a):
+            an = mp.mpc(complex(an))
+            row = mp.fsum(bs[m] * (ea[n] * eb[m] - 1) / (lb[m] - la[n])
+                          for m in range(len(b)) if m != n)
+            off += an * row
+            if n < len(b):
+                diag += an * bs[n]
+        return complex(T * diag - 1j * off)
+
+
+def mp_pair_integral_series(a, b, T, terms=16):
+    """The pair integral as a power series in T (for T log(max length) << 1):
+    int_0^T e^(i t lam) dt = T sum_k (iT lam)^k/(k+1)!, and
+    sum_{n,m} a_n b_m lam^k = sum_j C(k, j) P_b(j) P_a(k - j) with the
+    log moments P_b(j) = sum_m b_m (log m)^j, P_a(j) = sum_n a_n (-log n)^j."""
+    with mp.workdps(40):
+        T = mp.mpf(T)
+        la = [mp.log(n) for n in range(1, len(a) + 1)]
+        lb = [mp.log(m) for m in range(1, len(b) + 1)]
+        pa = [mp.fsum(mp.mpf(x) * (-y) ** j for x, y in zip(a, la)) for j in range(terms)]
+        pb = [mp.fsum(mp.mpf(x) * y ** j for x, y in zip(b, lb)) for j in range(terms)]
+        total = mp.fsum(
+            (1j * T) ** k / mp.factorial(k + 1)
+            * mp.fsum(mp.binomial(k, j) * pb[j] * pa[k - j] for j in range(k + 1))
+            for k in range(terms)
+        )
+        return complex(T * total)
+
+
+def kernel_pair_integral(a, b, T):
+    """The closed form one kernel per pair: K(x) = T e^(ix/2) sinc(x/2),
+    x = T log(m/n), with K(0) = T on the diagonal."""
+    ns = np.arange(1, a.size + 1, dtype=float)
+    ms = np.arange(1, b.size + 1, dtype=float)
+    x = T * np.log(ms[None, :] / ns[:, None])
+    kernel = T * np.exp(0.5j * x) * np.sinc(x / (2.0 * math.pi))
+    return (a[:, None] * b[None, :] * kernel).sum()
 
 
 class TestMollifier:
@@ -161,6 +212,57 @@ class TestPairIntegral:
         scale = 1.0 + abs(lhs) + abs(rhs)
         assert lhs == pytest.approx(rhs, abs=1e-9 * scale)
 
+    @pytest.mark.parametrize("len_a, len_b, T", [
+        (200, 200, 1.0e4), (200, 37, 5000.5), (113, 200, 10.0), (1, 200, 777.7),
+    ])
+    def test_against_mpmath_at_campaign_scale(self, len_a, len_b, T):
+        # lengths and heights of the mean-value campaign (the quadrature oracle
+        # stops at length 50 and T = 200); the documented tolerance is 1e-10
+        rng = np.random.default_rng(len_a * len_b)
+        a = rng.uniform(-1.0, 1.0, len_a)
+        b = rng.uniform(-1.0, 1.0, len_b)
+        got = dirichlet.pair_integral_exact(
+            dirichlet.DirichletPoly(coeffs=a), dirichlet.DirichletPoly(coeffs=b), T)
+        ref = mp_pair_integral(a, b, T)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_small_T_long_polynomials(self):
+        # at T = 0.01 each off-diagonal term (e^(iT lam) - 1)/(i lam) is about T,
+        # while u^T R v and a^T R b (each about 4.4e3 here) sum terms 1/lam:
+        # their difference is 1.2e-4 of their size
+        rng = np.random.default_rng(500)
+        a = rng.uniform(-1.0, 1.0, 500)
+        b = rng.uniform(-1.0, 1.0, 500)
+        got = dirichlet.pair_integral_exact(
+            dirichlet.DirichletPoly(coeffs=a), dirichlet.DirichletPoly(coeffs=b), 0.01)
+        ref = mp_pair_integral_series(a, b, 0.01)
+        assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_series_oracle_matches_pairwise_oracle(self):
+        rng = np.random.default_rng(7)
+        a, b = rng.uniform(-1.0, 1.0, 30), rng.uniform(-1.0, 1.0, 45)
+        ref = mp_pair_integral(a, b, 0.01)
+        assert abs(mp_pair_integral_series(a, b, 0.01) - ref) <= 1e-14 * abs(ref)
+
+    def test_complex_coefficients_match_pairwise_kernel(self):
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-1.0, 1.0, 150) + 1j * rng.uniform(-1.0, 1.0, 150)
+        b = rng.uniform(-1.0, 1.0, 90) * np.exp(1j * np.arange(90) / 5.0)
+        for T in (0.3, 777.7, 9999.0):
+            got = dirichlet.pair_integral_exact(
+                dirichlet.DirichletPoly(coeffs=a), dirichlet.DirichletPoly(coeffs=b), T)
+            ref = kernel_pair_integral(a, b, T)
+            assert abs(got - ref) <= 1e-10 * abs(ref)
+
+    def test_row_blocks_match_one_block(self, monkeypatch):
+        # blocks of 7 rows of R; rows past len B have no diagonal entry
+        rng = np.random.default_rng(3)
+        A = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, 60))
+        B = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, 40))
+        whole = dirichlet.pair_integral_exact(A, B, 123.4)
+        monkeypatch.setattr(dirichlet, "CHUNK_ELEMS", 7 * B.length)
+        assert dirichlet.pair_integral_exact(A, B, 123.4) == pytest.approx(whole, rel=1e-13)
+
     def test_pair_budget(self):
         big = dirichlet.DirichletPoly(coeffs=np.ones(20001))
         with pytest.raises(BudgetError, match="pairs"):
@@ -196,6 +298,15 @@ class TestMeanValueReport:
 
         ratios = mv_campaign(seed=42, trials=200)
         assert max(ratios) <= 10.0
+
+    def test_campaign_pinned(self):
+        # a change to the RNG draw order or to the pair integral shows here
+        from zml.cli import mv_campaign
+
+        ratios = mv_campaign(seed=42, trials=1000)
+        max_ratio, mean_ratio = ov.MV_CAMPAIGN_42_1000
+        assert max(ratios) == pytest.approx(max_ratio, rel=1e-9)
+        assert math.fsum(ratios) / len(ratios) == pytest.approx(mean_ratio, rel=1e-9)
 
 
 class TestCoeffCsv:
