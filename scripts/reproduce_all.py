@@ -4,11 +4,15 @@ theta sweep, the mean-value campaign, the prime-power sums, and the
 consolidated per-equation report.
 
 Equivalent to running the CLI subcommands in order with one shared config.
+Each step's wall time and the process's peak resident set size so far go
+to stderr, never into --out-dir.
 
 Usage: python scripts/reproduce_all.py [--t-max 10000] [--out-dir zml-out]
 """
 import argparse
+import resource
 import sys
+import time
 
 from zml.cli import main as zml_main
 
@@ -39,7 +43,11 @@ def main():
     worst = 0
     for step in steps:
         print(f"\n$ zml {' '.join(step)}")
+        t0 = time.perf_counter()
         rc = zml_main(step)
+        peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        print(f"reproduce_all: {step[0]} {time.perf_counter() - t0:.2f} s, "
+              f"peak RSS {peak_mb:.0f} MB", file=sys.stderr)
         worst = max(worst, rc)
         if rc == 1:
             break

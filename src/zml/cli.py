@@ -27,7 +27,6 @@ from . import dirichlet, moments, sieve, zeros, zeta
 from .errors import InputError, ZmlError
 
 SCAN_T_LO = 10.0
-SCAN_MARGIN = 5.0
 MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
 EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
 # Steps h for which the five-point Z' stencil stays within 1e-6 of mpmath's
@@ -36,7 +35,10 @@ EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
 DERIV_STEP_RANGE = (3e-5, 3e-3)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
-ZERO_CACHE_VERSION = 2
+ZERO_CACHE_VERSION = 3
+# Part of the campaign-cache key: raise it whenever the ratios mv_campaign
+# returns for a (seed, trials) change.
+MV_CACHE_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,7 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
         raise InputError(
             f"zero cache {path} missing; run the 'zeros' subcommand first"
         )
-    t_top = min(cfg.t_max + SCAN_MARGIN, zeta.T_MAX)
+    t_top = cfg.t_max + zeros.SCAN_MARGIN
     zlist = zeros.scan_and_refine(SCAN_T_LO, t_top, cfg.eval_config)
     _atomic_replace(path, lambda tmp: zeros.export_zeros(zlist, tmp))
     return zlist
@@ -248,8 +250,43 @@ def _mv_summary(cfg: RunConfig, ratios) -> dict:
     }
 
 
+def _campaign_key(cfg: RunConfig) -> dict:
+    return {"seed": cfg.seed, "trials": cfg.trials, "version": MV_CACHE_VERSION}
+
+
+def _campaign_cache_path(cfg: RunConfig) -> Path:
+    return cfg.cache_dir / f"mv_campaign_s{cfg.seed}_n{cfg.trials}_v{MV_CACHE_VERSION}.json"
+
+
+def _cached_ratios(cfg: RunConfig):
+    """The ratios stored for this (seed, trials, version), or None unless
+    the file parses, echoes the key and holds `trials` finite floats."""
+    try:
+        data = json.loads(_campaign_cache_path(cfg).read_text(encoding="utf-8"))
+        ratios = data.pop("ratios")
+    except (OSError, ValueError, AttributeError, KeyError, TypeError):
+        return None
+    if data != _campaign_key(cfg) or not isinstance(ratios, list):
+        return None
+    if len(ratios) != cfg.trials or not all(
+            type(r) is float and math.isfinite(r) for r in ratios):
+        return None
+    return ratios
+
+
+def _campaign_ratios(cfg: RunConfig, reuse: bool) -> list:
+    """The campaign's ratios: the validated cache file if `reuse`, else a
+    fresh mv_campaign run, which is stored in the cache."""
+    ratios = _cached_ratios(cfg) if reuse else None
+    if ratios is None:
+        ratios = mv_campaign(cfg.seed, cfg.trials)
+        _atomic_write(_campaign_cache_path(cfg),
+                      _json_text({**_campaign_key(cfg), "ratios": ratios}))
+    return ratios
+
+
 def cmd_mv_check(cfg: RunConfig) -> int:
-    ratios = mv_campaign(cfg.seed, cfg.trials)
+    ratios = _campaign_ratios(cfg, reuse=False)
     stats = _mv_summary(cfg, ratios)
     if cfg.output_format == "json":
         stats["ratios"] = ratios
@@ -270,11 +307,11 @@ def cmd_landau(cfg: RunConfig) -> int:
     T = zeros.snap_to_midgap(zlist, cfg.t_max)
     t_grid = [zeros.snap_to_midgap(zlist, t) for t in _moment_grid(cfg)]
     for x in cfg.x_values:
-        rep = moments.landau_gonek(zlist, table, x, T)
+        rep, *grid_reps = moments.landau_sums(zlist, table, x, [T] + t_grid)
         _atomic_write(
             cfg.out_dir / f"landau_x{x:g}.json", _json_text(rep.to_json_dict())
         )
-        devs = [moments.landau_gonek(zlist, table, x, t).deviation for t in t_grid]
+        devs = [r.deviation for r in grid_reps]
         _atomic_write(cfg.out_dir / f"landau_dev_x{x:g}.txt", _plot_text(t_grid, devs))
         print(
             f"landau: x={x:g} zero_sum={rep.zero_sum.real:.3f}{rep.zero_sum.imag:+.3f}i "
@@ -347,8 +384,8 @@ def cmd_report(cfg: RunConfig) -> int:
         "cauchy_ok": cauchy_ok,
     }
 
-    # mv: the randomized mean-value campaign
-    ratios = mv_campaign(cfg.seed, cfg.trials)
+    # mv: the randomized mean-value campaign, as mv-check stored it
+    ratios = _campaign_ratios(cfg, reuse=True)
     report["mv"] = _mv_summary(cfg, ratios)
     hard_ok &= report["mv"]["passed"]
     _atomic_write(plots / "mv_ratio_vs_trial.txt", _plot_text(range(len(ratios)), ratios))

@@ -141,7 +141,6 @@ def alpha_coefficients(table: SieveTable, xi: int, n_max: int) -> AlphaVector:
     table._check_range(xi, "xi")
     table._check_range(n_max, "n_max")
     values = np.zeros(n_max + 1, dtype=np.float64)
-    mob = table.mobius.astype(np.float64)
     for p in table.primes:
         p = int(p)
         if p > n_max:
@@ -150,7 +149,7 @@ def alpha_coefficients(table: SieveTable, xi: int, n_max: int) -> AlphaVector:
         k = p
         while k <= n_max:
             n_l = min(xi, n_max // k)
-            values[k:: k][:n_l] += lp * mob[1: n_l + 1]
+            values[k:: k][:n_l] += lp * table.mobius[1: n_l + 1]
             k *= p
     return AlphaVector(xi=xi, values=values)
 

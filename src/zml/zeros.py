@@ -31,6 +31,9 @@ ORDINATE_ERR_BOUND = 1e-9     # certified enclosure half-width on export
 REFINE_WIDTH = 1e-10          # bisection stops below this bracket width
 SIMPLICITY_GUARD = 1e-4       # |Z'(gamma)| below this trips re-verification
 MAX_SUBDIV_DEPTH = 12
+# A scan may end this far above T_MAX, so that every T <= T_MAX lies
+# strictly inside its ordinate range (the zero above 1e5 closes the gap).
+SCAN_MARGIN = 5.0
 
 
 @dataclass(frozen=True)
@@ -221,7 +224,7 @@ def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
     """Good Gram anchors (k_a below t_lo, k_b at/above t_hi) plus the grid.
 
     Anchors are evaluated through hardy_z_many, which has no T_MAX check,
-    so the anchor above t_hi = T_MAX may lie just past the ceiling.
+    so the anchor above t_hi may lie past T_MAX + SCAN_MARGIN.
     """
     k_a = int(math.floor(zeta.rs_theta(t_lo) / math.pi))
     while k_a >= -1:
@@ -250,8 +253,8 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     certified is True only when the zero count over the anchored Gram range
     reconciles exactly with the Gram indices (Rosser-block bookkeeping).
     """
-    if not 10.0 <= t_lo < t_hi <= zeta.T_MAX:
-        raise InputError(f"need 10 <= t_lo < t_hi <= {zeta.T_MAX:g}")
+    if not 10.0 <= t_lo < t_hi <= zeta.T_MAX + SCAN_MARGIN:
+        raise InputError(f"need 10 <= t_lo < t_hi <= {zeta.T_MAX + SCAN_MARGIN:g}")
     ks, gs = _anchored_gram_range(t_lo, t_hi, cfg)
     zs = zeta.hardy_z_many(gs, cfg)
     good = _good_mask(ks, zs)

@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +204,57 @@ class TestReportCommand:
             lines = (plots / name).read_text().splitlines()
             assert lines and all(len(ln.split()) == 2 for ln in lines)
 
+    def test_reuses_the_mv_check_campaign(self, tmp_path, monkeypatch):
+        args = ("--t-max", "300", "--sieve-limit", "5000", "--trials", "25", "--seed", "9")
+        run_cli(tmp_path, "zeros", "--t-max", "300")
+        # a report with no campaign file computes the campaign itself
+        fresh = tmp_path / "fresh"
+        assert cli.main(["report", *args, "--cache-dir", str(tmp_path / "cache"),
+                         "--out-dir", str(fresh)]) == 0
+        cache_file = cli._campaign_cache_path(
+            cli.RunConfig(t_max=300.0, trials=25, seed=9, cache_dir=tmp_path / "cache"))
+        cache_file.unlink()
+        assert run_cli(tmp_path, "mv-check", *args) == 0
+        assert cache_file.exists()
+        calls = []
+        monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a))
+        assert run_cli(tmp_path, "report", *args) == 0
+        assert calls == []
+        assert (tmp_path / "out" / "report.json").read_bytes() == (
+            fresh / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "short", "nan", "other seed", "old version", "not a list"])
+    def test_damaged_campaign_recomputed(self, tmp_path, monkeypatch, damage):
+        args = ("--t-max", "300", "--sieve-limit", "5000", "--trials", "25", "--seed", "9")
+        run_cli(tmp_path, "zeros", "--t-max", "300")
+        assert run_cli(tmp_path, "mv-check", *args) == 0
+        assert run_cli(tmp_path, "report", *args) == 0
+        good = (tmp_path / "out" / "report.json").read_bytes()
+        path = next((tmp_path / "cache").glob("mv_campaign_*.json"))
+        data = json.loads(path.read_text())
+        if damage == "truncated":
+            text = path.read_text()[:-40]
+        else:
+            if damage == "short":
+                data["ratios"] = data["ratios"][:-1]
+            elif damage == "nan":
+                data["ratios"][3] = math.nan
+            elif damage == "other seed":
+                data["seed"] = 10
+            elif damage == "old version":
+                data["version"] = cli.MV_CACHE_VERSION - 1
+            else:
+                data["ratios"] = {"0": 1.0}
+            text = json.dumps(data)
+        path.write_text(text)
+        real = cli.mv_campaign
+        calls = []
+        monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
+        assert run_cli(tmp_path, "report", *args) == 0
+        assert calls == [(9, 25)]
+        assert (tmp_path / "out" / "report.json").read_bytes() == good
+
     def test_byte_identical_rerun(self, tmp_path):
         run_cli(tmp_path, "zeros", "--t-max", "300")
         run_cli(tmp_path, "report", "--t-max", "300", "--sieve-limit", "5000",
@@ -209,6 +263,24 @@ class TestReportCommand:
         run_cli(tmp_path, "report", "--t-max", "300", "--sieve-limit", "5000",
                 "--trials", "25", "--seed", "9")
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+
+class TestReproduceAll:
+    def test_step_timings_go_to_stderr(self, tmp_path):
+        script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, str(script), "--t-max", "300", "--sieve-limit", "5000",
+             "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("reproduce_all:")]
+        assert [ln.split()[1] for ln in lines] == [
+            "zeros", "moments", "mv-check", "landau", "report"]
+        assert all(ln.endswith(" MB") and "peak RSS" in ln for ln in lines)
+        assert "reproduce_all" not in proc.stdout
+        for path in (tmp_path / "out").rglob("*"):
+            assert path.is_dir() or b"peak RSS" not in path.read_bytes()
 
 
 class TestConfig:
@@ -231,7 +303,8 @@ class TestConfig:
         rc = run_cli(tmp_path, "zeros", "--t-max", "2e5")
         assert rc == 1
 
-    def test_scan_top_clamped_to_t_max(self, tmp_path, monkeypatch):
+    def test_scan_top_passes_t_max_ceiling(self, tmp_path, monkeypatch):
+        # t_max stays capped at T_MAX, the scan runs SCAN_MARGIN past it
         tops = []
 
         def scan(t_lo, t_hi, cfg):
@@ -240,7 +313,31 @@ class TestConfig:
 
         monkeypatch.setattr(cli.zeros, "scan_and_refine", scan)
         run_cli(tmp_path, "zeros", "--t-max", "99999")
-        assert tops == [1e5]
+        run_cli(tmp_path, "zeros", "--t-max", "100000")
+        assert tops == [99999 + zeros.SCAN_MARGIN, 1e5 + zeros.SCAN_MARGIN]
+        assert run_cli(tmp_path, "zeros", "--t-max", "100000.5") == 1
+
+    def test_top_of_range_snaps(self, tmp_path, monkeypatch):
+        # the last zero below 1e5 is 99999.7009; the scan closes the gap above
+        # it, through the cache file, so T = 1e5 snaps strictly inside
+        real_scan = zeros.scan_and_refine
+
+        def window_scan(t_lo, t_hi, cfg):
+            return real_scan(99_990.0, t_hi, cfg)
+
+        monkeypatch.setattr(cli.zeros, "scan_and_refine", window_scan)
+        cfg = cli.RunConfig(t_max=1e5, cache_dir=tmp_path / "cache")
+        scanned = cli._load_or_scan_zeros(cfg)
+        assert scanned.t_max == 1e5 + zeros.SCAN_MARGIN
+        zlist = cli._load_or_scan_zeros(cfg, build=False)
+        assert zlist.ordinates.tolist() == scanned.ordinates.tolist()
+        o = zlist.ordinates
+        assert o[-1] > 1e5
+        T = zeros.snap_to_midgap(zlist, 1e5)
+        below = o[o <= 1e5][-1]
+        assert below == pytest.approx(99999.7009, abs=1e-4)
+        above = o[o > 1e5][0]
+        assert below < 1e5 < above and T == 0.5 * (below + above)
 
     @pytest.mark.parametrize("sweep", ["0.3:0.9:1e-15", "0.3:0.9:0.0006", "0.1:0.9:1e-300"])
     def test_oversized_sweep_rejected(self, tmp_path, capsys, sweep):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zml import dirichlet, moments, sieve, zeros
-from zml.errors import InputError, SimplicityError
+from zml.errors import InputError, NumericsError, SimplicityError
 
 import oracle_values as ov
 
@@ -231,6 +231,41 @@ class TestMomentGrid:
             assert rep.m1_pred == moments.predict_m1(rep.params)
             assert rep.m2_pred == moments.predict_m2(rep.params)
 
+    def test_streamed_sums_equal_one_fsum(self, zeros_1010, sieve_10k, monkeypatch):
+        # yielded blocks of 60 zeros (fills of 2000 // 12 = 166 cut to 60):
+        # windows end inside blocks, and each sum must equal one fsum over
+        # its window
+        monkeypatch.setattr(dirichlet, "CHUNK_ELEMS", 2000)
+        monkeypatch.setattr(dirichlet, "YIELD_ROWS", 60)
+        Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (1000.0, 100.0, 300.0, 777.0)]
+        points = [(th, T) for T in Ts for th in (0.3, 0.5, 0.9)]
+        reports = moments.moment_grid(zeros_1010, sieve_10k, points)
+        xis = [rep.params.xi for rep in reports]
+        n_max = zeros_1010.count_below(max(Ts))
+        vals = dirichlet.eval_truncations_at_zeros(
+            dirichlet.mollifier(sieve_10k, max(xis)), xis, zeros_1010.ordinates[:n_max])
+        for b, rep in enumerate(reports):
+            n = zeros_1010.count_below(rep.params.T)
+            terms = np.conj(vals[:n, b]) / zeros_1010.zeta_primes[:n]
+            assert rep.m1 == complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert rep.m2 == math.fsum(np.abs(vals[:n, b]) ** 2)
+
+    def test_matches_direct_evaluator(self, zeros_1010, sieve_10k):
+        # against one exponential per (zero, n), the evaluator the prime fill
+        # replaced, reduced with math.fsum
+        T = zeros.snap_to_midgap(zeros_1010, 1000.0)
+        n = zeros_1010.count_below(T)
+        for rep in moments.moment_grid(zeros_1010, sieve_10k, [(0.5, T), (0.9, T)]):
+            poly = dirichlet.mollifier(sieve_10k, rep.params.xi)
+            support = np.flatnonzero(poly.coeffs)
+            logs = poly.logs[support]
+            vals = np.exp(np.multiply.outer(zeros_1010.ordinates[:n], -1j * logs)) @ (
+                poly.coeffs[support] * np.exp(-0.5 * logs))
+            terms = np.conj(vals) / zeros_1010.zeta_primes[:n]
+            m1 = complex(math.fsum(terms.real), math.fsum(terms.imag))
+            assert abs(rep.m1 - m1) <= 1e-12 * abs(m1)
+            assert rep.m2 == pytest.approx(math.fsum(np.abs(vals) ** 2), rel=1e-12)
+
     def test_empty_grid_and_empty_window(self, zeros_110, sieve_10k):
         assert moments.moment_grid(zeros_110, sieve_10k, []) == []
         rep, = moments.moment_grid(zeros_110, sieve_10k, [(0.5, 12.0)])
@@ -256,6 +291,41 @@ class TestMomentGrid:
         bad = dataclasses.replace(zeros_110, certified=False)
         with pytest.raises(InputError, match="certified"):
             moments.moment_grid(bad, sieve_10k, [(0.5, 50.0)])
+
+
+class TestExactParts:
+    @staticmethod
+    def _carried(x, block):
+        parts = []
+        for lo in range(0, x.shape[0], block):
+            parts += moments._exact_parts(x[lo: lo + block])
+        return [math.fsum(p[k] for p in parts) for k in range(x.shape[1])]
+
+    @pytest.mark.parametrize("block", [1, 7, 1000])
+    def test_random_magnitudes(self, block):
+        rng = np.random.default_rng(block)
+        x = rng.standard_normal((600, 4)) * 10.0 ** rng.uniform(-30, 30, (600, 4))
+        x[:, 3] = np.abs(x[:, 3])
+        assert self._carried(x, block) == [math.fsum(x[:, k]) for k in range(4)]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 64])
+    def test_cancelling_terms(self, block):
+        cols = [
+            [1e16, 1.0, -1e16, 1e-16, 3.0, -3.0, -1e-16],
+            [1.0, 2.0**-53, 2.0**-105, 0.0, 0.0, 0.0, 0.0],   # rounds up, not to even
+            [2.0**-1074, 1e200, -2.0**-1074, -1e200, 2.0**-1074, 5e-324, 0.0],
+            [0.1] * 6 + [-0.6],
+            [1e100, 1.0, -1e100, 1e-100, -1.0, 2.0**-60, -1e-100],
+        ]
+        x = np.array(cols).T
+        assert self._carried(x, block) == [math.fsum(c) for c in cols]
+        assert self._carried(x, block)[1] == 1.0 + 2.0**-52
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(NumericsError):
+            moments._exact_parts(np.array([[1.0], [math.nan]]))
+        with pytest.raises(NumericsError):
+            moments._exact_parts(np.array([[math.inf], [0.0]]))
 
 
 class TestThetaSweep:
@@ -304,6 +374,19 @@ class TestLandau:
             math.sqrt(3.0) * np.exp(1j * g * math.log(3.0)) for g in ov.ZERO_ORDINATES[:2]
         )
         assert rep.zero_sum == pytest.approx(want, rel=1e-9)
+
+    def test_sums_equal_one_fsum_per_window(self, zeros_1010, sieve_10k):
+        # unsorted and repeated T, one below the first zero
+        Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (900.0, 100.0, 500.0, 900.0)] + [12.0]
+        for x in (2.0, 4.0, 6.5):
+            reps = moments.landau_sums(zeros_1010, sieve_10k, x, Ts)
+            for T, rep in zip(Ts, reps):
+                phases = zeros_1010.ordinates[: zeros_1010.count_below(T)] * math.log(x)
+                want = complex(math.sqrt(x) * math.fsum(np.cos(phases)),
+                               math.sqrt(x) * math.fsum(np.sin(phases)))
+                assert rep.T == T and rep.zero_sum == want
+                assert rep == moments.landau_gonek(zeros_1010, sieve_10k, x, T)
+                assert rep.deviation == abs(want - rep.main_term)
 
     def test_x_domain(self, zeros_110, sieve_10k):
         with pytest.raises(InputError):
