@@ -22,10 +22,9 @@ from zml.cli import mv_campaign
 
 def elementary_envelopes(table):
     print("== elementary-sum envelopes ==")
-    for xi in (10**3, 10**4, 10**5, 10**6):
-        if xi > table.limit:
-            break
-        drift = sieve.squarefree_harmonic(table, xi) - sieve.SIX_OVER_PI2 * math.log(xi)
+    xis = [xi for xi in (10**3, 10**4, 10**5, 10**6) if xi <= table.limit]
+    for xi, h in zip(xis, sieve.squarefree_harmonics(table, xis)):
+        drift = h - sieve.SIX_OVER_PI2 * math.log(xi)
         pls = sieve.prime_log_sum(table, xi) - math.log(xi)
         print(f"xi = {xi:>8}: sqfree-harmonic drift {drift:+.6f}   prime-log drift {pls:+.6f}")
     xi = min(10**6, table.limit)

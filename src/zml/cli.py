@@ -402,8 +402,8 @@ def cmd_report(cfg: RunConfig) -> int:
         {int(x) for x in np.geomspace(1000, table.limit, 25)} | {1000, table.limit}
     )
     drifts = [
-        sieve.squarefree_harmonic(table, xi) - sieve.SIX_OVER_PI2 * math.log(xi)
-        for xi in xi_grid
+        h - sieve.SIX_OVER_PI2 * math.log(xi)
+        for h, xi in zip(sieve.squarefree_harmonics(table, xi_grid), xi_grid)
     ]
     report["neg4"] = {
         "xi_min": xi_grid[0], "xi_max": xi_grid[-1],

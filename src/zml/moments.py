@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import DirichletPoly, eval_poly_at_zeros, truncation_blocks
-from .errors import InputError, NumericsError, SimplicityError
-from .sieve import SieveTable, squarefree_harmonic
+from .errors import InputError, SimplicityError
+from .sieve import SieveTable, _exact_parts, squarefree_harmonic
 from .zeros import SIMPLICITY_GUARD, ZeroList
 
 GONEK_CONSTANT = 3.0 / math.pi**3
@@ -245,30 +245,6 @@ def _check_point(
     idx = _check_window(zlist, T)
     _guard_simplicity(zlist, idx)
     return params, idx.size
-
-
-def _exact_parts(x: np.ndarray) -> list:
-    """Arrays whose column sums add up exactly to the column sums of the
-    2-d array x, each computed without rounding (Rump, Ogita and Oishi's
-    ExtractVector, SIAM J. Sci. Comput. 31 (2008)).
-
-    With sigma = 2^k >= 2^M max|x| per column and 2^M >= rows + 2,
-    q = (sigma + x) - sigma and x - q are exact, every q is a multiple of
-    ulp(sigma)/2 below sigma / 2^M, so any order of summing q is exact;
-    the residual x - q is at most ulp(sigma) and is extracted again until
-    it is zero.  One math.fsum over all parts ever produced for a column is
-    therefore bit-identical to one math.fsum over all its values.
-    """
-    if not np.all(np.abs(x) < 2.0**960):
-        raise NumericsError("non-finite or huge term in an exact sum")
-    M = (x.shape[0] + 2).bit_length()
-    parts = []
-    while np.any(x):
-        sigma = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1] + M)
-        q = (sigma + x) - sigma
-        parts.append(q.sum(axis=0))
-        x = x - q
-    return parts
 
 
 def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -179,6 +180,24 @@ class TestLandauCommand:
     def test_bad_x_rejected(self, tmp_path, capsys, xs):
         assert run_cli(tmp_path, "landau", "--t-max", "100", "--x", xs) == 1
         assert capsys.readouterr().err.startswith("error: --x")
+
+    @pytest.mark.parametrize("damage", ["truncated", "extra bytes", "wrong magic"])
+    def test_damaged_sieve_cache_rebuilt(self, tmp_path, damage):
+        args = ("landau", "--t-max", "200", "--x", "2,4,6", "--sieve-limit", "5000")
+        fresh = tmp_path / "fresh"
+        assert cli.main([*args, "--cache-dir", str(fresh / "cache"),
+                         "--out-dir", str(fresh / "out")]) == 0
+        good = (fresh / "cache" / "sieve_5000.bin").read_bytes()
+        shutil.copytree(fresh / "cache", tmp_path / "cache")
+        path = tmp_path / "cache" / "sieve_5000.bin"
+        path.write_bytes({"truncated": good[:20_000], "extra bytes": good + bytes(8),
+                          "wrong magic": b"ZML-SIEVE0" + good[10:]}[damage])
+        assert run_cli(tmp_path, *args) == 0
+        assert path.read_bytes() == good
+        names = sorted(f.name for f in (fresh / "out").iterdir())
+        assert names == sorted(f.name for f in (tmp_path / "out").iterdir())
+        for name in names:
+            assert (tmp_path / "out" / name).read_bytes() == (fresh / "out" / name).read_bytes()
 
 
 class TestReportCommand:

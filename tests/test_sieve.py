@@ -35,6 +35,8 @@ def test_build_rejects_bad_limits():
         sieve.build_sieve(1)
     with pytest.raises(InputError, match="memory budget"):
         sieve.build_sieve(10**9)
+    with pytest.raises(InputError, match="int32"):
+        sieve.build_sieve(2**31, memory_cap=2**32)
 
 
 def test_divisor_sum_identities(sieve_10k):
@@ -181,3 +183,157 @@ def test_cache_roundtrip(tmp_path, sieve_10k):
     bad.write_bytes(b"NOT-A-SIEVE" + b"\x00" * 64)
     with pytest.raises(ValidationError, match="magic"):
         sieve.load_sieve(bad, 10**4)
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the per-prime loops the sieve layer used to run
+# ---------------------------------------------------------------------------
+
+def _loop_sieve(limit):
+    """mu, Lambda and the primes by one numpy slice per prime."""
+    is_prime = np.ones(limit + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_prime[p]:
+            is_prime[p * p:: p] = False
+    primes = np.nonzero(is_prime)[0].astype(np.int64)
+    mobius = np.ones(limit + 1, dtype=np.int8)
+    mobius[0] = 0
+    for p in primes:
+        mobius[p::p] *= -1
+        sq = int(p) * int(p)
+        if sq <= limit:
+            mobius[sq::sq] = 0
+    mangoldt = np.zeros(limit + 1, dtype=np.float64)
+    logp = np.log(primes.astype(np.float64))
+    mangoldt[primes] = logp
+    for p, lp in zip(primes, logp):
+        if p * p > limit:
+            break
+        pk = int(p) * int(p)
+        while pk <= limit:
+            mangoldt[pk] = lp
+            pk *= int(p)
+    return mobius, mangoldt, primes
+
+
+def _loop_alpha(table, xi, n_max):
+    """alpha_n by one progression n = k*l per prime power k."""
+    values = np.zeros(n_max + 1, dtype=np.float64)
+    for p in table.primes:
+        p = int(p)
+        if p > n_max:
+            break
+        lp = math.log(p)
+        k = p
+        while k <= n_max:
+            n_l = min(xi, n_max // k)
+            values[k:: k][:n_l] += lp * table.mobius[1: n_l + 1]
+            k *= p
+    return values
+
+
+def test_build_matches_per_prime_loop():
+    limit = 10**5
+    table = sieve.build_sieve(limit)
+    mobius, mangoldt, primes = _loop_sieve(limit)
+    assert table.mobius.dtype == mobius.dtype and np.array_equal(table.mobius, mobius)
+    assert table.mangoldt.tobytes() == mangoldt.tobytes()
+    assert table.primes.dtype == primes.dtype and np.array_equal(table.primes, primes)
+    # n with one prime factor above sqrt(N) = 316, where only the radical
+    # comparison sets the last sign
+    big = sympy.prevprime(limit // 6)
+    for n, want in ((big, -1), (2 * big, 1), (6 * big, -1), (4 * big, 0), (317 * 313, 1)):
+        assert table.mobius[n] == want, n
+    assert table.primes[-1] == sympy.prevprime(limit + 1)
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 24, 25, 26, 121, 65537, 65536 + 317])
+def test_build_matches_per_prime_loop_at_edges(limit):
+    # squares of primes at the limit and limits either side of a SEGMENT
+    table = sieve.build_sieve(limit)
+    mobius, mangoldt, primes = _loop_sieve(limit)
+    assert np.array_equal(table.mobius, mobius)
+    assert table.mangoldt.tobytes() == mangoldt.tobytes()
+    assert np.array_equal(table.primes, primes)
+
+
+@pytest.mark.parametrize("xi,n_max", [(10, 10), (50, 5000), (8000, 8000), (70, 10**4)])
+def test_alpha_matches_per_prime_loop(sieve_10k, xi, n_max):
+    got = sieve.alpha_coefficients(sieve_10k, xi, n_max).values
+    want = _loop_alpha(sieve_10k, xi, n_max)
+    assert got.tobytes() == want.tobytes()
+    # prime-power rows collect terms from several k
+    powers = [p**e for p in (2, 3, 5, 7) for e in range(2, 14) if p**e <= n_max]
+    assert powers and np.array_equal(got[powers], want[powers])
+
+
+def test_alpha_logs_from_math_log(sieve_1e6):
+    # with xi = 1 each alpha_k is Lambda(k) * mu(1); np.log differs from
+    # math.log in the last bit at a few primes below 1e6 (285343, ...)
+    a = sieve.alpha_coefficients(sieve_1e6, 1, 10**6).values
+    ks, want = [], []
+    for p in sieve_1e6.primes.tolist():
+        k = p
+        while k <= 10**6:
+            ks.append(k)
+            want.append(math.log(p))
+            k *= p
+    assert a[ks].tolist() == want
+    assert np.count_nonzero(a) == len(ks)
+
+
+def test_alpha_without_primes(sieve_10k):
+    assert sieve.alpha_coefficients(sieve_10k, 1, 1).values.tolist() == [0.0, 0.0]
+
+
+def test_squarefree_harmonics_grid(sieve_10k):
+    xis = [9999, 10, 1, 5000, 10, 2, 10**4, 1, 4097]
+    got = sieve.squarefree_harmonics(sieve_10k, xis)
+    for xi, value in zip(xis, got):
+        ns = [n for n in range(1, xi + 1) if sieve_10k.mobius[n]]
+        assert value == math.fsum(1.0 / n for n in ns), xi
+    assert got[1] == got[4] and got[2] == got[7]
+    assert sieve.squarefree_harmonics(sieve_10k, []) == []
+    assert sieve.squarefree_harmonic(sieve_10k, 4097) == got[-1]
+    for bad in ([10, 0], [10**4 + 1], [5, -3]):
+        with pytest.raises(InputError, match="outside table range"):
+            sieve.squarefree_harmonics(sieve_10k, bad)
+
+
+def test_alpha_mobius_sum_matches_one_fsum(sieve_10k):
+    xi = 10**4
+    alpha = _loop_alpha(sieve_10k, xi, xi)
+    ns = np.nonzero(sieve_10k.mobius[1: xi + 1])[0] + 1
+    want = math.fsum(alpha[ns] * sieve_10k.mobius[ns] / ns)
+    assert sieve.alpha_mobius_sum(sieve_10k, xi).value == want
+
+
+def test_build_memory_peak():
+    # The per-prime build peaked at 11,884,594 bytes at N = 1e6: is_prime,
+    # mobius and mangoldt (1 + 1 + 8 bytes per entry), three arrays of the
+    # primes (int64 twice, float64 logs) and 632 bytes.  The int32 radical
+    # must not raise the peak above those arrays.
+    import tracemalloc
+
+    limit = 10**6
+    sieve.build_sieve(1000)
+    tracemalloc.start()
+    try:
+        table = sieve.build_sieve(limit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * (limit + 1) + 24 * len(table.primes)
+
+
+@pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header"])
+def test_load_rejects_wrong_size(tmp_path, sieve_10k, damage):
+    path = tmp_path / "sieve.bin"
+    sieve.save_sieve(sieve_10k, path)
+    data = path.read_bytes()
+    data = {"truncated": data[:50_000], "extra bytes": data + b"\x00",
+            "short header": data[: len(sieve.SIEVE_MAGIC) + 3]}[damage]
+    path.write_bytes(data)
+    with pytest.raises(ValidationError):
+        sieve.load_sieve(path, 10**4)
