@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,6 @@ class RunConfig:
     out_dir: Path = Path("zml-out")
     output_format: str = "json"
     seed: int = 42
-    rs_order: int = 4
     deriv_step: float = 1e-4
     trials: int = 1000
     mv_bound: float = 10.0
@@ -75,9 +74,7 @@ class RunConfig:
 
     @property
     def eval_config(self) -> zeta.EvalConfig:
-        return zeta.EvalConfig(
-            rs_correction_order=self.rs_order, deriv_step=self.deriv_step
-        )
+        return replace(zeta.DEFAULT_CONFIG, deriv_step=self.deriv_step)
 
 
 def _atomic_replace(path: Path, write) -> None:
@@ -124,10 +121,16 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
 
 
 def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
+    """The cached zero list.  A missing or damaged cache is rescanned and
+    rewritten atomically if `build`, and is an error otherwise."""
     path = _zero_cache_path(cfg)
     if path.exists():
-        return zeros.import_zeros(path)
-    if not build:
+        try:
+            return zeros.import_zeros(path)
+        except ZmlError:
+            if not build:
+                raise
+    elif not build:
         raise InputError(
             f"zero cache {path} missing; run the 'zeros' subcommand first"
         )
@@ -347,7 +350,8 @@ def cmd_report(cfg: RunConfig) -> int:
     plots = cfg.out_dir / "plots"
     report: dict = {"config": {
         "t_max": cfg.t_max, "theta": cfg.theta, "sieve_limit": cfg.sieve_limit,
-        "seed": cfg.seed, "rs_order": cfg.rs_order, "deriv_step": cfg.deriv_step,
+        "seed": cfg.seed, "rs_order": zeta.DEFAULT_CONFIG.rs_correction_order,
+        "deriv_step": cfg.deriv_step,
     }, "certified": bool(check)}
 
     # eq1: the conjectured linear rate of J_{-1}
@@ -483,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=str, default="zml-out")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--rs-order", type=int, default=4)
         p.add_argument("--deriv-step", type=float, default=1e-4)
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--mv-bound", type=float, default=10.0)
@@ -503,7 +506,6 @@ def config_from_args(args) -> RunConfig:
         out_dir=Path(args.out_dir),
         output_format=args.format,
         seed=args.seed,
-        rs_order=args.rs_order,
         deriv_step=args.deriv_step,
         trials=args.trials,
         mv_bound=args.mv_bound,

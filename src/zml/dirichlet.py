@@ -42,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BudgetError, InputError, ParseError
+from .errors import BudgetError, InputError
 from .sieve import SieveTable, build_sieve
 
 PAIR_BUDGET = 10**8
@@ -373,50 +373,3 @@ def mv_report(A: DirichletPoly, B: DirichletPoly, T: float) -> MeanValueReport:
     else:
         ratio = 0.0 if gap == 0.0 else math.inf
     return MeanValueReport(T=T, exact=main + off, main=main, envelope=env, ratio=ratio)
-
-
-# ---------------------------------------------------------------------------
-# CSV persistence
-# ---------------------------------------------------------------------------
-
-def dump_coeffs(poly: DirichletPoly, path) -> None:
-    """Write "n,coeff_re,coeff_im" rows; zero rows are omitted except the
-    last (n = length), which pins the polynomial length on reload."""
-    coeffs = np.asarray(poly.coeffs, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,coeff_re,coeff_im\n")
-        for i, c in enumerate(coeffs):
-            n = i + 1
-            if c != 0 or n == poly.length:
-                fh.write(f"{n},{float(c.real)!r},{float(c.imag)!r}\n")
-
-
-def load_coeffs(path) -> DirichletPoly:
-    """Read the dump_coeffs format; omitted rows are zero coefficients."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "n,coeff_re,coeff_im":
-            raise ParseError(f"{path}:1: bad header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"{path}:{lineno}: expected 3 fields")
-            try:
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2])))
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-    if not rows:
-        raise ParseError(f"{path}: no coefficient rows")
-    if any(b[0] <= a[0] for a, b in zip(rows, rows[1:])):
-        raise ParseError(f"{path}: n column must ascend")
-    length = rows[-1][0]
-    coeffs = np.zeros(length, dtype=complex)
-    for n, re, im in rows:
-        coeffs[n - 1] = complex(re, im)
-    if np.all(coeffs.imag == 0.0):
-        coeffs = coeffs.real.copy()
-    return DirichletPoly(coeffs=coeffs)

@@ -27,7 +27,6 @@ and Im M1, a cancelling sum of about 2e-4 of |M1|, by 1.7e-8 of itself.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -414,12 +413,6 @@ def landau_gonek(zlist: ZeroList, table: SieveTable, x: float, T: float) -> Land
 # serialization helpers
 # ---------------------------------------------------------------------------
 
-def report_to_json(report, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def reports_csv_text(reports) -> str:
     """One CSV row per report, columns from to_json_dict (sorted keys),
     floats in repr form."""
@@ -432,9 +425,3 @@ def reports_csv_text(reports) -> str:
         lines.append(",".join(repr(d[k]) for k in keys))
     return "\n".join(lines) + "\n"
 
-
-def reports_to_csv(reports, path) -> None:
-    """Write reports_csv_text(reports) to path."""
-    text = reports_csv_text(reports)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

@@ -3,8 +3,9 @@
 The scan walks Gram points, groups consecutive Gram intervals into blocks
 bounded by "good" Gram points (where (-1)^k Z(g_k) > 0), finds the expected
 number of sign changes per block by adaptive subdivision, refines every
-bracket by vectorised bisection, and populates |zeta'(rho)| through the
-rotation identity zeta'(rho) = -i exp(-i theta(gamma)) Z'(gamma).
+bracket by vectorised bisection, and computes Z'(gamma) at every zero;
+zeta'(rho) follows from the rotation identity
+zeta'(rho) = -i exp(-i theta(gamma)) Z'(gamma).
 
 Completeness is certified by reconciling the count against
 N(T) = theta(T)/pi + 1 + S(T) anchored at good Gram points, where the count
@@ -14,9 +15,8 @@ mathematics.
 """
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,65 +36,55 @@ MAX_SUBDIV_DEPTH = 12
 SCAN_MARGIN = 5.0
 
 
-@dataclass(frozen=True)
-class ZeroRecord:
-    """A refined critical-line zero ordinate with its derivative data.
-
-    zeta_prime is zeta'(1/2 + i*gamma); zeta_prime_mod equals |z_prime| by
-    the rotation identity.  Derivative fields are NaN for ordinate-only
-    imports until refresh_derivatives runs.
-    """
-    ordinate: float
-    ordinate_err: float
-    z_prime: float
-    zeta_prime: complex
-    zeta_prime_mod: float
-
-    @property
-    def populated(self) -> bool:
-        return not math.isnan(self.z_prime)
-
-
 @dataclass(frozen=True, eq=False)
 class ZeroList:
-    """Ascending zero records up to t_max with a completeness flag."""
-    records: tuple
+    """Ascending zero ordinates up to t_max with a completeness flag.
+
+    ordinates, ordinate_errs and z_primes are equal-length 1-D float arrays,
+    stored as read-only copies.  z_primes is NaN after an ordinate-only
+    import until refresh_derivatives runs.  zeta'(rho) is not stored: the
+    rotation identity derives it from Z'(gamma) and theta(gamma).
+    """
+    ordinates: np.ndarray
+    ordinate_errs: np.ndarray
+    z_primes: np.ndarray
     t_max: float
     certified: bool
 
     def __post_init__(self):
-        ords = [r.ordinate for r in self.records]
-        if any(b <= a for a, b in zip(ords, ords[1:])):
+        for name in ("ordinates", "ordinate_errs", "z_primes"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        ords, errs = self.ordinates, self.ordinate_errs
+        if ords.ndim != 1 or ords.shape != errs.shape or ords.shape != self.z_primes.shape:
+            raise ValidationError(
+                "ordinates, ordinate_errs and z_primes must be 1-D and of equal length")
+        gaps = np.diff(ords)
+        if np.any(gaps <= 0.0):
             raise ValidationError("ordinates must be strictly ascending")
-        if ords and ords[-1] > self.t_max:
+        if len(ords) and ords[-1] > self.t_max:
             raise ValidationError("ordinate beyond t_max")
-        errs = [r.ordinate_err for r in self.records]
-        if errs:
-            gap_min = min((b - a for a, b in zip(ords, ords[1:])), default=math.inf)
-            if gap_min <= 2.0 * max(errs):
-                raise ValidationError("a zero gap is smaller than twice the enclosure width")
+        if len(gaps) and gaps.min() <= 2.0 * errs.max():
+            raise ValidationError("a zero gap is smaller than twice the enclosure width")
 
     def __len__(self):
-        return len(self.records)
+        return len(self.ordinates)
 
-    def __iter__(self):
-        return iter(self.records)
-
-    @cached_property
-    def ordinates(self) -> np.ndarray:
-        return np.array([r.ordinate for r in self.records])
-
-    @cached_property
-    def z_primes(self) -> np.ndarray:
-        return np.array([r.z_prime for r in self.records])
+    @property
+    def populated(self) -> bool:
+        """True when every zero carries its derivative data."""
+        return not np.isnan(self.z_primes).any()
 
     @cached_property
     def zeta_primes(self) -> np.ndarray:
-        return np.array([r.zeta_prime for r in self.records], dtype=complex)
+        """zeta'(1/2 + i*gamma) = -i exp(-i theta(gamma)) Z'(gamma)."""
+        return -1j * np.exp(-1j * zeta.rs_theta_many(self.ordinates)) * self.z_primes
 
     @cached_property
     def zeta_prime_mods(self) -> np.ndarray:
-        return np.array([r.zeta_prime_mod for r in self.records])
+        """|zeta'(rho)|, which equals |Z'(gamma)| by the rotation identity."""
+        return np.abs(self.z_primes)
 
     def count_below(self, T: float) -> int:
         return int(np.searchsorted(self.ordinates, T, side="right"))
@@ -203,21 +193,11 @@ def _refine_brackets(lows, highs, f_lows, cfg):
     return 0.5 * (a + b), 0.5 * (b - a)
 
 
-def _build_records(gammas, errs, cfg) -> tuple:
-    zp = zeta.hardy_z_prime_many(gammas, cfg)
-    theta = zeta.rs_theta_many(gammas)
-    rot = -1j * np.exp(-1j * theta)
-    zetap = rot * zp
-    return tuple(
-        ZeroRecord(
-            ordinate=float(g),
-            ordinate_err=float(e),
-            z_prime=float(z),
-            zeta_prime=complex(c),
-            zeta_prime_mod=abs(float(z)),
-        )
-        for g, e, z, c in zip(gammas, errs, zp, zetap)
-    )
+def _build_records(gammas, errs, t_max, certified, cfg) -> ZeroList:
+    """The ZeroList of refined zeros, with Z'(gamma) at each one."""
+    return ZeroList(ordinates=gammas, ordinate_errs=errs,
+                    z_primes=zeta.hardy_z_prime_many(gammas, cfg),
+                    t_max=t_max, certified=certified)
 
 
 def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
@@ -265,12 +245,12 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     expected = int(ks[good_idx[-1]] - ks[good_idx[0]])
     certified = len(lows) == expected
     if len(lows) == 0:
-        return ZeroList(records=(), t_max=t_hi, certified=certified)
+        empty = np.empty(0)
+        return ZeroList(empty, empty, empty, t_max=t_hi, certified=certified)
 
     gammas, errs = _refine_brackets(lows, highs, f_lows, cfg)
     keep = (gammas > t_lo) & (gammas <= t_hi)
-    records = _build_records(gammas[keep], errs[keep], cfg)
-    return ZeroList(records=records, t_max=t_hi, certified=certified)
+    return _build_records(gammas[keep], errs[keep], t_hi, certified, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +307,6 @@ def zero_count_check(zlist: ZeroList, T: float, cfg: EvalConfig = DEFAULT_CONFIG
 # derivative helpers
 # ---------------------------------------------------------------------------
 
-def complex_zeta_prime(rec: ZeroRecord) -> complex:
-    """zeta'(1/2 + i*gamma) from the rotation identity at a refined zero."""
-    return -1j * cmath.exp(-1j * zeta.rs_theta(rec.ordinate)) * rec.z_prime
-
-
 def snap_to_midgap(zlist: ZeroList, T: float) -> float:
     """Snap T to the midpoint of the enclosing zero gap.
 
@@ -353,7 +328,7 @@ def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> Ze
     """
     if len(zlist) == 0:
         return zlist
-    gammas = zlist.ordinates.copy()
+    gammas = zlist.ordinates
     w = np.full(gammas.shape, 1e-6)
     a, b = gammas - w, gammas + w
     fa = zeta.hardy_z_many(a, cfg)
@@ -370,9 +345,8 @@ def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> Ze
         fb[bad] = zeta.hardy_z_many(b[bad], cfg)
         bad = fa * fb > 0.0
     refined, errs = _refine_brackets(a, b, fa, cfg)
-    records = _build_records(refined, errs, cfg)
     t_max = max(zlist.t_max, float(refined[-1]))
-    return ZeroList(records=records, t_max=t_max, certified=zlist.certified)
+    return _build_records(refined, errs, t_max, zlist.certified, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -380,31 +354,32 @@ def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> Ze
 # ---------------------------------------------------------------------------
 
 def export_zeros(zlist: ZeroList, path) -> None:
-    """Write the v1 text format: magic + t_max comments, then per record
+    """Write the v1 text format: magic + t_max comments, then per zero
     "ordinate z_prime zeta_prime_re zeta_prime_im" at 17 significant digits."""
+    rows = zip(zlist.ordinates.tolist(), zlist.z_primes.tolist(), zlist.zeta_primes.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{ZEROS_MAGIC}\n")
         fh.write(f"# t_max {zlist.t_max!r}\n")
         fh.write(f"# certified {'true' if zlist.certified else 'false'}\n")
-        for r in zlist.records:
-            fh.write(
-                f"{r.ordinate!r} {r.z_prime!r} "
-                f"{r.zeta_prime.real!r} {r.zeta_prime.imag!r}\n"
-            )
+        for g, zp, c in rows:
+            fh.write(f"{g!r} {zp!r} {c.real!r} {c.imag!r}\n")
 
 
 def import_zeros(path) -> ZeroList:
     """Read either the v1 format or a bare one-ordinate-per-line table.
 
-    Bare tables yield records with NaN derivative fields; run
-    refresh_derivatives to populate them.  Non-ascending or duplicated
+    Bare tables yield NaN z_primes; run refresh_derivatives to populate
+    them.  The zeta' columns of a v1 file are parsed but not kept, since
+    zeta' is derived from the ordinate and Z'.  Non-ascending or duplicated
     ordinates fail validation; malformed lines report their line number.
     """
-    records = []
+    ordinates, z_primes = [], []
     t_max = None
     certified = False
     bare = True
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes become U+FFFD, which no float() accepts, so a
+    # damaged data line fails as a ParseError with its line number
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -422,28 +397,23 @@ def import_zeros(path) -> ZeroList:
                     certified = parts[1] == "true"
                 continue
             fields = line.split()
-            if len(fields) not in (1, 4):
-                raise ParseError(f"{path}:{lineno}: expected 1 or 4 columns, got {len(fields)}")
+            if len(fields) not in ((1, 4) if bare else (4,)):
+                want = "1 or 4" if bare else "4"
+                raise ParseError(f"{path}:{lineno}: expected {want} columns, got {len(fields)}")
             try:
                 vals = [float(f) for f in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-            if len(vals) == 1:
-                records.append(
-                    ZeroRecord(vals[0], ORDINATE_ERR_BOUND, math.nan,
-                               complex(math.nan, math.nan), math.nan)
-                )
-            else:
-                records.append(
-                    ZeroRecord(vals[0], ORDINATE_ERR_BOUND, vals[1],
-                               complex(vals[2], vals[3]), abs(vals[1]))
-                )
+            ordinates.append(vals[0])
+            z_primes.append(vals[1] if len(vals) == 4 else math.nan)
     if bare and t_max is None:
-        t_max = records[-1].ordinate if records else 0.0
+        t_max = ordinates[-1] if ordinates else 0.0
         certified = False
     if t_max is None:
         raise ParseError(f"{path}: missing '# t_max' header")
     try:
-        return ZeroList(records=tuple(records), t_max=t_max, certified=certified)
+        return ZeroList(ordinates=ordinates,
+                        ordinate_errs=np.full(len(ordinates), ORDINATE_ERR_BOUND),
+                        z_primes=z_primes, t_max=t_max, certified=certified)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -198,22 +198,11 @@ def rs_theta_many(ts: np.ndarray) -> np.ndarray:
 
 
 def rs_theta(t: float) -> float:
-    """Riemann-Siegel theta, the phase with Z(t) = exp(i theta) zeta(1/2+it).
-
-    Asymptotic expansion for t >= 10 (absolute error < 1e-12 there), direct
-    log-Gamma evaluation below.
-    """
+    """Riemann-Siegel theta, the phase with Z(t) = exp(i theta) zeta(1/2+it):
+    rs_theta_many at one finite t (absolute error < 1e-12 for t >= 10)."""
     if not math.isfinite(t):
         raise InputError("t must be finite")
-    if t >= 10.0:
-        val = 0.5 * t * math.log(t / TWO_PI) - 0.5 * t - math.pi / 8.0
-        inv2 = 1.0 / (t * t)
-        p = 1.0 / t
-        for c in _THETA_TAIL:
-            val += c * p
-            p *= inv2
-        return val
-    return float(loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * LOG_PI
+    return float(rs_theta_many(np.array([t]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +340,3 @@ def chi_factor(s: complex) -> complex:
     else:
         log_sin = cmath.log(cmath.sin(z))
     return complex(cmath.exp(log_chi + log_sin))
-
-
-def chi_modulus_approx(sigma: float, t: float) -> float:
-    """Stirling-order modulus (|t|/2pi)^(1/2-sigma) of chi(sigma+it).
-
-    Valid for -1 <= sigma <= 2 and |t| >= 1; relative gap to |chi| is O(1/|t|).
-    """
-    if not -1.0 <= sigma <= 2.0:
-        raise InputError("sigma must lie in [-1, 2]")
-    if abs(t) < 1.0:
-        raise InputError("|t| >= 1 required")
-    return (abs(t) / TWO_PI) ** (0.5 - sigma)

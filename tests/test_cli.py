@@ -44,8 +44,37 @@ class TestZerosCommand:
 
     def test_precision_knobs_key_the_cache(self, tmp_path):
         run_cli(tmp_path, "zeros", "--t-max", "120")
-        run_cli(tmp_path, "zeros", "--t-max", "120", "--rs-order", "3")
+        run_cli(tmp_path, "zeros", "--t-max", "120", "--deriv-step", "2e-4")
         assert len(list((tmp_path / "cache").glob("zeros_t120_*.txt"))) == 2
+
+    @pytest.mark.parametrize("damage", [
+        "truncated line", "truncated to one column", "non-numeric field",
+        "non-ascending ordinates", "undecodable bytes"])
+    def test_damaged_zero_cache_rescanned(self, tmp_path, capsys, damage):
+        assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
+        path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
+        good = path.read_bytes()
+        lines = good.split(b"\n")
+        row = lines[10]
+        third = row.index(b" ", row.index(b" ") + 1) + 1   # start of column 3
+        lines[10] = {
+            "truncated line": row[:third + 3],
+            "truncated to one column": row[:5],
+            "non-numeric field": row[:third] + b"x" + row[third + 1:],
+            "non-ascending ordinates": lines[9],
+            "undecodable bytes": row[:third] + b"\xff\xfe" + row[third + 2:],
+        }[damage]
+        cut = damage.startswith("truncated")
+        bad = b"\n".join(lines[:11] if cut else lines)
+        path.write_bytes(bad)
+        capsys.readouterr()
+        # report does not scan: it names the damaged file and leaves it
+        assert run_cli(tmp_path, "report", "--t-max", "120") == 1
+        assert f"error: {path}:" in capsys.readouterr().err
+        assert path.read_bytes() == bad
+        # a step that may scan rescans and rewrites the fresh bytes
+        assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
+        assert path.read_bytes() == good
 
     def test_unversioned_cache_not_read(self, tmp_path):
         # a list cached under the key without a version is never imported
@@ -217,6 +246,7 @@ class TestReportCommand:
         for tag in cli.EQ_TAGS:
             assert tag in report
         assert report["hard_invariants_passed"]
+        assert report["config"]["rs_order"] == 4
         plots = tmp_path / "out" / "plots"
         for name in ("eq1_j_vs_t.txt", "eq1_ratio_vs_t.txt", "neg4_drift_vs_xi.txt",
                      "mv_ratio_vs_trial.txt"):
@@ -328,7 +358,7 @@ class TestConfig:
 
         def scan(t_lo, t_hi, cfg):
             tops.append(t_hi)
-            return zeros.ZeroList(records=(), t_max=t_hi, certified=False)
+            return zeros.ZeroList([], [], [], t_max=t_hi, certified=False)
 
         monkeypatch.setattr(cli.zeros, "scan_and_refine", scan)
         run_cli(tmp_path, "zeros", "--t-max", "99999")
@@ -378,6 +408,19 @@ class TestConfig:
         assert len(zlist) >= len(ov.Z_PRIME)
         for got, ref in zip(zlist.z_primes, ov.Z_PRIME):
             assert abs(got - ref) <= 1e-6
+
+    def test_rs_order_flag_removed(self, capsys):
+        # Riemann-Siegel orders below 4 broke the Z error bound the scan
+        # certifies against, so no subcommand takes the flag
+        parser = cli.build_parser()
+        for command in ("zeros", "moments", "mv-check", "landau", "report"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, "--rs-order", "4"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --rs-order" in capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                parser.parse_args([command, "--help"])
+            assert "--rs-order" not in capsys.readouterr().out
 
     def test_largest_sweep_accepted(self):
         assert len(cli._parse_sweep("0.3:0.9:0.0007")) == 858

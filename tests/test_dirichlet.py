@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from zml import dirichlet, sieve
-from zml.errors import BudgetError, InputError, ParseError
+from zml.errors import BudgetError, InputError
 
 import oracle_values as ov
 
@@ -433,34 +433,3 @@ class TestMeanValueReport:
         max_ratio, mean_ratio = ov.MV_CAMPAIGN_42_1000
         assert max(ratios) == pytest.approx(max_ratio, rel=1e-9)
         assert math.fsum(ratios) / len(ratios) == pytest.approx(mean_ratio, rel=1e-9)
-
-
-class TestCoeffCsv:
-    def test_roundtrip_with_zero_rows(self, tmp_path, sieve_10k):
-        poly = dirichlet.mollifier(sieve_10k, 12)   # trailing coefficient is 0
-        path = tmp_path / "c.csv"
-        dirichlet.dump_coeffs(poly, path)
-        loaded = dirichlet.load_coeffs(path)
-        assert loaded.length == poly.length
-        assert np.allclose(loaded.coeffs, poly.coeffs, rtol=0, atol=0)
-        header = path.read_text().splitlines()[0]
-        assert header == "n,coeff_re,coeff_im"
-
-    def test_complex_roundtrip(self, tmp_path):
-        poly = dirichlet.DirichletPoly(coeffs=np.array([1 + 2j, 0.0, -0.5j]))
-        path = tmp_path / "c.csv"
-        dirichlet.dump_coeffs(poly, path)
-        loaded = dirichlet.load_coeffs(path)
-        assert np.array_equal(loaded.coeffs, poly.coeffs)
-
-    def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("nope\n1,2,3\n")
-        with pytest.raises(ParseError, match="header"):
-            dirichlet.load_coeffs(path)
-
-    def test_nonascending_rows(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("n,coeff_re,coeff_im\n2,1.0,0.0\n1,1.0,0.0\n")
-        with pytest.raises(ParseError, match="ascend"):
-            dirichlet.load_coeffs(path)

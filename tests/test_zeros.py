@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 
@@ -47,19 +48,23 @@ class TestScan:
             assert g == pytest.approx(want, abs=1e-8)
 
     def test_z_prime_against_oracle(self, zeros_110):
-        for rec, want in zip(zeros_110.records, ov.Z_PRIME):
-            assert rec.z_prime == pytest.approx(want, abs=1e-7)
+        for z_prime, want in zip(zeros_110.z_primes, ov.Z_PRIME):
+            assert z_prime == pytest.approx(want, abs=1e-7)
 
     def test_complex_zeta_prime_against_oracle(self, zeros_110):
-        for rec, (re, im) in zip(zeros_110.records, ov.ZETA_PRIME):
-            assert rec.zeta_prime == pytest.approx(complex(re, im), abs=1e-8)
-            assert zeros.complex_zeta_prime(rec) == pytest.approx(rec.zeta_prime, abs=1e-12)
+        zl = zeros_110
+        for g, z_prime, zeta_prime, (re, im) in zip(
+                zl.ordinates, zl.z_primes, zl.zeta_primes, ov.ZETA_PRIME):
+            assert zeta_prime == pytest.approx(complex(re, im), abs=1e-8)
+            # the scalar rotation identity agrees with the batch derivation
+            scalar = -1j * cmath.exp(-1j * zeta.rs_theta(g)) * z_prime
+            assert scalar == pytest.approx(zeta_prime, abs=1e-12)
 
     def test_rotation_identity(self, zeros_1010):
-        for rec in zeros_1010:
-            assert abs(rec.zeta_prime_mod - abs(rec.z_prime)) <= 1e-9
-            assert abs(abs(rec.zeta_prime) - abs(rec.z_prime)) <= 1e-9
-            assert rec.zeta_prime_mod > 0
+        z_mods = np.abs(zeros_1010.z_primes)
+        assert np.all(np.abs(zeros_1010.zeta_prime_mods - z_mods) <= 1e-9)
+        assert np.all(np.abs(np.abs(zeros_1010.zeta_primes) - z_mods) <= 1e-9)
+        assert np.all(zeros_1010.zeta_prime_mods > 0)
 
     def test_count_below_100(self, zeros_110):
         assert zeros_110.count_below(100.0) == ov.N_ZEROS_BELOW_100
@@ -70,7 +75,7 @@ class TestScan:
         assert zl.certified
 
     def test_refinement_quality(self, zeros_1010):
-        assert max(r.ordinate_err for r in zeros_1010) <= 1e-9
+        assert zeros_1010.ordinate_errs.max() <= 1e-9
         resid = np.abs(zeta.hardy_z_many(zeros_1010.ordinates, CFG))
         assert resid.max() <= 1e-8
 
@@ -171,13 +176,13 @@ class TestCountCheck:
         assert abs(chk.expected - chk.count) <= 2.0
 
     def test_below_first_zero(self):
-        empty = zeros.ZeroList(records=(), t_max=12.0, certified=True)
+        empty = zeros.ZeroList([], [], [], t_max=12.0, certified=True)
         assert bool(zeros.zero_count_check(empty, 12.0))
 
     def test_detects_deleted_record(self, zeros_110):
-        broken = dataclasses.replace(
-            zeros_110, records=zeros_110.records[:5] + zeros_110.records[6:]
-        )
+        broken = dataclasses.replace(zeros_110, **{
+            f: np.delete(getattr(zeros_110, f), 5)
+            for f in ("ordinates", "ordinate_errs", "z_primes")})
         assert not zeros.zero_count_check(broken, 100.0)
 
     def test_t_beyond_list(self, zeros_110):
@@ -209,10 +214,9 @@ class TestPersistence:
         assert loaded.t_max == zeros_110.t_max
         assert loaded.certified == zeros_110.certified
         assert len(loaded) == len(zeros_110)
-        for a, b in zip(loaded, zeros_110):
-            assert a.ordinate == b.ordinate
-            assert a.z_prime == b.z_prime
-            assert a.zeta_prime == b.zeta_prime
+        assert np.array_equal(loaded.ordinates, zeros_110.ordinates)
+        assert np.array_equal(loaded.z_primes, zeros_110.z_primes)
+        assert np.array_equal(loaded.zeta_primes, zeros_110.zeta_primes)
         # a second export of the imported list is byte-identical
         zeros.export_zeros(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
@@ -222,10 +226,11 @@ class TestPersistence:
         path.write_text("".join(f"{g!r}\n" for g in ov.ZERO_ORDINATES))
         bare = zeros.import_zeros(path)
         assert len(bare) == 10
-        assert not bare.records[0].populated
+        assert not bare.populated
         refreshed = zeros.refresh_derivatives(bare, CFG)
-        for rec, want in zip(refreshed, ov.Z_PRIME):
-            assert rec.zeta_prime_mod == pytest.approx(abs(want), abs=1e-6)
+        assert refreshed.populated
+        for mod, want in zip(refreshed.zeta_prime_mods, ov.Z_PRIME):
+            assert mod == pytest.approx(abs(want), abs=1e-6)
 
     def test_duplicate_ordinate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
@@ -245,6 +250,38 @@ class TestPersistence:
         with pytest.raises(ParseError, match="columns"):
             zeros.import_zeros(path)
 
+    def test_one_column_line_in_v1_file(self, tmp_path):
+        # only a bare table may give the ordinate alone
+        path = tmp_path / "cut.txt"
+        path.write_text("# zml-zeros v1\n# t_max 50.0\n14.1 0.79 0.78 0.12\n21.0\n")
+        with pytest.raises(ParseError, match=":4: expected 4 columns, got 1"):
+            zeros.import_zeros(path)
+
+    def test_undecodable_bytes_report_line(self, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"# zml-zeros v1\n# t_max 50.0\n14.1 0.79 \xff\xfe 0.12\n")
+        with pytest.raises(ParseError, match=":3: non-numeric"):
+            zeros.import_zeros(path)
+
+    def test_stored_zeta_prime_columns_reexport(self, tmp_path):
+        # v1 lines written by the scanner, from 14 up to 1e4: deriving zeta'
+        # from the ordinate and Z' gives back the stored columns bit for bit
+        text = (
+            "# zml-zeros v1\n# t_max 10005.0\n# certified true\n"
+            "14.134725141762164 0.7931604333879384 0.7832965118994606 0.12469982974439238\n"
+            "21.02203963878989 -1.136839106836845 1.1092955634685726 -0.2487297885307216\n"
+            "25.010857580131216 1.3717212872242763 1.295795605012032 0.4500367094534925\n"
+            "5444.966959569916 7.46067773172751 7.185440868663367 2.007772830685032\n"
+            "5445.925027099689 -7.220104247366495 7.111623480894211 1.2468828368510851\n"
+            "10002.980327512229 6.515986943094418 6.470647242447366 0.7673396290986435\n"
+            "10004.047053828166 -4.767640191900661 3.728798494463243 -2.9709350021693886\n"
+            "10004.679404166069 3.4230389141077717 3.390634546121941 0.4698859246035908\n"
+        )
+        src, dst = tmp_path / "src.txt", tmp_path / "dst.txt"
+        src.write_text(text)
+        zeros.export_zeros(zeros.import_zeros(src), dst)
+        assert dst.read_text() == text
+
     def test_missing_t_max(self, tmp_path):
         path = tmp_path / "nometa.txt"
         path.write_text("# zml-zeros v1\n14.1 0.79 0.78 0.12\n")
@@ -252,13 +289,46 @@ class TestPersistence:
             zeros.import_zeros(path)
 
 
+def _zero_list(ordinates, errs=1e-10, t_max=30.0):
+    n = len(ordinates)
+    return zeros.ZeroList(ordinates, np.full(n, errs), np.ones(n),
+                          t_max=t_max, certified=False)
+
+
 class TestZeroListValidation:
     def test_nonascending_rejected(self):
-        rec = lambda g: zeros.ZeroRecord(g, 1e-10, 1.0, 1.0 + 0j, 1.0)
-        with pytest.raises(ValidationError):
-            zeros.ZeroList(records=(rec(20.0), rec(15.0)), t_max=30.0, certified=False)
+        with pytest.raises(ValidationError, match="ascending"):
+            _zero_list([20.0, 15.0])
 
     def test_ordinate_beyond_t_max_rejected(self):
-        rec = zeros.ZeroRecord(20.0, 1e-10, 1.0, 1.0 + 0j, 1.0)
-        with pytest.raises(ValidationError):
-            zeros.ZeroList(records=(rec,), t_max=15.0, certified=False)
+        with pytest.raises(ValidationError, match="beyond t_max"):
+            _zero_list([20.0], t_max=15.0)
+
+
+    def test_close_pair_rejected(self):
+        with pytest.raises(ValidationError, match="twice the enclosure"):
+            _zero_list([20.0, 20.0 + 1e-10], errs=1e-10)
+        assert len(_zero_list([20.0, 20.0 + 3e-10], errs=1e-10)) == 2
+
+    @pytest.mark.parametrize("errs, z_primes", [
+        (np.full(3, 1e-10), np.ones(2)),
+        (np.full(2, 1e-10), np.ones(3)),
+    ])
+    def test_unequal_lengths_rejected(self, errs, z_primes):
+        with pytest.raises(ValidationError, match="equal length"):
+            zeros.ZeroList([14.0, 21.0, 25.0], errs, z_primes, t_max=30.0, certified=False)
+
+    def test_two_dimensional_rejected(self):
+        grid = np.array([[14.0, 21.0], [25.0, 30.0]])
+        with pytest.raises(ValidationError, match="1-D"):
+            zeros.ZeroList(grid, np.full((2, 2), 1e-10), np.ones((2, 2)),
+                           t_max=30.0, certified=False)
+
+    def test_arrays_are_read_only_copies(self):
+        ords = np.array([14.0, 21.0])
+        zl = zeros.ZeroList(ords, np.full(2, 1e-10), np.ones(2), t_max=30.0, certified=False)
+        ords[0] = 10.0
+        assert zl.ordinates[0] == 14.0
+        for name in ("ordinates", "ordinate_errs", "z_primes"):
+            with pytest.raises(ValueError):
+                getattr(zl, name)[0] = 0.0
