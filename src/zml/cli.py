@@ -29,16 +29,17 @@ from .errors import InputError, ZmlError
 SCAN_T_LO = 10.0
 MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
 EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
-# Steps h for which the five-point Z' stencil stays within 1e-6 of mpmath's
-# siegelz(t, derivative=1) up to T_MAX: below, the rounding noise of Z over h
-# dominates; above, the h^4 truncation term.
+# Steps h allowed for the five-point Z' stencil: below, the rounding noise of
+# Z over h dominates; above, the h^4 truncation term.  At the default 1e-4,
+# Z' is within 2.3e-6 of mpmath's siegelz(t, derivative=1) on [300, 1e5]
+# (zeta.hardy_z_prime).
 DERIV_STEP_RANGE = (3e-5, 3e-3)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
 ZERO_CACHE_VERSION = 3
 # Part of the campaign-cache key: raise it whenever the ratios mv_campaign
 # returns for a (seed, trials) change.
-MV_CACHE_VERSION = 2
+MV_CACHE_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -226,18 +227,24 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0 if all_ok else 2
 
 
-def mv_campaign(seed: int, trials: int):
-    """Randomized mean-value certification trials (xi <= 200, T in [10, 1e4],
-    coefficients uniform in [-1, 1])."""
+def campaign_trials(seed: int, trials: int) -> list:
+    """The (A, B, T) of each mean-value trial (xi <= 200, T in [10, 1e4],
+    coefficients uniform in [-1, 1]), drawn trial by trial from one
+    generator."""
     rng = np.random.default_rng(seed)
-    ratios = []
+    out = []
     for _ in range(trials):
         xa, xb = rng.integers(1, 201, 2)
         A = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xa)))
         B = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xb)))
-        T = float(rng.uniform(10.0, 1.0e4))
-        ratios.append(dirichlet.mv_report(A, B, T).ratio)
-    return ratios
+        out.append((A, B, float(rng.uniform(10.0, 1.0e4))))
+    return out
+
+
+def mv_campaign(seed: int, trials: int):
+    """Randomized mean-value certification trials: the ratio of each of
+    campaign_trials, evaluated together (dirichlet.mv_reports)."""
+    return [rep.ratio for rep in dirichlet.mv_reports(campaign_trials(seed, trials))]
 
 
 def _mv_summary(cfg: RunConfig, ratios) -> dict:

@@ -41,7 +41,8 @@ class ZeroList:
     """Ascending zero ordinates up to t_max with a completeness flag.
 
     ordinates, ordinate_errs and z_primes are equal-length 1-D float arrays,
-    stored as read-only copies.  z_primes is NaN after an ordinate-only
+    stored as read-only copies.  The ordinates, their enclosure half-widths
+    and t_max are finite; z_primes is finite, or NaN after an ordinate-only
     import until refresh_derivatives runs.  zeta'(rho) is not stored: the
     rotation identity derives it from Z'(gamma) and theta(gamma).
     """
@@ -60,6 +61,11 @@ class ZeroList:
         if ords.ndim != 1 or ords.shape != errs.shape or ords.shape != self.z_primes.shape:
             raise ValidationError(
                 "ordinates, ordinate_errs and z_primes must be 1-D and of equal length")
+        if not (np.isfinite(ords).all() and np.isfinite(errs).all()
+                and math.isfinite(self.t_max)):
+            raise ValidationError("ordinates, enclosure widths and t_max must be finite")
+        if np.isinf(self.z_primes).any():
+            raise ValidationError("Z'(gamma) must be finite, or NaN before refresh_derivatives")
         gaps = np.diff(ords)
         if np.any(gaps <= 0.0):
             raise ValidationError("ordinates must be strictly ascending")
@@ -317,7 +323,7 @@ def snap_to_midgap(zlist: ZeroList, T: float) -> float:
     idx = int(np.searchsorted(o, T, side="right"))
     if idx == 0 or idx >= len(o):
         raise InputError(f"T = {T} not strictly inside the ordinate range")
-    return 0.5 * (o[idx - 1] + o[idx])
+    return float(0.5 * (o[idx - 1] + o[idx]))
 
 
 def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroList:

@@ -34,7 +34,9 @@ LOG_PI = math.log(math.pi)
 # accuracy envelopes
 EM_T_MAX = 1.0e4        # Euler-Maclaurin envelope for the default config
 RS_T_MIN = 30.0         # below this the Riemann-Siegel expansion degrades
-RS_CROSSOVER = 300.0    # hardy_z auto-routing boundary (RS error < 1e-9 above)
+# hardy_z auto-routing boundary; above it the order-4 Riemann-Siegel value is
+# off by at most 1.84e-9 (at t = 300, against 30-digit mpmath on [300, 400])
+RS_CROSSOVER = 300.0
 T_MAX = 1.0e5           # hard evaluation ceiling
 RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
 
@@ -267,8 +269,11 @@ def hardy_z(t: float, cfg: EvalConfig = DEFAULT_CONFIG, method: str = "auto") ->
 
     method "auto" uses the rotated Euler-Maclaurin value below RS_CROSSOVER
     and the Riemann-Siegel expansion above; "em" and "rs" force a route
-    (within that route's validity envelope).  Absolute error <= 1e-8 for
-    t <= 1e5 at rs_correction_order >= 2 in auto mode.
+    (within that route's validity envelope).  Absolute error against
+    30-digit mpmath siegelz in auto mode: at the default order 4 at most
+    1.84e-9 (at t = 300) on 201 points in [300, 400], 5.8e-11 on [1e3, 1e4)
+    and 2.3e-10 on [1e4, 1e5) (250 points over [300, 1e5]); on [300, 400]
+    order 3 gives 5.4e-8 and order 2 3.4e-7.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise InputError("t must be positive and finite")
@@ -302,7 +307,12 @@ def hardy_z_prime_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.n
 
 
 def hardy_z_prime(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Z'(t); absolute error <= 1e-6 on the Z evaluation envelope.
+    """Z'(t) by the stencil of hardy_z_prime_many.  At the default step 1e-4
+    it is within 2.3e-6 (at t = 40257) of 30-digit mpmath siegelz(t,
+    derivative=1) on 250 points over [300, 1e5], and within 2.1e-7 on
+    [1e3, 1e4): the rounding noise of Z divided by the step.  Within 2 steps
+    of RS_CROSSOVER the stencil mixes the two routes of hardy_z: at t = 300
+    it is off by 1.1e-5.
 
     Requires t - 2*cfg.deriv_step > 0 so the stencil stays in domain.
     """

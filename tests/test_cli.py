@@ -76,6 +76,34 @@ class TestZerosCommand:
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         assert path.read_bytes() == good
 
+    @pytest.mark.parametrize("damage", [
+        "nan ordinate", "inf ordinate", "nan t_max", "inf z_prime"])
+    def test_non_finite_zero_cache_rescanned(self, tmp_path, capsys, damage):
+        assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
+        path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
+        good = path.read_bytes()
+        lines = good.split(b"\n")
+        ordinate, z_prime, rest = lines[10].split(b" ", 2)
+        if damage == "nan t_max":
+            lines[1] = b"# t_max nan"
+        else:
+            lines[10] = {
+                "nan ordinate": b" ".join([b"nan", z_prime, rest]),
+                "inf ordinate": b" ".join([b"inf", z_prime, rest]),
+                "inf z_prime": b" ".join([ordinate, b"-inf", rest]),
+            }[damage]
+        bad = b"\n".join(lines)
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "report", "--t-max", "120") == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}:" in err and "must be finite" in err
+        assert path.read_bytes() == bad
+        for step in ("moments", "zeros"):
+            assert run_cli(tmp_path, step, "--t-max", "120") == 0
+            assert path.read_bytes() == good
+            path.write_bytes(bad)
+
     def test_unversioned_cache_not_read(self, tmp_path):
         # a list cached under the key without a version is never imported
         cfg = cli.RunConfig(t_max=120.0, cache_dir=tmp_path / "cache")
@@ -116,6 +144,20 @@ class TestMomentsCommand:
         csv_lines = (tmp_path / "out" / "moments_summary.csv").read_text().splitlines()
         assert len(csv_lines) == 2
         assert "cauchy_ok=True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_summary_cells_are_numbers(self, tmp_path, fmt):
+        # a numpy scalar would print as np.float64(...) through repr
+        rc = run_cli(tmp_path, "moments", "--t-max", "2500", "--theta-sweep", "0.3:0.7:0.2",
+                     "--sieve-limit", "5000", "--format", fmt)
+        assert rc == 0
+        header, *rows = (tmp_path / "out" / "moments_summary.csv").read_text().splitlines()
+        assert len(rows) == 6 and "t" in header.split(",")
+        for row in rows:
+            cells = row.split(",")
+            assert len(cells) == len(header.split(","))
+            for cell in cells:
+                float(cell)
 
     def test_theta_sweep_table(self, tmp_path):
         rc = run_cli(
@@ -314,22 +356,44 @@ class TestReportCommand:
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
 
+def run_reproduce_all(tmp_path, *args):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run(
+        [sys.executable, str(script), "--t-max", "300", "--sieve-limit", "5000",
+         "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out"), *args],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
 class TestReproduceAll:
     def test_step_timings_go_to_stderr(self, tmp_path):
-        script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        proc = subprocess.run(
-            [sys.executable, str(script), "--t-max", "300", "--sieve-limit", "5000",
-             "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")],
-            capture_output=True, text=True, env=env, timeout=300)
+        proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / "stats.json"))
         assert proc.returncode == 0, proc.stderr
         lines = [ln for ln in proc.stderr.splitlines() if ln.startswith("reproduce_all:")]
-        assert [ln.split()[1] for ln in lines] == [
-            "zeros", "moments", "mv-check", "landau", "report"]
+        steps = ["zeros", "moments", "mv-check", "landau", "report"]
+        assert [ln.split()[1] for ln in lines] == steps
         assert all(ln.endswith(" MB") and "peak RSS" in ln for ln in lines)
         assert "reproduce_all" not in proc.stdout
         for path in (tmp_path / "out").rglob("*"):
             assert path.is_dir() or b"peak RSS" not in path.read_bytes()
+        # the stats file: one entry per step; only the cold zeros step scans
+        # (its Z evaluations include the completeness check's) and report
+        # re-checks completeness
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert [e["step"] for e in stats] == steps
+        for e in stats:
+            assert set(e) == {"step", "wall_s", "peak_rss_mb", "z_evals"}
+            assert e["wall_s"] > 0.0 and e["peak_rss_mb"] > 0.0
+        z = {e["step"]: e["z_evals"] for e in stats}
+        assert z["zeros"] > 1000 and z["moments"] == z["mv-check"] == z["landau"] == 0
+        assert 0 < z["report"] < 1000
+
+    @pytest.mark.parametrize("where", ["out", "out/sub/stats.json", "out/stats.json"])
+    def test_stats_inside_out_dir_rejected(self, tmp_path, where):
+        proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / where))
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: --stats") and "--out-dir" in proc.stderr
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
 class TestConfig:

@@ -1,6 +1,7 @@
 import cmath
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,6 +258,14 @@ class TestPersistence:
         with pytest.raises(ParseError, match=":4: expected 4 columns, got 1"):
             zeros.import_zeros(path)
 
+    def test_nan_line_in_bare_table(self, tmp_path):
+        # every comparison with NaN is False, so the ordering checks alone
+        # would pass this as a 3-zero list
+        path = tmp_path / "bare.txt"
+        path.write_text("14.134725141734694\nnan\n21.022039638771555\n")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + ".*must be finite"):
+            zeros.import_zeros(path)
+
     def test_undecodable_bytes_report_line(self, tmp_path):
         path = tmp_path / "binary.txt"
         path.write_bytes(b"# zml-zeros v1\n# t_max 50.0\n14.1 0.79 \xff\xfe 0.12\n")
@@ -304,6 +313,25 @@ class TestZeroListValidation:
         with pytest.raises(ValidationError, match="beyond t_max"):
             _zero_list([20.0], t_max=15.0)
 
+
+    @pytest.mark.parametrize("field, value", [
+        ("ordinates", math.nan), ("ordinates", math.inf), ("ordinate_errs", math.nan),
+        ("ordinate_errs", math.inf), ("t_max", math.nan), ("t_max", math.inf),
+        ("z_primes", math.inf), ("z_primes", -math.inf)])
+    def test_non_finite_rejected(self, field, value):
+        data = {"ordinates": np.array([14.0, 21.0]), "ordinate_errs": np.full(2, 1e-10),
+                "z_primes": np.ones(2), "t_max": 30.0}
+        if field == "t_max":
+            data[field] = value
+        else:
+            data[field][1] = value
+        with pytest.raises(ValidationError, match="finite"):
+            zeros.ZeroList(**data, certified=False)
+
+    def test_nan_z_prime_accepted(self):
+        zl = zeros.ZeroList([14.0, 21.0], np.full(2, 1e-10), np.array([1.0, math.nan]),
+                            t_max=30.0, certified=False)
+        assert not zl.populated
 
     def test_close_pair_rejected(self):
         with pytest.raises(ValidationError, match="twice the enclosure"):
