@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dirichlet, moments, sieve, zeros, zeta
-from .errors import InputError, ZmlError
+from .errors import InputError, ValidationError, ZmlError
 
 SCAN_T_LO = 10.0
 MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
@@ -70,6 +70,8 @@ class RunConfig:
             raise InputError(f"deriv_step must lie in [{lo:g}, {hi:g}]")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.seed < 0:
+            raise InputError("seed must be >= 0")
         if not (math.isfinite(self.mv_bound) and self.mv_bound > 0.0):
             raise InputError("mv_bound must be finite and positive")
 
@@ -121,13 +123,29 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
 
+def _check_reach(zlist: zeros.ZeroList, t_max: float, path: Path) -> None:
+    """Reject a zero list cut short, say at a line boundary, which still
+    parses: it must hold an ordinate above t_max, and its count at t_max
+    must lie within theta(t_max)/pi + 1 +- 2 (the |S(T)| slack).  Only
+    theta is evaluated, no Z."""
+    count = zlist.count_below(t_max)
+    if count == len(zlist):
+        raise ValidationError(f"{path}: no ordinate above t_max = {t_max:g}")
+    expected = zeta.rs_theta(t_max) / math.pi + 1.0
+    if abs(count - expected) > 2.0:
+        raise ValidationError(
+            f"{path}: {count} ordinates up to t_max = {t_max:g}, expected {expected:.1f} +- 2")
+
+
 def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
-    """The cached zero list.  A missing or damaged cache is rescanned and
-    rewritten atomically if `build`, and is an error otherwise."""
+    """The cached zero list.  A missing, damaged or cut-short cache is
+    rescanned and rewritten atomically if `build`, and is an error otherwise."""
     path = _zero_cache_path(cfg)
     if path.exists():
         try:
-            return zeros.import_zeros(path)
+            zlist = zeros.import_zeros(path)
+            _check_reach(zlist, cfg.t_max, path)
+            return zlist
         except ZmlError:
             if not build:
                 raise

@@ -7,6 +7,20 @@ bracket by vectorised bisection, and computes Z'(gamma) at every zero;
 zeta'(rho) follows from the rotation identity
 zeta'(rho) = -i exp(-i theta(gamma)) Z'(gamma).
 
+Refinement runs in two phases.  A few Illinois (regula falsi) steps and two
+probes per bracket find evaluated points L < gamma < R with
+|Z| >= SIGN_MARGIN, a margin about 5x the largest measured error of Z (not
+a proven bound), so the computed sign there is taken as the true one.  The bisection then runs from the original
+bracket and evaluates only the midpoints strictly between L and R; any
+other midpoint lies where Z keeps the sign of L or R (a bracket holds one
+zero, as the count certificate checks), so it takes the side an
+evaluation would give it.  Every bracket visits the same midpoints and
+makes the same decisions as a bisection that evaluates them all, and the
+ordinates are the same bits.  Brackets that start below RS_CROSSOVER are
+bisected with every midpoint evaluated: the Euler-Maclaurin route sizes
+its main sum from the largest t in its batch, so leaving points out of a
+call would change the values of the rest.
+
 Completeness is certified by reconciling the count against
 N(T) = theta(T)/pi + 1 + S(T) anchored at good Gram points, where the count
 is exact when S vanishes; Rosser's rule holds throughout t <= 1e5 (its first
@@ -31,6 +45,11 @@ ORDINATE_ERR_BOUND = 1e-9     # certified enclosure half-width on export
 REFINE_WIDTH = 1e-10          # bisection stops below this bracket width
 SIMPLICITY_GUARD = 1e-4       # |Z'(gamma)| below this trips re-verification
 MAX_SUBDIV_DEPTH = 12
+# |Z| at or above this fixes the sign of Z at a point: about 5x the largest
+# measured Z error on the Riemann-Siegel route (a measured margin, not a bound)
+SIGN_MARGIN = 1e-8
+ILLINOIS_STEPS = 8            # most regula falsi steps per bracket
+NARROW_CHUNK = 4096           # brackets narrowed at once, to bound the working set
 # A scan may end this far above T_MAX, so that every T <= T_MAX lies
 # strictly inside its ordinate range (the zero above 1e5 closes the gap).
 SCAN_MARGIN = 5.0
@@ -139,7 +158,8 @@ def _good_mask(ks: np.ndarray, zs: np.ndarray) -> np.ndarray:
 
 
 def _block_brackets(good_idx, gs, zs, cfg):
-    """Sign-change brackets (lows, highs, Z at lows) for every Gram block.
+    """Sign-change brackets (lows, highs, Z at lows, Z at highs) for every
+    Gram block.
 
     Block i runs from Gram point good_idx[i] to good_idx[i + 1] and must
     hold m = good_idx[i + 1] - good_idx[i] sign changes.  At depth d every
@@ -168,12 +188,11 @@ def _block_brackets(good_idx, gs, zs, cfg):
         flips = vals * nxt_vals < 0.0
         done = pending & (np.bincount(block, flips.sum(axis=1), minlength=len(m)) >= m)
         take = flips & done[block][:, None]
-        found.append((pts[take], nxt_pts[take], vals[take]))
+        found.append((pts[take], nxt_pts[take], vals[take], nxt_vals[take]))
         pending &= ~done
         if not pending.any():
-            lows, highs, f_lows = (np.concatenate(c) for c in zip(*found))
-            order = np.argsort(lows)
-            return lows[order], highs[order], f_lows[order]
+            order = np.argsort(np.concatenate([piece[0] for piece in found]))
+            return tuple(np.concatenate(c)[order] for c in zip(*found))
     first = np.argmax(pending)
     lo, hi = good_idx[first], good_idx[first + 1]
     raise NumericsError(
@@ -183,17 +202,102 @@ def _block_brackets(good_idx, gs, zs, cfg):
     )
 
 
-def _refine_brackets(lows, highs, f_lows, cfg):
-    """Vectorised bisection of sign-change brackets down to REFINE_WIDTH."""
+def _sign_bounds(lows, highs, f_lows, f_highs, cfg):
+    """The narrowing phase of _refine_brackets: points L, R with
+    lows <= L < gamma < R <= highs at which Z was evaluated with
+    |Z| >= SIGN_MARGIN, so that its computed sign there is trusted.
+
+    Up to ILLINOIS_STEPS vectorised Illinois steps (regula falsi that halves
+    the weight of an end kept twice in a row) estimate gamma; a bracket
+    stops once its step is below the probe gap 4*SIGN_MARGIN/slope.  One
+    probe on each side of the estimate, max(last step, that gap) away, then
+    lands just clear of the zero.  Every evaluated point with
+    |Z| >= SIGN_MARGIN moves the bound of the side its sign names.  Brackets
+    below RS_CROSSOVER, or without a strict sign change, keep their ends.
+    """
+    left = np.array(lows, dtype=float)
+    right = np.array(highs, dtype=float)
+    idx = np.flatnonzero((left >= zeta.RS_CROSSOVER) & (f_lows * f_highs < 0.0))
+    if len(idx) == 0:
+        return left, right
+    neg = f_lows[idx] < 0.0
+
+    def bound(where, t, z):
+        """Move L or R of brackets idx[where] to the sure points t; True
+        where Z(t) has the sign of the low end."""
+        low = (z < 0.0) == neg[where]
+        sure = np.abs(z) >= SIGN_MARGIN
+        left[idx[where[low & sure]]] = t[low & sure]
+        right[idx[where[~low & sure]]] = t[~low & sure]
+        return low
+
+    x0, x1 = left[idx], right[idx]              # the Illinois bracket
+    f0, f1 = f_lows[idx], f_highs[idx]
+    w0, w1 = f0.copy(), f1.copy()               # its weighted end values
+    kept = np.zeros(len(idx), dtype=np.int8)    # +1/-1: the last step kept x1/x0
+    est = np.full(len(idx), np.inf)             # the last iterate (none yet)
+    step = np.empty(len(idx))                   # its distance from the one before
+    live = np.arange(len(idx))
+    for _ in range(ILLINOIS_STEPS):
+        c = x1[live] - w1[live] * (x1[live] - x0[live]) / (w1[live] - w0[live])
+        np.clip(c, x0[live], x1[live], out=c)   # rounding must not leave the bracket
+        fc = zeta.hardy_z_many(c, cfg)
+        step[live] = np.abs(c - est[live])
+        est[live] = c
+        low = bound(live, c, fc)
+        lo, hi = live[low], live[~low]
+        w1[lo[kept[lo] == 1]] *= 0.5
+        w0[hi[kept[hi] == -1]] *= 0.5
+        x0[lo], f0[lo], w0[lo], kept[lo] = c[low], fc[low], fc[low], 1
+        x1[hi], f1[hi], w1[hi], kept[hi] = c[~low], fc[~low], fc[~low], -1
+        gap = 4.0 * SIGN_MARGIN * (x1[live] - x0[live]) / np.abs(f1[live] - f0[live])
+        live = live[(step[live] > gap) & (fc != 0.0)]
+        if len(live) == 0:
+            break
+    gap = np.maximum(step, 4.0 * SIGN_MARGIN * (x1 - x0) / np.abs(f1 - f0))
+    for probe in (est - gap, est + gap):
+        # a probe off its intended side still tightens the other bound
+        ask = np.flatnonzero((probe > left[idx]) & (probe < right[idx]))
+        if len(ask):
+            bound(ask, probe[ask], zeta.hardy_z_many(probe[ask], cfg))
+    return left, right
+
+
+def _refine_brackets(lows, highs, f_lows, f_highs, cfg):
+    """Vectorised bisection of sign-change brackets down to REFINE_WIDTH.
+
+    Z(lows) and Z(highs) are the values already computed at the bracket
+    ends.  Every bracket is halved in every pass until all are narrower than
+    REFINE_WIDTH, and each midpoint takes the side whose end shares its sign
+    of Z.  The narrowing phase (_sign_bounds) first finds, per bracket,
+    evaluated points L < gamma < R where |Z| >= SIGN_MARGIN.  A midpoint at
+    or below L (at or above R) then takes its side without a Z evaluation;
+    only midpoints strictly between L and R are evaluated.  So the passes
+    visit the same midpoints and make the same decisions as plain bisection
+    evaluating every midpoint: a skipped midpoint lies on the side of the
+    bracket's single zero where Z keeps the sign of L (R), and there Z is
+    larger in size than its evaluation error.  Brackets starting below
+    RS_CROSSOVER have L and R at their ends, so every one of their
+    midpoints is evaluated in every pass, in the same batch as before.
+    """
     a = np.asarray(lows, dtype=float)
     b = np.asarray(highs, dtype=float)
-    fa_neg = np.asarray(f_lows) < 0.0
+    f_lows = np.asarray(f_lows, dtype=float)
+    fa_neg = f_lows < 0.0
+    f_highs = np.asarray(f_highs, dtype=float)
+    sure_lo, sure_hi = np.empty_like(a), np.empty_like(b)
+    for lo in range(0, a.size, NARROW_CHUNK):
+        part = slice(lo, lo + NARROW_CHUNK)
+        sure_lo[part], sure_hi[part] = _sign_bounds(a[part], b[part], f_lows[part],
+                                                    f_highs[part], cfg)
     for _ in range(64):
         if np.all(b - a <= REFINE_WIDTH):
             break
         mid = 0.5 * (a + b)
-        fm = zeta.hardy_z_many(mid, cfg)
-        goes_low = (fm < 0.0) == fa_neg
+        goes_low = mid <= sure_lo
+        ask = ~goes_low & (mid < sure_hi)
+        if ask.any():
+            goes_low[ask] = (zeta.hardy_z_many(mid[ask], cfg) < 0.0) == fa_neg[ask]
         a = np.where(goes_low, mid, a)
         b = np.where(goes_low, b, mid)
     return 0.5 * (a + b), 0.5 * (b - a)
@@ -246,7 +350,7 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     good = _good_mask(ks, zs)
     good_idx = np.nonzero(good)[0]
 
-    lows, highs, f_lows = _block_brackets(good_idx, gs, zs, cfg)
+    lows, highs, f_lows, f_highs = _block_brackets(good_idx, gs, zs, cfg)
 
     expected = int(ks[good_idx[-1]] - ks[good_idx[0]])
     certified = len(lows) == expected
@@ -254,7 +358,7 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
         empty = np.empty(0)
         return ZeroList(empty, empty, empty, t_max=t_hi, certified=certified)
 
-    gammas, errs = _refine_brackets(lows, highs, f_lows, cfg)
+    gammas, errs = _refine_brackets(lows, highs, f_lows, f_highs, cfg)
     keep = (gammas > t_lo) & (gammas <= t_hi)
     return _build_records(gammas[keep], errs[keep], t_hi, certified, cfg)
 
@@ -350,7 +454,7 @@ def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> Ze
         fa[bad] = zeta.hardy_z_many(a[bad], cfg)
         fb[bad] = zeta.hardy_z_many(b[bad], cfg)
         bad = fa * fb > 0.0
-    refined, errs = _refine_brackets(a, b, fa, cfg)
+    refined, errs = _refine_brackets(a, b, fa, fb, cfg)
     t_max = max(zlist.t_max, float(refined[-1]))
     return _build_records(refined, errs, t_max, zlist.certified, cfg)
 

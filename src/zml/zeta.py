@@ -39,6 +39,7 @@ RS_T_MIN = 30.0         # below this the Riemann-Siegel expansion degrades
 RS_CROSSOVER = 300.0
 T_MAX = 1.0e5           # hard evaluation ceiling
 RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
+EM_CHUNK = 32_768       # Euler-Maclaurin main-sum terms held at once
 
 # B_2, B_4, ..., B_50
 _B2K = (
@@ -118,10 +119,13 @@ def _em_batch(ss: np.ndarray, cfg: EvalConfig) -> np.ndarray:
     ns = np.arange(1, n_main, dtype=float)
     logn = np.log(ns)
     out = np.empty(ss.shape, dtype=complex)
-    chunk = max(1, 4_000_000 // n_main)
+    chunk = max(1, EM_CHUNK // n_main)
     for lo in range(0, ss.size, chunk):
         block = ss.flat[lo:lo + chunk]
-        out.flat[lo:lo + chunk] = np.exp(-np.outer(block, logn)).sum(axis=1)
+        terms = np.outer(block, logn)
+        np.negative(terms, out=terms)
+        np.exp(terms, out=terms)
+        out.flat[lo:lo + chunk] = terms.sum(axis=1)
 
     n = float(n_main)
     n_pow = np.exp(-ss * math.log(n))          # N^(-s)
@@ -221,7 +225,6 @@ def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
     ts = np.asarray(ts, dtype=float)
     a = np.sqrt(ts / TWO_PI)
     m = np.floor(a).astype(np.int64)
-    u = 2.0 * (a - m) - 1.0
     theta = rs_theta_many(ts)
 
     ns = np.arange(1, int(m.max()) + 1, dtype=float)
@@ -234,27 +237,48 @@ def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
         rows = max(1, RS_CHUNK // k)
         for lo in range(0, group.size, rows):
             idx = group[lo:lo + rows]
-            terms = theta[idx, None] - ts[idx, None] * logn[None, :k]
+            terms = np.multiply(ts[idx, None], logn[None, :k])
+            np.subtract(theta[idx, None], terms, out=terms)
             np.cos(terms, out=terms)
             terms *= rsqrt[:k]
             out[idx] = 2.0 * terms.sum(axis=1)
+    del by_m, group, theta      # freed before the correction buffers exist
 
+    # The correction series C_j(u) a^(-j) by Horner in one reused buffer:
+    # the same multiply-then-add roundings as np.polyval, fewer temporaries.
+    u = 2.0 * (a - m) - 1.0
     inv_a = 1.0 / a
     corr = np.zeros(ts.shape)
     p = np.ones(ts.shape)
+    term = np.empty(ts.shape)
     for j in range(order + 1):
-        corr += np.polyval(_RS_SERIES[j], u) * p
-        p = p * inv_a
-    sign = np.where(m % 2 == 1, 1.0, -1.0)
-    return out + sign * corr / np.sqrt(a)
+        coeffs = _RS_SERIES[j]
+        term.fill(coeffs[0])
+        for c in coeffs[1:]:
+            term *= u
+            term += c
+        term *= p
+        corr += term
+        p *= inv_a
+    np.negative(corr, out=corr, where=m % 2 == 0)
+    corr /= np.sqrt(a)
+    out += corr
+    return out
 
 
-def hardy_z_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Z(t) for an array of t in (0, T_MAX]; auto EM/RS routing per point."""
+def hardy_z_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG,
+                 route_by: np.ndarray | None = None) -> np.ndarray:
+    """Z(t) for an array of t in (0, T_MAX]; auto EM/RS routing per point.
+
+    A point takes the Euler-Maclaurin route when it lies below RS_CROSSOVER,
+    or, given route_by (an array of ts's shape), when its entry there does.
+    """
     ts = np.asarray(ts, dtype=float)
     counters["z_evals"] += ts.size
+    low = (ts if route_by is None else np.asarray(route_by)) < RS_CROSSOVER
+    if ts.ndim == 1 and ts.size and not low.any():
+        return _z_rs_batch(ts, cfg.rs_correction_order)     # no copy of ts
     out = np.empty(ts.shape)
-    low = ts < RS_CROSSOVER
     if low.any():
         t = ts[low]
         zs = _em_batch(0.5 + 1j * t, cfg)
@@ -296,13 +320,32 @@ def hardy_z(t: float, cfg: EvalConfig = DEFAULT_CONFIG, method: str = "auto") ->
 
 
 def hardy_z_prime_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Z'(t) by a five-point central stencil (one Richardson step)."""
+    """Z'(t) by a five-point central stencil (one Richardson step).
+
+    Every point of a stencil takes the route hardy_z_many gives its centre t,
+    so no difference mixes the two routes across RS_CROSSOVER.  The stencils
+    centred below it share one Euler-Maclaurin batch and so one main-sum
+    length, which would otherwise step at t = 300 itself.
+    """
     ts = np.asarray(ts, dtype=float)
     h = cfg.deriv_step
-    zp2 = hardy_z_many(ts + 2.0 * h, cfg)
-    zp1 = hardy_z_many(ts + h, cfg)
-    zm1 = hardy_z_many(ts - h, cfg)
-    zm2 = hardy_z_many(ts - 2.0 * h, cfg)
+    steps = (2.0 * h, h, -h, -2.0 * h)
+    out = np.empty(ts.shape)
+    low = ts < RS_CROSSOVER
+    if low.any():
+        t = ts[low]
+        zs = hardy_z_many(np.concatenate([t + d for d in steps]), cfg,
+                          route_by=np.tile(t, len(steps)))
+        out[low] = _five_point(zs.reshape(len(steps), -1), h)
+    if not low.all():
+        t = ts[~low]
+        out[~low] = _five_point([hardy_z_many(t + d, cfg, route_by=t) for d in steps], h)
+    return out
+
+
+def _five_point(zs, h: float) -> np.ndarray:
+    """The stencil from Z at t + 2h, t + h, t - h, t - 2h."""
+    zp2, zp1, zm1, zm2 = zs
     return (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)
 
 
@@ -311,8 +354,8 @@ def hardy_z_prime(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
     it is within 2.3e-6 (at t = 40257) of 30-digit mpmath siegelz(t,
     derivative=1) on 250 points over [300, 1e5], and within 2.1e-7 on
     [1e3, 1e4): the rounding noise of Z divided by the step.  Within 2 steps
-    of RS_CROSSOVER the stencil mixes the two routes of hardy_z: at t = 300
-    it is off by 1.1e-5.
+    of RS_CROSSOVER the stencil keeps to the route of its centre: at
+    t = 299.99985, 299.9999, 300 and 300.0001 it is off by 1.1e-9 to 2.2e-9.
 
     Requires t - 2*cfg.deriv_step > 0 so the stencil stays in domain.
     """

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from zml import cli, moments, sieve, zeros
+from zml.errors import ValidationError
 
 import oracle_values as ov
 
@@ -49,7 +50,7 @@ class TestZerosCommand:
 
     @pytest.mark.parametrize("damage", [
         "truncated line", "truncated to one column", "non-numeric field",
-        "non-ascending ordinates", "undecodable bytes"])
+        "non-ascending ordinates", "undecodable bytes", "cut at a line boundary"])
     def test_damaged_zero_cache_rescanned(self, tmp_path, capsys, damage):
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
@@ -63,10 +64,17 @@ class TestZerosCommand:
             "non-numeric field": row[:third] + b"x" + row[third + 1:],
             "non-ascending ordinates": lines[9],
             "undecodable bytes": row[:third] + b"\xff\xfe" + row[third + 2:],
+            "cut at a line boundary": row,
         }[damage]
-        cut = damage.startswith("truncated")
-        bad = b"\n".join(lines[:11] if cut else lines)
+        if damage == "cut at a line boundary":
+            bad = b"\n".join(lines[:11]) + b"\n"
+        else:
+            cut = damage.startswith("truncated")
+            bad = b"\n".join(lines[:11] if cut else lines)
         path.write_bytes(bad)
+        if damage == "cut at a line boundary":
+            # it parses as a shorter v1 list, headers intact
+            assert len(zeros.import_zeros(path)) == 8
         capsys.readouterr()
         # report does not scan: it names the damaged file and leaves it
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
@@ -397,6 +405,17 @@ class TestReproduceAll:
 
 
 class TestConfig:
+    @pytest.mark.parametrize("command", ["mv-check", "report"])
+    def test_negative_seed_rejected(self, tmp_path, command):
+        proc = subprocess.run(
+            [sys.executable, "-m", "zml.cli", command, "--seed", "-1", "--trials", "3",
+             "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 1
+        assert "error: seed must be >= 0" in proc.stderr.splitlines()
+        assert "Traceback" not in proc.stderr
+
     def test_env_var_cache_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("ZML_CACHE_DIR", str(tmp_path / "envcache"))
         rc = cli.main(["zeros", "--t-max", "50", "--out-dir", str(tmp_path / "out")])
@@ -442,7 +461,11 @@ class TestConfig:
         cfg = cli.RunConfig(t_max=1e5, cache_dir=tmp_path / "cache")
         scanned = cli._load_or_scan_zeros(cfg)
         assert scanned.t_max == 1e5 + zeros.SCAN_MARGIN
-        zlist = cli._load_or_scan_zeros(cfg, build=False)
+        # the window list is short of the zeros below 1e5, so the loader
+        # rejects it; read the file itself
+        with pytest.raises(ValidationError, match="ordinates up to t_max"):
+            cli._load_or_scan_zeros(cfg, build=False)
+        zlist = zeros.import_zeros(cli._zero_cache_path(cfg))
         assert zlist.ordinates.tolist() == scanned.ordinates.tolist()
         o = zlist.ordinates
         assert o[-1] > 1e5

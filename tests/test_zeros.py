@@ -93,13 +93,14 @@ class TestScan:
 def _per_block_brackets(gs, zs, good_idx, cfg):
     """The subdivision as one loop per Gram block, in block order (the code
     that batched subdivision replaced)."""
-    lows, highs, f_lows = [], [], []
+    lows, highs, f_lows, f_highs = [], [], [], []
     for lo, hi in zip(good_idx[:-1], good_idx[1:]):
         m = int(hi - lo)
         if m == 1 and zs[lo] * zs[hi] < 0.0:
             lows.append(gs[lo])
             highs.append(gs[hi])
             f_lows.append(zs[lo])
+            f_highs.append(zs[hi])
             continue
         for depth in range(1, zeros.MAX_SUBDIV_DEPTH + 1):
             n_sub = 2 ** depth
@@ -116,8 +117,9 @@ def _per_block_brackets(gs, zs, good_idx, cfg):
                 lows.extend(pts[flips])
                 highs.extend(pts[flips + 1])
                 f_lows.extend(vals[flips])
+                f_highs.extend(vals[flips + 1])
                 break
-    return np.array(lows), np.array(highs), np.array(f_lows)
+    return np.array(lows), np.array(highs), np.array(f_lows), np.array(f_highs)
 
 
 class TestSubdivision:
@@ -129,16 +131,18 @@ class TestSubdivision:
     def test_batched_matches_per_block_loop(self):
         gs, zs, good_idx = self._gram_blocks(10.0, 3000.0)
         assert np.diff(good_idx).max() >= 3
-        lows, highs, f_lows = zeros._block_brackets(good_idx, gs, zs, CFG)
-        want_lows, want_highs, want_f = _per_block_brackets(gs, zs, good_idx, CFG)
-        assert np.array_equal(lows, want_lows)
-        assert np.array_equal(highs, want_highs)
-        assert np.array_equal(np.sign(f_lows), np.sign(want_f))
+        got = zeros._block_brackets(good_idx, gs, zs, CFG)
+        want = _per_block_brackets(gs, zs, good_idx, CFG)
+        lows, highs = got[:2]
+        assert np.array_equal(lows, want[0])
+        assert np.array_equal(highs, want[1])
         # the Euler-Maclaurin route below RS_CROSSOVER sizes its sum by the
         # batch, so only Riemann-Siegel values are batch-independent
-        rs = lows >= zeta.RS_CROSSOVER
-        assert np.array_equal(f_lows[rs], want_f[rs])
-        assert np.abs(f_lows - want_f).max() <= 1e-10
+        for f, want_f, ends in ((got[2], want[2], lows), (got[3], want[3], highs)):
+            assert np.array_equal(np.sign(f), np.sign(want_f))
+            rs = ends >= zeta.RS_CROSSOVER
+            assert np.array_equal(f[rs], want_f[rs])
+            assert np.abs(f - want_f).max() <= 1e-10
 
     def test_one_evaluation_call_per_depth(self, monkeypatch):
         gs, zs, good_idx = self._gram_blocks(10.0, 3000.0)
@@ -150,7 +154,7 @@ class TestSubdivision:
             return real(ts, cfg)
 
         monkeypatch.setattr(zeta, "hardy_z_many", counted)
-        lows, _, _ = zeros._block_brackets(good_idx, gs, zs, CFG)
+        lows = zeros._block_brackets(good_idx, gs, zs, CFG)[0]
         assert len(lows) == good_idx[-1] - good_idx[0]
         assert 1 <= len(calls) <= zeros.MAX_SUBDIV_DEPTH
 
@@ -167,6 +171,95 @@ class TestSubdivision:
         assert zl.certified
         assert len(zl) == count
         assert np.abs(zeta.hardy_z_many(zl.ordinates, CFG)).max() <= 1e-8
+
+
+def _plain_bisection(lows, highs, f_lows, cfg):
+    """Bisection that evaluates every midpoint (the refinement before the
+    narrowing phase); _refine_brackets must match it bit for bit."""
+    a = np.asarray(lows, dtype=float)
+    b = np.asarray(highs, dtype=float)
+    fa_neg = np.asarray(f_lows) < 0.0
+    for _ in range(64):
+        if np.all(b - a <= zeros.REFINE_WIDTH):
+            break
+        mid = 0.5 * (a + b)
+        fm = zeta.hardy_z_many(mid, cfg)
+        goes_low = (fm < 0.0) == fa_neg
+        a = np.where(goes_low, mid, a)
+        b = np.where(goes_low, b, mid)
+    return 0.5 * (a + b), 0.5 * (b - a)
+
+
+def _scan_brackets(t_lo, t_hi):
+    ks, gs = zeros._anchored_gram_range(t_lo, t_hi, CFG)
+    zs = zeta.hardy_z_many(gs, CFG)
+    return zeros._block_brackets(np.nonzero(zeros._good_mask(ks, zs))[0], gs, zs, CFG)
+
+
+def _assert_same_refinement(lows, highs, f_lows, f_highs):
+    got = zeros._refine_brackets(lows, highs, f_lows, f_highs, CFG)
+    want = _plain_bisection(lows, highs, f_lows, CFG)
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("t_lo, t_hi", [(10.0, 1010.0), (30000.0, 30100.0)])
+    def test_matches_plain_bisection(self, t_lo, t_hi):
+        brackets = _scan_brackets(t_lo, t_hi)
+        assert len(brackets[0]) > 100
+        _assert_same_refinement(*brackets)
+
+    def test_refresh_matches_plain_bisection(self, monkeypatch, zeros_1010):
+        real = zeros._refine_brackets
+        seen = []
+
+        def checked(lows, highs, f_lows, f_highs, cfg):
+            got = real(lows, highs, f_lows, f_highs, cfg)
+            seen.append((got, _plain_bisection(lows, highs, f_lows, cfg)))
+            return got
+
+        monkeypatch.setattr(zeros, "_refine_brackets", checked)
+        n = len(zeros_1010)
+        bare = zeros.ZeroList(zeros_1010.ordinates, zeros_1010.ordinate_errs,
+                              np.full(n, math.nan), t_max=zeros_1010.t_max, certified=False)
+        refreshed = zeros.refresh_derivatives(bare, CFG)
+        [(got, want)] = seen
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(refreshed.ordinates, got[0])
+
+    @pytest.mark.parametrize("shape", ["near-tangent", "zero at a midpoint"])
+    def test_stalled_narrowing_matches_plain_bisection(self, monkeypatch, shape):
+        # 20 unit brackets above RS_CROSSOVER, one zero in each
+        lows = 1000.0 + np.arange(20.0)
+        highs = lows + 1.0
+        if shape == "near-tangent":
+            # a cubic zero: |Z| < SIGN_MARGIN for |t - root| < 2e-3, where
+            # noise of half the margin flips the sign as rounding would
+            roots = lows + np.linspace(0.1, 0.9, 20)
+
+            def fake_z(ts):
+                x = ts - roots[np.clip(np.floor(ts - 1000.0).astype(int), 0, 19)]
+                return x ** 3 + 0.5 * zeros.SIGN_MARGIN * np.cos(1e9 * ts)
+        else:
+            # linear, with each zero exactly at a midpoint of the bisection
+            roots = lows + 0.375
+
+            def fake_z(ts):
+                return ts - roots[np.clip(np.floor(ts - 1000.0).astype(int), 0, 19)]
+
+        monkeypatch.setattr(zeta, "hardy_z_many", lambda ts, cfg=CFG, route_by=None:
+                            fake_z(np.asarray(ts, dtype=float)))
+        if shape == "zero at a midpoint":
+            assert fake_z(np.array([lows[0] + 0.375]))[0] == 0.0
+        _assert_same_refinement(lows, highs, fake_z(lows), fake_z(highs))
+
+    def test_scan_evaluation_count(self):
+        # plain bisection made 630 Z evaluations here
+        zeta.reset_counters()
+        zl = zeros.scan_and_refine(7000.0, 7010.0)
+        assert len(zl) == 11
+        assert zeta.counters["z_evals"] <= 470
 
 
 class TestCountCheck:

@@ -208,6 +208,16 @@ class TestHardyZPrime:
             ref = float(mp.siegelz(t, derivative=1))
             assert zeta.hardy_z_prime(t, CFG) == pytest.approx(ref, abs=1e-6)
 
+    def test_stencil_at_the_crossover(self):
+        # a stencil across RS_CROSSOVER used to mix the two routes of Z and
+        # was off by 1.1e-5 at t = 300; each centre alone and all in a batch
+        ts = np.array([299.99985, 299.9999, 300.0, 300.0001])
+        with mp.workdps(30):
+            refs = [float(mp.siegelz(mp.mpf(t), derivative=1)) for t in ts]
+        for t, ref, in_batch in zip(ts, refs, zeta.hardy_z_prime_many(ts, CFG)):
+            assert abs(zeta.hardy_z_prime(t, CFG) - ref) <= 1e-8
+            assert abs(in_batch - ref) <= 1e-8
+
     def test_stencil_domain(self):
         with pytest.raises(InputError):
             zeta.hardy_z_prime(1e-5, CFG)
