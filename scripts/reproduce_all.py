@@ -7,7 +7,9 @@ Equivalent to running the CLI subcommands in order with one shared config.
 Each step's wall time and the process's peak resident set size so far go
 to stderr, never into --out-dir.  With --stats PATH the same figures and
 the number of Z evaluations each step made go to a JSON file, one entry
-per step; PATH may not lie inside --out-dir, whose files are compared byte
+per step, with the number of threads that sum the Riemann-Siegel main sum
+(zeta.Z_THREADS), so that timings from different machines can be
+compared; PATH may not lie inside --out-dir, whose files are compared byte
 for byte between runs.
 
 Usage: python scripts/reproduce_all.py [--t-max 10000] [--out-dir zml-out]
@@ -32,7 +34,8 @@ def main():
     ap.add_argument("--out-dir", type=str, default="zml-out")
     ap.add_argument("--seed", type=str, default="42")
     ap.add_argument("--stats", type=str, default=None, metavar="PATH",
-                    help="write each step's wall time, peak RSS and Z evaluations as JSON")
+                    help="write each step's wall time, peak RSS, Z evaluations and Z "
+                         "threads as JSON")
     args = ap.parse_args()
     if args.stats:
         stats_path, out_dir = Path(args.stats).resolve(), Path(args.out_dir).resolve()
@@ -67,7 +70,8 @@ def main():
         print(f"reproduce_all: {step[0]} {wall:.2f} s, "
               f"peak RSS {peak_mb:.0f} MB", file=sys.stderr)
         stats.append({"step": step[0], "wall_s": wall, "peak_rss_mb": peak_mb,
-                      "z_evals": zeta.counters["z_evals"] - z0})
+                      "z_evals": zeta.counters["z_evals"] - z0,
+                      "z_threads": zeta.Z_THREADS})
         worst = max(worst, rc)
         if rc == 1:
             break

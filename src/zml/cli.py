@@ -153,8 +153,12 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
         raise InputError(
             f"zero cache {path} missing; run the 'zeros' subcommand first"
         )
-    t_top = cfg.t_max + zeros.SCAN_MARGIN
+    t_top = max(cfg.t_max, SCAN_T_LO) + zeros.SCAN_MARGIN
     zlist = zeros.scan_and_refine(SCAN_T_LO, t_top, cfg.eval_config)
+    # below 30 a zero gap can be wider than SCAN_MARGIN: scan on past it
+    while zlist.certified and zlist.count_below(cfg.t_max) == len(zlist):
+        t_top += zeros.SCAN_MARGIN
+        zlist = zeros.scan_and_refine(SCAN_T_LO, t_top, cfg.eval_config)
     _atomic_replace(path, lambda tmp: zeros.export_zeros(zlist, tmp))
     return zlist
 

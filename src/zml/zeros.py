@@ -386,6 +386,8 @@ def zero_count_check(zlist: ZeroList, T: float, cfg: EvalConfig = DEFAULT_CONFIG
 
     Checks |count - (theta(T)/pi + 1)| <= 2 (the |S(T)| slack) and, exactly,
     that the count at the nearest good Gram point g_k <= T equals k + 1.
+    Below g_{-1} = 9.67 no Gram point lies at or below T and no zero either,
+    so there the check passes exactly when the count is 0.
     """
     if T > zlist.t_max:
         raise InputError(f"T = {T} beyond list t_max = {zlist.t_max}")
@@ -403,6 +405,8 @@ def zero_count_check(zlist: ZeroList, T: float, cfg: EvalConfig = DEFAULT_CONFIG
             exact_ok = count_at == k + 1
             break
         k -= 1
+    else:
+        exact_ok = count == 0
     return CountCheck(
         passed=bool(slack_ok and exact_ok),
         count=count,

@@ -12,14 +12,18 @@ Two independent evaluation routes are kept side by side:
 and larger t through Riemann-Siegel; the two routes overlap on
 [RS_CROSSOVER, 1e4] where they cross-check each other (see the test suite).
 
-All functions are pure; batch variants (``*_many``) accept numpy arrays and
-are what the zero scanner uses.  Evaluation counters for performance
-reporting live in ``counters``.
+All functions are pure, apart from the evaluation counters for performance
+reporting in ``counters``; batch variants (``*_many``) accept numpy arrays
+and are what the zero scanner uses.  A large Riemann-Siegel batch has its
+main sum split across ``Z_THREADS`` threads (see ``_z_rs_batch``); every
+other step, and every counter update, runs on the caller's thread.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +43,7 @@ RS_T_MIN = 30.0         # below this the Riemann-Siegel expansion degrades
 RS_CROSSOVER = 300.0
 T_MAX = 1.0e5           # hard evaluation ceiling
 RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
+RS_SPLIT_TERMS = 2**14  # smaller Riemann-Siegel main sums run on one thread
 EM_CHUNK = 32_768       # Euler-Maclaurin main-sum terms held at once
 
 # B_2, B_4, ..., B_50
@@ -64,6 +69,14 @@ _THETA_TAIL = tuple(
 _RS_SERIES = tuple(np.asarray(c[::-1], dtype=float) for c in _rs_coeffs.SERIES)
 
 counters = {"z_evals": 0, "zeta_evals": 0}
+
+# Threads that share a large Riemann-Siegel main sum: every CPU the process
+# may run on (`taskset -c 0` makes it one).  Parts beyond the first go to
+# _pool, made on first use, so importing this module starts no thread.
+Z_THREADS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+_pool = None
+_pool_lock = threading.Lock()
 
 
 def reset_counters() -> None:
@@ -215,12 +228,56 @@ def rs_theta(t: float) -> float:
 # Hardy Z
 # ---------------------------------------------------------------------------
 
+def _executor():
+    """The thread pool of Z_THREADS - 1 workers, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+            _pool = ThreadPoolExecutor(Z_THREADS - 1, thread_name_prefix="zml-rs")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: it makes its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _rs_main_sum(out, part, ts, m, theta, logn, rsqrt, chunk_terms):
+    """out[i] = 2 sum_{n <= m_i} cos(theta_i - t_i log n) / sqrt(n) for the
+    points `part`, listed in ascending m.  Each m-group is summed in chunks
+    of at most chunk_terms terms (one point per chunk if m exceeds it)."""
+    for group in np.split(part, np.flatnonzero(np.diff(m[part])) + 1):
+        k = int(m[group[0]])
+        rows = max(1, chunk_terms // k)
+        for lo in range(0, group.size, rows):
+            idx = group[lo:lo + rows]
+            terms = np.multiply(ts[idx, None], logn[None, :k])
+            np.subtract(theta[idx, None], terms, out=terms)
+            np.cos(terms, out=terms)
+            terms *= rsqrt[:k]
+            out[idx] = 2.0 * terms.sum(axis=1)
+
+
 def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
     """Riemann-Siegel Z(t) for an array of t (all >= RS_T_MIN).
 
-    The main sum of each point has exactly m = floor(sqrt(t/2pi)) terms:
-    points are grouped by m and each group is summed in chunks of at most
-    RS_CHUNK terms, so a point's value does not depend on its batch.
+    The main sum of each point has exactly m = floor(sqrt(t/2pi)) terms,
+    summed in its own row of a chunk, so a point's value does not depend on
+    its batch, on the chunk it lands in or on the thread that sums it.
+    Points are sorted by m and cut into Z_THREADS contiguous parts of equal
+    main-sum terms (one part below RS_SPLIT_TERMS terms).  The caller's
+    thread sums part 0 while the pool sums the rest, in chunks of
+    RS_CHUNK // parts terms, so at most RS_CHUNK terms are held at once; numpy
+    releases the interpreter lock inside those kernels.  theta, the
+    correction series and every counter stay on the caller's thread.  Only
+    this route is split: the Euler-Maclaurin route sizes its main sum from
+    the whole batch.
     """
     ts = np.asarray(ts, dtype=float)
     a = np.sqrt(ts / TWO_PI)
@@ -232,17 +289,20 @@ def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
     rsqrt = 1.0 / np.sqrt(ns)
     out = np.empty(ts.shape)
     by_m = np.argsort(m, kind="stable")
-    for group in np.split(by_m, np.flatnonzero(np.diff(m[by_m])) + 1):
-        k = int(m[group[0]])
-        rows = max(1, RS_CHUNK // k)
-        for lo in range(0, group.size, rows):
-            idx = group[lo:lo + rows]
-            terms = np.multiply(ts[idx, None], logn[None, :k])
-            np.subtract(theta[idx, None], terms, out=terms)
-            np.cos(terms, out=terms)
-            terms *= rsqrt[:k]
-            out[idx] = 2.0 * terms.sum(axis=1)
-    del by_m, group, theta      # freed before the correction buffers exist
+    cum = m[by_m]
+    np.cumsum(cum, out=cum)
+    n_parts = Z_THREADS if cum[-1] >= RS_SPLIT_TERMS else 1
+    cuts = np.searchsorted(cum, cum[-1] * np.arange(1, n_parts) / n_parts)
+    del cum
+    first, *rest = [p for p in np.split(by_m, cuts) if p.size]
+    args = (ts, m, theta, logn, rsqrt, RS_CHUNK // n_parts)
+    futures = [_executor().submit(_rs_main_sum, out, part, *args) for part in rest]
+    try:
+        _rs_main_sum(out, first, *args)
+    finally:
+        for future in futures:
+            future.result()
+    del by_m, first, rest, args, theta      # freed before the correction buffers exist
 
     # The correction series C_j(u) a^(-j) by Horner in one reused buffer:
     # the same multiply-then-add roundings as np.polyval, fewer temporaries.

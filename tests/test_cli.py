@@ -138,6 +138,25 @@ class TestZerosCommand:
         assert rc == 0
         assert "0 ordinates" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_max", ["1", "8", "15", "25.2"])
+    def test_small_t_max(self, tmp_path, capsys, t_max):
+        # below 9.67 no Gram point anchors the count; at 15 and 25.2 the zero
+        # gap above t_max is wider than SCAN_MARGIN
+        assert run_cli(tmp_path, "zeros", "--t-max", t_max) == 0
+        assert "certified=True" in capsys.readouterr().out
+        cache = next((tmp_path / "cache").glob("zeros_t*.txt"))
+        stamp = cache.stat().st_ino, cache.stat().st_mtime_ns
+        assert run_cli(tmp_path, "zeros", "--t-max", t_max) == 0
+        assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == stamp
+        inside = float(t_max) > ov.ZERO_ORDINATES[0]
+        for command in ("landau", "report"):
+            capsys.readouterr()
+            rc = run_cli(tmp_path, command, "--t-max", t_max, "--sieve-limit", "5000",
+                         "--trials", "10")
+            err = capsys.readouterr().err
+            assert rc == (0 if inside else 1), err
+            assert inside or (err.startswith("error: ") and "Traceback" not in err)
+
 
 class TestMomentsCommand:
     def test_reports_written(self, tmp_path, capsys):
@@ -390,7 +409,8 @@ class TestReproduceAll:
         stats = json.loads((tmp_path / "stats.json").read_text())
         assert [e["step"] for e in stats] == steps
         for e in stats:
-            assert set(e) == {"step", "wall_s", "peak_rss_mb", "z_evals"}
+            assert set(e) == {"step", "wall_s", "peak_rss_mb", "z_evals", "z_threads"}
+            assert e["z_threads"] >= 1
             assert e["wall_s"] > 0.0 and e["peak_rss_mb"] > 0.0
         z = {e["step"]: e["z_evals"] for e in stats}
         assert z["zeros"] > 1000 and z["moments"] == z["mv-check"] == z["landau"] == 0

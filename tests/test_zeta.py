@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import signal
+import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -166,25 +170,132 @@ def _dense_masked_z(ts, order):
     return main + np.where(m % 2 == 1, 1.0, -1.0) * corr / np.sqrt(a)
 
 
+def _m_boundary_ts():
+    """Random t in [300, 1e5] with the points where m steps, their float
+    neighbours and 50 repeats, shuffled."""
+    rng = np.random.default_rng(5)
+    edges = 2.0 * math.pi * np.arange(7, 127, 10, dtype=float) ** 2
+    ts = np.concatenate([
+        rng.uniform(300.0, 1e5, 400),
+        edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+    ])
+    return rng.permutation(np.concatenate([ts, ts[:50]]))
+
+
+def _random_ts():
+    return np.random.default_rng(8).uniform(300.0, 1e5, 2000)
+
+
+@pytest.fixture
+def z_threads(monkeypatch):
+    """use(n): sum Riemann-Siegel batches on n threads, from a new pool.
+    The pools made meanwhile are shut down afterwards."""
+    original = zeta._pool
+    made = []
+
+    def use(n):
+        made.append(zeta._pool)
+        monkeypatch.setattr(zeta, "Z_THREADS", n)
+        monkeypatch.setattr(zeta, "_pool", None)
+
+    yield use
+    for pool in made + [zeta._pool]:
+        if pool is not None and pool is not original:
+            pool.shutdown()
+
+
 class TestRiemannSiegelSum:
     def test_grouped_sum_matches_dense_formula(self):
-        rng = np.random.default_rng(5)
-        edges = 2.0 * math.pi * np.arange(7, 127, 10, dtype=float) ** 2
-        ts = np.concatenate([
-            rng.uniform(300.0, 1e5, 400),
-            edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
-        ])
-        ts = rng.permutation(np.concatenate([ts, ts[:50]]))
+        ts = _m_boundary_ts()
         got = zeta._z_rs_batch(ts, 4)
         assert np.abs(got - _dense_masked_z(ts, 4)).max() <= 1e-13
 
     def test_value_does_not_depend_on_the_batch(self):
-        ts = np.random.default_rng(8).uniform(300.0, 1e5, 2000)
+        ts = _random_ts()
         batch = zeta.hardy_z_many(ts, CFG)
         alone = np.array([zeta.hardy_z_many(ts[i:i + 1], CFG)[0] for i in range(ts.size)])
         assert np.array_equal(batch, alone)
         perm = np.random.default_rng(9).permutation(ts.size)[:700]
         assert np.array_equal(zeta.hardy_z_many(ts[perm], CFG), batch[perm])
+
+
+class TestThreadedMainSum:
+    @pytest.mark.parametrize("make_ts", [_random_ts, _m_boundary_ts])
+    def test_value_does_not_depend_on_the_thread_count(self, z_threads, make_ts):
+        ts = make_ts()
+        got = {}
+        for n in (1, 2, 3):
+            z_threads(n)
+            got[n] = zeta._z_rs_batch(ts, 4)
+            assert (zeta._pool is None) == (n == 1)
+        assert np.array_equal(got[1], got[2]) and np.array_equal(got[1], got[3])
+
+    def test_scan_does_not_depend_on_the_thread_count(self, z_threads, monkeypatch):
+        from zml import zeros as zr
+
+        # split every batch, down to single points, so that parts come out empty
+        monkeypatch.setattr(zeta, "RS_SPLIT_TERMS", 1)
+        scans = []
+        for n in (1, 2):
+            z_threads(n)
+            scans.append(zr.scan_and_refine(10.0, 1010.0))
+        one, two = scans
+        for name in ("ordinates", "ordinate_errs", "z_primes"):
+            assert np.array_equal(getattr(one, name), getattr(two, name))
+        assert one.certified and two.certified
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_makes_its_own_pool(self, z_threads):
+        # the parent's pool threads do not exist in a forked child, so
+        # submitting to that pool would wait forever
+        z_threads(2)
+        ts = _random_ts()
+        want = zeta._z_rs_batch(ts, 4)
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if np.array_equal(zeta._z_rs_batch(ts, 4), want) else 3)
+        deadline = time.monotonic() + 30.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.02)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_small_batch_makes_no_pool(self, z_threads):
+        z_threads(2)
+        ts = np.linspace(300.0, 1e4, 50)      # about 2,000 main-sum terms
+        zeta.hardy_z_many(ts, CFG)
+        assert zeta._pool is None
+
+    def test_one_call_per_batch_on_the_callers_thread(self, z_threads, monkeypatch):
+        # perfbench's tracer wraps _z_rs_batch by name with a span stack that
+        # is not thread-safe; only the unwrapped main sum may leave the thread
+        z_threads(2)
+        rs_threads, sum_threads = [], set()
+        rs_batch, main_sum = zeta._z_rs_batch, zeta._rs_main_sum
+
+        def record_rs(ts, order):
+            rs_threads.append(threading.current_thread())
+            return rs_batch(ts, order)
+
+        def record_sum(*args):
+            sum_threads.add(threading.current_thread())
+            return main_sum(*args)
+
+        monkeypatch.setattr(zeta, "_z_rs_batch", record_rs)
+        monkeypatch.setattr(zeta, "_rs_main_sum", record_sum)
+        ts = np.random.default_rng(8).uniform(10.0, 1e5, 2000)
+        for batch in (ts, ts[ts >= 300.0], ts[ts < 300.0], ts[:1]):
+            rs_threads.clear()
+            zeta.hardy_z_many(batch, CFG)
+            assert len(rs_threads) <= 1
+            assert all(t is threading.main_thread() for t in rs_threads)
+        assert len(sum_threads) == 2 and threading.main_thread() in sum_threads
 
 
 class TestHardyZPrime:
