@@ -3,7 +3,4 @@ the critical-line zeros: zero location with completeness certificates,
 Mobius mollifiers, exact Dirichlet-polynomial mean values, and the moment
 sums with their predicted main terms."""
 
-from .zeta import EvalConfig
-
-__all__ = ["EvalConfig"]
 __version__ = "0.1.0"

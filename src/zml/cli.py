@@ -18,7 +18,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -29,11 +29,9 @@ from .errors import InputError, ValidationError, ZmlError
 SCAN_T_LO = 10.0
 MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
 EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
-# Steps h allowed for the five-point Z' stencil: below, the rounding noise of
-# Z over h dominates; above, the h^4 truncation term.  At the default 1e-4,
-# Z' is within 2.3e-6 of mpmath's siegelz(t, derivative=1) on [300, 1e5]
-# (zeta.hardy_z_prime).
-DERIV_STEP_RANGE = (3e-5, 3e-3)
+# Most mean-value trials: campaign_trials holds every polynomial at once, about
+# 2.3 MB per 1,000 trials, so this cap keeps a campaign within 300 MB.
+MAX_TRIALS = 50_000
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
 ZERO_CACHE_VERSION = 3
@@ -53,7 +51,6 @@ class RunConfig:
     out_dir: Path = Path("zml-out")
     output_format: str = "json"
     seed: int = 42
-    deriv_step: float = 1e-4
     trials: int = 1000
     mv_bound: float = 10.0
     x_values: tuple = (2.0, 3.0, 4.0, 5.0, 6.0)
@@ -65,19 +62,18 @@ class RunConfig:
             raise InputError("theta must lie in (0, 1)")
         if self.output_format not in ("csv", "json"):
             raise InputError("format must be csv or json")
-        lo, hi = DERIV_STEP_RANGE
-        if not lo <= self.deriv_step <= hi:
-            raise InputError(f"deriv_step must lie in [{lo:g}, {hi:g}]")
+        if not 2 <= self.sieve_limit <= sieve.MEMORY_CAP:
+            raise InputError(f"sieve_limit must lie in [2, {sieve.MEMORY_CAP}]")
+        if not all(x > 1.0 for x in self.x_values):
+            raise InputError("every x must be > 1")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise InputError(f"trials must be <= {MAX_TRIALS}")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
         if not (math.isfinite(self.mv_bound) and self.mv_bound > 0.0):
             raise InputError("mv_bound must be finite and positive")
-
-    @property
-    def eval_config(self) -> zeta.EvalConfig:
-        return replace(zeta.DEFAULT_CONFIG, deriv_step=self.deriv_step)
 
 
 def _atomic_replace(path: Path, write) -> None:
@@ -117,8 +113,7 @@ def _plot_text(xs, ys) -> str:
 # ---------------------------------------------------------------------------
 
 def _zero_cache_path(cfg: RunConfig) -> Path:
-    ec = cfg.eval_config
-    key = f"v{ZERO_CACHE_VERSION}|{cfg.t_max!r}|{ec.em_terms}|{ec.rs_correction_order}|{ec.deriv_step!r}|{ec.target_abs_err!r}"
+    key = f"v{ZERO_CACHE_VERSION}|{cfg.t_max!r}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:10]
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
@@ -154,11 +149,11 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
             f"zero cache {path} missing; run the 'zeros' subcommand first"
         )
     t_top = max(cfg.t_max, SCAN_T_LO) + zeros.SCAN_MARGIN
-    zlist = zeros.scan_and_refine(SCAN_T_LO, t_top, cfg.eval_config)
+    zlist = zeros.scan_and_refine(SCAN_T_LO, t_top)
     # below 30 a zero gap can be wider than SCAN_MARGIN: scan on past it
     while zlist.certified and zlist.count_below(cfg.t_max) == len(zlist):
         t_top += zeros.SCAN_MARGIN
-        zlist = zeros.scan_and_refine(SCAN_T_LO, t_top, cfg.eval_config)
+        zlist = zeros.scan_and_refine(SCAN_T_LO, t_top)
     _atomic_replace(path, lambda tmp: zeros.export_zeros(zlist, tmp))
     return zlist
 
@@ -183,7 +178,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     zlist = _load_or_scan_zeros(cfg)
     dt = time.perf_counter() - t0
-    check = zeros.zero_count_check(zlist, cfg.t_max, cfg.eval_config)
+    check = zeros.zero_count_check(zlist, cfg.t_max)
     n = zlist.count_below(cfg.t_max)
     min_zp = float(np.abs(zlist.z_primes).min()) if len(zlist) else math.nan
     print(f"zeros: {n} ordinates in (0, {cfg.t_max:g}], certified={bool(check)}")
@@ -374,13 +369,12 @@ def _report_eq1(cfg, zlist):
 def cmd_report(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg, build=False)
     table = _load_or_build_sieve(cfg)
-    check = zeros.zero_count_check(zlist, cfg.t_max, cfg.eval_config)
+    check = zeros.zero_count_check(zlist, cfg.t_max)
     hard_ok = bool(check)
     plots = cfg.out_dir / "plots"
     report: dict = {"config": {
         "t_max": cfg.t_max, "theta": cfg.theta, "sieve_limit": cfg.sieve_limit,
-        "seed": cfg.seed, "rs_order": zeta.DEFAULT_CONFIG.rs_correction_order,
-        "deriv_step": cfg.deriv_step,
+        "seed": cfg.seed, "rs_order": zeta.RS_ORDER, "deriv_step": zeta.DERIV_STEP,
     }, "certified": bool(check)}
 
     # eq1: the conjectured linear rate of J_{-1}
@@ -516,7 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", type=str, default="zml-out")
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--deriv-step", type=float, default=1e-4)
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--mv-bound", type=float, default=10.0)
         p.add_argument("--x", type=str, default="2,3,4,5,6",
@@ -535,7 +528,6 @@ def config_from_args(args) -> RunConfig:
         out_dir=Path(args.out_dir),
         output_format=args.format,
         seed=args.seed,
-        deriv_step=args.deriv_step,
         trials=args.trials,
         mv_bound=args.mv_bound,
         x_values=_parse_x(args.x),

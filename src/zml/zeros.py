@@ -38,7 +38,6 @@ from scipy.special import lambertw
 
 from . import zeta
 from .errors import InputError, NumericsError, ParseError, ValidationError
-from .zeta import EvalConfig, DEFAULT_CONFIG
 
 ZEROS_MAGIC = "# zml-zeros v1"
 ORDINATE_ERR_BOUND = 1e-9     # certified enclosure half-width on export
@@ -157,7 +156,7 @@ def _good_mask(ks: np.ndarray, zs: np.ndarray) -> np.ndarray:
     return sign * zs > 0.0
 
 
-def _block_brackets(good_idx, gs, zs, cfg):
+def _block_brackets(good_idx, gs, zs):
     """Sign-change brackets (lows, highs, Z at lows, Z at highs) for every
     Gram block.
 
@@ -182,7 +181,7 @@ def _block_brackets(good_idx, gs, zs, cfg):
         vals = np.empty(pts.shape)
         vals[:, 0] = zs[iv]
         if n_sub > 1:
-            vals[:, 1:] = zeta.hardy_z_many(pts[:, 1:].ravel(), cfg).reshape(-1, n_sub - 1)
+            vals[:, 1:] = zeta.hardy_z_many(pts[:, 1:].ravel()).reshape(-1, n_sub - 1)
         nxt_pts = np.column_stack([pts[:, 1:], gs[iv + 1]])
         nxt_vals = np.column_stack([vals[:, 1:], zs[iv + 1]])
         flips = vals * nxt_vals < 0.0
@@ -196,13 +195,12 @@ def _block_brackets(good_idx, gs, zs, cfg):
     first = np.argmax(pending)
     lo, hi = good_idx[first], good_idx[first + 1]
     raise NumericsError(
-        f"block [{gs[lo]:.6f}, {gs[hi]:.6f}] still holds "
-        f"{hi - lo} expected zeros after depth {MAX_SUBDIV_DEPTH}; "
-        "possible close pair - rerun with a tighter EvalConfig"
+        f"Gram block [{gs[lo]:.6f}, {gs[hi]:.6f}] still holds "
+        f"{hi - lo} expected zeros after depth {MAX_SUBDIV_DEPTH}; possible close pair"
     )
 
 
-def _sign_bounds(lows, highs, f_lows, f_highs, cfg):
+def _sign_bounds(lows, highs, f_lows, f_highs):
     """The narrowing phase of _refine_brackets: points L, R with
     lows <= L < gamma < R <= highs at which Z was evaluated with
     |Z| >= SIGN_MARGIN, so that its computed sign there is trusted.
@@ -241,7 +239,7 @@ def _sign_bounds(lows, highs, f_lows, f_highs, cfg):
     for _ in range(ILLINOIS_STEPS):
         c = x1[live] - w1[live] * (x1[live] - x0[live]) / (w1[live] - w0[live])
         np.clip(c, x0[live], x1[live], out=c)   # rounding must not leave the bracket
-        fc = zeta.hardy_z_many(c, cfg)
+        fc = zeta.hardy_z_many(c)
         step[live] = np.abs(c - est[live])
         est[live] = c
         low = bound(live, c, fc)
@@ -259,11 +257,11 @@ def _sign_bounds(lows, highs, f_lows, f_highs, cfg):
         # a probe off its intended side still tightens the other bound
         ask = np.flatnonzero((probe > left[idx]) & (probe < right[idx]))
         if len(ask):
-            bound(ask, probe[ask], zeta.hardy_z_many(probe[ask], cfg))
+            bound(ask, probe[ask], zeta.hardy_z_many(probe[ask]))
     return left, right
 
 
-def _refine_brackets(lows, highs, f_lows, f_highs, cfg):
+def _refine_brackets(lows, highs, f_lows, f_highs):
     """Vectorised bisection of sign-change brackets down to REFINE_WIDTH.
 
     Z(lows) and Z(highs) are the values already computed at the bracket
@@ -288,8 +286,7 @@ def _refine_brackets(lows, highs, f_lows, f_highs, cfg):
     sure_lo, sure_hi = np.empty_like(a), np.empty_like(b)
     for lo in range(0, a.size, NARROW_CHUNK):
         part = slice(lo, lo + NARROW_CHUNK)
-        sure_lo[part], sure_hi[part] = _sign_bounds(a[part], b[part], f_lows[part],
-                                                    f_highs[part], cfg)
+        sure_lo[part], sure_hi[part] = _sign_bounds(a[part], b[part], f_lows[part], f_highs[part])
     for _ in range(64):
         if np.all(b - a <= REFINE_WIDTH):
             break
@@ -297,20 +294,20 @@ def _refine_brackets(lows, highs, f_lows, f_highs, cfg):
         goes_low = mid <= sure_lo
         ask = ~goes_low & (mid < sure_hi)
         if ask.any():
-            goes_low[ask] = (zeta.hardy_z_many(mid[ask], cfg) < 0.0) == fa_neg[ask]
+            goes_low[ask] = (zeta.hardy_z_many(mid[ask]) < 0.0) == fa_neg[ask]
         a = np.where(goes_low, mid, a)
         b = np.where(goes_low, b, mid)
     return 0.5 * (a + b), 0.5 * (b - a)
 
 
-def _build_records(gammas, errs, t_max, certified, cfg) -> ZeroList:
+def _build_records(gammas, errs, t_max, certified) -> ZeroList:
     """The ZeroList of refined zeros, with Z'(gamma) at each one."""
     return ZeroList(ordinates=gammas, ordinate_errs=errs,
-                    z_primes=zeta.hardy_z_prime_many(gammas, cfg),
+                    z_primes=zeta.hardy_z_prime_many(gammas),
                     t_max=t_max, certified=certified)
 
 
-def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
+def _anchored_gram_range(t_lo: float, t_hi: float):
     """Good Gram anchors (k_a below t_lo, k_b at/above t_hi) plus the grid.
 
     Anchors are evaluated through hardy_z_many, which has no T_MAX check,
@@ -319,7 +316,7 @@ def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
     k_a = int(math.floor(zeta.rs_theta(t_lo) / math.pi))
     while k_a >= -1:
         g = gram_point(k_a)
-        if g < t_lo and _good_mask(np.array([k_a]), zeta.hardy_z_many(np.array([g]), cfg))[0]:
+        if g < t_lo and _good_mask(np.array([k_a]), zeta.hardy_z_many(np.array([g])))[0]:
             break
         k_a -= 1
     else:
@@ -327,7 +324,7 @@ def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
     k_b = int(math.ceil(zeta.rs_theta(t_hi) / math.pi))
     while True:
         g = gram_point(k_b)
-        if g >= t_hi and _good_mask(np.array([k_b]), zeta.hardy_z_many(np.array([g]), cfg))[0]:
+        if g >= t_hi and _good_mask(np.array([k_b]), zeta.hardy_z_many(np.array([g])))[0]:
             break
         k_b += 1
         if k_b - k_a > 200000:
@@ -337,7 +334,7 @@ def _anchored_gram_range(t_lo: float, t_hi: float, cfg: EvalConfig):
     return ks, gs
 
 
-def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroList:
+def scan_and_refine(t_lo: float, t_hi: float) -> ZeroList:
     """All zeros with t_lo < gamma <= t_hi, refined and derivative-populated.
 
     certified is True only when the zero count over the anchored Gram range
@@ -345,12 +342,12 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
     """
     if not 10.0 <= t_lo < t_hi <= zeta.T_MAX + SCAN_MARGIN:
         raise InputError(f"need 10 <= t_lo < t_hi <= {zeta.T_MAX + SCAN_MARGIN:g}")
-    ks, gs = _anchored_gram_range(t_lo, t_hi, cfg)
-    zs = zeta.hardy_z_many(gs, cfg)
+    ks, gs = _anchored_gram_range(t_lo, t_hi)
+    zs = zeta.hardy_z_many(gs)
     good = _good_mask(ks, zs)
     good_idx = np.nonzero(good)[0]
 
-    lows, highs, f_lows, f_highs = _block_brackets(good_idx, gs, zs, cfg)
+    lows, highs, f_lows, f_highs = _block_brackets(good_idx, gs, zs)
 
     expected = int(ks[good_idx[-1]] - ks[good_idx[0]])
     certified = len(lows) == expected
@@ -358,9 +355,9 @@ def scan_and_refine(t_lo: float, t_hi: float, cfg: EvalConfig = DEFAULT_CONFIG) 
         empty = np.empty(0)
         return ZeroList(empty, empty, empty, t_max=t_hi, certified=certified)
 
-    gammas, errs = _refine_brackets(lows, highs, f_lows, f_highs, cfg)
+    gammas, errs = _refine_brackets(lows, highs, f_lows, f_highs)
     keep = (gammas > t_lo) & (gammas <= t_hi)
-    return _build_records(gammas[keep], errs[keep], t_hi, certified, cfg)
+    return _build_records(gammas[keep], errs[keep], t_hi, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +378,7 @@ class CountCheck:
         return self.passed
 
 
-def zero_count_check(zlist: ZeroList, T: float, cfg: EvalConfig = DEFAULT_CONFIG) -> CountCheck:
+def zero_count_check(zlist: ZeroList, T: float) -> CountCheck:
     """Certify that a (0, T]-covering list is complete up to T.
 
     Checks |count - (theta(T)/pi + 1)| <= 2 (the |S(T)| slack) and, exactly,
@@ -399,7 +396,7 @@ def zero_count_check(zlist: ZeroList, T: float, cfg: EvalConfig = DEFAULT_CONFIG
     anchor_k, anchor_g, exact_ok, count_at = k, math.nan, False, -1
     while k >= -1:
         g = gram_point(k)
-        if g <= T and _good_mask(np.array([k]), np.array([zeta.hardy_z(g, cfg)]))[0]:
+        if g <= T and _good_mask(np.array([k]), np.array([zeta.hardy_z(g)]))[0]:
             anchor_k, anchor_g = k, g
             count_at = zlist.count_below(g)
             exact_ok = count_at == k + 1
@@ -434,7 +431,7 @@ def snap_to_midgap(zlist: ZeroList, T: float) -> float:
     return float(0.5 * (o[idx - 1] + o[idx]))
 
 
-def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> ZeroList:
+def refresh_derivatives(zlist: ZeroList) -> ZeroList:
     """Re-refine every ordinate and repopulate the derivative fields.
 
     Used after an ordinate-only import; each stored ordinate seeds a small
@@ -445,8 +442,8 @@ def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> Ze
     gammas = zlist.ordinates
     w = np.full(gammas.shape, 1e-6)
     a, b = gammas - w, gammas + w
-    fa = zeta.hardy_z_many(a, cfg)
-    fb = zeta.hardy_z_many(b, cfg)
+    fa = zeta.hardy_z_many(a)
+    fb = zeta.hardy_z_many(b)
     bad = fa * fb > 0.0
     grow = 0
     while bad.any():
@@ -455,12 +452,12 @@ def refresh_derivatives(zlist: ZeroList, cfg: EvalConfig = DEFAULT_CONFIG) -> Ze
             raise NumericsError("could not bracket an imported ordinate; value too coarse")
         w[bad] *= 4.0
         a, b = gammas - w, gammas + w
-        fa[bad] = zeta.hardy_z_many(a[bad], cfg)
-        fb[bad] = zeta.hardy_z_many(b[bad], cfg)
+        fa[bad] = zeta.hardy_z_many(a[bad])
+        fb[bad] = zeta.hardy_z_many(b[bad])
         bad = fa * fb > 0.0
-    refined, errs = _refine_brackets(a, b, fa, fb, cfg)
+    refined, errs = _refine_brackets(a, b, fa, fb)
     t_max = max(zlist.t_max, float(refined[-1]))
-    return _build_records(refined, errs, t_max, zlist.certified, cfg)
+    return _build_records(refined, errs, t_max, zlist.certified)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,13 @@ Hardy's Z(t) and Z'(t), and the functional-equation factor chi(s).
 Two independent evaluation routes are kept side by side:
 
 * ``zeta_euler_maclaurin`` - an Euler-Maclaurin reference evaluator, valid on
-  Re(s) > -1, |Im(s)| <= 1e4, accurate to ``target_abs_err`` (default 1e-10).
-* the Riemann-Siegel main sum with up to four correction terms - the
+  Re(s) > -1, |Im(s)| <= 1e4, accurate to ``EM_TARGET_ERR`` = 1e-10.
+* the Riemann-Siegel main sum with ``RS_ORDER`` = 4 correction terms - the
   high-throughput route used on the critical line for large t.
+
+The precision is a set of module constants (``RS_ORDER``, ``EM_TERMS``,
+``EM_TARGET_ERR``, ``DERIV_STEP``), not a setting: every caller, and so
+every zero list and report, gets the accuracy stated here.
 
 ``hardy_z`` routes t < RS_CROSSOVER through the rotated Euler-Maclaurin value
 and larger t through Riemann-Siegel; the two routes overlap on
@@ -24,7 +28,6 @@ import cmath
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import loggamma
@@ -36,7 +39,7 @@ TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
 
 # accuracy envelopes
-EM_T_MAX = 1.0e4        # Euler-Maclaurin envelope for the default config
+EM_T_MAX = 1.0e4        # Euler-Maclaurin envelope
 RS_T_MIN = 30.0         # below this the Riemann-Siegel expansion degrades
 # hardy_z auto-routing boundary; above it the order-4 Riemann-Siegel value is
 # off by at most 1.84e-9 (at t = 300, against 30-digit mpmath on [300, 400])
@@ -45,6 +48,12 @@ T_MAX = 1.0e5           # hard evaluation ceiling
 RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
 RS_SPLIT_TERMS = 2**14  # smaller Riemann-Siegel main sums run on one thread
 EM_CHUNK = 32_768       # Euler-Maclaurin main-sum terms held at once
+
+# Precision: fixed, so that every zero list and report is made at one accuracy
+RS_ORDER = 4            # Riemann-Siegel correction terms C_0..C_4
+EM_TERMS = 48           # least Euler-Maclaurin main-sum length (scaled up with t)
+EM_TARGET_ERR = 1e-10   # Euler-Maclaurin absolute error target
+DERIV_STEP = 1e-4       # step h of the five-point Z' stencil
 
 # B_2, B_4, ..., B_50
 _B2K = (
@@ -84,50 +93,21 @@ def reset_counters() -> None:
         counters[key] = 0
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Precision knobs for the evaluators.
-
-    Attributes:
-        em_terms: Base main-sum length for Euler-Maclaurin (scaled up with t).
-        rs_correction_order: Number of Riemann-Siegel correction terms, 0..4.
-        deriv_step: Base finite-difference step for Z'(t).
-        target_abs_err: Absolute error target for zeta_euler_maclaurin.
-    """
-    em_terms: int = 48
-    rs_correction_order: int = 4
-    deriv_step: float = 1e-4
-    target_abs_err: float = 1e-10
-
-    def __post_init__(self):
-        if self.em_terms <= 0:
-            raise InputError("em_terms must be positive")
-        if not 0 <= self.rs_correction_order <= 4:
-            raise InputError("rs_correction_order must be in 0..4")
-        if self.deriv_step <= 0:
-            raise InputError("deriv_step must be positive")
-        if self.target_abs_err <= 0:
-            raise InputError("target_abs_err must be positive")
-
-
-DEFAULT_CONFIG = EvalConfig()
-
-
 # ---------------------------------------------------------------------------
 # Euler-Maclaurin
 # ---------------------------------------------------------------------------
 
-def _em_batch(ss: np.ndarray, cfg: EvalConfig) -> np.ndarray:
+def _em_batch(ss: np.ndarray) -> np.ndarray:
     """Euler-Maclaurin zeta for a batch of points (domain assumed valid).
 
     All points share one main-sum length N, chosen from the largest |Im(s)|
     in the batch; the Bernoulli tail is summed per point until the standard
-    remainder bound drops below cfg.target_abs_err.
+    remainder bound drops below EM_TARGET_ERR.
     """
     ss = np.asarray(ss, dtype=complex)
     counters["zeta_evals"] += ss.size
     tmax = float(np.max(np.abs(ss.imag))) if ss.size else 0.0
-    n_main = max(cfg.em_terms, int(0.55 * tmax) + 16)
+    n_main = max(EM_TERMS, int(0.55 * tmax) + 16)
 
     ns = np.arange(1, n_main, dtype=float)
     logn = np.log(ns)
@@ -159,20 +139,20 @@ def _em_batch(ss: np.ndarray, cfg: EvalConfig) -> np.ndarray:
             * np.abs(nxt) * np.abs(scale) / (n * n)
             * np.abs(ss + (2 * k + 1)) / np.abs(ss.real + (2 * k + 1))
         )
-        active = active & (bound > cfg.target_abs_err)
+        active = active & (bound > EM_TARGET_ERR)
         if not active.any():
             return out
         rising = nxt
     raise NumericsError(
-        f"Euler-Maclaurin tail did not reach {cfg.target_abs_err:g} "
+        f"Euler-Maclaurin tail did not reach {EM_TARGET_ERR:g} "
         f"within {len(_B2K_OVER_FACT)} Bernoulli terms (N={n_main})"
     )
 
 
-def zeta_euler_maclaurin(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> complex:
+def zeta_euler_maclaurin(s: complex) -> complex:
     """Reference zeta(s) on Re(s) > -1, |Im(s)| <= 1e4.
 
-    Absolute error <= cfg.target_abs_err on the stated domain.  Conjugate
+    Absolute error <= EM_TARGET_ERR on the stated domain.  Conjugate
     symmetry zeta(conj s) = conj zeta(s) holds exactly by construction.
     """
     s = complex(s)
@@ -185,8 +165,8 @@ def zeta_euler_maclaurin(s: complex, cfg: EvalConfig = DEFAULT_CONFIG) -> comple
     if abs(s.imag) > EM_T_MAX:
         raise InputError(f"|Im(s)| <= {EM_T_MAX:g} required (accuracy envelope)")
     if s.imag < 0.0:
-        return complex(np.conj(_em_batch(np.array([np.conj(s)]), cfg)[0]))
-    return complex(_em_batch(np.array([s]), cfg)[0])
+        return complex(np.conj(_em_batch(np.array([np.conj(s)]))[0]))
+    return complex(_em_batch(np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +244,10 @@ def _rs_main_sum(out, part, ts, m, theta, logn, rsqrt, chunk_terms):
             out[idx] = 2.0 * terms.sum(axis=1)
 
 
-def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
-    """Riemann-Siegel Z(t) for an array of t (all >= RS_T_MIN).
+def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
+    """Riemann-Siegel Z(t) for an array of t (all >= RS_T_MIN), with the
+    corrections C_0..C_order; every caller takes RS_ORDER, and the accuracy
+    tests compare the lower orders with mpmath.
 
     The main sum of each point has exactly m = floor(sqrt(t/2pi)) terms,
     summed in its own row of a chunk, so a point's value does not depend on
@@ -326,8 +308,7 @@ def _z_rs_batch(ts: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def hardy_z_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG,
-                 route_by: np.ndarray | None = None) -> np.ndarray:
+def hardy_z_many(ts: np.ndarray, route_by: np.ndarray | None = None) -> np.ndarray:
     """Z(t) for an array of t in (0, T_MAX]; auto EM/RS routing per point.
 
     A point takes the Euler-Maclaurin route when it lies below RS_CROSSOVER,
@@ -337,24 +318,24 @@ def hardy_z_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG,
     counters["z_evals"] += ts.size
     low = (ts if route_by is None else np.asarray(route_by)) < RS_CROSSOVER
     if ts.ndim == 1 and ts.size and not low.any():
-        return _z_rs_batch(ts, cfg.rs_correction_order)     # no copy of ts
+        return _z_rs_batch(ts)     # no copy of ts
     out = np.empty(ts.shape)
     if low.any():
         t = ts[low]
-        zs = _em_batch(0.5 + 1j * t, cfg)
+        zs = _em_batch(0.5 + 1j * t)
         out[low] = (np.exp(1j * rs_theta_many(t)) * zs).real
     if (~low).any():
-        out[~low] = _z_rs_batch(ts[~low], cfg.rs_correction_order)
+        out[~low] = _z_rs_batch(ts[~low])
     return out
 
 
-def hardy_z(t: float, cfg: EvalConfig = DEFAULT_CONFIG, method: str = "auto") -> float:
+def hardy_z(t: float, method: str = "auto") -> float:
     """Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it), real for real t.
 
     method "auto" uses the rotated Euler-Maclaurin value below RS_CROSSOVER
     and the Riemann-Siegel expansion above; "em" and "rs" force a route
     (within that route's validity envelope).  Absolute error against
-    30-digit mpmath siegelz in auto mode: at the default order 4 at most
+    30-digit mpmath siegelz in auto mode: at RS_ORDER = 4 at most
     1.84e-9 (at t = 300) on 201 points in [300, 400], 5.8e-11 on [1e3, 1e4)
     and 2.3e-10 on [1e4, 1e5) (250 points over [300, 1e5]); on [300, 400]
     order 3 gives 5.4e-8 and order 2 3.4e-7.
@@ -364,22 +345,22 @@ def hardy_z(t: float, cfg: EvalConfig = DEFAULT_CONFIG, method: str = "auto") ->
     if t > T_MAX:
         raise InputError(f"t <= {T_MAX:g} required")
     if method == "auto":
-        return float(hardy_z_many(np.array([t]), cfg)[0])
+        return float(hardy_z_many(np.array([t]))[0])
     if method == "em":
         if t > EM_T_MAX:
             raise InputError(f"Euler-Maclaurin route requires t <= {EM_T_MAX:g}")
         counters["z_evals"] += 1
-        z = _em_batch(np.array([0.5 + 1j * t]), cfg)[0]
+        z = _em_batch(np.array([0.5 + 1j * t]))[0]
         return float((cmath.exp(1j * rs_theta(t)) * z).real)
     if method == "rs":
         if t < RS_T_MIN:
             raise InputError(f"Riemann-Siegel route requires t >= {RS_T_MIN:g}")
         counters["z_evals"] += 1
-        return float(_z_rs_batch(np.array([t]), cfg.rs_correction_order)[0])
+        return float(_z_rs_batch(np.array([t]))[0])
     raise InputError(f"unknown method {method!r}")
 
 
-def hardy_z_prime_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.ndarray:
+def hardy_z_prime_many(ts: np.ndarray) -> np.ndarray:
     """Z'(t) by a five-point central stencil (one Richardson step).
 
     Every point of a stencil takes the route hardy_z_many gives its centre t,
@@ -388,18 +369,18 @@ def hardy_z_prime_many(ts: np.ndarray, cfg: EvalConfig = DEFAULT_CONFIG) -> np.n
     length, which would otherwise step at t = 300 itself.
     """
     ts = np.asarray(ts, dtype=float)
-    h = cfg.deriv_step
+    h = DERIV_STEP
     steps = (2.0 * h, h, -h, -2.0 * h)
     out = np.empty(ts.shape)
     low = ts < RS_CROSSOVER
     if low.any():
         t = ts[low]
-        zs = hardy_z_many(np.concatenate([t + d for d in steps]), cfg,
+        zs = hardy_z_many(np.concatenate([t + d for d in steps]),
                           route_by=np.tile(t, len(steps)))
         out[low] = _five_point(zs.reshape(len(steps), -1), h)
     if not low.all():
         t = ts[~low]
-        out[~low] = _five_point([hardy_z_many(t + d, cfg, route_by=t) for d in steps], h)
+        out[~low] = _five_point([hardy_z_many(t + d, route_by=t) for d in steps], h)
     return out
 
 
@@ -409,21 +390,21 @@ def _five_point(zs, h: float) -> np.ndarray:
     return (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)
 
 
-def hardy_z_prime(t: float, cfg: EvalConfig = DEFAULT_CONFIG) -> float:
-    """Z'(t) by the stencil of hardy_z_prime_many.  At the default step 1e-4
-    it is within 2.3e-6 (at t = 40257) of 30-digit mpmath siegelz(t,
+def hardy_z_prime(t: float) -> float:
+    """Z'(t) by the stencil of hardy_z_prime_many, with step DERIV_STEP =
+    1e-4.  It is within 2.3e-6 (at t = 40257) of 30-digit mpmath siegelz(t,
     derivative=1) on 250 points over [300, 1e5], and within 2.1e-7 on
     [1e3, 1e4): the rounding noise of Z divided by the step.  Within 2 steps
     of RS_CROSSOVER the stencil keeps to the route of its centre: at
     t = 299.99985, 299.9999, 300 and 300.0001 it is off by 1.1e-9 to 2.2e-9.
 
-    Requires t - 2*cfg.deriv_step > 0 so the stencil stays in domain.
+    Requires t - 2*DERIV_STEP > 0 so the stencil stays in domain.
     """
-    if t - 2.0 * cfg.deriv_step <= 0.0:
-        raise InputError("t - 2*deriv_step must stay positive")
-    if t + 2.0 * cfg.deriv_step > T_MAX:
-        raise InputError(f"t + 2*deriv_step must stay <= {T_MAX:g}")
-    return float(hardy_z_prime_many(np.array([t]), cfg)[0])
+    if t - 2.0 * DERIV_STEP <= 0.0:
+        raise InputError("t - 2*DERIV_STEP must stay positive")
+    if t + 2.0 * DERIV_STEP > T_MAX:
+        raise InputError(f"t + 2*DERIV_STEP must stay <= {T_MAX:g}")
+    return float(hardy_z_prime_many(np.array([t]))[0])
 
 
 # ---------------------------------------------------------------------------

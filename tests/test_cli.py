@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -42,11 +43,6 @@ class TestZerosCommand:
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         assert cache.read_bytes() == before
         assert cache.stat().st_mtime_ns == mtime
-
-    def test_precision_knobs_key_the_cache(self, tmp_path):
-        run_cli(tmp_path, "zeros", "--t-max", "120")
-        run_cli(tmp_path, "zeros", "--t-max", "120", "--deriv-step", "2e-4")
-        assert len(list((tmp_path / "cache").glob("zeros_t120_*.txt"))) == 2
 
     @pytest.mark.parametrize("damage", [
         "truncated line", "truncated to one column", "non-numeric field",
@@ -115,9 +111,7 @@ class TestZerosCommand:
     def test_unversioned_cache_not_read(self, tmp_path):
         # a list cached under the key without a version is never imported
         cfg = cli.RunConfig(t_max=120.0, cache_dir=tmp_path / "cache")
-        ec = cfg.eval_config
-        old_key = (f"{cfg.t_max!r}|{ec.em_terms}|{ec.rs_correction_order}|"
-                   f"{ec.deriv_step!r}|{ec.target_abs_err!r}")
+        old_key = "120.0|48|4|0.0001|1e-10"
         old = cfg.cache_dir / f"zeros_t120_{hashlib.sha256(old_key.encode()).hexdigest()[:10]}.txt"
         old.parent.mkdir()
         old.write_text("not a zero list\n")
@@ -260,6 +254,13 @@ class TestMvCheckCommand:
     def test_no_trials_rejected(self, tmp_path, capsys, trials):
         assert run_cli(tmp_path, "mv-check", "--trials", trials) == 1
         assert "error: trials must be >= 1" in capsys.readouterr().err
+
+    def test_trials_capped(self, tmp_path, capsys, monkeypatch):
+        # the campaign holds every trial's polynomials at once
+        monkeypatch.setattr(cli, "campaign_trials", lambda *a: pytest.fail("a trial was drawn"))
+        assert run_cli(tmp_path, "mv-check", "--trials", "50001") == 1
+        assert capsys.readouterr().err == "error: trials must be <= 50000\n"
+        assert cli.RunConfig(trials=cli.MAX_TRIALS).trials == 50_000
 
 
 class TestLandauCommand:
@@ -424,6 +425,21 @@ class TestReproduceAll:
         assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
+class TestPilotEnvelopes:
+    def test_runs_every_section(self, tmp_path):
+        # no test imports the script, so run it to catch a changed signature
+        script = Path(__file__).resolve().parent.parent / "scripts" / "pilot_envelopes.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--t-max", "1500", "--sieve-limit", "100000"],
+            capture_output=True, text=True, cwd=tmp_path, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 0, proc.stderr
+        headers = [ln for ln in proc.stdout.splitlines() if ln.startswith("== ")]
+        assert headers == [
+            "== elementary-sum envelopes ==", "== mean-value ratio campaign ==",
+            "== moment-ratio windows ==", "== taper comparison (constant taper should win) =="]
+
+
 class TestConfig:
     @pytest.mark.parametrize("command", ["mv-check", "report"])
     def test_negative_seed_rejected(self, tmp_path, command):
@@ -459,7 +475,7 @@ class TestConfig:
         # t_max stays capped at T_MAX, the scan runs SCAN_MARGIN past it
         tops = []
 
-        def scan(t_lo, t_hi, cfg):
+        def scan(t_lo, t_hi):
             tops.append(t_hi)
             return zeros.ZeroList([], [], [], t_max=t_hi, certified=False)
 
@@ -474,8 +490,8 @@ class TestConfig:
         # it, through the cache file, so T = 1e5 snaps strictly inside
         real_scan = zeros.scan_and_refine
 
-        def window_scan(t_lo, t_hi, cfg):
-            return real_scan(99_990.0, t_hi, cfg)
+        def window_scan(t_lo, t_hi):
+            return real_scan(99_990.0, t_hi)
 
         monkeypatch.setattr(cli.zeros, "scan_and_refine", window_scan)
         cfg = cli.RunConfig(t_max=1e5, cache_dir=tmp_path / "cache")
@@ -501,33 +517,36 @@ class TestConfig:
         assert rc == 1
         assert "error: --theta-sweep gives more than 1000" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("step", ["1e-12", "50", "2.9e-5", "3.1e-3", "nan"])
-    def test_bad_deriv_step_rejected(self, tmp_path, capsys, step):
-        rc = run_cli(tmp_path, "zeros", "--t-max", "50", "--deriv-step", step)
-        assert rc == 1
-        assert "error: deriv_step must lie in [3e-05, 0.003]" in capsys.readouterr().err
+    @pytest.mark.parametrize("command, flag, value", [
+        ("landau", "--x", "2,0.5"), ("landau", "--x", "1"), ("report", "--x", "3,-2"),
+        ("moments", "--sieve-limit", "1"), ("landau", "--sieve-limit", "-5"),
+        ("moments", "--sieve-limit", str(sieve.MEMORY_CAP + 1))])
+    def test_bad_x_or_sieve_limit_rejected_before_any_work(self, tmp_path, capsys,
+                                                            command, flag, value):
+        assert run_cli(tmp_path, command, "--t-max", "3000", flag, value) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert list(tmp_path.rglob("*")) == []
 
-    @pytest.mark.parametrize("step", ["3e-5", "3e-3"])
-    def test_deriv_step_range_ends(self, tmp_path, step):
-        # both ends keep Z'(gamma) within 1e-6 of mpmath at the first zeros
-        assert run_cli(tmp_path, "zeros", "--t-max", "50", "--deriv-step", step) == 0
-        zlist = zeros.import_zeros(next((tmp_path / "cache").glob("zeros_t50_*.txt")))
-        assert len(zlist) >= len(ov.Z_PRIME)
-        for got, ref in zip(zlist.z_primes, ov.Z_PRIME):
-            assert abs(got - ref) <= 1e-6
+    def test_sieve_limit_range_ends_accepted(self):
+        assert cli.RunConfig(sieve_limit=2).sieve_limit == 2
+        assert cli.RunConfig(sieve_limit=sieve.MEMORY_CAP).sieve_limit == sieve.MEMORY_CAP
 
     def test_rs_order_flag_removed(self, capsys):
-        # Riemann-Siegel orders below 4 broke the Z error bound the scan
-        # certifies against, so no subcommand takes the flag
+        # Riemann-Siegel orders below 4 and Z' steps other than
+        # zeta.DERIV_STEP can only loosen the accuracy the scan certifies
+        # against, so no subcommand takes either flag
         parser = cli.build_parser()
-        for command in ("zeros", "moments", "mv-check", "landau", "report"):
+        for flag, command in itertools.product(
+                ("--rs-order", "--deriv-step"),
+                ("zeros", "moments", "mv-check", "landau", "report")):
             with pytest.raises(SystemExit) as exc:
-                parser.parse_args([command, "--rs-order", "4"])
+                parser.parse_args([command, flag, "4"])
             assert exc.value.code == 2
-            assert "unrecognized arguments: --rs-order" in capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--help"])
-            assert "--rs-order" not in capsys.readouterr().out
+            assert flag not in capsys.readouterr().out
 
     def test_largest_sweep_accepted(self):
         assert len(cli._parse_sweep("0.3:0.9:0.0007")) == 858

@@ -11,8 +11,6 @@ from zml.errors import InputError, ParseError, ValidationError
 
 import oracle_values as ov
 
-CFG = zeta.EvalConfig()
-
 
 class TestGramPoints:
     def test_frozen_values(self):
@@ -77,7 +75,7 @@ class TestScan:
 
     def test_refinement_quality(self, zeros_1010):
         assert zeros_1010.ordinate_errs.max() <= 1e-9
-        resid = np.abs(zeta.hardy_z_many(zeros_1010.ordinates, CFG))
+        resid = np.abs(zeta.hardy_z_many(zeros_1010.ordinates))
         assert resid.max() <= 1e-8
 
     def test_simplicity_margin(self, zeros_1010):
@@ -90,7 +88,7 @@ class TestScan:
             zeros.scan_and_refine(100.0, 50.0)
 
 
-def _per_block_brackets(gs, zs, good_idx, cfg):
+def _per_block_brackets(gs, zs, good_idx):
     """The subdivision as one loop per Gram block, in block order (the code
     that batched subdivision replaced)."""
     lows, highs, f_lows, f_highs = [], [], [], []
@@ -111,7 +109,7 @@ def _per_block_brackets(gs, zs, good_idx, cfg):
             vals[::n_sub] = zs[lo:hi + 1]
             inner = np.ones(pts.shape, dtype=bool)
             inner[::n_sub] = False
-            vals[inner] = zeta.hardy_z_many(pts[inner], cfg)
+            vals[inner] = zeta.hardy_z_many(pts[inner])
             flips = np.nonzero(vals[:-1] * vals[1:] < 0.0)[0]
             if len(flips) >= m:
                 lows.extend(pts[flips])
@@ -124,15 +122,15 @@ def _per_block_brackets(gs, zs, good_idx, cfg):
 
 class TestSubdivision:
     def _gram_blocks(self, t_lo, t_hi):
-        ks, gs = zeros._anchored_gram_range(t_lo, t_hi, CFG)
-        zs = zeta.hardy_z_many(gs, CFG)
+        ks, gs = zeros._anchored_gram_range(t_lo, t_hi)
+        zs = zeta.hardy_z_many(gs)
         return gs, zs, np.nonzero(zeros._good_mask(ks, zs))[0]
 
     def test_batched_matches_per_block_loop(self):
         gs, zs, good_idx = self._gram_blocks(10.0, 3000.0)
         assert np.diff(good_idx).max() >= 3
-        got = zeros._block_brackets(good_idx, gs, zs, CFG)
-        want = _per_block_brackets(gs, zs, good_idx, CFG)
+        got = zeros._block_brackets(good_idx, gs, zs)
+        want = _per_block_brackets(gs, zs, good_idx)
         lows, highs = got[:2]
         assert np.array_equal(lows, want[0])
         assert np.array_equal(highs, want[1])
@@ -149,12 +147,12 @@ class TestSubdivision:
         calls = []
         real = zeta.hardy_z_many
 
-        def counted(ts, cfg):
+        def counted(ts):
             calls.append(len(ts))
-            return real(ts, cfg)
+            return real(ts)
 
         monkeypatch.setattr(zeta, "hardy_z_many", counted)
-        lows = zeros._block_brackets(good_idx, gs, zs, CFG)[0]
+        lows = zeros._block_brackets(good_idx, gs, zs)[0]
         assert len(lows) == good_idx[-1] - good_idx[0]
         assert 1 <= len(calls) <= zeros.MAX_SUBDIV_DEPTH
 
@@ -170,10 +168,10 @@ class TestSubdivision:
         zl = zeros.scan_and_refine(t_lo, t_hi)
         assert zl.certified
         assert len(zl) == count
-        assert np.abs(zeta.hardy_z_many(zl.ordinates, CFG)).max() <= 1e-8
+        assert np.abs(zeta.hardy_z_many(zl.ordinates)).max() <= 1e-8
 
 
-def _plain_bisection(lows, highs, f_lows, cfg):
+def _plain_bisection(lows, highs, f_lows):
     """Bisection that evaluates every midpoint (the refinement before the
     narrowing phase); _refine_brackets must match it bit for bit."""
     a = np.asarray(lows, dtype=float)
@@ -183,7 +181,7 @@ def _plain_bisection(lows, highs, f_lows, cfg):
         if np.all(b - a <= zeros.REFINE_WIDTH):
             break
         mid = 0.5 * (a + b)
-        fm = zeta.hardy_z_many(mid, cfg)
+        fm = zeta.hardy_z_many(mid)
         goes_low = (fm < 0.0) == fa_neg
         a = np.where(goes_low, mid, a)
         b = np.where(goes_low, b, mid)
@@ -191,14 +189,14 @@ def _plain_bisection(lows, highs, f_lows, cfg):
 
 
 def _scan_brackets(t_lo, t_hi):
-    ks, gs = zeros._anchored_gram_range(t_lo, t_hi, CFG)
-    zs = zeta.hardy_z_many(gs, CFG)
-    return zeros._block_brackets(np.nonzero(zeros._good_mask(ks, zs))[0], gs, zs, CFG)
+    ks, gs = zeros._anchored_gram_range(t_lo, t_hi)
+    zs = zeta.hardy_z_many(gs)
+    return zeros._block_brackets(np.nonzero(zeros._good_mask(ks, zs))[0], gs, zs)
 
 
 def _assert_same_refinement(lows, highs, f_lows, f_highs):
-    got = zeros._refine_brackets(lows, highs, f_lows, f_highs, CFG)
-    want = _plain_bisection(lows, highs, f_lows, CFG)
+    got = zeros._refine_brackets(lows, highs, f_lows, f_highs)
+    want = _plain_bisection(lows, highs, f_lows)
     assert np.array_equal(got[0], want[0])
     assert np.array_equal(got[1], want[1])
 
@@ -214,16 +212,16 @@ class TestRefinement:
         real = zeros._refine_brackets
         seen = []
 
-        def checked(lows, highs, f_lows, f_highs, cfg):
-            got = real(lows, highs, f_lows, f_highs, cfg)
-            seen.append((got, _plain_bisection(lows, highs, f_lows, cfg)))
+        def checked(lows, highs, f_lows, f_highs):
+            got = real(lows, highs, f_lows, f_highs)
+            seen.append((got, _plain_bisection(lows, highs, f_lows)))
             return got
 
         monkeypatch.setattr(zeros, "_refine_brackets", checked)
         n = len(zeros_1010)
         bare = zeros.ZeroList(zeros_1010.ordinates, zeros_1010.ordinate_errs,
                               np.full(n, math.nan), t_max=zeros_1010.t_max, certified=False)
-        refreshed = zeros.refresh_derivatives(bare, CFG)
+        refreshed = zeros.refresh_derivatives(bare)
         [(got, want)] = seen
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert np.array_equal(refreshed.ordinates, got[0])
@@ -248,7 +246,7 @@ class TestRefinement:
             def fake_z(ts):
                 return ts - roots[np.clip(np.floor(ts - 1000.0).astype(int), 0, 19)]
 
-        monkeypatch.setattr(zeta, "hardy_z_many", lambda ts, cfg=CFG, route_by=None:
+        monkeypatch.setattr(zeta, "hardy_z_many", lambda ts, route_by=None:
                             fake_z(np.asarray(ts, dtype=float)))
         if shape == "zero at a midpoint":
             assert fake_z(np.array([lows[0] + 0.375]))[0] == 0.0
@@ -321,7 +319,7 @@ class TestPersistence:
         bare = zeros.import_zeros(path)
         assert len(bare) == 10
         assert not bare.populated
-        refreshed = zeros.refresh_derivatives(bare, CFG)
+        refreshed = zeros.refresh_derivatives(bare)
         assert refreshed.populated
         for mod, want in zip(refreshed.zeta_prime_mods, ov.Z_PRIME):
             assert mod == pytest.approx(abs(want), abs=1e-6)

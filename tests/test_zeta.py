@@ -15,7 +15,6 @@ from zml.errors import InputError, SingularityError
 import oracle_values as ov
 
 mp.mp.dps = 25
-CFG = zeta.EvalConfig()
 
 
 class TestEulerMaclaurin:
@@ -86,23 +85,23 @@ class TestHardyZ:
 
     def test_z_squared_equals_zeta_squared(self):
         for t in (50.0, 500.0, 5000.0):
-            z = zeta.hardy_z(t, CFG)
-            zeta_val = zeta.zeta_euler_maclaurin(0.5 + 1j * t, CFG)
+            z = zeta.hardy_z(t)
+            zeta_val = zeta.zeta_euler_maclaurin(0.5 + 1j * t)
             assert z * z == pytest.approx(abs(zeta_val) ** 2, rel=1e-8)
 
     def test_auto_matches_rotated_em_on_overlap(self):
         # cross-evaluator agreement window
         for t in np.linspace(30.0, 500.0, 60):
-            em = zeta.hardy_z(float(t), CFG, method="em")
-            assert abs(zeta.hardy_z(float(t), CFG) - em) <= 1e-8
+            em = zeta.hardy_z(float(t), method="em")
+            assert abs(zeta.hardy_z(float(t)) - em) <= 1e-8
 
     def test_rs_route_vs_em_route(self):
         # genuine dual-route agreement; RS truncation dominates below ~100
         worst_low = worst_high = 0.0
         for t in np.linspace(30.0, 500.0, 120):
             gap = abs(
-                zeta.hardy_z(float(t), CFG, method="rs")
-                - zeta.hardy_z(float(t), CFG, method="em")
+                zeta.hardy_z(float(t), method="rs")
+                - zeta.hardy_z(float(t), method="em")
             )
             if t < zeta.RS_CROSSOVER:
                 worst_low = max(worst_low, gap)
@@ -115,22 +114,19 @@ class TestHardyZ:
         # the embedded Taylor data, all orders, against 25-digit reference
         for t in (30.0, 75.0, 300.0, 1000.0, 10000.0, 99000.0):
             ref = float(mp.siegelz(t))
-            errs = [
-                abs(zeta.hardy_z(t, zeta.EvalConfig(rs_correction_order=j), "rs") - ref)
-                for j in range(5)
-            ]
+            errs = [abs(zeta._z_rs_batch(np.array([t]), j)[0] - ref) for j in range(5)]
             assert errs[4] <= {30.0: 2e-6, 75.0: 1e-7}.get(t, 1e-8)
             assert errs[4] <= errs[0]
 
     def test_accuracy_against_reference(self):
         for t in (14.2, 95.0, 299.9, 300.1, 2500.0, 99999.5):
-            assert zeta.hardy_z(t, CFG) == pytest.approx(float(mp.siegelz(t)), abs=1e-8)
+            assert zeta.hardy_z(t) == pytest.approx(float(mp.siegelz(t)), abs=1e-8)
 
     def test_rotated_evaluation_is_real(self):
         # Z comes from Re(exp(i theta) zeta); the discarded imaginary part
         # must be residual-sized
         for t in (20.0, 150.0, 1234.5, 9999.0):
-            z = zeta.zeta_euler_maclaurin(0.5 + 1j * t, CFG)
+            z = zeta.zeta_euler_maclaurin(0.5 + 1j * t)
             rotated = cmath.exp(1j * zeta.rs_theta(t)) * z
             assert abs(rotated.imag) <= 1e-9
 
@@ -139,7 +135,7 @@ class TestHardyZ:
 
         ks = np.arange(0, 600)
         gs = zr.gram_points_many(ks.astype(float))
-        zs = zeta.hardy_z_many(gs, CFG)
+        zs = zeta.hardy_z_many(gs)
         flips = np.sum(zs[:-1] * zs[1:] < 0)
         violations = len(ks) - 1 - int(flips)
         # violations exist but are rare at these heights; record, don't forbid
@@ -153,7 +149,7 @@ class TestHardyZ:
         with pytest.raises(InputError):
             zeta.hardy_z(2e5)
         with pytest.raises(InputError):
-            zeta.hardy_z(20.0, CFG, method="rs")
+            zeta.hardy_z(20.0, method="rs")
 
 
 def _dense_masked_z(ts, order):
@@ -212,11 +208,11 @@ class TestRiemannSiegelSum:
 
     def test_value_does_not_depend_on_the_batch(self):
         ts = _random_ts()
-        batch = zeta.hardy_z_many(ts, CFG)
-        alone = np.array([zeta.hardy_z_many(ts[i:i + 1], CFG)[0] for i in range(ts.size)])
+        batch = zeta.hardy_z_many(ts)
+        alone = np.array([zeta.hardy_z_many(ts[i:i + 1])[0] for i in range(ts.size)])
         assert np.array_equal(batch, alone)
         perm = np.random.default_rng(9).permutation(ts.size)[:700]
-        assert np.array_equal(zeta.hardy_z_many(ts[perm], CFG), batch[perm])
+        assert np.array_equal(zeta.hardy_z_many(ts[perm]), batch[perm])
 
 
 class TestThreadedMainSum:
@@ -269,7 +265,7 @@ class TestThreadedMainSum:
     def test_small_batch_makes_no_pool(self, z_threads):
         z_threads(2)
         ts = np.linspace(300.0, 1e4, 50)      # about 2,000 main-sum terms
-        zeta.hardy_z_many(ts, CFG)
+        zeta.hardy_z_many(ts)
         assert zeta._pool is None
 
     def test_one_call_per_batch_on_the_callers_thread(self, z_threads, monkeypatch):
@@ -279,9 +275,9 @@ class TestThreadedMainSum:
         rs_threads, sum_threads = [], set()
         rs_batch, main_sum = zeta._z_rs_batch, zeta._rs_main_sum
 
-        def record_rs(ts, order):
+        def record_rs(ts):
             rs_threads.append(threading.current_thread())
-            return rs_batch(ts, order)
+            return rs_batch(ts)
 
         def record_sum(*args):
             sum_threads.add(threading.current_thread())
@@ -292,7 +288,7 @@ class TestThreadedMainSum:
         ts = np.random.default_rng(8).uniform(10.0, 1e5, 2000)
         for batch in (ts, ts[ts >= 300.0], ts[ts < 300.0], ts[:1]):
             rs_threads.clear()
-            zeta.hardy_z_many(batch, CFG)
+            zeta.hardy_z_many(batch)
             assert len(rs_threads) <= 1
             assert all(t is threading.main_thread() for t in rs_threads)
         assert len(sum_threads) == 2 and threading.main_thread() in sum_threads
@@ -300,24 +296,26 @@ class TestThreadedMainSum:
 
 class TestHardyZPrime:
     def test_first_zero_derivative(self):
-        assert zeta.hardy_z_prime(ov.ZERO_ORDINATES[0], CFG) == pytest.approx(
+        assert zeta.hardy_z_prime(ov.ZERO_ORDINATES[0]) == pytest.approx(
             ov.Z_PRIME[0], abs=1e-7
         )
 
     def test_nonzero_at_simple_zeros(self):
         for gam in ov.ZERO_ORDINATES:
-            assert abs(zeta.hardy_z_prime(gam, CFG)) > 0.1
+            assert abs(zeta.hardy_z_prime(gam)) > 0.1
 
-    def test_step_halving_consistency(self):
+    def test_step_halving_consistency(self, monkeypatch):
         for t in (100.0, 1234.5, 9876.5):
-            full = zeta.hardy_z_prime(t, zeta.EvalConfig(deriv_step=2e-4))
-            half = zeta.hardy_z_prime(t, zeta.EvalConfig(deriv_step=1e-4))
+            half = zeta.hardy_z_prime(t)
+            with monkeypatch.context() as m:
+                m.setattr(zeta, "DERIV_STEP", 2e-4)
+                full = zeta.hardy_z_prime(t)
             assert abs(full - half) < 4e-6
 
     def test_against_reference(self):
         for t in (50.0, 500.0, 5000.0):
             ref = float(mp.siegelz(t, derivative=1))
-            assert zeta.hardy_z_prime(t, CFG) == pytest.approx(ref, abs=1e-6)
+            assert zeta.hardy_z_prime(t) == pytest.approx(ref, abs=1e-6)
 
     def test_stencil_at_the_crossover(self):
         # a stencil across RS_CROSSOVER used to mix the two routes of Z and
@@ -325,13 +323,13 @@ class TestHardyZPrime:
         ts = np.array([299.99985, 299.9999, 300.0, 300.0001])
         with mp.workdps(30):
             refs = [float(mp.siegelz(mp.mpf(t), derivative=1)) for t in ts]
-        for t, ref, in_batch in zip(ts, refs, zeta.hardy_z_prime_many(ts, CFG)):
-            assert abs(zeta.hardy_z_prime(t, CFG) - ref) <= 1e-8
+        for t, ref, in_batch in zip(ts, refs, zeta.hardy_z_prime_many(ts)):
+            assert abs(zeta.hardy_z_prime(t) - ref) <= 1e-8
             assert abs(in_batch - ref) <= 1e-8
 
     def test_stencil_domain(self):
         with pytest.raises(InputError):
-            zeta.hardy_z_prime(1e-5, CFG)
+            zeta.hardy_z_prime(1e-5)
 
 
 class TestChi:
@@ -385,11 +383,3 @@ def test_counters_track_evaluations():
     zeta.reset_counters()
     assert zeta.counters["z_evals"] == 0
 
-
-def test_config_validation():
-    with pytest.raises(InputError):
-        zeta.EvalConfig(rs_correction_order=5)
-    with pytest.raises(InputError):
-        zeta.EvalConfig(deriv_step=-1.0)
-    with pytest.raises(InputError):
-        zeta.EvalConfig(em_terms=0)
