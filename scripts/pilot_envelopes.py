@@ -13,11 +13,13 @@ Usage: python scripts/pilot_envelopes.py [--t-max 5000] [--sieve-limit 1000000]
 """
 import argparse
 import math
+import sys
 
 import numpy as np
 
 from zml import dirichlet, moments, sieve, zeros
 from zml.cli import mv_campaign
+from zml.errors import ZmlError
 
 
 def elementary_envelopes(table):
@@ -77,13 +79,18 @@ def main():
     ap.add_argument("--sieve-limit", type=int, default=10**6)
     args = ap.parse_args()
 
-    table = sieve.build_sieve(args.sieve_limit)
-    elementary_envelopes(table)
-    mv_envelope()
-    zlist = zeros.scan_and_refine(10.0, args.t_max + 5.0)
-    moment_envelopes(zlist, table, args.t_max)
-    taper_comparison(zlist, table, args.t_max)
+    try:
+        table = sieve.build_sieve(args.sieve_limit)
+        elementary_envelopes(table)
+        mv_envelope()
+        zlist = zeros.scan_and_refine(10.0, args.t_max + 5.0)
+        moment_envelopes(zlist, table, args.t_max)
+        taper_comparison(zlist, table, args.t_max)
+    except ZmlError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -28,6 +28,7 @@ from .errors import InputError, ValidationError, ZmlError
 
 SCAN_T_LO = 10.0
 MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
+MV_BOUND = 10.0           # the mean-value campaign passes when every ratio is at most this
 EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
 # Most mean-value trials: campaign_trials holds every polynomial at once, about
 # 2.3 MB per 1,000 trials, so this cap keeps a campaign within 300 MB.
@@ -52,7 +53,6 @@ class RunConfig:
     output_format: str = "json"
     seed: int = 42
     trials: int = 1000
-    mv_bound: float = 10.0
     x_values: tuple = (2.0, 3.0, 4.0, 5.0, 6.0)
 
     def __post_init__(self):
@@ -72,8 +72,6 @@ class RunConfig:
             raise InputError(f"trials must be <= {MAX_TRIALS}")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
-        if not (math.isfinite(self.mv_bound) and self.mv_bound > 0.0):
-            raise InputError("mv_bound must be finite and positive")
 
 
 def _atomic_replace(path: Path, write) -> None:
@@ -272,8 +270,8 @@ def _mv_summary(cfg: RunConfig, ratios) -> dict:
         "trials": cfg.trials,
         "max_ratio": max_ratio,
         "mean_ratio": math.fsum(ratios) / len(ratios),
-        "bound": cfg.mv_bound,
-        "passed": max_ratio <= cfg.mv_bound,
+        "bound": MV_BOUND,
+        "passed": max_ratio <= MV_BOUND,
     }
 
 
@@ -323,7 +321,7 @@ def cmd_mv_check(cfg: RunConfig) -> int:
     _atomic_write(cfg.out_dir / "mv_stats.json", _json_text(stats))
     print(
         f"mv-check: {cfg.trials} trials, max ratio {stats['max_ratio']:.4f} "
-        f"(bound {cfg.mv_bound:g})"
+        f"(bound {MV_BOUND:g})"
     )
     return 0 if stats["passed"] else 2
 
@@ -511,7 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--trials", type=int, default=1000)
-        p.add_argument("--mv-bound", type=float, default=10.0)
         p.add_argument("--x", type=str, default="2,3,4,5,6",
                        help="comma-separated x values for landau")
     return parser
@@ -529,7 +526,6 @@ def config_from_args(args) -> RunConfig:
         output_format=args.format,
         seed=args.seed,
         trials=args.trials,
-        mv_bound=args.mv_bound,
         x_values=_parse_x(args.x),
     )
 

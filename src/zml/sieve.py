@@ -83,20 +83,19 @@ def _mobius_and_primes(limit: int) -> tuple:
     return mobius, small, primes
 
 
-def build_sieve(limit: int, memory_cap: int = MEMORY_CAP) -> SieveTable:
+def build_sieve(limit: int) -> SieveTable:
     """Sieve mu, Lambda and the primes up to ``limit``.
 
     Args:
-        limit: Upper bound N >= 2.
-        memory_cap: Refuse limits above this (default 1e8).
+        limit: Upper bound N >= 2, at most MEMORY_CAP.
 
     Returns:
         A fully populated, immutable SieveTable.
     """
     if limit < 2:
         raise InputError(f"limit = {limit} below minimum 2")
-    if limit > memory_cap:
-        raise InputError(f"limit = {limit} exceeds memory budget {memory_cap}")
+    if limit > MEMORY_CAP:
+        raise InputError(f"limit = {limit} exceeds memory budget {MEMORY_CAP}")
     if limit >= 2**31:
         raise InputError(f"limit = {limit} exceeds the int32 radical's range")
 

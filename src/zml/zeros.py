@@ -21,6 +21,11 @@ bisected with every midpoint evaluated: the Euler-Maclaurin route sizes
 its main sum from the largest t in its batch, so leaving points out of a
 call would change the values of the rest.
 
+A zero list has one state and one file format: every zero carries a
+finite Z'(gamma) (the sums over 1/zeta'(rho) assume simple zeros), and
+lists are stored as v1 text files whose magic, t_max and certified
+headers are all required.
+
 Completeness is certified by reconciling the count against
 N(T) = theta(T)/pi + 1 + S(T) anchored at good Gram points, where the count
 is exact when S vanishes; Rosser's rule holds throughout t <= 1e5 (its first
@@ -59,10 +64,10 @@ class ZeroList:
     """Ascending zero ordinates up to t_max with a completeness flag.
 
     ordinates, ordinate_errs and z_primes are equal-length 1-D float arrays,
-    stored as read-only copies.  The ordinates, their enclosure half-widths
-    and t_max are finite; z_primes is finite, or NaN after an ordinate-only
-    import until refresh_derivatives runs.  zeta'(rho) is not stored: the
-    rotation identity derives it from Z'(gamma) and theta(gamma).
+    stored as read-only copies.  Every ordinate, enclosure half-width and
+    Z'(gamma), and t_max, is finite: every zero carries its derivative.
+    zeta'(rho) is not stored: the rotation identity derives it from
+    Z'(gamma) and theta(gamma).
     """
     ordinates: np.ndarray
     ordinate_errs: np.ndarray
@@ -80,10 +85,8 @@ class ZeroList:
             raise ValidationError(
                 "ordinates, ordinate_errs and z_primes must be 1-D and of equal length")
         if not (np.isfinite(ords).all() and np.isfinite(errs).all()
-                and math.isfinite(self.t_max)):
-            raise ValidationError("ordinates, enclosure widths and t_max must be finite")
-        if np.isinf(self.z_primes).any():
-            raise ValidationError("Z'(gamma) must be finite, or NaN before refresh_derivatives")
+                and np.isfinite(self.z_primes).all() and math.isfinite(self.t_max)):
+            raise ValidationError("ordinates, enclosure widths, Z'(gamma) and t_max must be finite")
         gaps = np.diff(ords)
         if np.any(gaps <= 0.0):
             raise ValidationError("ordinates must be strictly ascending")
@@ -94,11 +97,6 @@ class ZeroList:
 
     def __len__(self):
         return len(self.ordinates)
-
-    @property
-    def populated(self) -> bool:
-        """True when every zero carries its derivative data."""
-        return not np.isnan(self.z_primes).any()
 
     @cached_property
     def zeta_primes(self) -> np.ndarray:
@@ -415,7 +413,7 @@ def zero_count_check(zlist: ZeroList, T: float) -> CountCheck:
 
 
 # ---------------------------------------------------------------------------
-# derivative helpers
+# summation endpoints
 # ---------------------------------------------------------------------------
 
 def snap_to_midgap(zlist: ZeroList, T: float) -> float:
@@ -429,35 +427,6 @@ def snap_to_midgap(zlist: ZeroList, T: float) -> float:
     if idx == 0 or idx >= len(o):
         raise InputError(f"T = {T} not strictly inside the ordinate range")
     return float(0.5 * (o[idx - 1] + o[idx]))
-
-
-def refresh_derivatives(zlist: ZeroList) -> ZeroList:
-    """Re-refine every ordinate and repopulate the derivative fields.
-
-    Used after an ordinate-only import; each stored ordinate seeds a small
-    sign-change bracket that is then bisected as in the scanner.
-    """
-    if len(zlist) == 0:
-        return zlist
-    gammas = zlist.ordinates
-    w = np.full(gammas.shape, 1e-6)
-    a, b = gammas - w, gammas + w
-    fa = zeta.hardy_z_many(a)
-    fb = zeta.hardy_z_many(b)
-    bad = fa * fb > 0.0
-    grow = 0
-    while bad.any():
-        grow += 1
-        if grow > 20:
-            raise NumericsError("could not bracket an imported ordinate; value too coarse")
-        w[bad] *= 4.0
-        a, b = gammas - w, gammas + w
-        fa[bad] = zeta.hardy_z_many(a[bad])
-        fb[bad] = zeta.hardy_z_many(b[bad])
-        bad = fa * fb > 0.0
-    refined, errs = _refine_brackets(a, b, fa, fb)
-    t_max = max(zlist.t_max, float(refined[-1]))
-    return _build_records(refined, errs, t_max, zlist.certified)
 
 
 # ---------------------------------------------------------------------------
@@ -477,51 +446,50 @@ def export_zeros(zlist: ZeroList, path) -> None:
 
 
 def import_zeros(path) -> ZeroList:
-    """Read either the v1 format or a bare one-ordinate-per-line table.
+    """Read the v1 format.
 
-    Bare tables yield NaN z_primes; run refresh_derivatives to populate
-    them.  The zeta' columns of a v1 file are parsed but not kept, since
-    zeta' is derived from the ordinate and Z'.  Non-ascending or duplicated
-    ordinates fail validation; malformed lines report their line number.
+    The first line must be the magic, the '# t_max' and '# certified'
+    (true or false) headers are required, and every data line has 4
+    columns.  The zeta' columns are parsed but not kept, since zeta' is
+    derived from the ordinate and Z'.  Non-ascending or duplicated
+    ordinates and non-finite values fail validation; malformed lines
+    report their line number.
     """
     ordinates, z_primes = [], []
-    t_max = None
-    certified = False
-    bare = True
+    t_max = certified = None
     # undecodable bytes become U+FFFD, which no float() accepts, so a
     # damaged data line fails as a ParseError with its line number
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        if fh.readline().strip() != ZEROS_MAGIC:
+            raise ParseError(f"{path}:1: expected '{ZEROS_MAGIC}'")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             if line.startswith("#"):
                 parts = line[1:].split()
-                if parts[:2] == ["zml-zeros", "v1"]:
-                    bare = False
-                elif parts[0] == "t_max" and len(parts) == 2:
+                if parts[:1] == ["t_max"] and len(parts) == 2:
                     try:
                         t_max = float(parts[1])
                     except ValueError as exc:
                         raise ParseError(f"{path}:{lineno}: bad t_max") from exc
-                elif parts[0] == "certified" and len(parts) == 2:
+                elif parts[:1] == ["certified"] and len(parts) == 2:
+                    if parts[1] not in ("true", "false"):
+                        raise ParseError(f"{path}:{lineno}: '# certified' must be true or false")
                     certified = parts[1] == "true"
                 continue
             fields = line.split()
-            if len(fields) not in ((1, 4) if bare else (4,)):
-                want = "1 or 4" if bare else "4"
-                raise ParseError(f"{path}:{lineno}: expected {want} columns, got {len(fields)}")
+            if len(fields) != 4:
+                raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(fields)}")
             try:
                 vals = [float(f) for f in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
             ordinates.append(vals[0])
-            z_primes.append(vals[1] if len(vals) == 4 else math.nan)
-    if bare and t_max is None:
-        t_max = ordinates[-1] if ordinates else 0.0
-        certified = False
-    if t_max is None:
-        raise ParseError(f"{path}: missing '# t_max' header")
+            z_primes.append(vals[1])
+    for key, value in (("t_max", t_max), ("certified", certified)):
+        if value is None:
+            raise ParseError(f"{path}: missing '# {key}' header")
     try:
         return ZeroList(ordinates=ordinates,
                         ordinate_errs=np.full(len(ordinates), ORDINATE_ERR_BOUND),

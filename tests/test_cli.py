@@ -81,7 +81,7 @@ class TestZerosCommand:
         assert path.read_bytes() == good
 
     @pytest.mark.parametrize("damage", [
-        "nan ordinate", "inf ordinate", "nan t_max", "inf z_prime"])
+        "nan ordinate", "inf ordinate", "nan t_max", "nan z_prime", "inf z_prime"])
     def test_non_finite_zero_cache_rescanned(self, tmp_path, capsys, damage):
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
@@ -94,6 +94,7 @@ class TestZerosCommand:
             lines[10] = {
                 "nan ordinate": b" ".join([b"nan", z_prime, rest]),
                 "inf ordinate": b" ".join([b"inf", z_prime, rest]),
+                "nan z_prime": b" ".join([ordinate, b"nan", rest]),
                 "inf z_prime": b" ".join([ordinate, b"-inf", rest]),
             }[damage]
         bad = b"\n".join(lines)
@@ -102,6 +103,26 @@ class TestZerosCommand:
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
         err = capsys.readouterr().err
         assert f"error: {path}:" in err and "must be finite" in err
+        assert path.read_bytes() == bad
+        for step in ("moments", "zeros"):
+            assert run_cli(tmp_path, step, "--t-max", "120") == 0
+            assert path.read_bytes() == good
+            path.write_bytes(bad)
+
+    @pytest.mark.parametrize("header", [
+        b"# certified true", b"# t_max 125.0", b"# zml-zeros v1"])
+    def test_missing_header_rescanned(self, tmp_path, capsys, header):
+        # a list without its certified flag must not load as uncertified,
+        # or the rescan that report asks for could never happen
+        assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
+        path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
+        good = path.read_bytes()
+        assert header + b"\n" in good
+        bad = good.replace(header + b"\n", b"", 1)
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "report", "--t-max", "120") == 1
+        assert f"error: {path}:" in capsys.readouterr().err
         assert path.read_bytes() == bad
         for step in ("moments", "zeros"):
             assert run_cli(tmp_path, step, "--t-max", "120") == 0
@@ -241,14 +262,12 @@ class TestMvCheckCommand:
         assert lines[0] == "trial,ratio"
         assert len(lines) == 11
 
-    def test_bound_violation_exit_code(self, tmp_path):
-        rc = run_cli(tmp_path, "mv-check", "--trials", "10", "--mv-bound", "1e-9")
+    def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "MV_BOUND", 1e-9)
+        rc = run_cli(tmp_path, "mv-check", "--trials", "10")
         assert rc == 2
-
-    @pytest.mark.parametrize("bound", ["nan", "inf", "0", "-1"])
-    def test_bad_bound_rejected(self, tmp_path, capsys, bound):
-        assert run_cli(tmp_path, "mv-check", "--trials", "3", "--mv-bound", bound) == 1
-        assert "error: mv_bound must be finite and positive" in capsys.readouterr().err
+        stats = json.loads((tmp_path / "out" / "mv_stats.json").read_text())
+        assert stats["bound"] == 1e-9 and not stats["passed"]
 
     @pytest.mark.parametrize("trials", ["0", "-3"])
     def test_no_trials_rejected(self, tmp_path, capsys, trials):
@@ -425,19 +444,30 @@ class TestReproduceAll:
         assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
 
 
+def run_pilot(tmp_path, *args):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "pilot_envelopes.py"
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
 class TestPilotEnvelopes:
     def test_runs_every_section(self, tmp_path):
         # no test imports the script, so run it to catch a changed signature
-        script = Path(__file__).resolve().parent.parent / "scripts" / "pilot_envelopes.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "--t-max", "1500", "--sieve-limit", "100000"],
-            capture_output=True, text=True, cwd=tmp_path, timeout=300,
-            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        proc = run_pilot(tmp_path, "--t-max", "1500", "--sieve-limit", "100000")
         assert proc.returncode == 0, proc.stderr
         headers = [ln for ln in proc.stdout.splitlines() if ln.startswith("== ")]
         assert headers == [
             "== elementary-sum envelopes ==", "== mean-value ratio campaign ==",
             "== moment-ratio windows ==", "== taper comparison (constant taper should win) =="]
+        for args, message in [
+                (("--sieve-limit", "1"), "error: limit = 1 below minimum 2"),
+                (("--t-max", "200000", "--sieve-limit", "1000"), "error: need 10 <= t_lo")]:
+            proc = run_pilot(tmp_path, *args)
+            assert proc.returncode == 1
+            assert message in proc.stderr.splitlines()[-1]
+            assert "Traceback" not in proc.stderr
 
 
 class TestConfig:
@@ -535,10 +565,11 @@ class TestConfig:
     def test_rs_order_flag_removed(self, capsys):
         # Riemann-Siegel orders below 4 and Z' steps other than
         # zeta.DERIV_STEP can only loosen the accuracy the scan certifies
-        # against, so no subcommand takes either flag
+        # against, and a mean-value bound other than cli.MV_BOUND only moves
+        # the pass threshold, so no subcommand takes any of these flags
         parser = cli.build_parser()
         for flag, command in itertools.product(
-                ("--rs-order", "--deriv-step"),
+                ("--rs-order", "--deriv-step", "--mv-bound"),
                 ("zeros", "moments", "mv-check", "landau", "report")):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command, flag, "4"])

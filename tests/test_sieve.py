@@ -30,13 +30,16 @@ def test_primes_ascending(sieve_10k):
     assert len(p) == 1229  # pi(10^4)
 
 
-def test_build_rejects_bad_limits():
+def test_build_rejects_bad_limits(monkeypatch):
     with pytest.raises(InputError, match="minimum 2"):
         sieve.build_sieve(1)
     with pytest.raises(InputError, match="memory budget"):
         sieve.build_sieve(10**9)
+    # build_sieve reads MEMORY_CAP at call time; raised past the int32 range,
+    # the int32 check still refuses before anything is allocated
+    monkeypatch.setattr(sieve, "MEMORY_CAP", 2**32)
     with pytest.raises(InputError, match="int32"):
-        sieve.build_sieve(2**31, memory_cap=2**32)
+        sieve.build_sieve(2**31)
 
 
 def test_divisor_sum_identities(sieve_10k):

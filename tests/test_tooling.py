@@ -1,7 +1,10 @@
 """The benchmark's tracer finds zml functions by name.  A name it cannot
 resolve is skipped at run time and its per-layer metric reads 0, so every
-name must resolve here."""
+name must resolve here.  The README's flag list is checked against the
+parser the same way."""
+import argparse
 import importlib.util
+import re
 from pathlib import Path
 
 from zml import cli, dirichlet, moments, sieve, zeros, zeta
@@ -19,3 +22,16 @@ def test_every_traced_function_resolves():
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in tracer.WRAPPED
                if not callable(getattr(modules[mod], attr, None))]
     assert missing == []
+
+
+def test_readme_shared_flags_match_parser():
+    # the README's "Shared flags" sentence lists every option of every
+    # subcommand, so a flag removed from the parser leaves no stale entry
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Shared flags: `(.*?)`", readme, re.S).group(1)
+    documented = set(re.findall(r"--[a-z][a-z-]*", sentence))
+    parser = cli.build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        options = {s for a in command._actions for s in a.option_strings if s.startswith("--")}
+        assert options - {"--help"} == documented, name

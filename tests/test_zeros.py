@@ -208,24 +208,6 @@ class TestRefinement:
         assert len(brackets[0]) > 100
         _assert_same_refinement(*brackets)
 
-    def test_refresh_matches_plain_bisection(self, monkeypatch, zeros_1010):
-        real = zeros._refine_brackets
-        seen = []
-
-        def checked(lows, highs, f_lows, f_highs):
-            got = real(lows, highs, f_lows, f_highs)
-            seen.append((got, _plain_bisection(lows, highs, f_lows)))
-            return got
-
-        monkeypatch.setattr(zeros, "_refine_brackets", checked)
-        n = len(zeros_1010)
-        bare = zeros.ZeroList(zeros_1010.ordinates, zeros_1010.ordinate_errs,
-                              np.full(n, math.nan), t_max=zeros_1010.t_max, certified=False)
-        refreshed = zeros.refresh_derivatives(bare)
-        [(got, want)] = seen
-        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.array_equal(refreshed.ordinates, got[0])
-
     @pytest.mark.parametrize("shape", ["near-tangent", "zero at a midpoint"])
     def test_stalled_narrowing_matches_plain_bisection(self, monkeypatch, shape):
         # 20 unit brackets above RS_CROSSOVER, one zero in each
@@ -297,6 +279,9 @@ class TestMidgap:
             zeros.snap_to_midgap(zeros_110, 1e4)
 
 
+V1_HEADER = "# zml-zeros v1\n# t_max 50.0\n# certified false\n"
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path, zeros_110):
         p1 = tmp_path / "a.txt"
@@ -313,54 +298,43 @@ class TestPersistence:
         zeros.export_zeros(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_ordinate_only_import_and_refresh(self, tmp_path, zeros_110):
-        path = tmp_path / "bare.txt"
-        path.write_text("".join(f"{g!r}\n" for g in ov.ZERO_ORDINATES))
-        bare = zeros.import_zeros(path)
-        assert len(bare) == 10
-        assert not bare.populated
-        refreshed = zeros.refresh_derivatives(bare)
-        assert refreshed.populated
-        for mod, want in zip(refreshed.zeta_prime_mods, ov.Z_PRIME):
-            assert mod == pytest.approx(abs(want), abs=1e-6)
-
     def test_duplicate_ordinate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
-        path.write_text("14.134725141734694\n14.134725141734694\n")
+        path.write_text(V1_HEADER + "14.134725141734694 0.79 0.78 0.12\n" * 2)
         with pytest.raises(ValidationError, match="ascending"):
             zeros.import_zeros(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text("# zml-zeros v1\n# t_max 50.0\n14.1 not-a-float 0 0\n")
-        with pytest.raises(ParseError, match=":3:"):
+        path.write_text(V1_HEADER + "14.1 not-a-float 0 0\n")
+        with pytest.raises(ParseError, match=":4:"):
             zeros.import_zeros(path)
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "cols.txt"
-        path.write_text("# zml-zeros v1\n# t_max 50.0\n1.0 2.0\n")
+        path.write_text(V1_HEADER + "1.0 2.0\n")
         with pytest.raises(ParseError, match="columns"):
             zeros.import_zeros(path)
 
     def test_one_column_line_in_v1_file(self, tmp_path):
-        # only a bare table may give the ordinate alone
         path = tmp_path / "cut.txt"
-        path.write_text("# zml-zeros v1\n# t_max 50.0\n14.1 0.79 0.78 0.12\n21.0\n")
-        with pytest.raises(ParseError, match=":4: expected 4 columns, got 1"):
+        path.write_text(V1_HEADER + "14.1 0.79 0.78 0.12\n21.0\n")
+        with pytest.raises(ParseError, match=":5: expected 4 columns, got 1"):
             zeros.import_zeros(path)
 
     def test_nan_line_in_bare_table(self, tmp_path):
         # every comparison with NaN is False, so the ordering checks alone
         # would pass this as a 3-zero list
-        path = tmp_path / "bare.txt"
-        path.write_text("14.134725141734694\nnan\n21.022039638771555\n")
+        path = tmp_path / "nan.txt"
+        path.write_text(V1_HEADER + "14.134725141734694 0.79 0.78 0.12\n"
+                        "nan 1.0 1.0 0.0\n21.022039638771555 -1.1 1.1 -0.2\n")
         with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + ".*must be finite"):
             zeros.import_zeros(path)
 
     def test_undecodable_bytes_report_line(self, tmp_path):
         path = tmp_path / "binary.txt"
-        path.write_bytes(b"# zml-zeros v1\n# t_max 50.0\n14.1 0.79 \xff\xfe 0.12\n")
-        with pytest.raises(ParseError, match=":3: non-numeric"):
+        path.write_bytes(V1_HEADER.encode() + b"14.1 0.79 \xff\xfe 0.12\n")
+        with pytest.raises(ParseError, match=":4: non-numeric"):
             zeros.import_zeros(path)
 
     def test_stored_zeta_prime_columns_reexport(self, tmp_path):
@@ -384,8 +358,28 @@ class TestPersistence:
 
     def test_missing_t_max(self, tmp_path):
         path = tmp_path / "nometa.txt"
-        path.write_text("# zml-zeros v1\n14.1 0.79 0.78 0.12\n")
+        path.write_text("# zml-zeros v1\n# certified true\n14.1 0.79 0.78 0.12\n")
         with pytest.raises(ParseError, match="t_max"):
+            zeros.import_zeros(path)
+
+    def test_comment_lines_skipped(self, tmp_path):
+        path = tmp_path / "notes.txt"
+        path.write_text(V1_HEADER + "#\n# a note\n14.1 0.79 0.78 0.12\n")
+        assert zeros.import_zeros(path).ordinates.tolist() == [14.1]
+
+    @pytest.mark.parametrize("header, match", [
+        ("# t_max 50.0\n# certified true\n", ":1: expected '# zml-zeros v1'"),
+        ("# t_max 50.0\n# zml-zeros v1\n# certified true\n", ":1: expected"),
+        ("# zml-zeros v1\n# certified true\n", "missing '# t_max' header"),
+        ("# zml-zeros v1\n# t_max 50.0\n", "missing '# certified' header"),
+        ("# zml-zeros v1\n# t_max 50.0\n# certified yes\n", ":3: '# certified' must be"),
+        ("# zml-zeros v1\n# t_max fifty\n# certified true\n", ":2: bad t_max"),
+    ], ids=["no magic", "magic not first", "no t_max", "no certified", "certified yes",
+            "bad t_max"])
+    def test_required_headers(self, tmp_path, header, match):
+        path = tmp_path / "headers.txt"
+        path.write_text(header + "14.1 0.79 0.78 0.12\n")
+        with pytest.raises(ParseError, match=re.escape(match)):
             zeros.import_zeros(path)
 
 
@@ -408,7 +402,7 @@ class TestZeroListValidation:
     @pytest.mark.parametrize("field, value", [
         ("ordinates", math.nan), ("ordinates", math.inf), ("ordinate_errs", math.nan),
         ("ordinate_errs", math.inf), ("t_max", math.nan), ("t_max", math.inf),
-        ("z_primes", math.inf), ("z_primes", -math.inf)])
+        ("z_primes", math.nan), ("z_primes", math.inf), ("z_primes", -math.inf)])
     def test_non_finite_rejected(self, field, value):
         data = {"ordinates": np.array([14.0, 21.0]), "ordinate_errs": np.full(2, 1e-10),
                 "z_primes": np.ones(2), "t_max": 30.0}
@@ -418,11 +412,6 @@ class TestZeroListValidation:
             data[field][1] = value
         with pytest.raises(ValidationError, match="finite"):
             zeros.ZeroList(**data, certified=False)
-
-    def test_nan_z_prime_accepted(self):
-        zl = zeros.ZeroList([14.0, 21.0], np.full(2, 1e-10), np.array([1.0, math.nan]),
-                            t_max=30.0, certified=False)
-        assert not zl.populated
 
     def test_close_pair_rejected(self):
         with pytest.raises(ValidationError, match="twice the enclosure"):
