@@ -50,7 +50,6 @@ class RunConfig:
     sieve_limit: int = 10**6
     cache_dir: Path = Path(".zml-cache")
     out_dir: Path = Path("zml-out")
-    output_format: str = "json"
     seed: int = 42
     trials: int = 1000
     x_values: tuple = (2.0, 3.0, 4.0, 5.0, 6.0)
@@ -60,8 +59,6 @@ class RunConfig:
             raise InputError(f"t_max must lie in (0, {zeta.T_MAX:g}]")
         if not 0.0 < self.theta < 1.0:
             raise InputError("theta must lie in (0, 1)")
-        if self.output_format not in ("csv", "json"):
-            raise InputError("format must be csv or json")
         if not 2 <= self.sieve_limit <= sieve.MEMORY_CAP:
             raise InputError(f"sieve_limit must lie in [2, {sieve.MEMORY_CAP}]")
         if not all(x > 1.0 for x in self.x_values):
@@ -131,12 +128,15 @@ def _check_reach(zlist: zeros.ZeroList, t_max: float, path: Path) -> None:
 
 
 def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
-    """The cached zero list.  A missing, damaged or cut-short cache is
-    rescanned and rewritten atomically if `build`, and is an error otherwise."""
+    """The cached zero list.  A missing, damaged, uncertified or cut-short
+    cache is rescanned and rewritten atomically if `build`, and is an error
+    otherwise."""
     path = _zero_cache_path(cfg)
     if path.exists():
         try:
             zlist = zeros.import_zeros(path)
+            if not zlist.certified:
+                raise ValidationError(f"{path}: zero list is not completeness-certified")
             _check_reach(zlist, cfg.t_max, path)
             return zlist
         except ZmlError:
@@ -221,8 +221,7 @@ def cmd_moments(cfg: RunConfig) -> int:
             all_ok &= ok
             summary.append(rep)
             name = f"moments_T{T_req:g}_theta{th:g}"
-            if cfg.output_format == "json":
-                _atomic_write(cfg.out_dir / f"{name}.json", _json_text(rep.to_json_dict()))
+            _atomic_write(cfg.out_dir / f"{name}.json", _json_text(rep.to_json_dict()))
             print(
                 f"moments: T={T:.3f} theta={th:g} J={rep.j_minus_1:.3f} "
                 f"ratio={rep.j_minus_1 / rep.gonek_pred:.4f} cauchy_ok={ok}"
@@ -313,11 +312,7 @@ def _campaign_ratios(cfg: RunConfig, reuse: bool) -> list:
 def cmd_mv_check(cfg: RunConfig) -> int:
     ratios = _campaign_ratios(cfg, reuse=False)
     stats = _mv_summary(cfg, ratios)
-    if cfg.output_format == "json":
-        stats["ratios"] = ratios
-    else:
-        lines = ["trial,ratio"] + [f"{i},{r!r}" for i, r in enumerate(ratios)]
-        _atomic_write(cfg.out_dir / "mv_stats.csv", "\n".join(lines) + "\n")
+    stats["ratios"] = ratios
     _atomic_write(cfg.out_dir / "mv_stats.json", _json_text(stats))
     print(
         f"mv-check: {cfg.trials} trials, max ratio {stats['max_ratio']:.4f} "
@@ -506,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sieve-limit", type=int, default=10**6)
         p.add_argument("--cache-dir", type=str, default=None)
         p.add_argument("--out-dir", type=str, default="zml-out")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--trials", type=int, default=1000)
         p.add_argument("--x", type=str, default="2,3,4,5,6",
@@ -523,7 +517,6 @@ def config_from_args(args) -> RunConfig:
         sieve_limit=args.sieve_limit,
         cache_dir=Path(cache_dir),
         out_dir=Path(args.out_dir),
-        output_format=args.format,
         seed=args.seed,
         trials=args.trials,
         x_values=_parse_x(args.x),

@@ -35,7 +35,7 @@ import numpy as np
 
 from .dirichlet import DirichletPoly, eval_poly_at_zeros, truncation_blocks
 from .errors import InputError, SimplicityError
-from .sieve import SieveTable, _exact_parts, squarefree_harmonic
+from .sieve import SieveTable, _exact_parts, mangoldt, squarefree_harmonic
 from .zeros import SIMPLICITY_GUARD, ZeroList
 
 GONEK_CONSTANT = 3.0 / math.pi**3
@@ -363,15 +363,6 @@ def theta_sweep(
 # Landau-type sum
 # ---------------------------------------------------------------------------
 
-def mangoldt_at(table: SieveTable, x: float) -> float:
-    """Lambda(x), zero off integer prime powers (integrality to 1e-9)."""
-    n = round(x)
-    if abs(x - n) > 1e-9 or n < 2:
-        return 0.0
-    table._check_range(int(n))
-    return float(table.mangoldt[int(n)])
-
-
 def landau_sums(zlist: ZeroList, table: SieveTable, x: float, Ts) -> list:
     """landau_gonek at every T of Ts, from one pass over the zeros.
 
@@ -388,7 +379,7 @@ def landau_sums(zlist: ZeroList, table: SieveTable, x: float, Ts) -> list:
     sx = math.sqrt(x)
     phases = zlist.ordinates[: max(ns, default=0)] * lx
     cis = np.column_stack([np.cos(phases), np.sin(phases)])
-    mangoldt = mangoldt_at(table, x)
+    lam = mangoldt(table, x)
     reports = [None] * len(ns)
     parts, lo = [], 0
     for k in sorted(range(len(ns)), key=ns.__getitem__):
@@ -396,7 +387,7 @@ def landau_sums(zlist: ZeroList, table: SieveTable, x: float, Ts) -> list:
         lo = ns[k]
         zero_sum = complex(sx * math.fsum(p[0] for p in parts),
                            sx * math.fsum(p[1] for p in parts))
-        main = -(Ts[k] / (2.0 * math.pi)) * mangoldt
+        main = -(Ts[k] / (2.0 * math.pi)) * lam
         reports[k] = LandauReport(
             x=x, T=Ts[k], zero_sum=zero_sum, main_term=main,
             deviation=abs(zero_sum - main),

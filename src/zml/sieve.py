@@ -1,8 +1,9 @@
-"""Arithmetic-function tables (Mobius mu, von Mangoldt Lambda, primes) and
-the elementary sums and coefficient convolutions built on them.
+"""Arithmetic-function tables (Mobius mu and the primes), von Mangoldt's
+Lambda derived from the primes, and the elementary sums and coefficient
+convolutions built on them.
 
-Arrays are indexed by the integer itself (index 0 is present but unused), so
-``table.mobius[n]`` is mu(n).  All floating-point sums go through
+The Mobius array is indexed by the integer itself (index 0 is present but
+unused), so ``table.mobius[n]`` is mu(n).  All floating-point sums go through
 ``math.fsum`` (exactly rounded), which makes every query deterministic to
 the last bit and independent of summation order.
 """
@@ -21,7 +22,7 @@ from .errors import InputError, NumericsError, ValidationError
 MEMORY_CAP = 10**8
 SEGMENT = 1 << 16           # integers per numpy pass over the table
 ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
-SIEVE_MAGIC = b"ZML-SIEVE1"
+SIEVE_MAGIC = b"ZML-SIEVE2"
 
 THREE_OVER_PI2 = 3.0 / math.pi**2
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -29,18 +30,16 @@ SIX_OVER_PI2 = 6.0 / math.pi**2
 
 @dataclass(frozen=True)
 class SieveTable:
-    """Precomputed mu(n), Lambda(n) and primes for 1 <= n <= limit.
+    """Precomputed mu(n) and the primes for 1 <= n <= limit; Lambda(n)
+    comes from the primes (see mangoldt).
 
     Attributes:
         limit: Largest tabulated integer N.
         mobius: int8 array of length N+1, mobius[n] = mu(n); index 0 unused.
-        mangoldt: float64 array of length N+1, mangoldt[n] = Lambda(n)
-            in natural-log units; index 0 unused.
         primes: Ascending int64 array of the primes <= N.
     """
     limit: int
     mobius: np.ndarray
-    mangoldt: np.ndarray
     primes: np.ndarray
 
     def _check_range(self, x: int, name: str = "x") -> None:
@@ -49,8 +48,8 @@ class SieveTable:
 
 
 def _mobius_and_primes(limit: int) -> tuple:
-    """mu(0..N), the primes <= sqrt(N) and all primes <= N, sieving only
-    with the primes p <= sqrt(N).
+    """mu(0..N) and the primes <= N, sieving only with the primes
+    p <= sqrt(N).
 
     rad[n] is the product of the small primes dividing n, so it divides n
     and fits int32 for N < 2^31.  A squarefree n with rad[n] < n has exactly one more
@@ -79,12 +78,13 @@ def _mobius_and_primes(limit: int) -> tuple:
         mu = mobius[lo: lo + SEGMENT]
         np.negative(mu, out=mu, where=r < offsets[: len(r)] + lo)
         large.append(np.flatnonzero(r == 1) + lo)
+    del rad, r              # r is a view of rad: free both before the join
     primes = np.concatenate([small, *large]).astype(np.int64, copy=False)
-    return mobius, small, primes
+    return mobius, primes
 
 
 def build_sieve(limit: int) -> SieveTable:
-    """Sieve mu, Lambda and the primes up to ``limit``.
+    """Sieve mu and the primes up to ``limit``.
 
     Args:
         limit: Upper bound N >= 2, at most MEMORY_CAP.
@@ -99,17 +99,24 @@ def build_sieve(limit: int) -> SieveTable:
     if limit >= 2**31:
         raise InputError(f"limit = {limit} exceeds the int32 radical's range")
 
-    mobius, small, primes = _mobius_and_primes(limit)
-    mangoldt = np.zeros(limit + 1, dtype=np.float64)
-    logp = np.log(primes.astype(np.float64))
-    mangoldt[primes] = logp
-    for p, lp in zip(small.tolist(), logp[: len(small)].tolist()):
-        pk = p * p
-        while pk <= limit:
-            mangoldt[pk] = lp
-            pk *= p
+    mobius, primes = _mobius_and_primes(limit)
+    return SieveTable(limit=limit, mobius=mobius, primes=primes)
 
-    return SieveTable(limit=limit, mobius=mobius, mangoldt=mangoldt, primes=primes)
+
+def mangoldt(table: SieveTable, x: float) -> float:
+    """Lambda(x): np.log(p) when x is, to 1e-9, an integer n = p^k, and
+    zero otherwise.  p is the least stored prime dividing n, or n itself
+    when no prime <= sqrt(n) divides it."""
+    n = round(x)
+    if abs(x - n) > 1e-9 or n < 2:
+        return 0.0
+    table._check_range(n)
+    small = table.primes[: np.searchsorted(table.primes, math.isqrt(n), side="right")]
+    divisors = small[n % small == 0]
+    p = int(divisors[0]) if len(divisors) else n
+    while n % p == 0:
+        n //= p
+    return float(np.log(np.float64(p))) if n == 1 else 0.0
 
 
 def mertens(table: SieveTable, x: int) -> int:
@@ -228,8 +235,8 @@ def alpha_coefficients(table: SieveTable, xi: int, n_max: int) -> AlphaVector:
     p^(a-1) and p^a for the one p with p^a || n, a >= 2, so every alpha_n
     receives the same additions in the same order as along the per-prime
     progressions p, p^2, ... and is bit-identical to them.  log p comes
-    from math.log, as the table's Lambda (np.log) can differ in the last
-    bit.  Cost: about (6/pi^2) sum_k min(xi, n_max/k) pairs, at most
+    from math.log, as in those progressions; mangoldt's np.log can differ
+    from it in the last bit.  Cost: about (6/pi^2) sum_k min(xi, n_max/k) pairs, at most
     0.6 n_max (log log n_max + 1), of numpy work, one math.log per prime
     and one Python iteration per block.
     """
@@ -286,45 +293,46 @@ def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
 # ---------------------------------------------------------------------------
 
 def save_sieve(table: SieveTable, path) -> None:
-    """Write the table as magic + little-endian u64 limit + mu bytes + Lambda."""
+    """Write the table as magic + little-endian u64 limit + u64 prime count
+    + mu bytes + the primes as little-endian u32."""
     with open(path, "wb") as fh:
         fh.write(SIEVE_MAGIC)
-        fh.write(struct.pack("<Q", table.limit))
+        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
         fh.write(table.mobius[1:].tobytes())
-        fh.write(table.mangoldt[1:].astype("<f8").tobytes())
+        fh.write(table.primes.astype("<u4").tobytes())
 
 
 def load_sieve(path, limit: int) -> SieveTable:
     """Load a cached sieve; the stored limit must equal the requested one,
-    and the file must hold exactly magic + 8 + 9 * limit bytes.
-
-    Primes are reconstructed from the Lambda column (n is prime exactly when
-    Lambda(n) = log n).
+    the file must hold exactly magic + 16 + limit + 4 * count bytes, and
+    the primes must ascend from 2 to at most the limit, with mu(p) = -1 and
+    no factor among the smaller stored primes q with q^3 <= limit: a
+    composite n with mu(n) = -1 has three or more prime factors, the least
+    at most n^(1/3).
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(SIEVE_MAGIC))
         if magic != SIEVE_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}")
-        header = fh.read(8)
-        if len(header) != 8:
+        header = fh.read(16)
+        if len(header) != 16:
             raise ValidationError(f"{path}: truncated header")
-        (stored_limit,) = struct.unpack("<Q", header)
+        stored_limit, count = struct.unpack("<QQ", header)
         if stored_limit != limit:
             raise ValidationError(
                 f"{path}: cached limit {stored_limit} != requested {limit}"
             )
         size = os.fstat(fh.fileno()).st_size
-        want = len(SIEVE_MAGIC) + 8 + 9 * limit
+        want = len(SIEVE_MAGIC) + 16 + limit + 4 * count
         if size != want:
             raise ValidationError(f"{path}: {size} bytes, expected {want}")
         mobius = np.empty(limit + 1, dtype=np.int8)
         mobius[0] = 0
         mobius[1:] = np.frombuffer(fh.read(limit), dtype=np.int8)
-        mangoldt = np.zeros(limit + 1, dtype=np.float64)
-        mangoldt[1:] = np.frombuffer(fh.read(8 * limit), dtype="<f8")
-    candidates = np.nonzero(mangoldt)[0]
-    logs = np.log(candidates.astype(np.float64))
-    primes = candidates[np.abs(mangoldt[candidates] - logs) < 1e-9 * logs]
-    return SieveTable(
-        limit=limit, mobius=mobius, mangoldt=mangoldt, primes=primes.astype(np.int64)
-    )
+        primes = np.frombuffer(fh.read(4 * count), dtype="<u4")
+    small = primes[: np.searchsorted(primes, limit ** (1 / 3) + 1, side="right")]
+    if not (count and primes[0] == 2 and primes[-1] <= limit
+            and np.all(primes[1:] > primes[:-1]) and np.all(mobius[primes] == -1)
+            and not any(np.any(primes[k + 1:] % q == 0) for k, q in enumerate(small))):
+        raise ValidationError(f"{path}: damaged prime list")
+    return SieveTable(limit=limit, mobius=mobius, primes=primes.astype(np.int64))

@@ -109,16 +109,20 @@ class TestZerosCommand:
             assert path.read_bytes() == good
             path.write_bytes(bad)
 
-    @pytest.mark.parametrize("header", [
-        b"# certified true", b"# t_max 125.0", b"# zml-zeros v1"])
-    def test_missing_header_rescanned(self, tmp_path, capsys, header):
-        # a list without its certified flag must not load as uncertified,
-        # or the rescan that report asks for could never happen
+    @pytest.mark.parametrize("header,edit", [
+        (b"# certified true", b""), (b"# t_max 125.0", b""), (b"# zml-zeros v1", b""),
+        (b"# certified true", b"# certified false\n")],
+        ids=["# certified true", "# t_max 125.0", "# zml-zeros v1",
+             "# certified true -> false"])
+    def test_missing_header_rescanned(self, tmp_path, capsys, header, edit):
+        # a stored list without its certified flag, or flagged uncertified,
+        # is damaged: loaded as it is, report would ask for a rescan that
+        # no step makes
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
         good = path.read_bytes()
         assert header + b"\n" in good
-        bad = good.replace(header + b"\n", b"", 1)
+        bad = good.replace(header + b"\n", edit, 1)
         path.write_bytes(bad)
         capsys.readouterr()
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
@@ -187,11 +191,10 @@ class TestMomentsCommand:
         assert len(csv_lines) == 2
         assert "cauchy_ok=True" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_summary_cells_are_numbers(self, tmp_path, fmt):
+    def test_summary_cells_are_numbers(self, tmp_path):
         # a numpy scalar would print as np.float64(...) through repr
         rc = run_cli(tmp_path, "moments", "--t-max", "2500", "--theta-sweep", "0.3:0.7:0.2",
-                     "--sieve-limit", "5000", "--format", fmt)
+                     "--sieve-limit", "5000")
         assert rc == 0
         header, *rows = (tmp_path / "out" / "moments_summary.csv").read_text().splitlines()
         assert len(rows) == 6 and "t" in header.split(",")
@@ -256,12 +259,6 @@ class TestMvCheckCommand:
         assert stats["passed"] and stats["max_ratio"] <= 10.0
         assert len(stats["ratios"]) == 40
 
-    def test_csv_format(self, tmp_path):
-        assert run_cli(tmp_path, "mv-check", "--trials", "10", "--format", "csv") == 0
-        lines = (tmp_path / "out" / "mv_stats.csv").read_text().splitlines()
-        assert lines[0] == "trial,ratio"
-        assert len(lines) == 11
-
     def test_bound_violation_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "MV_BOUND", 1e-9)
         rc = run_cli(tmp_path, "mv-check", "--trials", "10")
@@ -299,8 +296,10 @@ class TestLandauCommand:
         assert run_cli(tmp_path, "landau", "--t-max", "100", "--x", xs) == 1
         assert capsys.readouterr().err.startswith("error: --x")
 
-    @pytest.mark.parametrize("damage", ["truncated", "extra bytes", "wrong magic"])
-    def test_damaged_sieve_cache_rebuilt(self, tmp_path, damage):
+    @pytest.mark.parametrize("damage", [
+        "truncated", "extra bytes", "wrong magic", "v1 file", "count header",
+        "composite prime", "composite prime, mu -1", "swapped primes"])
+    def test_damaged_sieve_cache_rebuilt(self, tmp_path, damaged_sieve, damage):
         args = ("landau", "--t-max", "200", "--x", "2,4,6", "--sieve-limit", "5000")
         fresh = tmp_path / "fresh"
         assert cli.main([*args, "--cache-dir", str(fresh / "cache"),
@@ -308,8 +307,7 @@ class TestLandauCommand:
         good = (fresh / "cache" / "sieve_5000.bin").read_bytes()
         shutil.copytree(fresh / "cache", tmp_path / "cache")
         path = tmp_path / "cache" / "sieve_5000.bin"
-        path.write_bytes({"truncated": good[:20_000], "extra bytes": good + bytes(8),
-                          "wrong magic": b"ZML-SIEVE0" + good[10:]}[damage])
+        path.write_bytes(damaged_sieve(good, damage))
         assert run_cli(tmp_path, *args) == 0
         assert path.read_bytes() == good
         names = sorted(f.name for f in (fresh / "out").iterdir())
@@ -565,11 +563,12 @@ class TestConfig:
     def test_rs_order_flag_removed(self, capsys):
         # Riemann-Siegel orders below 4 and Z' steps other than
         # zeta.DERIV_STEP can only loosen the accuracy the scan certifies
-        # against, and a mean-value bound other than cli.MV_BOUND only moves
-        # the pass threshold, so no subcommand takes any of these flags
+        # against, a mean-value bound other than cli.MV_BOUND only moves
+        # the pass threshold, and --format only chose which files a run
+        # wrote, so no subcommand takes any of these flags
         parser = cli.build_parser()
         for flag, command in itertools.product(
-                ("--rs-order", "--deriv-step", "--mv-bound"),
+                ("--rs-order", "--deriv-step", "--mv-bound", "--format"),
                 ("zeros", "moments", "mv-check", "landau", "report")):
             with pytest.raises(SystemExit) as exc:
                 parser.parse_args([command, flag, "4"])

@@ -17,10 +17,15 @@ def test_mobius_first_ten(sieve_10k):
 
 
 def test_mangoldt_examples(sieve_10k):
-    assert sieve_10k.mangoldt[8] == pytest.approx(math.log(2), rel=1e-15)
-    assert sieve_10k.mangoldt[6] == 0.0
-    assert sieve_10k.mangoldt[1] == 0.0
-    assert sieve_10k.mangoldt[9] == pytest.approx(math.log(3), rel=1e-15)
+    assert sieve.mangoldt(sieve_10k, 8) == pytest.approx(math.log(2), rel=1e-15)
+    assert sieve.mangoldt(sieve_10k, 6) == 0.0
+    assert sieve.mangoldt(sieve_10k, 1) == 0.0
+    assert sieve.mangoldt(sieve_10k, 9) == pytest.approx(math.log(3), rel=1e-15)
+    assert sieve.mangoldt(sieve_10k, 8 + 1e-10) == sieve.mangoldt(sieve_10k, 8)
+    assert sieve.mangoldt(sieve_10k, 8.5) == 0.0
+    assert sieve.mangoldt(sieve_10k, 10**4 - 1e-12) == 0.0     # 10^4 = 2^4 5^4
+    with pytest.raises(InputError, match="outside table range"):
+        sieve.mangoldt(sieve_10k, 10**4 + 1)
 
 
 def test_primes_ascending(sieve_10k):
@@ -49,7 +54,7 @@ def test_divisor_sum_identities(sieve_10k):
     lam_acc = np.zeros(n_max + 1)
     for d in range(1, n_max + 1):
         mu_acc[d::d] += sieve_10k.mobius[d]
-        lam_acc[d::d] += sieve_10k.mangoldt[d]
+        lam_acc[d::d] += sieve.mangoldt(sieve_10k, d)
     assert mu_acc[1] == 1
     assert np.all(mu_acc[2:] == 0)
     ns = np.arange(2, n_max + 1)
@@ -68,9 +73,9 @@ def test_mobius_mangoldt_vs_factorization(n):
     assert table.mobius[n] == mu_ref
     if len(fac) == 1:
         (p, _), = fac.items()
-        assert table.mangoldt[n] == pytest.approx(math.log(p), rel=1e-15)
+        assert sieve.mangoldt(table, n) == pytest.approx(math.log(p), rel=1e-15)
     else:
-        assert table.mangoldt[n] == 0.0
+        assert sieve.mangoldt(table, n) == 0.0
 
 
 _CACHED = {}
@@ -167,7 +172,8 @@ def test_alpha_mobius_sum_main_term(sieve_1e6):
 def test_determinism(sieve_10k):
     other = sieve.build_sieve(10**4)
     assert np.array_equal(other.mobius, sieve_10k.mobius)
-    assert np.array_equal(other.mangoldt, sieve_10k.mangoldt)
+    assert np.array_equal(other.primes, sieve_10k.primes)
+    assert _mangoldt_column(other).tobytes() == _mangoldt_column(sieve_10k).tobytes()
     assert sieve.squarefree_harmonic(other, 9999) == sieve.squarefree_harmonic(
         sieve_10k, 9999
     )
@@ -176,10 +182,13 @@ def test_determinism(sieve_10k):
 def test_cache_roundtrip(tmp_path, sieve_10k):
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
+    # magic, limit and prime count, one byte of mu per n, four per prime
+    assert path.stat().st_size == 10 + 16 + 10**4 + 4 * 1229
     loaded = sieve.load_sieve(path, 10**4)
     assert np.array_equal(loaded.mobius, sieve_10k.mobius)
-    assert np.array_equal(loaded.mangoldt, sieve_10k.mangoldt)
+    assert loaded.primes.dtype == np.int64
     assert np.array_equal(loaded.primes, sieve_10k.primes)
+    assert _mangoldt_column(loaded).tobytes() == _mangoldt_column(sieve_10k).tobytes()
     with pytest.raises(ValidationError, match="limit"):
         sieve.load_sieve(path, 10**5)
     bad = tmp_path / "bad.bin"
@@ -220,6 +229,12 @@ def _loop_sieve(limit):
     return mobius, mangoldt, primes
 
 
+def _mangoldt_column(table):
+    """sieve.mangoldt at every n <= limit, as the dense column the table
+    used to hold."""
+    return np.array([sieve.mangoldt(table, n) for n in range(table.limit + 1)])
+
+
 def _loop_alpha(table, xi, n_max):
     """alpha_n by one progression n = k*l per prime power k."""
     values = np.zeros(n_max + 1, dtype=np.float64)
@@ -241,7 +256,7 @@ def test_build_matches_per_prime_loop():
     table = sieve.build_sieve(limit)
     mobius, mangoldt, primes = _loop_sieve(limit)
     assert table.mobius.dtype == mobius.dtype and np.array_equal(table.mobius, mobius)
-    assert table.mangoldt.tobytes() == mangoldt.tobytes()
+    assert _mangoldt_column(table).tobytes() == mangoldt.tobytes()
     assert table.primes.dtype == primes.dtype and np.array_equal(table.primes, primes)
     # n with one prime factor above sqrt(N) = 316, where only the radical
     # comparison sets the last sign
@@ -257,7 +272,7 @@ def test_build_matches_per_prime_loop_at_edges(limit):
     table = sieve.build_sieve(limit)
     mobius, mangoldt, primes = _loop_sieve(limit)
     assert np.array_equal(table.mobius, mobius)
-    assert table.mangoldt.tobytes() == mangoldt.tobytes()
+    assert _mangoldt_column(table).tobytes() == mangoldt.tobytes()
     assert np.array_equal(table.primes, primes)
 
 
@@ -313,10 +328,9 @@ def test_alpha_mobius_sum_matches_one_fsum(sieve_10k):
 
 
 def test_build_memory_peak():
-    # The per-prime build peaked at 11,884,594 bytes at N = 1e6: is_prime,
-    # mobius and mangoldt (1 + 1 + 8 bytes per entry), three arrays of the
-    # primes (int64 twice, float64 logs) and 632 bytes.  The int32 radical
-    # must not raise the peak above those arrays.
+    # The build holds mobius and the int32 radical (1 + 4 bytes per entry)
+    # and at most three int64-sized arrays of the primes; no dense Lambda
+    # column is built.
     import tracemalloc
 
     limit = 10**6
@@ -327,16 +341,27 @@ def test_build_memory_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * (limit + 1) + 24 * len(table.primes)
+    assert peak < 5 * (limit + 1) + 24 * len(table.primes)
 
 
-@pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header"])
-def test_load_rejects_wrong_size(tmp_path, sieve_10k, damage):
+@pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header",
+                                    "count header"])
+def test_load_rejects_wrong_size(tmp_path, sieve_10k, damaged_sieve, damage):
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
-    data = path.read_bytes()
-    data = {"truncated": data[:50_000], "extra bytes": data + b"\x00",
-            "short header": data[: len(sieve.SIEVE_MAGIC) + 3]}[damage]
-    path.write_bytes(data)
-    with pytest.raises(ValidationError):
+    path.write_bytes(damaged_sieve(path.read_bytes(), damage))
+    with pytest.raises(ValidationError, match="bytes|header"):
+        sieve.load_sieve(path, 10**4)
+
+
+@pytest.mark.parametrize("damage", ["v1 file", "composite prime",
+                                    "composite prime, mu -1", "swapped primes"])
+def test_load_rejects_damaged_primes(tmp_path, sieve_10k, damaged_sieve, damage):
+    path = tmp_path / "sieve.bin"
+    sieve.save_sieve(sieve_10k, path)
+    good = path.read_bytes()
+    bad = damaged_sieve(good, damage)
+    assert len(bad) == len(good) or damage == "v1 file"
+    path.write_bytes(bad)
+    with pytest.raises(ValidationError, match="magic" if damage == "v1 file" else "prime list"):
         sieve.load_sieve(path, 10**4)

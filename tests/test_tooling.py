@@ -1,7 +1,8 @@
 """The benchmark's tracer finds zml functions by name.  A name it cannot
 resolve is skipped at run time and its per-layer metric reads 0, so every
 name must resolve here.  The README's flag list is checked against the
-parser the same way."""
+parser the same way, and its file formats against the magics the code
+writes."""
 import argparse
 import importlib.util
 import re
@@ -35,3 +36,10 @@ def test_readme_shared_flags_match_parser():
     for name, command in sub.choices.items():
         options = {s for a in command._actions for s in a.option_strings if s.startswith("--")}
         assert options - {"--help"} == documented, name
+
+
+def test_readme_file_formats_name_the_magics():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
+    assert f"`{sieve.SIEVE_MAGIC.decode()}`" in section
+    assert f"`{zeros.ZEROS_MAGIC}`" in section
