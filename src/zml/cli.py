@@ -35,7 +35,7 @@ EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
 MAX_TRIALS = 50_000
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
-ZERO_CACHE_VERSION = 3
+ZERO_CACHE_VERSION = 4
 # Part of the campaign-cache key: raise it whenever the ratios mv_campaign
 # returns for a (seed, trials) change.
 MV_CACHE_VERSION = 3
@@ -61,8 +61,12 @@ class RunConfig:
             raise InputError("theta must lie in (0, 1)")
         if not 2 <= self.sieve_limit <= sieve.MEMORY_CAP:
             raise InputError(f"sieve_limit must lie in [2, {sieve.MEMORY_CAP}]")
-        if not all(x > 1.0 for x in self.x_values):
-            raise InputError("every x must be > 1")
+        if not all(1.0 < x < math.inf for x in self.x_values):
+            raise InputError("every x must be finite and > 1")
+        for x in self.x_values:
+            # sieve.mangoldt rejects an x that is, to 1e-9, an integer above the limit
+            if abs(x - round(x)) <= 1e-9 and round(x) > self.sieve_limit:
+                raise InputError(f"x = {x:g} lies above sieve_limit = {self.sieve_limit}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
@@ -114,10 +118,11 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
 
 
 def _check_reach(zlist: zeros.ZeroList, t_max: float, path: Path) -> None:
-    """Reject a zero list cut short, say at a line boundary, which still
-    parses: it must hold an ordinate above t_max, and its count at t_max
-    must lie within theta(t_max)/pi + 1 +- 2 (the |S(T)| slack).  Only
-    theta is evaluated, no Z."""
+    """Reject a list that stops short of t_max, such as a whole, valid
+    list scanned to a smaller t_max (a file cut short fails its CRC): it
+    must hold an ordinate above t_max, and its count at t_max must lie
+    within theta(t_max)/pi + 1 +- 2 (the |S(T)| slack).  Only theta is
+    evaluated, no Z."""
     count = zlist.count_below(t_max)
     if count == len(zlist):
         raise ValidationError(f"{path}: no ordinate above t_max = {t_max:g}")

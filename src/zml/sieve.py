@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -22,7 +23,8 @@ from .errors import InputError, NumericsError, ValidationError
 MEMORY_CAP = 10**8
 SEGMENT = 1 << 16           # integers per numpy pass over the table
 ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
-SIEVE_MAGIC = b"ZML-SIEVE2"
+SIEVE_MAGIC = b"ZML-SIEVE3"
+SIEVE_HEADER = struct.Struct("<QQI")   # limit, prime count, CRC-32 of the payload
 
 THREE_OVER_PI2 = 3.0 / math.pi**2
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -294,36 +296,41 @@ def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
 
 def save_sieve(table: SieveTable, path) -> None:
     """Write the table as magic + little-endian u64 limit + u64 prime count
-    + mu bytes + the primes as little-endian u32."""
+    + u32 zlib.crc32 of the payload, then the payload: mu bytes and the
+    primes as little-endian u32."""
+    primes = table.primes.astype("<u4")
+    crc = zlib.crc32(primes, zlib.crc32(table.mobius[1:]))
     with open(path, "wb") as fh:
         fh.write(SIEVE_MAGIC)
-        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
-        fh.write(table.mobius[1:].tobytes())
-        fh.write(table.primes.astype("<u4").tobytes())
+        fh.write(SIEVE_HEADER.pack(table.limit, len(primes), crc))
+        fh.write(table.mobius[1:])
+        fh.write(primes)
 
 
 def load_sieve(path, limit: int) -> SieveTable:
     """Load a cached sieve; the stored limit must equal the requested one,
-    the file must hold exactly magic + 16 + limit + 4 * count bytes, and
+    the file must hold exactly magic + 20 + limit + 4 * count bytes, and
     the primes must ascend from 2 to at most the limit, with mu(p) = -1 and
     no factor among the smaller stored primes q with q^3 <= limit: a
     composite n with mu(n) = -1 has three or more prime factors, the least
-    at most n^(1/3).
+    at most n^(1/3).  The CRC of the payload is compared last, so it
+    catches what those checks cannot: a changed mu byte, or a prime taken
+    out together with its count.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(SIEVE_MAGIC))
         if magic != SIEVE_MAGIC:
             raise ValidationError(f"{path}: bad magic {magic!r}")
-        header = fh.read(16)
-        if len(header) != 16:
+        header = fh.read(SIEVE_HEADER.size)
+        if len(header) != SIEVE_HEADER.size:
             raise ValidationError(f"{path}: truncated header")
-        stored_limit, count = struct.unpack("<QQ", header)
+        stored_limit, count, crc = SIEVE_HEADER.unpack(header)
         if stored_limit != limit:
             raise ValidationError(
                 f"{path}: cached limit {stored_limit} != requested {limit}"
             )
         size = os.fstat(fh.fileno()).st_size
-        want = len(SIEVE_MAGIC) + 16 + limit + 4 * count
+        want = len(SIEVE_MAGIC) + SIEVE_HEADER.size + limit + 4 * count
         if size != want:
             raise ValidationError(f"{path}: {size} bytes, expected {want}")
         mobius = np.empty(limit + 1, dtype=np.int8)
@@ -335,4 +342,6 @@ def load_sieve(path, limit: int) -> SieveTable:
             and np.all(primes[1:] > primes[:-1]) and np.all(mobius[primes] == -1)
             and not any(np.any(primes[k + 1:] % q == 0) for k, q in enumerate(small))):
         raise ValidationError(f"{path}: damaged prime list")
+    if zlib.crc32(primes, zlib.crc32(mobius[1:])) != crc:
+        raise ValidationError(f"{path}: crc32 mismatch")
     return SieveTable(limit=limit, mobius=mobius, primes=primes.astype(np.int64))

@@ -23,8 +23,9 @@ call would change the values of the rest.
 
 A zero list has one state and one file format: every zero carries a
 finite Z'(gamma) (the sums over 1/zeta'(rho) assume simple zeros), and
-lists are stored as v1 text files whose magic, t_max and certified
-headers are all required.
+lists are stored as v2 text files: four required header lines (magic,
+t_max, certified and a CRC-32 of the data), then the ordinate and Z'(gamma)
+of each zero.  zeta'(rho) is derived again on import, not stored.
 
 Completeness is certified by reconciling the count against
 N(T) = theta(T)/pi + 1 + S(T) anchored at good Gram points, where the count
@@ -35,6 +36,8 @@ mathematics.
 from __future__ import annotations
 
 import math
+import re
+import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -44,7 +47,7 @@ from scipy.special import lambertw
 from . import zeta
 from .errors import InputError, NumericsError, ParseError, ValidationError
 
-ZEROS_MAGIC = "# zml-zeros v1"
+ZEROS_MAGIC = "# zml-zeros v2"
 ORDINATE_ERR_BOUND = 1e-9     # certified enclosure half-width on export
 REFINE_WIDTH = 1e-10          # bisection stops below this bracket width
 SIMPLICITY_GUARD = 1e-4       # |Z'(gamma)| below this trips re-verification
@@ -57,6 +60,8 @@ NARROW_CHUNK = 4096           # brackets narrowed at once, to bound the working 
 # A scan may end this far above T_MAX, so that every T <= T_MAX lies
 # strictly inside its ordinate range (the zero above 1e5 closes the gap).
 SCAN_MARGIN = 5.0
+EXPORT_CHUNK = 4096           # zeros formatted and written at a time
+_NON_SEPARATORS = bytes(range(33, 256))
 
 
 @dataclass(frozen=True, eq=False)
@@ -434,65 +439,119 @@ def snap_to_midgap(zlist: ZeroList, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def export_zeros(zlist: ZeroList, path) -> None:
-    """Write the v1 text format: magic + t_max comments, then per zero
-    "ordinate z_prime zeta_prime_re zeta_prime_im" at 17 significant digits."""
-    rows = zip(zlist.ordinates.tolist(), zlist.z_primes.tolist(), zlist.zeta_primes.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{ZEROS_MAGIC}\n")
-        fh.write(f"# t_max {zlist.t_max!r}\n")
-        fh.write(f"# certified {'true' if zlist.certified else 'false'}\n")
-        for g, zp, c in rows:
-            fh.write(f"{g!r} {zp!r} {c.real!r} {c.imag!r}\n")
+    """Write the v2 text format: the header lines
+
+        # zml-zeros v2
+        # t_max <repr>
+        # certified true|false
+        # crc32 <8 lowercase hex digits>
+
+    then "<ordinate> <Z'(gamma)>\n" per zero, each float as its repr, which
+    reads back to the same bits.  The CRC is zlib.crc32 of the data lines.
+    Lines are formatted EXPORT_CHUNK at a time, and the CRC, known only at
+    the end, is written over a placeholder of the same width."""
+    head = (f"{ZEROS_MAGIC}\n# t_max {zlist.t_max!r}\n"
+            f"# certified {'true' if zlist.certified else 'false'}\n").encode()
+    crc = 0
+    with open(path, "wb") as fh:
+        fh.write(head + b"# crc32 00000000\n")
+        for lo in range(0, len(zlist), EXPORT_CHUNK):
+            rows = zip(zlist.ordinates[lo: lo + EXPORT_CHUNK].tolist(),
+                       zlist.z_primes[lo: lo + EXPORT_CHUNK].tolist())
+            chunk = "".join([f"{g!r} {zp!r}\n" for g, zp in rows]).encode()
+            crc = zlib.crc32(chunk, crc)
+            fh.write(chunk)
+        fh.seek(len(head))
+        fh.write(f"# crc32 {crc:08x}\n".encode())
+
+
+def _data_rows(body: bytes):
+    """The (n, 2) array of the data lines in body, or None unless every
+    line is two non-empty fields separated by one space and ended by a
+    newline, and each field reads as one number.
+
+    Every byte <= 0x20 (space, newline and the other control bytes)
+    separates fields, so in order the separators must read " \n" once per
+    line, with none first, none after the last newline and no two side by
+    side; np.fromstring then reads all 2n numbers in one call.
+    """
+    seps = body.translate(None, _NON_SEPARATORS)
+    n = len(seps) // 2
+    if (seps != b" \n" * n or body[-1:] not in (b"", b"\n") or body[:1] == b" "
+            or b" \n" in body or b"\n " in body):
+        return None
+    try:
+        values = np.fromstring(body, sep=" ")
+    except ValueError:
+        return None
+    return values.reshape(n, 2) if values.size == 2 * n else None
+
+
+def _bad_line(path, body: bytes) -> ParseError:
+    """The ParseError naming the first data line (line 5 on) that
+    _data_rows rejects, or else the last line, which lacks its newline."""
+    lines = body.split(b"\n")
+    i = next((i for i, line in enumerate(lines[:-1]) if _data_rows(line + b"\n") is None),
+             len(lines) - 1)
+    line, where = lines[i], f"{path}:{i + 5}"
+    fields = line.split()
+    if len(fields) != 2:
+        return ParseError(f"{where}: expected 2 columns, got {len(fields)}")
+    if line != b" ".join(fields):
+        return ParseError(f"{where}: columns not separated by one space")
+    if _data_rows(line + b"\n") is None:
+        return ParseError(f"{where}: non-numeric field")
+    return ParseError(f"{where}: no newline at the end of the file")
+
+
+def _header_value(path, lineno: int, line: bytes, key: str) -> str:
+    prefix = f"# {key} ".encode()
+    if not (line.startswith(prefix) and line.endswith(b"\n")):
+        raise ParseError(f"{path}:{lineno}: missing '# {key}' header")
+    return line[len(prefix): -1].decode("ascii", errors="replace")
 
 
 def import_zeros(path) -> ZeroList:
-    """Read the v1 format.
+    """Read the v2 format (see export_zeros).
 
-    The first line must be the magic, the '# t_max' and '# certified'
-    (true or false) headers are required, and every data line has 4
-    columns.  The zeta' columns are parsed but not kept, since zeta' is
-    derived from the ordinate and Z'.  Non-ascending or duplicated
-    ordinates and non-finite values fail validation; malformed lines
-    report their line number.
+    The file is read once.  The four header lines must come first, in
+    order, with t_max the repr of a float, certified true or false and the
+    CRC 8 lowercase hex digits.  All data lines are parsed by one numpy
+    call; only when that fails are they scanned one by one, and the
+    ParseError names the first bad line.  The values then go through
+    ZeroList's checks (finite, strictly ascending, gaps wider than the
+    enclosures), and the CRC of the data bytes is compared last, so that a
+    damaged file keeps the message of the first check it fails and an edit
+    that passes all of them is still rejected.
     """
-    ordinates, z_primes = [], []
-    t_max = certified = None
-    # undecodable bytes become U+FFFD, which no float() accepts, so a
-    # damaged data line fails as a ParseError with its line number
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        if fh.readline().strip() != ZEROS_MAGIC:
-            raise ParseError(f"{path}:1: expected '{ZEROS_MAGIC}'")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].split()
-                if parts[:1] == ["t_max"] and len(parts) == 2:
-                    try:
-                        t_max = float(parts[1])
-                    except ValueError as exc:
-                        raise ParseError(f"{path}:{lineno}: bad t_max") from exc
-                elif parts[:1] == ["certified"] and len(parts) == 2:
-                    if parts[1] not in ("true", "false"):
-                        raise ParseError(f"{path}:{lineno}: '# certified' must be true or false")
-                    certified = parts[1] == "true"
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(f"{path}:{lineno}: expected 4 columns, got {len(fields)}")
-            try:
-                vals = [float(f) for f in fields]
-            except ValueError as exc:
-                raise ParseError(f"{path}:{lineno}: non-numeric field") from exc
-            ordinates.append(vals[0])
-            z_primes.append(vals[1])
-    for key, value in (("t_max", t_max), ("certified", certified)):
-        if value is None:
-            raise ParseError(f"{path}: missing '# {key}' header")
+    with open(path, "rb") as fh:
+        head = [fh.readline() for _ in range(4)]
+        body = fh.read()
+    if head[0] != f"{ZEROS_MAGIC}\n".encode():
+        raise ParseError(f"{path}:1: expected '{ZEROS_MAGIC}'")
+    text = _header_value(path, 2, head[1], "t_max")
     try:
-        return ZeroList(ordinates=ordinates,
-                        ordinate_errs=np.full(len(ordinates), ORDINATE_ERR_BOUND),
-                        z_primes=z_primes, t_max=t_max, certified=certified)
+        t_max = float(text)
+        exact = repr(t_max) == text
+    except ValueError:
+        exact = False
+    if not exact:
+        raise ParseError(f"{path}:2: bad t_max")
+    certified = _header_value(path, 3, head[2], "certified")
+    if certified not in ("true", "false"):
+        raise ParseError(f"{path}:3: '# certified' must be true or false")
+    crc = _header_value(path, 4, head[3], "crc32")
+    if not re.fullmatch("[0-9a-f]{8}", crc):
+        raise ParseError(f"{path}:4: '# crc32' must be 8 lowercase hex digits")
+    rows = _data_rows(body)
+    if rows is None:
+        raise _bad_line(path, body)
+    try:
+        zlist = ZeroList(ordinates=rows[:, 0],
+                         ordinate_errs=np.full(len(rows), ORDINATE_ERR_BOUND),
+                         z_primes=rows[:, 1], t_max=t_max, certified=certified == "true")
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    if zlib.crc32(body) != int(crc, 16):
+        raise ValidationError(f"{path}: crc32 mismatch")
+    return zlist

@@ -23,15 +23,21 @@ def sieve_1e7():
 
 def _damaged_sieve(good: bytes, damage: str) -> bytes:
     """The bytes of the sieve cache `good` damaged one way."""
-    head = len(sieve.SIEVE_MAGIC) + 16
-    limit, count = struct.unpack("<QQ", good[len(sieve.SIEVE_MAGIC): head])
+    head = len(sieve.SIEVE_MAGIC) + sieve.SIEVE_HEADER.size
+    limit, count, crc = sieve.SIEVE_HEADER.unpack(good[len(sieve.SIEVE_MAGIC): head])
     if damage == "v1 file":
         table = sieve.build_sieve(limit)
         lam = [sieve.mangoldt(table, n) for n in range(1, limit + 1)]
         return (b"ZML-SIEVE1" + struct.pack("<Q", limit) + table.mobius[1:].tobytes()
                 + np.array(lam, dtype="<f8").tobytes())
+    if damage == "v2 file":
+        return b"ZML-SIEVE2" + struct.pack("<QQ", limit, count) + good[head:]
     if damage == "count header":
-        return good[: head - 8] + struct.pack("<Q", count - 1) + good[head:]
+        return good[: head - 12] + struct.pack("<Q", count - 1) + good[head - 4:]
+    if damage == "mu(6) -1":
+        mobius = bytearray(good[head: head + limit])
+        mobius[6 - 1] = 0xFF
+        return good[:head] + bytes(mobius) + good[head + limit:]
     primes = np.frombuffer(good, "<u4", offset=head + limit).copy()
     if damage == "composite prime":
         primes[primes == 541] = 529                 # 23^2, mu = 0
@@ -40,6 +46,10 @@ def _damaged_sieve(good: bytes, damage: str) -> bytes:
     elif damage == "swapped primes":
         at_97, at_101 = primes == 97, primes == 101
         primes[at_97], primes[at_101] = 101, 97
+    elif damage == "97 deleted, count lowered":
+        primes = primes[primes != 97]
+        header = sieve.SIEVE_HEADER.pack(limit, count - 1, crc)
+        return sieve.SIEVE_MAGIC + header + good[head: head + limit] + primes.tobytes()
     else:
         return {"truncated": good[: len(good) // 2], "extra bytes": good + bytes(1),
                 "wrong magic": b"ZML-SIEVE0" + good[10:],
@@ -51,9 +61,11 @@ def _damaged_sieve(good: bytes, damage: str) -> bytes:
 def damaged_sieve():
     """f(good, damage): a valid sieve cache's bytes damaged one way:
     truncated, extra bytes, wrong magic, short header, v1 file (the
-    former ZML-SIEVE1 layout with a dense f64 Lambda column), count header
-    (one less than stored), composite prime, composite prime, mu -1,
-    swapped primes."""
+    former ZML-SIEVE1 layout with a dense f64 Lambda column), v2 file (the
+    former ZML-SIEVE2 layout, without the CRC), count header (one less than
+    stored), composite prime, composite prime, mu -1, swapped primes, and
+    two that only the CRC catches: mu(6) -1 (mu(6) = 1 overwritten) and
+    97 deleted, count lowered."""
     return _damaged_sieve
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from zml import cli, moments, sieve, zeros
-from zml.errors import ValidationError
+from zml.errors import InputError, ValidationError
 
 import oracle_values as ov
 
@@ -33,7 +33,7 @@ class TestZerosCommand:
         assert "certified=True" in out
         caches = list((tmp_path / "cache").glob("zeros_t120_*.txt"))
         assert len(caches) == 1
-        assert caches[0].read_text().startswith("# zml-zeros v1")
+        assert caches[0].read_text().startswith("# zml-zeros v2\n")
 
     def test_warm_cache_reuses_file(self, tmp_path, capsys):
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
@@ -46,21 +46,25 @@ class TestZerosCommand:
 
     @pytest.mark.parametrize("damage", [
         "truncated line", "truncated to one column", "non-numeric field",
-        "non-ascending ordinates", "undecodable bytes", "cut at a line boundary"])
+        "non-ascending ordinates", "undecodable bytes", "cut at a line boundary",
+        "one ordinate digit changed"])
     def test_damaged_zero_cache_rescanned(self, tmp_path, capsys, damage):
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
         good = path.read_bytes()
         lines = good.split(b"\n")
         row = lines[10]
-        third = row.index(b" ", row.index(b" ") + 1) + 1   # start of column 3
+        second = row.index(b" ") + 1                       # start of column 2
         lines[10] = {
-            "truncated line": row[:third + 3],
+            "truncated line": row[:second + 3],
             "truncated to one column": row[:5],
-            "non-numeric field": row[:third] + b"x" + row[third + 1:],
+            "non-numeric field": row[:second] + b"x" + row[second + 1:],
             "non-ascending ordinates": lines[9],
-            "undecodable bytes": row[:third] + b"\xff\xfe" + row[third + 2:],
+            "undecodable bytes": row[:second] + b"\xff\xfe" + row[second + 2:],
             "cut at a line boundary": row,
+            # still ascending: the neighbours differ in the integer part
+            "one ordinate digit changed": row[:4] + (b"1" if row[4:5] != b"1" else b"2")
+            + row[5:],
         }[damage]
         if damage == "cut at a line boundary":
             bad = b"\n".join(lines[:11]) + b"\n"
@@ -68,9 +72,10 @@ class TestZerosCommand:
             cut = damage.startswith("truncated")
             bad = b"\n".join(lines[:11] if cut else lines)
         path.write_bytes(bad)
-        if damage == "cut at a line boundary":
-            # it parses as a shorter v1 list, headers intact
-            assert len(zeros.import_zeros(path)) == 8
+        if damage in ("cut at a line boundary", "one ordinate digit changed"):
+            # it parses as a valid list, headers intact: the CRC rejects it
+            with pytest.raises(ValidationError, match="crc32 mismatch"):
+                zeros.import_zeros(path)
         capsys.readouterr()
         # report does not scan: it names the damaged file and leaves it
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
@@ -87,15 +92,15 @@ class TestZerosCommand:
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
         good = path.read_bytes()
         lines = good.split(b"\n")
-        ordinate, z_prime, rest = lines[10].split(b" ", 2)
+        ordinate, z_prime = lines[10].split(b" ")
         if damage == "nan t_max":
             lines[1] = b"# t_max nan"
         else:
             lines[10] = {
-                "nan ordinate": b" ".join([b"nan", z_prime, rest]),
-                "inf ordinate": b" ".join([b"inf", z_prime, rest]),
-                "nan z_prime": b" ".join([ordinate, b"nan", rest]),
-                "inf z_prime": b" ".join([ordinate, b"-inf", rest]),
+                "nan ordinate": b" ".join([b"nan", z_prime]),
+                "inf ordinate": b" ".join([b"inf", z_prime]),
+                "nan z_prime": b" ".join([ordinate, b"nan"]),
+                "inf z_prime": b" ".join([ordinate, b"-inf"]),
             }[damage]
         bad = b"\n".join(lines)
         path.write_bytes(bad)
@@ -110,19 +115,21 @@ class TestZerosCommand:
             path.write_bytes(bad)
 
     @pytest.mark.parametrize("header,edit", [
-        (b"# certified true", b""), (b"# t_max 125.0", b""), (b"# zml-zeros v1", b""),
-        (b"# certified true", b"# certified false\n")],
-        ids=["# certified true", "# t_max 125.0", "# zml-zeros v1",
-             "# certified true -> false"])
+        (b"# certified true", b""), (b"# t_max 125.0", b""), (b"# zml-zeros v2", b""),
+        (b"# certified true", b"# certified false\n"), (b"# crc32 ", b"")],
+        ids=["# certified true", "# t_max 125.0", "# zml-zeros v2",
+             "# certified true -> false", "# crc32"])
     def test_missing_header_rescanned(self, tmp_path, capsys, header, edit):
         # a stored list without its certified flag, or flagged uncertified,
         # is damaged: loaded as it is, report would ask for a rescan that
-        # no step makes
+        # no step makes.  `header` starts the header line that `edit` replaces.
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
         good = path.read_bytes()
-        assert header + b"\n" in good
-        bad = good.replace(header + b"\n", edit, 1)
+        start = good.index(header)
+        end = good.index(b"\n", start) + 1
+        assert good[:start].count(b"\n") < 4          # one of the header lines
+        bad = good[:start] + edit + good[end:]
         path.write_bytes(bad)
         capsys.readouterr()
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
@@ -298,7 +305,8 @@ class TestLandauCommand:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "extra bytes", "wrong magic", "v1 file", "count header",
-        "composite prime", "composite prime, mu -1", "swapped primes"])
+        "composite prime", "composite prime, mu -1", "swapped primes", "v2 file",
+        "mu(6) -1", "97 deleted, count lowered"])
     def test_damaged_sieve_cache_rebuilt(self, tmp_path, damaged_sieve, damage):
         args = ("landau", "--t-max", "200", "--x", "2,4,6", "--sieve-limit", "5000")
         fresh = tmp_path / "fresh"
@@ -548,7 +556,8 @@ class TestConfig:
     @pytest.mark.parametrize("command, flag, value", [
         ("landau", "--x", "2,0.5"), ("landau", "--x", "1"), ("report", "--x", "3,-2"),
         ("moments", "--sieve-limit", "1"), ("landau", "--sieve-limit", "-5"),
-        ("moments", "--sieve-limit", str(sieve.MEMORY_CAP + 1))])
+        ("moments", "--sieve-limit", str(sieve.MEMORY_CAP + 1)),
+        ("landau", "--x", "2000000"), ("landau", "--x", "1e300")])
     def test_bad_x_or_sieve_limit_rejected_before_any_work(self, tmp_path, capsys,
                                                             command, flag, value):
         assert run_cli(tmp_path, command, "--t-max", "3000", flag, value) == 1
@@ -556,8 +565,27 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("x, message", [
+        ("2000000", "x = 2e+06 lies above sieve_limit = 100000"),
+        ("1e300", "x = 1e+300 lies above sieve_limit = 100000"),
+        ("100001.0000000001", "x = 100001 lies above sieve_limit = 100000")])
+    def test_x_above_sieve_limit_named(self, tmp_path, capsys, x, message):
+        # rejected as sieve.mangoldt would reject it, before the zero scan
+        args = ("landau", "--t-max", "3000", "--sieve-limit", "100000", "--x", x)
+        assert run_cli(tmp_path, *args) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.rglob("*")) == []
+
+    def test_x_off_the_integers_accepted(self):
+        # mangoldt gives 0 away from the integers, at any height
+        assert cli.RunConfig(x_values=(2000000.5,)).x_values == (2000000.5,)
+        assert cli.RunConfig(sieve_limit=100, x_values=(100.0,)).sieve_limit == 100
+        with pytest.raises(InputError, match="x = 3 lies above sieve_limit = 2"):
+            cli.RunConfig(sieve_limit=2)
+
     def test_sieve_limit_range_ends_accepted(self):
-        assert cli.RunConfig(sieve_limit=2).sieve_limit == 2
+        # the default x values reach 6, so limit 2 needs x = 2 alone
+        assert cli.RunConfig(sieve_limit=2, x_values=(2.0,)).sieve_limit == 2
         assert cli.RunConfig(sieve_limit=sieve.MEMORY_CAP).sieve_limit == sieve.MEMORY_CAP
 
     def test_rs_order_flag_removed(self, capsys):

@@ -182,8 +182,8 @@ def test_determinism(sieve_10k):
 def test_cache_roundtrip(tmp_path, sieve_10k):
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
-    # magic, limit and prime count, one byte of mu per n, four per prime
-    assert path.stat().st_size == 10 + 16 + 10**4 + 4 * 1229
+    # magic, limit, prime count and CRC, one byte of mu per n, four per prime
+    assert path.stat().st_size == 10 + 20 + 10**4 + 4 * 1229
     loaded = sieve.load_sieve(path, 10**4)
     assert np.array_equal(loaded.mobius, sieve_10k.mobius)
     assert loaded.primes.dtype == np.int64
@@ -354,14 +354,17 @@ def test_load_rejects_wrong_size(tmp_path, sieve_10k, damaged_sieve, damage):
         sieve.load_sieve(path, 10**4)
 
 
-@pytest.mark.parametrize("damage", ["v1 file", "composite prime",
-                                    "composite prime, mu -1", "swapped primes"])
+@pytest.mark.parametrize("damage", ["v1 file", "v2 file", "composite prime",
+                                    "composite prime, mu -1", "swapped primes",
+                                    "mu(6) -1", "97 deleted, count lowered"])
 def test_load_rejects_damaged_primes(tmp_path, sieve_10k, damaged_sieve, damage):
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
     good = path.read_bytes()
     bad = damaged_sieve(good, damage)
-    assert len(bad) == len(good) or damage == "v1 file"
+    assert len(bad) == len(good) or damage in ("v1 file", "v2 file", "97 deleted, count lowered")
     path.write_bytes(bad)
-    with pytest.raises(ValidationError, match="magic" if damage == "v1 file" else "prime list"):
+    match = {"v1 file": "magic", "v2 file": "magic", "mu(6) -1": "crc32 mismatch",
+             "97 deleted, count lowered": "crc32 mismatch"}.get(damage, "prime list")
+    with pytest.raises(ValidationError, match=match):
         sieve.load_sieve(path, 10**4)

@@ -1,28 +1,48 @@
 """The benchmark's tracer finds zml functions by name.  A name it cannot
 resolve is skipped at run time and its per-layer metric reads 0, so every
-name must resolve here.  The README's flag list is checked against the
-parser the same way, and its file formats against the magics the code
-writes."""
+name must resolve here.  The benchmark's digest reads the zero cache on its
+own, so it is checked against the zero-list file the code writes.  The
+README's flag list is checked against the parser the same way, and its
+file formats against the magics the code writes."""
 import argparse
 import importlib.util
+import math
 import re
 from pathlib import Path
 
+import numpy as np
+
 from zml import cli, dirichlet, moments, sieve, zeros, zeta
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _perfbench_module("tracer")
     modules = {"cli": cli, "dirichlet": dirichlet, "moments": moments,
                "sieve": sieve, "zeros": zeros, "zeta": zeta}
     assert tracer.WRAPPED
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in tracer.WRAPPED
                if not callable(getattr(modules[mod], attr, None))]
     assert missing == []
+
+
+def test_digest_reads_the_zero_cache(tmp_path, zeros_110):
+    digest = _perfbench_module("digest")
+    zeros.export_zeros(zeros_110, tmp_path / "zeros_t100_0123456789.txt")
+    assert digest.zero_cache(tmp_path, 100.0) == {
+        "count": zeros_110.count_below(100.0), "records": len(zeros_110),
+        "certified": zeros_110.certified,
+        "ordinate_fsum": math.fsum(zeros_110.ordinates.tolist()),
+        "abs_zprime_fsum": math.fsum(np.abs(zeros_110.z_primes).tolist()),
+    }
 
 
 def test_readme_shared_flags_match_parser():

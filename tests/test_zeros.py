@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import re
+import zlib
 
 import numpy as np
 import pytest
@@ -279,7 +280,12 @@ class TestMidgap:
             zeros.snap_to_midgap(zeros_110, 1e4)
 
 
-V1_HEADER = "# zml-zeros v1\n# t_max 50.0\n# certified false\n"
+def _v2(body, t_max="50.0", certified="false"):
+    """A v2 zero file: the header lines, with the CRC of body, then body."""
+    data = body.encode() if isinstance(body, str) else body
+    head = (f"# zml-zeros v2\n# t_max {t_max}\n# certified {certified}\n"
+            f"# crc32 {zlib.crc32(data):08x}\n")
+    return head.encode() + data
 
 
 class TestPersistence:
@@ -298,50 +304,84 @@ class TestPersistence:
         zeros.export_zeros(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_export_layout(self, tmp_path, zeros_110, monkeypatch):
+        # chunked writing gives the same bytes as one pass over all zeros
+        monkeypatch.setattr(zeros, "EXPORT_CHUNK", 7)
+        path = tmp_path / "z.txt"
+        zeros.export_zeros(zeros_110, path)
+        body = "".join(f"{g!r} {zp!r}\n" for g, zp in
+                       zip(zeros_110.ordinates.tolist(), zeros_110.z_primes.tolist()))
+        assert len(zeros_110) > 7
+        assert path.read_bytes() == _v2(body, t_max="110.0", certified="true")
+
+    def test_empty_list_roundtrip(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        zeros.export_zeros(zeros.ZeroList([], [], [], t_max=12.0, certified=True), path)
+        assert path.read_bytes() == _v2("", t_max="12.0", certified="true")
+        loaded = zeros.import_zeros(path)
+        assert len(loaded) == 0 and loaded.t_max == 12.0 and loaded.certified
+
     def test_duplicate_ordinate_rejected(self, tmp_path):
         path = tmp_path / "dup.txt"
-        path.write_text(V1_HEADER + "14.134725141734694 0.79 0.78 0.12\n" * 2)
+        path.write_bytes(_v2("14.134725141734694 0.79\n" * 2))
         with pytest.raises(ValidationError, match="ascending"):
             zeros.import_zeros(path)
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = tmp_path / "bad.txt"
-        path.write_text(V1_HEADER + "14.1 not-a-float 0 0\n")
-        with pytest.raises(ParseError, match=":4:"):
+        path.write_bytes(_v2("14.1 not-a-float\n"))
+        with pytest.raises(ParseError, match=":5:"):
             zeros.import_zeros(path)
 
     def test_wrong_column_count(self, tmp_path):
         path = tmp_path / "cols.txt"
-        path.write_text(V1_HEADER + "1.0 2.0\n")
+        path.write_bytes(_v2("1.0 2.0 3.0\n"))
         with pytest.raises(ParseError, match="columns"):
             zeros.import_zeros(path)
 
     def test_one_column_line_in_v1_file(self, tmp_path):
         path = tmp_path / "cut.txt"
-        path.write_text(V1_HEADER + "14.1 0.79 0.78 0.12\n21.0\n")
-        with pytest.raises(ParseError, match=":5: expected 4 columns, got 1"):
+        path.write_bytes(_v2("14.1 0.79\n21.0\n"))
+        with pytest.raises(ParseError, match=":6: expected 2 columns, got 1"):
+            zeros.import_zeros(path)
+
+    @pytest.mark.parametrize("body, match", [
+        ("14.1 0.79\n\n21.0 -1.1\n", ":6: expected 2 columns, got 0"),
+        ("14.1  0.79\n", ":5: columns not separated by one space"),
+        ("14.1\t0.79\n", ":5: columns not separated by one space"),
+        ("14.1 0.79\r\n", ":5: columns not separated by one space"),
+        (" 14.1 0.79\n", ":5: columns not separated by one space"),
+        ("14.1 0.79\x00\n", ":5: non-numeric field"),
+        ("14.1 1_0\n", ":5: non-numeric field"),
+        ("14.1 0.7-9\n", ":5: non-numeric field"),
+        ("14.1 0.79\n21.0 -1.1", ":6: no newline at the end of the file"),
+    ], ids=["blank line", "two spaces", "tab", "CRLF", "leading space", "NUL byte",
+            "underscore", "two numbers in a field", "no final newline"])
+    def test_data_line_layout_enforced(self, tmp_path, body, match):
+        path = tmp_path / "layout.txt"
+        path.write_bytes(_v2(body))
+        with pytest.raises(ParseError, match=re.escape(match)):
             zeros.import_zeros(path)
 
     def test_nan_line_in_bare_table(self, tmp_path):
         # every comparison with NaN is False, so the ordering checks alone
         # would pass this as a 3-zero list
         path = tmp_path / "nan.txt"
-        path.write_text(V1_HEADER + "14.134725141734694 0.79 0.78 0.12\n"
-                        "nan 1.0 1.0 0.0\n21.022039638771555 -1.1 1.1 -0.2\n")
+        path.write_bytes(_v2("14.134725141734694 0.79\nnan 1.0\n21.022039638771555 -1.1\n"))
         with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + ".*must be finite"):
             zeros.import_zeros(path)
 
     def test_undecodable_bytes_report_line(self, tmp_path):
         path = tmp_path / "binary.txt"
-        path.write_bytes(V1_HEADER.encode() + b"14.1 0.79 \xff\xfe 0.12\n")
-        with pytest.raises(ParseError, match=":4: non-numeric"):
+        path.write_bytes(_v2(b"14.1 \xff\xfe0.79\n"))
+        with pytest.raises(ParseError, match=":5: non-numeric"):
             zeros.import_zeros(path)
 
-    def test_stored_zeta_prime_columns_reexport(self, tmp_path):
-        # v1 lines written by the scanner, from 14 up to 1e4: deriving zeta'
-        # from the ordinate and Z' gives back the stored columns bit for bit
+    def test_stored_zeta_prime_columns_reexport(self):
+        # v1 lines written by the scanner, from 14 up to 1e4: ordinate, Z',
+        # and the real and imaginary parts of zeta'(rho).  Deriving zeta'
+        # from the first two columns gives back the other two bit for bit
         text = (
-            "# zml-zeros v1\n# t_max 10005.0\n# certified true\n"
             "14.134725141762164 0.7931604333879384 0.7832965118994606 0.12469982974439238\n"
             "21.02203963878989 -1.136839106836845 1.1092955634685726 -0.2487297885307216\n"
             "25.010857580131216 1.3717212872242763 1.295795605012032 0.4500367094534925\n"
@@ -351,35 +391,67 @@ class TestPersistence:
             "10004.047053828166 -4.767640191900661 3.728798494463243 -2.9709350021693886\n"
             "10004.679404166069 3.4230389141077717 3.390634546121941 0.4698859246035908\n"
         )
-        src, dst = tmp_path / "src.txt", tmp_path / "dst.txt"
-        src.write_text(text)
-        zeros.export_zeros(zeros.import_zeros(src), dst)
-        assert dst.read_text() == text
+        cols = [[float(f) for f in line.split()] for line in text.splitlines()]
+        ords, z_primes, re_parts, im_parts = (np.array(c) for c in zip(*cols))
+        zl = zeros.ZeroList(ords, np.full(len(ords), zeros.ORDINATE_ERR_BOUND), z_primes,
+                            t_max=10005.0, certified=True)
+        assert np.array_equal(zl.zeta_primes.real, re_parts)
+        assert np.array_equal(zl.zeta_primes.imag, im_parts)
 
     def test_missing_t_max(self, tmp_path):
         path = tmp_path / "nometa.txt"
-        path.write_text("# zml-zeros v1\n# certified true\n14.1 0.79 0.78 0.12\n")
+        path.write_bytes(b"# zml-zeros v2\n# certified true\n# crc32 00000000\n14.1 0.79\n")
         with pytest.raises(ParseError, match="t_max"):
             zeros.import_zeros(path)
 
     def test_comment_lines_skipped(self, tmp_path):
+        # a comment among the data lines is not skipped: it fails with its
+        # line number
         path = tmp_path / "notes.txt"
-        path.write_text(V1_HEADER + "#\n# a note\n14.1 0.79 0.78 0.12\n")
-        assert zeros.import_zeros(path).ordinates.tolist() == [14.1]
+        path.write_bytes(_v2("#\n# a note\n14.1 0.79\n"))
+        with pytest.raises(ParseError, match=":5: expected 2 columns, got 1"):
+            zeros.import_zeros(path)
+
+    def test_changed_digit_fails_the_crc(self, tmp_path, zeros_110):
+        # one ordinate digit changed, still ascending: only the CRC sees it
+        path = tmp_path / "z.txt"
+        zeros.export_zeros(zeros_110, path)
+        good = path.read_bytes()
+        lines = good.split(b"\n")
+        row = lines[9]
+        assert row[5:6] != b"9"
+        lines[9] = row[:5] + b"9" + row[6:]
+        bad = b"\n".join(lines)
+        path.write_bytes(bad)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: crc32 mismatch")):
+            zeros.import_zeros(path)
+        # the edit leaves a valid list: with its CRC restored it loads
+        head, body = bad.split(b"# crc32 ")[0], bad.split(b"\n", 4)[4]
+        path.write_bytes(head + f"# crc32 {zlib.crc32(body):08x}\n".encode() + body)
+        loaded = zeros.import_zeros(path)
+        changed = loaded.ordinates != zeros_110.ordinates
+        assert changed.sum() == 1 and changed[5]
 
     @pytest.mark.parametrize("header, match", [
-        ("# t_max 50.0\n# certified true\n", ":1: expected '# zml-zeros v1'"),
-        ("# t_max 50.0\n# zml-zeros v1\n# certified true\n", ":1: expected"),
-        ("# zml-zeros v1\n# certified true\n", "missing '# t_max' header"),
-        ("# zml-zeros v1\n# t_max 50.0\n", "missing '# certified' header"),
-        ("# zml-zeros v1\n# t_max 50.0\n# certified yes\n", ":3: '# certified' must be"),
-        ("# zml-zeros v1\n# t_max fifty\n# certified true\n", ":2: bad t_max"),
+        ("# t_max 50.0\n# certified true\n", ":1: expected '# zml-zeros v2'"),
+        ("# t_max 50.0\n# zml-zeros v2\n# certified true\n", ":1: expected"),
+        ("# zml-zeros v2\n# certified true\n", "missing '# t_max' header"),
+        ("# zml-zeros v2\n# t_max 50.0\n", "missing '# certified' header"),
+        ("# zml-zeros v2\n# t_max 50.0\n# certified yes\n", ":3: '# certified' must be"),
+        ("# zml-zeros v2\n# t_max fifty\n# certified true\n", ":2: bad t_max"),
+        ("# zml-zeros v2\n# t_max 50.0\n# certified true\n", ":4: missing '# crc32' header"),
+        ("# zml-zeros v2\n# t_max 50.0\n# certified true\n# crc32 0000000g\n",
+         ":4: '# crc32' must be 8 lowercase hex digits"),
+        ("# zml-zeros v2\n# t_max 50.0\n# certified true\n# crc32 00000000\n",
+         "crc32 mismatch"),
+        ("# zml-zeros v1\n# t_max 50.0\n# certified true\n", ":1: expected '# zml-zeros v2'"),
     ], ids=["no magic", "magic not first", "no t_max", "no certified", "certified yes",
-            "bad t_max"])
+            "bad t_max", "no crc32", "crc32 not hex", "wrong crc32", "v1 file"])
     def test_required_headers(self, tmp_path, header, match):
         path = tmp_path / "headers.txt"
-        path.write_text(header + "14.1 0.79 0.78 0.12\n")
-        with pytest.raises(ParseError, match=re.escape(match)):
+        path.write_text(header + "14.1 0.79\n")
+        error = ValidationError if "mismatch" in match else ParseError
+        with pytest.raises(error, match=re.escape(match)):
             zeros.import_zeros(path)
 
 
