@@ -10,7 +10,8 @@ the number of Z evaluations each step made go to a JSON file, one entry
 per step, with the number of threads that sum the Riemann-Siegel main sum
 (zeta.Z_THREADS), so that timings from different machines can be
 compared; PATH may not lie inside --out-dir, whose files are compared byte
-for byte between runs.
+for byte between runs, nor be a directory or lie below a file: those exit
+1 before any step.
 
 Usage: python scripts/reproduce_all.py [--t-max 10000] [--out-dir zml-out]
                                       [--stats PATH]
@@ -23,7 +24,13 @@ import time
 from pathlib import Path
 
 from zml import zeta
-from zml.cli import main as zml_main
+from zml.cli import check_dir, main as zml_main
+from zml.errors import ZmlError
+
+
+def fail(message):
+    print(f"error: {message}", file=sys.stderr)
+    sys.exit(1)
 
 
 def main():
@@ -40,9 +47,13 @@ def main():
     if args.stats:
         stats_path, out_dir = Path(args.stats).resolve(), Path(args.out_dir).resolve()
         if out_dir == stats_path or out_dir in stats_path.parents:
-            print(f"error: --stats {args.stats} lies inside --out-dir {args.out_dir}",
-                  file=sys.stderr)
-            sys.exit(1)
+            fail(f"--stats {args.stats} lies inside --out-dir {args.out_dir}")
+        if stats_path.is_dir():
+            fail(f"--stats {args.stats} is a directory")
+        try:
+            check_dir(Path(args.stats).parent, f"--stats {args.stats}")
+        except ZmlError as exc:
+            fail(str(exc))
 
     common = [
         "--t-max", args.t_max,

@@ -75,6 +75,17 @@ class RunConfig:
             raise InputError("seed must be >= 0")
 
 
+def check_dir(path: Path, name: str) -> None:
+    """Raise InputError, naming `name`, unless `path` is a directory or can
+    be made one: the nearest of it and its parents that exists must be a
+    directory."""
+    for p in (path, *path.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise InputError(f"{name}: {p} is not a directory")
+            return
+
+
 def _atomic_replace(path: Path, write) -> None:
     """Build `path` by write(tmp) on a unique temp file in the same directory,
     then rename it into place; on any failure the temp file is removed and
@@ -532,6 +543,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
+        check_dir(cfg.cache_dir, f"cache dir {cfg.cache_dir}")
+        check_dir(cfg.out_dir, f"--out-dir {cfg.out_dir}")
         handler = {
             "zeros": cmd_zeros,
             "moments": cmd_moments,

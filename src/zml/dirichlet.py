@@ -48,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BudgetError, InputError
-from .sieve import SieveTable, build_sieve
+from .sieve import SieveTable, _exact_parts, build_sieve
 
 PAIR_BUDGET = 10**8
 TAPER_DEGREE_CAP = 8
@@ -389,17 +389,15 @@ class MeanValueReport:
     ratio: float
 
 
-def _diagonal(A: DirichletPoly, B: DirichletPoly) -> complex:
-    """sum_{n <= min(len A, len B)} a_n b_n, exactly rounded."""
-    n_diag = min(A.length, B.length)
-    prod = A.coeffs[:n_diag] * B.coeffs[:n_diag]
-    return complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
-
-
-def _weighted_norm2(A: DirichletPoly) -> float:
-    """sum n |a_n|^2, exactly rounded."""
-    ns = np.arange(1, A.length + 1, dtype=float)
-    return math.fsum((ns * np.abs(A.coeffs) ** 2).tolist())
+def _row_fsums(x: np.ndarray) -> list:
+    """math.fsum of each row of the 2-d array x, bit for bit: one
+    math.fsum per row over the exact parts of the columns of x.T
+    (_exact_parts), or over the row itself when a term is too large for
+    them."""
+    if not np.all(np.abs(x) < 2.0**960):
+        return [math.fsum(row) for row in x.tolist()]
+    parts = _exact_parts(x.T)
+    return [math.fsum(row) for row in zip(*parts)] if parts else [0.0] * len(x)
 
 
 def _kernel_rows(logs: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:
@@ -428,9 +426,10 @@ def _twisted(polys, Ts, logs_ext: np.ndarray) -> tuple:
 
 
 def _pair_parts_many(triples) -> tuple:
-    """(diagonal, off-diagonal) parts of the pair integral for each (A, B, T)
-    of a sequence, as two lists of complex: T sum a_n b_n and
-    -i (u^T R v - a^T R b) (see the module docstring).
+    """(diagonal, off-diagonal, envelope) of the pair integral for each
+    (A, B, T) of a sequence, as three lists: T sum a_n b_n and
+    -i (u^T R v - a^T R b) (see the module docstring), both complex, and
+    sqrt(sum n|a_n|^2) sqrt(sum n|b_n|^2).
 
     The triples go in order in groups of CHUNK_ELEMS // (16 max(len A, len B))
     pairs, at least one, so that a group's arrays hold about CHUNK_ELEMS
@@ -439,31 +438,40 @@ def _pair_parts_many(triples) -> tuple:
     its columns Re v, Im v, Re b and Im b, padded with zeros to the group's
     longest B, meet each block of at most CHUNK_ELEMS entries of R in one
     real matrix product, which gives R v and R b for every pair of the
-    group.  R is built once when one block holds it.  A pair's diagonal,
-    and its off-diagonal sum over the blocks of R, are exactly rounded
-    (math.fsum).  Each pair is capped at PAIR_BUDGET coefficient pairs.
+    group.  R is built once when one block holds it.  A pair's off-diagonal
+    sum over the blocks of R is exactly rounded (math.fsum), and so are its
+    diagonal and weighted norms, from the group's zero-padded coefficient
+    rows (_row_fsums; the padding adds zeros).  Each pair is capped at
+    PAIR_BUDGET coefficient pairs.
     """
     triples = list(triples)
     for A, B, _ in triples:
         n_pairs = A.length * B.length
         if n_pairs > PAIR_BUDGET:
             raise BudgetError(f"{n_pairs} coefficient pairs exceed budget {PAIR_BUDGET}")
-    diag = [T * _diagonal(A, B) for A, B, T in triples]
     if not triples:
-        return diag, []
+        return [], [], []
     len_a = max(A.length for A, _, _ in triples)
     len_b = max(B.length for _, B, _ in triples)
     ns = np.arange(1, max(len_a, len_b) + 1)
-    logs, logs_ext = np.log(ns.astype(float)), np.log(ns.astype(np.longdouble))
+    weights = ns.astype(float)
+    logs, logs_ext = np.log(weights), np.log(ns.astype(np.longdouble))
     rows = max(1, CHUNK_ELEMS // len_b)
     whole = _kernel_rows(logs, 0, len_a, len_b) if rows >= len_a else None
     group = max(1, CHUNK_ELEMS // (16 * max(len_a, len_b)))
-    off = []
+    diag, off, env = [], [], []
     for first in range(0, len(triples), group):
         As, Bs, Ts = zip(*triples[first: first + group])
         a, u = _twisted(As, Ts, logs_ext)
         b, v = _twisted(Bs, np.negative(Ts), logs_ext)
         g, width = b.shape
+        n_diag = min(a.shape[1], width)
+        prod = a[:, :n_diag] * b[:, :n_diag]
+        diag += [T * complex(re, im) for T, re, im
+                 in zip(Ts, _row_fsums(prod.real), _row_fsums(prod.imag))]
+        env += [math.sqrt(na) * math.sqrt(nb) for na, nb in zip(
+            _row_fsums(weights[: a.shape[1]] * np.abs(a) ** 2),
+            _row_fsums(weights[:width] * np.abs(b) ** 2))]
         W = np.concatenate([v.real, v.imag, b.real, b.imag])
         parts = []
         for lo in range(0, a.shape[1], rows):
@@ -478,7 +486,7 @@ def _pair_parts_many(triples) -> tuple:
         parts = np.array(parts).T         # off = -i s, summed over the blocks of R
         off += [complex(math.fsum(re), math.fsum(im))
                 for re, im in zip(parts.imag.tolist(), (-parts.real).tolist())]
-    return diag, off
+    return diag, off, env
 
 
 def pair_integral_exact(A: DirichletPoly, B: DirichletPoly, T: float) -> complex:
@@ -487,7 +495,7 @@ def pair_integral_exact(A: DirichletPoly, B: DirichletPoly, T: float) -> complex
     A enters as sum a_n n^(-it), B as sum b_m m^(+it); the sum of the
     diagonal and off-diagonal parts of _pair_parts_many.
     """
-    (diag,), (off,) = _pair_parts_many([(A, B, T)])
+    (diag,), (off,), _ = _pair_parts_many([(A, B, T)])
     return diag + off
 
 
@@ -499,8 +507,7 @@ def mv_reports(triples) -> list:
     so no digits cancel."""
     triples = list(triples)
     reports = []
-    for (A, B, T), main, off in zip(triples, *_pair_parts_many(triples)):
-        env = math.sqrt(_weighted_norm2(A)) * math.sqrt(_weighted_norm2(B))
+    for (_, _, T), main, off, env in zip(triples, *_pair_parts_many(triples)):
         gap = abs(off)
         if env > 0.0:
             ratio = gap / env

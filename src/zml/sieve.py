@@ -210,12 +210,17 @@ class AlphaVector:
         return len(self.values) - 1
 
 
+def _prime_logs(primes: np.ndarray) -> np.ndarray:
+    """math.log of each prime; np.log can differ from it in the last bit."""
+    return np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
+
+
 def _prime_powers(primes: np.ndarray, n_max: int) -> tuple:
     """The prime powers k <= n_max of the ascending primes <= n_max, level
     by level (the primes, then their squares, cubes, ...), and math.log of
     each one's prime.  The primes with p^e <= n_max are a prefix of
     ``primes``."""
-    logs = np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
+    logs = _prime_logs(primes)
     levels = [primes]
     while True:
         m = int(np.count_nonzero(levels[-1] <= n_max // primes[: len(levels[-1])]))
@@ -271,19 +276,60 @@ class AlphaMobiusSum(NamedTuple):
     prediction: float
 
 
-def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
-    """sum_{n<=xi} alpha_n mu(n) / n, with its predicted main term.
+def _alpha_mobius_terms(table: SieveTable, xi: int):
+    """The squarefree n <= xi and their terms -S_n / n (alpha_mobius_sum),
+    as arrays covering SEGMENT integers each.
 
-    Returns the directly-convolved sum together with the companion
-    prediction -(3/pi^2) (log xi)^2 so callers can report the ratio.
+    S_n is built one stretch at a time, holding no array longer than a
+    stretch: one slice per prime p <= sqrt(xi) adds log p to its
+    multiples, in ascending p; then the one prime P > sqrt(xi) of n, if
+    any, comes last.  n = m P with m <= sqrt(xi), and for each m the P
+    with m P in the stretch are a contiguous slice of the primes, so each
+    such n is reached once, with no search per element.
+    """
+    root = math.isqrt(xi)
+    primes = table.primes[: np.searchsorted(table.primes, xi, side="right")]
+    logs = _prime_logs(primes)
+    n_small = int(np.searchsorted(primes, root, side="right"))
+    small = list(zip(primes[:n_small].tolist(), logs[:n_small].tolist()))
+    ms = np.arange(1, root + 1)
+    for a in range(1, xi + 1, SEGMENT):
+        b = min(a + SEGMENT, xi + 1)
+        s = np.zeros(b - a)
+        for p, log_p in small:
+            s[-a % p:: p] += log_p
+        # the primes P > sqrt(xi) with a <= m P < b, for every m at once
+        first = np.maximum(np.searchsorted(primes, -(-a // ms)), n_small)
+        counts = np.maximum(np.searchsorted(primes, (b - 1) // ms, side="right") - first, 0)
+        ends = np.cumsum(counts)
+        idx = np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
+        at = np.repeat(ms, counts) * primes[idx] - a
+        s[at] += logs[idx]
+        ns = np.flatnonzero(table.mobius[a:b])
+        terms = np.subtract(0.0, s[ns])      # alpha_1 mu(1) = +0.0, not -0.0
+        ns += a
+        terms /= ns
+        yield ns, terms
+
+
+def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
+    """sum_{n<=xi} alpha_n mu(n) / n, with its predicted main term
+    -(3/pi^2) (log xi)^2, so callers can report the ratio.
+
+    No alpha vector is built.  Only squarefree n count, and for them
+    l = n/k <= xi always holds and k is a prime p | n, so
+    alpha_coefficients adds Lambda(p) mu(n/p) = -mu(n) log p for the
+    primes p | n in ascending order, starting from 0.0.  Rounding is
+    symmetric under sign, so alpha_n = -mu(n) S_n, with S_n the ascending
+    float sum of math.log(p) over p | n, and alpha_n mu(n) =
+    -mu(n)^2 S_n = -S_n: each term is -S_n / n bit for bit, and
+    _alpha_mobius_terms streams them.  Exact parts (_exact_parts) of every
+    stretch's terms are carried, and the value is one math.fsum over them,
+    as one math.fsum over all terms would give.
     """
     table._check_range(xi, "xi")
-    alpha = alpha_coefficients(table, xi, xi).values
     parts = []
-    for ns in _squarefree(table, 1, xi):
-        terms = alpha[ns]
-        terms *= table.mobius[ns]
-        terms /= ns
+    for _, terms in _alpha_mobius_terms(table, xi):
         parts += _exact_parts(terms)
     value = math.fsum(parts)
     pred = -THREE_OVER_PI2 * math.log(xi) ** 2

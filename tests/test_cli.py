@@ -576,6 +576,32 @@ class TestConfig:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("command, flag, value, name", [
+        ("zeros", "--cache-dir", "F", "cache dir F"),
+        ("zeros", "--cache-dir", "F/c", "cache dir F/c"),
+        ("landau", "--out-dir", "F/o", "--out-dir F/o"),
+        ("report", "--out-dir", "F/o/p", "--out-dir F/o/p")])
+    def test_file_in_a_dir_path_rejected_before_any_work(self, tmp_path, command, flag,
+                                                         value, name):
+        # F is a file: the directory cannot be made, so nothing is scanned
+        (tmp_path / "F").write_text("")
+        dirs = {"--cache-dir": "c", "--out-dir": "o", flag: value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "zml.cli", command, "--t-max", "3000",
+             *itertools.chain(*dirs.items())],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {name}: F is not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+    def test_env_cache_dir_checked(self, tmp_path, monkeypatch, capsys):
+        bad = tmp_path / "F"
+        bad.write_text("")
+        monkeypatch.setenv("ZML_CACHE_DIR", str(bad))
+        assert cli.main(["zeros", "--t-max", "50", "--out-dir", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: cache dir {bad}: {bad} is not a directory\n"
+
     def test_x_off_the_integers_accepted(self):
         # mangoldt gives 0 away from the integers, at any height
         assert cli.RunConfig(x_values=(2000000.5,)).x_values == (2000000.5,)

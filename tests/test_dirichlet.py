@@ -85,6 +85,19 @@ def kernel_pair_integral(a, b, T):
     return (a[:, None] * b[None, :] * kernel).sum()
 
 
+def fsum_diagonal(A, B):
+    """sum_{n <= min(len A, len B)} a_n b_n, one math.fsum per part."""
+    n_diag = min(A.length, B.length)
+    prod = A.coeffs[:n_diag] * B.coeffs[:n_diag]
+    return complex(math.fsum(prod.real.tolist()), math.fsum(prod.imag.tolist()))
+
+
+def fsum_weighted_norm2(A):
+    """sum n |a_n|^2, one math.fsum."""
+    ns = np.arange(1, A.length + 1, dtype=float)
+    return math.fsum((ns * np.abs(A.coeffs) ** 2).tolist())
+
+
 def direct_truncation(poly, gammas):
     """sum a_n n^(-1/2-i gamma) with one exponential per (gamma, n) and
     a_n != 0: the evaluator that the prime fill replaced."""
@@ -462,20 +475,45 @@ class TestPairIntegral:
         # the zero padding of the matrix products: 1.7e-13 relative at T = 0.5,
         # where u^T R v and a^T R b cancel most, and <= 6e-16 elsewhere
         triples = self._mixed_triples()
-        diag, off = dirichlet._pair_parts_many(triples)
+        diag, off, _ = dirichlet._pair_parts_many(triples)
         assert len(diag) == len(off) == len(triples)
         # longest A 79, longest B 86: groups of 3 pairs, blocks of 50 rows of R
         monkeypatch.setattr(dirichlet, "CHUNK_ELEMS", 16 * 3 * 90)
-        small = dirichlet._pair_parts_many(triples)
+        small = dirichlet._pair_parts_many(triples)[:2]
         monkeypatch.undo()
         for (A, B, T), d, o, d2, o2 in zip(triples, diag, off, *small):
             single = dirichlet.pair_integral_exact(A, B, T)
             ref = kernel_pair_integral(A.coeffs, B.coeffs, T)
-            assert d == T * dirichlet._diagonal(A, B) == d2
+            assert d == T * fsum_diagonal(A, B) == d2
             assert abs(d + o - single) <= 1e-12 * abs(single)
             assert abs(o2 - o) <= 1e-12 * abs(o)
             assert abs(d + o - ref) <= 1e-10 * abs(ref)
-        assert dirichlet._pair_parts_many([]) == ([], [])
+        assert dirichlet._pair_parts_many([]) == ([], [], [])
+
+    @pytest.mark.parametrize("which", ["mixed", "campaign", "huge"])
+    def test_diagonal_and_envelope_match_one_fsum_per_pair(self, monkeypatch, which):
+        # exact parts of a group's zero-padded rows give every pair's
+        # diagonal and weighted norms bit for bit, for any grouping; terms
+        # of 2^960 and more, beyond the exact parts' range, too
+        from zml.cli import campaign_trials
+
+        poly = dirichlet.DirichletPoly
+        triples = {
+            "mixed": self._mixed_triples,
+            "campaign": lambda: campaign_trials(7, 300),
+            "huge": lambda: [
+                (poly(coeffs=np.array([1e150, 1.0])), poly(coeffs=np.array([1e150, -2.0])), 10.0),
+                (poly(coeffs=np.array([0.5])), poly(coeffs=np.array([0.25, 1.0])), 20.0)],
+        }[which]()
+        want = [(T * fsum_diagonal(A, B),
+                 math.sqrt(fsum_weighted_norm2(A)) * math.sqrt(fsum_weighted_norm2(B)))
+                for A, B, T in triples]
+        for chunk in (dirichlet.CHUNK_ELEMS, 16 * 3 * 200, 1):
+            monkeypatch.setattr(dirichlet, "CHUNK_ELEMS", chunk)
+            diag, _, env = dirichlet._pair_parts_many(triples)
+            assert list(zip(diag, env)) == want, chunk
+        reports = dirichlet.mv_reports(triples)
+        assert [(rep.main, rep.envelope) for rep in reports] == want
 
     def test_batch_reports_match_single(self):
         triples = self._mixed_triples()

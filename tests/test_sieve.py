@@ -327,6 +327,45 @@ def test_alpha_mobius_sum_matches_one_fsum(sieve_10k):
     assert sieve.alpha_mobius_sum(sieve_10k, xi).value == want
 
 
+@pytest.fixture(scope="module")
+def sieve_131073():
+    return sieve.build_sieve(131073)
+
+
+@pytest.mark.parametrize("xi", [1, 2, 3, 4, 65535, 65536, 65537, 131073])
+def test_alpha_mobius_sum_matches_per_prime_loop(sieve_131073, xi):
+    # stretch ends, square roots 1 and 2, and the table's own limit
+    alpha = _loop_alpha(sieve_131073, xi, xi)
+    ns = np.nonzero(sieve_131073.mobius[1: xi + 1])[0] + 1
+    want = math.fsum(alpha[ns] * sieve_131073.mobius[ns] / ns)
+    assert sieve.alpha_mobius_sum(sieve_131073, xi).value == want
+
+
+def test_alpha_mobius_sum_matches_alpha_coefficients(sieve_1e6):
+    xi = 10**6
+    alpha = sieve.alpha_coefficients(sieve_1e6, xi, xi).values
+    ns = np.nonzero(sieve_1e6.mobius[1: xi + 1])[0] + 1
+    want = alpha[ns] * sieve_1e6.mobius[ns] / ns
+    assert sieve.alpha_mobius_sum(sieve_1e6, xi).value == math.fsum(want)
+    # term by term, too: each -S_n / n has the bits of alpha_n mu(n) / n
+    got_ns, got = (np.concatenate(c) for c in zip(*sieve._alpha_mobius_terms(sieve_1e6, xi)))
+    assert np.array_equal(got_ns, ns) and got.tobytes() == want.tobytes()
+
+
+def test_alpha_mobius_sum_memory_peak(sieve_1e6):
+    # streamed a SEGMENT at a time: no dense alpha vector (8 MB at 1e6)
+    import tracemalloc
+
+    sieve.alpha_mobius_sum(sieve_1e6, 1000)
+    tracemalloc.start()
+    try:
+        sieve.alpha_mobius_sum(sieve_1e6, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
 def test_build_memory_peak():
     # The build holds mobius and the int32 radical (1 + 4 bytes per entry)
     # and at most three int64-sized arrays of the primes; no dense Lambda

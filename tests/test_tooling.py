@@ -3,7 +3,8 @@ resolve is skipped at run time and its per-layer metric reads 0, so every
 name must resolve here.  The benchmark's digest reads the zero cache on its
 own, so it is checked against the zero-list file the code writes.  The
 README's flag list is checked against the parser the same way, and its
-file formats against the magics the code writes."""
+file formats against the magics the code writes.  The reproduction
+script refuses a --stats path it could not write before it runs a step."""
 import argparse
 import importlib.util
 import math
@@ -11,8 +12,11 @@ import re
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from zml import cli, dirichlet, moments, sieve, zeros, zeta
+
+from test_cli import run_reproduce_all
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -63,3 +67,16 @@ def test_readme_file_formats_name_the_magics():
     section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
     assert f"`{sieve.SIEVE_MAGIC.decode()}`" in section
     assert f"`{zeros.ZEROS_MAGIC}`" in section
+
+
+@pytest.mark.parametrize("stats, message", [
+    ("F/s.json", "--stats {p}/F/s.json: {p}/F is not a directory"),
+    ("F/d/s.json", "--stats {p}/F/d/s.json: {p}/F is not a directory"),
+    ("D", "--stats {p}/D is a directory")])
+def test_reproduce_all_bad_stats_path_rejected_before_any_work(tmp_path, stats, message):
+    (tmp_path / "F").write_text("")
+    (tmp_path / "D").mkdir()
+    proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / stats))
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message.format(p=tmp_path)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "F"]
