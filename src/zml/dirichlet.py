@@ -46,6 +46,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .errors import BudgetError, InputError
 from .sieve import SieveTable, _exact_parts, build_sieve
@@ -286,8 +287,6 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
     (rows x ordinates) values, in buffers reused by every fill, and a
     yielded block covers YIELD_ROWS ordinates rounded up to whole fills.
     """
-    from scipy.sparse import csr_matrix
-
     xis = np.asarray(xis, dtype=np.int64)
     if xis.ndim != 1 or xis.size == 0:
         raise InputError("xis must be a non-empty 1-d sequence")

@@ -1,5 +1,5 @@
 """Double-precision evaluation of zeta(s), the Riemann-Siegel phase theta(t),
-Hardy's Z(t) and Z'(t), and the functional-equation factor chi(s).
+and Hardy's Z(t) and Z'(t).
 
 Two independent evaluation routes are kept side by side:
 
@@ -30,9 +30,8 @@ import os
 import threading
 
 import numpy as np
-from scipy.special import loggamma
 
-from . import _rs_coeffs
+from . import _rs_coeffs, _special
 from .errors import InputError, NumericsError, SingularityError
 
 TWO_PI = 2.0 * math.pi
@@ -175,7 +174,8 @@ def zeta_euler_maclaurin(s: complex) -> complex:
 
 def rs_theta_many(ts: np.ndarray) -> np.ndarray:
     """theta(t) for an array of t > 0; asymptotic series for t >= 10,
-    log-Gamma below."""
+    Im log Gamma(1/4 + it/2) - (t/2) log pi below, with log Gamma from
+    _special (SciPy's loggamma bit for bit)."""
     ts = np.asarray(ts, dtype=float)
     out = np.empty(ts.shape)
     big = ts >= 10.0
@@ -192,7 +192,7 @@ def rs_theta_many(ts: np.ndarray) -> np.ndarray:
         out[big] = val + acc
     if (~big).any():
         t = ts[~big]
-        out[~big] = loggamma(0.25 + 0.5j * t).imag - 0.5 * t * LOG_PI
+        out[~big] = _special.loggamma_quarter_imag(t) - 0.5 * t * LOG_PI
     return out
 
 
@@ -405,32 +405,3 @@ def hardy_z_prime(t: float) -> float:
     if t + 2.0 * DERIV_STEP > T_MAX:
         raise InputError(f"t + 2*DERIV_STEP must stay <= {T_MAX:g}")
     return float(hardy_z_prime_many(np.array([t]))[0])
-
-
-# ---------------------------------------------------------------------------
-# functional-equation factor
-# ---------------------------------------------------------------------------
-
-def chi_factor(s: complex) -> complex:
-    """chi(s) = 2^s pi^(s-1) Gamma(1-s) sin(pi s/2), so zeta = chi * zeta(1-s).
-
-    Computed through logarithms so the Gamma/sin growth cancels before
-    exponentiation; valid for |Im(s)| <= 1e5.  Positive integers are
-    rejected (poles of Gamma(1-s), removable or not).
-    """
-    s = complex(s)
-    if abs(s.imag) > T_MAX:
-        raise InputError(f"|Im(s)| <= {T_MAX:g} required")
-    if s.imag == 0.0 and s.real >= 1.0 and s.real == round(s.real):
-        raise SingularityError(f"chi undefined at s = {int(s.real)} (Gamma(1-s) pole)")
-    if s.imag < 0.0:
-        return complex(np.conj(chi_factor(np.conj(s))))
-
-    log_chi = s * math.log(2.0) + (s - 1.0) * LOG_PI + loggamma(1.0 - s)
-    z = 0.5 * math.pi * s
-    if s.imag > 20.0:
-        # sin z = (i/2) exp(-iz)(1 - exp(2iz)); log1p keeps the tiny term exact
-        log_sin = -1j * z + np.log1p(-np.exp(2j * z)) + cmath.log(0.5j)
-    else:
-        log_sin = cmath.log(cmath.sin(z))
-    return complex(cmath.exp(log_chi + log_sin))

@@ -673,3 +673,14 @@ class TestAtomicWrite:
         assert run_cli(tmp_path, "landau", "--t-max", "50", "--sieve-limit", "100") == 0
         assert "sieve_100.bin" in names and any(n.startswith("zeros_t50_") for n in names)
         assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".bin", ".txt"]
+
+
+def test_import_loads_scipy_sparse_only():
+    # the fill's csr_matrix is the one SciPy part at run time, loaded at
+    # import so that no step imports SciPy inside its timed region
+    code = "import sys, zml.cli; print('scipy.special' in sys.modules, 'scipy.sparse' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import hashlib
 import math
 import re
 import zlib
@@ -7,10 +8,12 @@ import zlib
 import numpy as np
 import pytest
 
-from zml import zeta, zeros
+from zml import _special, zeta, zeros
 from zml.errors import InputError, ParseError, ValidationError
 
 import oracle_values as ov
+
+GRAM_SHA256 = "51c030e1811ddcbda47a9f3b54c5745f6f0aa17271a20aec53a00d00668a50c6"
 
 
 class TestGramPoints:
@@ -39,6 +42,20 @@ class TestGramPoints:
         assert np.all(np.diff(gs) > 0)
         resid = np.abs(zeta.rs_theta_many(gs) - ks * math.pi)
         assert np.all(resid <= 4.0 * np.spacing(ks * math.pi))
+
+    def test_seed_is_scipy_lambertw_bit_for_bit(self):
+        # scipy.special is the oracle of the port, at every Gram index the
+        # scans reach and beyond
+        from scipy.special import lambertw
+
+        x = (8.0 * np.arange(-1, 200_001) + 1.0) / (8.0 * math.e)
+        got = _special.lambertw0(x)
+        assert np.array_equal(got.view(np.int64), lambertw(x).real.view(np.int64))
+
+    def test_gram_points_pinned(self):
+        # the bits of g_k for k < 140,000 (past t = 1e5), as SciPy's seed gave them
+        gs = zeros.gram_points_many(np.arange(-1, 140_000))
+        assert hashlib.sha256(gs.tobytes()).hexdigest() == GRAM_SHA256
 
 
 class TestScan:

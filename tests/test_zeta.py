@@ -9,7 +9,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from zml import zeta
+from zml import _special, zeta
 from zml.errors import InputError, SingularityError
 
 import oracle_values as ov
@@ -53,6 +53,20 @@ class TestEulerMaclaurin:
                 s
             ).conjugate()
 
+    def test_functional_equation(self):
+        # zeta(s) = chi(s) zeta(1-s), chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
+        # in 30-digit mpmath
+        rng = np.random.default_rng(11)
+        with mp.workdps(30):
+            for _ in range(100):
+                s = complex(rng.uniform(-0.5, 1.5), rng.uniform(10.0, 100.0))
+                z = mp.mpc(s)
+                chi = (mp.power(2, z) * mp.power(mp.pi, z - 1)
+                       * mp.sin(mp.pi * z / 2) * mp.gamma(1 - z))
+                lhs = zeta.zeta_euler_maclaurin(s)
+                rhs = complex(chi) * zeta.zeta_euler_maclaurin(1.0 - s)
+                assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
 
 class TestTheta:
     def test_frozen_values(self):
@@ -67,6 +81,33 @@ class TestTheta:
         for t in np.geomspace(2.0, 1e5, 40):
             ref = float(mp.im(mp.loggamma(mp.mpc(0.25, 0.5 * t))) - 0.5 * t * mp.log(mp.pi))
             assert zeta.rs_theta(float(t)) == pytest.approx(ref, abs=1e-10)
+
+    def test_below_ten_is_scipy_loggamma_bit_for_bit(self):
+        # scipy.special is the oracle of the port: t = 0 and a 20,000-point
+        # grid of (0, 10), 20,000 random points, and their negatives
+        from scipy.special import loggamma
+
+        grid = np.linspace(0.0, 10.0, 20_001, endpoint=False)
+        rand = np.random.default_rng(17).uniform(0.0, 10.0, 20_000)
+        ts = np.concatenate([grid, rand])
+        ts = np.concatenate([ts, -ts])
+        ref = loggamma(0.25 + 0.5j * ts).imag - 0.5 * ts * zeta.LOG_PI
+        got = zeta.rs_theta_many(ts)
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+        # odd in t to the bit
+        n = ts.size // 2
+        assert np.array_equal(got[n:], -got[:n])
+
+    def test_stirling_is_scipy_loggamma_bit_for_bit(self):
+        # on Re z > 7 SciPy takes the Stirling series alone: a 20,001-point
+        # strip over the heights and real parts the recurrence reaches
+        from scipy.special import loggamma
+
+        rng = np.random.default_rng(19)
+        zs = rng.uniform(7.0, 8.0, 20_001) + 1j * rng.uniform(0.0, 5.0, 20_001)
+        zs = zs[zs.real > 7.0]
+        got = np.array([_special._loggamma_stirling(complex(z)) for z in zs])
+        assert np.array_equal(got.view(np.int64), loggamma(zs).view(np.int64))
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, t):
@@ -330,48 +371,6 @@ class TestHardyZPrime:
     def test_stencil_domain(self):
         with pytest.raises(InputError):
             zeta.hardy_z_prime(1e-5)
-
-
-class TestChi:
-    def test_symmetric_point(self):
-        assert zeta.chi_factor(0.5) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unit_modulus_on_critical_line(self):
-        for t in (10.0, 100.0, 1000.0):
-            assert abs(zeta.chi_factor(0.5 + 1j * t)) == pytest.approx(1.0, abs=1e-9)
-
-    def test_stirling_modulus(self):
-        assert abs(zeta.chi_factor(50j)) == pytest.approx(
-            math.sqrt(50.0 / (2 * math.pi)), rel=1e-2
-        )
-
-    def test_functional_equation(self):
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            s = complex(rng.uniform(-0.5, 1.5), rng.uniform(10.0, 100.0))
-            lhs = zeta.zeta_euler_maclaurin(s)
-            rhs = zeta.chi_factor(s) * zeta.zeta_euler_maclaurin(1.0 - s)
-            assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
-
-    def test_modulus_approx_gap(self):
-        for sigma in (-1.0, 0.0, 0.5, 1.0, 2.0):
-            for t in np.geomspace(10.0, 1e4, 12):
-                exact = abs(zeta.chi_factor(complex(sigma, float(t))))
-                approx = (float(t) / (2 * math.pi)) ** (0.5 - sigma)
-                assert abs(exact - approx) / approx <= 5.0 / t
-
-    def test_pole_rejection(self):
-        for n in (1, 2, 3):
-            with pytest.raises(SingularityError):
-                zeta.chi_factor(float(n))
-        with pytest.raises(InputError):
-            zeta.chi_factor(0.5 + 2e5j)
-
-    def test_conjugate_symmetry(self):
-        s = 0.3 + 44.4j
-        assert zeta.chi_factor(s.conjugate()) == pytest.approx(
-            zeta.chi_factor(s).conjugate(), rel=1e-12
-        )
 
 
 def test_counters_track_evaluations():
