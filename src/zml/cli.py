@@ -433,9 +433,10 @@ def cmd_report(cfg: RunConfig) -> int:
         rows.append(lrep.to_json_dict())
     report["langon"] = {"t": T_top, "rows": rows}
 
-    # neg4: squarefree harmonic drift
+    # neg4: squarefree harmonic drift, on the grid points the sieve reaches
     xi_grid = sorted(
-        {int(x) for x in np.geomspace(1000, table.limit, 25)} | {1000, table.limit}
+        xi for xi in {int(x) for x in np.geomspace(1000, table.limit, 25)} | {1000, table.limit}
+        if xi <= table.limit
     )
     drifts = [
         h - sieve.SIX_OVER_PI2 * math.log(xi)

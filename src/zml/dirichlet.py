@@ -1,6 +1,6 @@
-"""Finite Dirichlet polynomials: the Mobius mollifier, tapered variants,
-pointwise evaluation, batch evaluation of every truncation at the zeros,
-and the exact pairwise mean-value integral.
+"""Finite Dirichlet polynomials: the Mobius mollifier, pointwise evaluation,
+batch evaluation of every truncation at the zeros, and the exact pairwise
+mean-value integral.
 
 The batch evaluation builds n^(-i gamma) multiplicatively: exponentials
 only for the primes of the support, each composite as one product
@@ -41,7 +41,7 @@ where the two bilinear terms cancel most; the tests hold it to 1e-10.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -52,7 +52,6 @@ from .errors import BudgetError, InputError
 from .sieve import SieveTable, _exact_parts, build_sieve
 
 PAIR_BUDGET = 10**8
-TAPER_DEGREE_CAP = 8
 # Largest (ordinates x terms) block of n^(-i gamma) values held at once.
 CHUNK_ELEMS = 262_144
 TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
@@ -119,38 +118,10 @@ class DirichletPoly:
         return not np.iscomplexobj(self.coeffs)
 
 
-@dataclass(frozen=True)
-class TaperSpec:
-    """Polynomial taper P on [0, 1], low-degree-first coefficients."""
-    poly_coeffs: tuple = (1.0,)
-
-    def __post_init__(self):
-        if len(self.poly_coeffs) == 0:
-            raise InputError("taper needs at least one coefficient")
-        if len(self.poly_coeffs) - 1 > TAPER_DEGREE_CAP:
-            raise InputError(f"taper degree capped at {TAPER_DEGREE_CAP}")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(x, dtype=float))
-        for c in reversed(self.poly_coeffs):
-            out = out * x + c
-        return out
-
-
 def mollifier(table: SieveTable, xi: int) -> DirichletPoly:
     """The truncated 1/zeta mimic: coefficients mu(n) for n <= xi."""
     table._check_range(xi, "xi")
     return DirichletPoly(coeffs=table.mobius[1: xi + 1].astype(np.float64))
-
-
-def tapered_mollifier(table: SieveTable, xi: int, taper: TaperSpec) -> DirichletPoly:
-    """Coefficients mu(n) P(log(xi/n)/log xi); P = 1 reproduces mollifier."""
-    if xi < 2:
-        raise InputError("xi >= 2 required for a tapered mollifier")
-    table._check_range(xi, "xi")
-    ns = np.arange(1, xi + 1, dtype=float)
-    x = np.log(xi / ns) / math.log(xi)
-    return DirichletPoly(coeffs=table.mobius[1: xi + 1] * taper(x))
 
 
 def _phase(t: float, logs_ext: np.ndarray) -> np.ndarray:
@@ -515,8 +486,3 @@ def mv_reports(triples) -> list:
         reports.append(MeanValueReport(T=T, exact=main + off, main=main,
                                        envelope=env, ratio=ratio))
     return reports
-
-
-def mv_report(A: DirichletPoly, B: DirichletPoly, T: float) -> MeanValueReport:
-    """The MeanValueReport of one pair (mv_reports)."""
-    return mv_reports([(A, B, T)])[0]

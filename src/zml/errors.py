@@ -9,10 +9,6 @@ class InputError(ZmlError, ValueError):
     """An argument violates a documented precondition; the message names the bound."""
 
 
-class SingularityError(ZmlError, ValueError):
-    """Evaluation was requested at a pole."""
-
-
 class NumericsError(ZmlError, RuntimeError):
     """An iteration failed to converge or an error bound could not be met."""
 

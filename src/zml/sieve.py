@@ -167,8 +167,8 @@ def squarefree_harmonics(table: SieveTable, xis) -> list:
     One pass over n up to the largest xi, SEGMENT integers at a time, each
     stretch cut at the xi: exact parts (_exact_parts) of every stretch's
     reciprocals are carried, and each xi's sum is one math.fsum over the
-    parts so far.  The sums grow like (6/pi^2) log xi + O(1); the O(1)
-    envelope is pinned by a pilot run, not asserted here.
+    parts so far.  The sums grow like (6/pi^2) log xi + O(1); the report's
+    neg4 section records the O(1) drift, not asserted here.
     """
     for xi in xis:
         table._check_range(xi, "xi")

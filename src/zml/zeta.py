@@ -1,30 +1,26 @@
-"""Double-precision evaluation of zeta(s), the Riemann-Siegel phase theta(t),
-and Hardy's Z(t) and Z'(t).
+"""Double-precision evaluation of the Riemann-Siegel phase theta(t) and of
+Hardy's Z(t) and Z'(t).
 
-Two independent evaluation routes are kept side by side:
-
-* ``zeta_euler_maclaurin`` - an Euler-Maclaurin reference evaluator, valid on
-  Re(s) > -1, |Im(s)| <= 1e4, accurate to ``EM_TARGET_ERR`` = 1e-10.
-* the Riemann-Siegel main sum with ``RS_ORDER`` = 4 correction terms - the
-  high-throughput route used on the critical line for large t.
+One batch evaluator, ``hardy_z_many``, routes each point: t < RS_CROSSOVER
+through the rotated Euler-Maclaurin value of zeta(1/2 + it) (``_em_batch``,
+absolute error target ``EM_TARGET_ERR`` = 1e-10), larger t through the
+Riemann-Siegel main sum with ``RS_ORDER`` = 4 correction terms
+(``_z_rs_batch``).  ``hardy_z`` is its scalar wrapper, and
+``hardy_z_prime_many`` differentiates it; the test suite cross-checks the
+two routes against each other and against mpmath.
 
 The precision is a set of module constants (``RS_ORDER``, ``EM_TERMS``,
 ``EM_TARGET_ERR``, ``DERIV_STEP``), not a setting: every caller, and so
 every zero list and report, gets the accuracy stated here.
 
-``hardy_z`` routes t < RS_CROSSOVER through the rotated Euler-Maclaurin value
-and larger t through Riemann-Siegel; the two routes overlap on
-[RS_CROSSOVER, 1e4] where they cross-check each other (see the test suite).
-
 All functions are pure, apart from the evaluation counters for performance
-reporting in ``counters``; batch variants (``*_many``) accept numpy arrays
-and are what the zero scanner uses.  A large Riemann-Siegel batch has its
-main sum split across ``Z_THREADS`` threads (see ``_z_rs_batch``); every
-other step, and every counter update, runs on the caller's thread.
+reporting in ``counters``; the batch functions (``*_many``) accept numpy
+arrays and are what the zero scanner uses.  A large Riemann-Siegel batch
+has its main sum split across ``Z_THREADS`` threads (see ``_z_rs_batch``);
+every other step, and every counter update, runs on the caller's thread.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import os
 import threading
@@ -32,15 +28,12 @@ import threading
 import numpy as np
 
 from . import _rs_coeffs, _special
-from .errors import InputError, NumericsError, SingularityError
+from .errors import InputError, NumericsError
 
 TWO_PI = 2.0 * math.pi
 LOG_PI = math.log(math.pi)
 
-# accuracy envelopes
-EM_T_MAX = 1.0e4        # Euler-Maclaurin envelope
-RS_T_MIN = 30.0         # below this the Riemann-Siegel expansion degrades
-# hardy_z auto-routing boundary; above it the order-4 Riemann-Siegel value is
+# hardy_z_many routing boundary; above it the order-4 Riemann-Siegel value is
 # off by at most 1.84e-9 (at t = 300, against 30-digit mpmath on [300, 400])
 RS_CROSSOVER = 300.0
 T_MAX = 1.0e5           # hard evaluation ceiling
@@ -97,7 +90,11 @@ def reset_counters() -> None:
 # ---------------------------------------------------------------------------
 
 def _em_batch(ss: np.ndarray) -> np.ndarray:
-    """Euler-Maclaurin zeta for a batch of points (domain assumed valid).
+    """Euler-Maclaurin zeta for a batch of points on Re(s) > -1,
+    |Im(s)| <= 1e4, with absolute error at most EM_TARGET_ERR there; where
+    |zeta(s)| is large (sigma near -1, t large) the double-precision floor
+    is about 1e-11 relative instead.  The domain is not checked: Z takes
+    this route only at s = 1/2 + it with t < RS_CROSSOVER.
 
     All points share one main-sum length N, chosen from the largest |Im(s)|
     in the batch; the Bernoulli tail is summed per point until the standard
@@ -146,26 +143,6 @@ def _em_batch(ss: np.ndarray) -> np.ndarray:
         f"Euler-Maclaurin tail did not reach {EM_TARGET_ERR:g} "
         f"within {len(_B2K_OVER_FACT)} Bernoulli terms (N={n_main})"
     )
-
-
-def zeta_euler_maclaurin(s: complex) -> complex:
-    """Reference zeta(s) on Re(s) > -1, |Im(s)| <= 1e4.
-
-    Absolute error <= EM_TARGET_ERR on the stated domain.  Conjugate
-    symmetry zeta(conj s) = conj zeta(s) holds exactly by construction.
-    """
-    s = complex(s)
-    if s == 1:
-        raise SingularityError("zeta has a pole at s = 1")
-    if not (math.isfinite(s.real) and math.isfinite(s.imag)):
-        raise InputError("s must be finite")
-    if s.real <= -1.0:
-        raise InputError("Re(s) > -1 required (Euler-Maclaurin envelope)")
-    if abs(s.imag) > EM_T_MAX:
-        raise InputError(f"|Im(s)| <= {EM_T_MAX:g} required (accuracy envelope)")
-    if s.imag < 0.0:
-        return complex(np.conj(_em_batch(np.array([np.conj(s)]))[0]))
-    return complex(_em_batch(np.array([s]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +222,11 @@ def _rs_main_sum(out, part, ts, m, theta, logn, rsqrt, chunk_terms):
 
 
 def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
-    """Riemann-Siegel Z(t) for an array of t (all >= RS_T_MIN), with the
-    corrections C_0..C_order; every caller takes RS_ORDER, and the accuracy
-    tests compare the lower orders with mpmath.
+    """Riemann-Siegel Z(t) for an array of t, with the corrections
+    C_0..C_order; every caller takes RS_ORDER, and the accuracy tests compare
+    the lower orders with mpmath.  Every t must be at least 30: there the
+    order-4 value is off by up to 2e-6, and below it the expansion degrades.
+    hardy_z_many sends it only t >= RS_CROSSOVER.
 
     The main sum of each point has exactly m = floor(sqrt(t/2pi)) terms,
     summed in its own row of a chunk, so a point's value does not depend on
@@ -309,7 +288,7 @@ def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
 
 
 def hardy_z_many(ts: np.ndarray, route_by: np.ndarray | None = None) -> np.ndarray:
-    """Z(t) for an array of t in (0, T_MAX]; auto EM/RS routing per point.
+    """Z(t) for an array of t in (0, T_MAX], routed per point.
 
     A point takes the Euler-Maclaurin route when it lies below RS_CROSSOVER,
     or, given route_by (an array of ts's shape), when its entry there does.
@@ -329,44 +308,33 @@ def hardy_z_many(ts: np.ndarray, route_by: np.ndarray | None = None) -> np.ndarr
     return out
 
 
-def hardy_z(t: float, method: str = "auto") -> float:
-    """Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it), real for real t.
-
-    method "auto" uses the rotated Euler-Maclaurin value below RS_CROSSOVER
-    and the Riemann-Siegel expansion above; "em" and "rs" force a route
-    (within that route's validity envelope).  Absolute error against
-    30-digit mpmath siegelz in auto mode: at RS_ORDER = 4 at most
-    1.84e-9 (at t = 300) on 201 points in [300, 400], 5.8e-11 on [1e3, 1e4)
-    and 2.3e-10 on [1e4, 1e5) (250 points over [300, 1e5]); on [300, 400]
-    order 3 gives 5.4e-8 and order 2 3.4e-7.
+def hardy_z(t: float) -> float:
+    """Hardy's Z(t) = exp(i theta(t)) zeta(1/2 + it), real for real t:
+    hardy_z_many at one t in (0, T_MAX].  Absolute error against 30-digit
+    mpmath siegelz: at RS_ORDER = 4 at most 1.84e-9 (at t = 300) on 201
+    points in [300, 400], 5.8e-11 on [1e3, 1e4) and 2.3e-10 on [1e4, 1e5)
+    (250 points over [300, 1e5]); on [300, 400] order 3 gives 5.4e-8 and
+    order 2 3.4e-7.
     """
     if not (t > 0.0) or not math.isfinite(t):
         raise InputError("t must be positive and finite")
     if t > T_MAX:
         raise InputError(f"t <= {T_MAX:g} required")
-    if method == "auto":
-        return float(hardy_z_many(np.array([t]))[0])
-    if method == "em":
-        if t > EM_T_MAX:
-            raise InputError(f"Euler-Maclaurin route requires t <= {EM_T_MAX:g}")
-        counters["z_evals"] += 1
-        z = _em_batch(np.array([0.5 + 1j * t]))[0]
-        return float((cmath.exp(1j * rs_theta(t)) * z).real)
-    if method == "rs":
-        if t < RS_T_MIN:
-            raise InputError(f"Riemann-Siegel route requires t >= {RS_T_MIN:g}")
-        counters["z_evals"] += 1
-        return float(_z_rs_batch(np.array([t]))[0])
-    raise InputError(f"unknown method {method!r}")
+    return float(hardy_z_many(np.array([t]))[0])
 
 
 def hardy_z_prime_many(ts: np.ndarray) -> np.ndarray:
-    """Z'(t) by a five-point central stencil (one Richardson step).
+    """Z'(t) by a five-point central stencil (one Richardson step) with step
+    DERIV_STEP = 1e-4, for t with the stencil inside (0, T_MAX].  It is
+    within 2.3e-6 (at t = 40257) of 30-digit mpmath siegelz(t,
+    derivative=1) on 250 points over [300, 1e5], and within 2.1e-7 on
+    [1e3, 1e4): the rounding noise of Z divided by the step.
 
     Every point of a stencil takes the route hardy_z_many gives its centre t,
-    so no difference mixes the two routes across RS_CROSSOVER.  The stencils
-    centred below it share one Euler-Maclaurin batch and so one main-sum
-    length, which would otherwise step at t = 300 itself.
+    so no difference mixes the two routes across RS_CROSSOVER: at
+    t = 299.99985, 299.9999, 300 and 300.0001 it is off by 1.1e-9 to
+    2.2e-9.  The stencils centred below it share one Euler-Maclaurin batch
+    and so one main-sum length, which would otherwise step at t = 300 itself.
     """
     ts = np.asarray(ts, dtype=float)
     h = DERIV_STEP
@@ -388,20 +356,3 @@ def _five_point(zs, h: float) -> np.ndarray:
     """The stencil from Z at t + 2h, t + h, t - h, t - 2h."""
     zp2, zp1, zm1, zm2 = zs
     return (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)
-
-
-def hardy_z_prime(t: float) -> float:
-    """Z'(t) by the stencil of hardy_z_prime_many, with step DERIV_STEP =
-    1e-4.  It is within 2.3e-6 (at t = 40257) of 30-digit mpmath siegelz(t,
-    derivative=1) on 250 points over [300, 1e5], and within 2.1e-7 on
-    [1e3, 1e4): the rounding noise of Z divided by the step.  Within 2 steps
-    of RS_CROSSOVER the stencil keeps to the route of its centre: at
-    t = 299.99985, 299.9999, 300 and 300.0001 it is off by 1.1e-9 to 2.2e-9.
-
-    Requires t - 2*DERIV_STEP > 0 so the stencil stays in domain.
-    """
-    if t - 2.0 * DERIV_STEP <= 0.0:
-        raise InputError("t - 2*DERIV_STEP must stay positive")
-    if t + 2.0 * DERIV_STEP > T_MAX:
-        raise InputError(f"t + 2*DERIV_STEP must stay <= {T_MAX:g}")
-    return float(hardy_z_prime_many(np.array([t]))[0])

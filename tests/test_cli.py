@@ -399,6 +399,15 @@ class TestReportCommand:
         assert calls == [(9, 25)]
         assert (tmp_path / "out" / "report.json").read_bytes() == good
 
+    def test_sieve_limit_below_the_drift_grid(self, tmp_path):
+        # the neg4 grid starts at xi = 1000; a smaller sieve keeps only its limit
+        run_cli(tmp_path, "zeros", "--t-max", "200")
+        rc = run_cli(tmp_path, "report", "--t-max", "200", "--sieve-limit", "500",
+                     "--trials", "25")
+        assert rc == 0
+        neg4 = json.loads((tmp_path / "out" / "report.json").read_text())["neg4"]
+        assert neg4["xi_min"] == neg4["xi_max"] == 500
+
     def test_byte_identical_rerun(self, tmp_path):
         run_cli(tmp_path, "zeros", "--t-max", "300")
         run_cli(tmp_path, "report", "--t-max", "300", "--sieve-limit", "5000",
@@ -448,32 +457,6 @@ class TestReproduceAll:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: --stats") and "--out-dir" in proc.stderr
         assert not (tmp_path / "out").exists() and not (tmp_path / "cache").exists()
-
-
-def run_pilot(tmp_path, *args):
-    script = Path(__file__).resolve().parent.parent / "scripts" / "pilot_envelopes.py"
-    return subprocess.run(
-        [sys.executable, str(script), *args],
-        capture_output=True, text=True, cwd=tmp_path, timeout=300,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-
-
-class TestPilotEnvelopes:
-    def test_runs_every_section(self, tmp_path):
-        # no test imports the script, so run it to catch a changed signature
-        proc = run_pilot(tmp_path, "--t-max", "1500", "--sieve-limit", "100000")
-        assert proc.returncode == 0, proc.stderr
-        headers = [ln for ln in proc.stdout.splitlines() if ln.startswith("== ")]
-        assert headers == [
-            "== elementary-sum envelopes ==", "== mean-value ratio campaign ==",
-            "== moment-ratio windows ==", "== taper comparison (constant taper should win) =="]
-        for args, message in [
-                (("--sieve-limit", "1"), "error: limit = 1 below minimum 2"),
-                (("--t-max", "200000", "--sieve-limit", "1000"), "error: need 10 <= t_lo")]:
-            proc = run_pilot(tmp_path, *args)
-            assert proc.returncode == 1
-            assert message in proc.stderr.splitlines()[-1]
-            assert "Traceback" not in proc.stderr
 
 
 class TestConfig:

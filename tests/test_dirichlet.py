@@ -126,22 +126,6 @@ class TestMollifier:
         assert abs(dirichlet.eval_poly(m, 1.0)) <= 3.0
 
 
-class TestTaper:
-    def test_constant_taper_is_identity(self, sieve_10k):
-        plain = dirichlet.mollifier(sieve_10k, 100)
-        tapered = dirichlet.tapered_mollifier(sieve_10k, 100, dirichlet.TaperSpec())
-        assert np.array_equal(plain.coeffs, tapered.coeffs)
-
-    def test_linear_taper_endpoints(self, sieve_10k):
-        tp = dirichlet.tapered_mollifier(sieve_10k, 10, dirichlet.TaperSpec((0.0, 1.0)))
-        assert tp.coeffs[-1] == 0.0      # P(log(xi/xi)/log xi) = P(0) = 0
-        assert tp.coeffs[0] == 1.0       # P(1) * mu(1) = 1
-
-    def test_degree_cap(self):
-        with pytest.raises(InputError, match="degree"):
-            dirichlet.TaperSpec(tuple(range(10)))
-
-
 class TestEval:
     def test_eval_at_zero_sums_coefficients(self):
         poly = dirichlet.DirichletPoly(coeffs=np.array([2.0, -3.0, 0.5]))
@@ -180,8 +164,9 @@ class TestEval:
     def test_truncations_match_scalar(self, sieve_10k):
         # complex coefficients, zeros at the squarefull n and at n = xi (P(0) = 0);
         # truncation points unsorted and repeated
-        tapered = dirichlet.tapered_mollifier(sieve_10k, 60, dirichlet.TaperSpec((0.0, 1.0)))
-        coeffs = tapered.coeffs * np.exp(1j * np.arange(60) / 7.0)
+        ns = np.arange(1, 61)
+        taper = np.log(60 / ns) / math.log(60)          # P(x) = x
+        coeffs = sieve_10k.mobius[1:61] * taper * np.exp(1j * np.arange(60) / 7.0)
         poly = dirichlet.DirichletPoly(coeffs=coeffs)
         assert np.count_nonzero(coeffs) < 60 and coeffs[-1] == 0.0
         xis = [60, 1, 17, 4, 17, 59, 5]
@@ -520,7 +505,7 @@ class TestPairIntegral:
         reports = dirichlet.mv_reports(triples)
         assert dirichlet.mv_reports([]) == []
         for (A, B, T), rep in zip(triples, reports):
-            one = dirichlet.mv_report(A, B, T)
+            one = dirichlet.mv_reports([(A, B, T)])[0]
             assert rep.T == T and rep.main == one.main and rep.envelope == one.envelope
             assert rep.ratio == pytest.approx(one.ratio, rel=1e-12)
             assert type(rep.ratio) is float and type(rep.exact) is complex
@@ -529,13 +514,13 @@ class TestPairIntegral:
 class TestMeanValueReport:
     def test_diagonal_only_ratio_zero(self):
         one = dirichlet.DirichletPoly(coeffs=np.array([1.0]))
-        rep = dirichlet.mv_report(one, one, 5.0)
+        rep = dirichlet.mv_reports([(one, one, 5.0)])[0]
         assert rep.exact == rep.main
         assert rep.ratio == 0.0
 
     def test_envelope_hand_value(self):
         poly = dirichlet.DirichletPoly(coeffs=1.0 / np.arange(1.0, 6.0))
-        rep = dirichlet.mv_report(poly, poly, 50.0)
+        rep = dirichlet.mv_reports([(poly, poly, 50.0)])[0]
         assert rep.envelope == pytest.approx(ov.ENVELOPE_INV_N_5, rel=1e-14)
 
     def test_scaled_mollifier_ratio_bounded(self, sieve_10k):
@@ -547,7 +532,7 @@ class TestMeanValueReport:
         coeffs_b = sieve_10k.mobius[1:101] * ns ** (c - 1.0)
         A = dirichlet.DirichletPoly(coeffs=coeffs_a)
         B = dirichlet.DirichletPoly(coeffs=coeffs_b)
-        rep = dirichlet.mv_report(A, B, T)
+        rep = dirichlet.mv_reports([(A, B, T)])[0]
         assert rep.ratio <= 10.0
 
     def test_gap_is_the_off_diagonal_part(self):
@@ -555,7 +540,7 @@ class TestMeanValueReport:
         # exact - main would keep about 3 of its digits
         a = np.array([1.0, 1e-9])
         poly = dirichlet.DirichletPoly(coeffs=a)
-        rep = dirichlet.mv_report(poly, poly, 9876.5)
+        rep = dirichlet.mv_reports([(poly, poly, 9876.5)])[0]
         _, off = mp_pair_parts(a, a, 9876.5)
         assert rep.ratio == pytest.approx(float(abs(off)) / rep.envelope, rel=1e-12)
         assert rep.exact == pytest.approx(mp_pair_integral(a, a, 9876.5), rel=1e-15)
@@ -569,7 +554,7 @@ class TestMeanValueReport:
         ratio = mv_campaign(seed=42, trials=974)[973]
         A, B, T = campaign_trials(seed=42, trials=974)[973]
         _, off = mp_pair_parts(A.coeffs, B.coeffs, T)
-        ref = float(abs(off)) / dirichlet.mv_report(A, B, T).envelope
+        ref = float(abs(off)) / dirichlet.mv_reports([(A, B, T)])[0].envelope
         assert ref == pytest.approx(0.0018150490542916119, rel=1e-15)
         assert ratio == pytest.approx(ref, rel=1e-12)
 

@@ -115,7 +115,7 @@ def test_squarefree_harmonic_monotone(sieve_10k):
 
 
 def test_squarefree_harmonic_drift_envelope(sieve_1e6):
-    # pilot: the O(1) constant sits near 1.0439 and is flat for xi >= 1e3
+    # measured: the O(1) constant sits near 1.0439 and is flat for xi >= 1e3
     for xi in (10**3, 10**4, 10**5, 10**6):
         drift = sieve.squarefree_harmonic(sieve_1e6, xi) - sieve.SIX_OVER_PI2 * math.log(xi)
         assert 0.9 < drift < 1.2

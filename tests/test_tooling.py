@@ -2,8 +2,9 @@
 resolve is skipped at run time and its per-layer metric reads 0, so every
 name must resolve here.  The benchmark's digest reads the zero cache on its
 own, so it is checked against the zero-list file the code writes.  The
-README's flag list is checked against the parser the same way, and its
-file formats against the magics the code writes.  The reproduction
+README's flag list is checked against the parser the same way, its file
+formats against the magics the code writes, and every zml name it puts in
+backticks against the modules.  The reproduction
 script refuses a --stats path it could not write before it runs a step."""
 import argparse
 import importlib.util
@@ -19,6 +20,11 @@ from zml import cli, dirichlet, moments, sieve, zeros, zeta
 from test_cli import run_reproduce_all
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+README = Path(__file__).resolve().parents[1] / "README.md"
+MODULES = {"cli": cli, "dirichlet": dirichlet, "moments": moments,
+           "sieve": sieve, "zeros": zeros, "zeta": zeta}
+# backticked snake_case names in the README that are JSON keys, not attributes
+README_JSON_KEYS = {"z_threads"}
 
 
 def _perfbench_module(name):
@@ -30,11 +36,9 @@ def _perfbench_module(name):
 
 def test_every_traced_function_resolves():
     tracer = _perfbench_module("tracer")
-    modules = {"cli": cli, "dirichlet": dirichlet, "moments": moments,
-               "sieve": sieve, "zeros": zeros, "zeta": zeta}
     assert tracer.WRAPPED
     missing = [f"{mod}.{attr}" for mod, attr, _, _ in tracer.WRAPPED
-               if not callable(getattr(modules[mod], attr, None))]
+               if not callable(getattr(MODULES[mod], attr, None))]
     assert missing == []
 
 
@@ -52,7 +56,7 @@ def test_digest_reads_the_zero_cache(tmp_path, zeros_110):
 def test_readme_shared_flags_match_parser():
     # the README's "Shared flags" sentence lists every option of every
     # subcommand, so a flag removed from the parser leaves no stale entry
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     sentence = re.search(r"Shared flags: `(.*?)`", readme, re.S).group(1)
     documented = set(re.findall(r"--[a-z][a-z-]*", sentence))
     parser = cli.build_parser()
@@ -63,10 +67,25 @@ def test_readme_shared_flags_match_parser():
 
 
 def test_readme_file_formats_name_the_magics():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
     assert f"`{sieve.SIEVE_MAGIC.decode()}`" in section
     assert f"`{zeros.ZEROS_MAGIC}`" in section
+
+
+def test_readme_names_resolve():
+    # inline code spans outside the fenced blocks, file names left out
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    spans = [re.sub(r"[\w/]+\.py\b", "", span) for span in re.findall(r"`([^`]+)`", text)]
+    qualified = {(mod, name) for span in spans for mod, name in re.findall(
+        r"\b(cli|dirichlet|moments|sieve|zeros|zeta)\.(\w+)", span)}
+    assert ("cli", "MV_BOUND") in qualified
+    assert [f"{mod}.{name}" for mod, name in sorted(qualified)
+            if not hasattr(MODULES[mod], name)] == []
+    bare = {span for span in spans if re.fullmatch(r"[a-z][a-z0-9]*(_[a-z0-9]+)+", span)}
+    assert "hardy_z" in bare and README_JSON_KEYS <= bare
+    assert sorted(name for name in bare - README_JSON_KEYS
+                  if not any(hasattr(m, name) for m in MODULES.values())) == []
 
 
 @pytest.mark.parametrize("stats, message", [

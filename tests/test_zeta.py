@@ -10,48 +10,50 @@ import numpy as np
 import pytest
 
 from zml import _special, zeta
-from zml.errors import InputError, SingularityError
+from zml.errors import InputError
 
 import oracle_values as ov
 
 mp.mp.dps = 25
 
 
+def em_zeta(s):
+    """zeta(s) from the Euler-Maclaurin route, one point per batch."""
+    return complex(zeta._em_batch(np.array([complex(s)]))[0])
+
+
+def em_z(ts):
+    """Z(t) with every point forced onto the Euler-Maclaurin route."""
+    ts = np.asarray(ts, dtype=float)
+    return zeta.hardy_z_many(ts, route_by=np.zeros_like(ts))
+
+
+def z_prime(t):
+    """Z'(t) from hardy_z_prime_many at one point."""
+    return float(zeta.hardy_z_prime_many(np.array([t]))[0])
+
+
 class TestEulerMaclaurin:
     def test_classical_values(self):
-        assert zeta.zeta_euler_maclaurin(2.0) == pytest.approx(ov.ZETA_2, abs=1e-10)
-        assert zeta.zeta_euler_maclaurin(0.0) == pytest.approx(-0.5, abs=1e-10)
-        assert zeta.zeta_euler_maclaurin(3.0) == pytest.approx(ov.ZETA_3, abs=1e-10)
-        assert zeta.zeta_euler_maclaurin(0.5) == pytest.approx(ov.ZETA_HALF, abs=1e-10)
+        assert em_zeta(2.0) == pytest.approx(ov.ZETA_2, abs=1e-10)
+        assert em_zeta(0.0) == pytest.approx(-0.5, abs=1e-10)
+        assert em_zeta(3.0) == pytest.approx(ov.ZETA_3, abs=1e-10)
+        assert em_zeta(0.5) == pytest.approx(ov.ZETA_HALF, abs=1e-10)
 
     def test_complex_points(self):
         for (sig, t), (re, im) in ov.ZETA_AT.items():
-            got = zeta.zeta_euler_maclaurin(complex(sig, t))
+            got = em_zeta(complex(sig, t))
             assert got == pytest.approx(complex(re, im), abs=1e-9)
 
     def test_against_reference_sweep(self):
         rng = np.random.default_rng(3)
         for _ in range(25):
             s = complex(rng.uniform(-0.9, 3.0), rng.uniform(0.0, 1.0e4))
-            got = zeta.zeta_euler_maclaurin(s)
+            got = em_zeta(s)
             ref = complex(mp.zeta(mp.mpc(s)))
             # 1e-10 absolute with a double-precision relative floor where
             # |zeta| is large (negative sigma, large t)
             assert abs(got - ref) <= max(1e-10, 2e-11 * abs(ref))
-
-    def test_domain_errors(self):
-        with pytest.raises(SingularityError):
-            zeta.zeta_euler_maclaurin(1.0)
-        with pytest.raises(InputError, match="Re"):
-            zeta.zeta_euler_maclaurin(-1.5)
-        with pytest.raises(InputError, match="Im"):
-            zeta.zeta_euler_maclaurin(0.5 + 2e4j)
-
-    def test_conjugate_symmetry(self):
-        for s in (0.7 + 123.4j, 0.5 + 55.5j, 1.3 + 999.0j):
-            assert zeta.zeta_euler_maclaurin(s.conjugate()) == zeta.zeta_euler_maclaurin(
-                s
-            ).conjugate()
 
     def test_functional_equation(self):
         # zeta(s) = chi(s) zeta(1-s), chi(s) = 2^s pi^(s-1) sin(pi s/2) Gamma(1-s)
@@ -63,8 +65,8 @@ class TestEulerMaclaurin:
                 z = mp.mpc(s)
                 chi = (mp.power(2, z) * mp.power(mp.pi, z - 1)
                        * mp.sin(mp.pi * z / 2) * mp.gamma(1 - z))
-                lhs = zeta.zeta_euler_maclaurin(s)
-                rhs = complex(chi) * zeta.zeta_euler_maclaurin(1.0 - s)
+                lhs = em_zeta(s)
+                rhs = complex(chi) * em_zeta(1.0 - s)
                 assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
 
@@ -127,29 +129,21 @@ class TestHardyZ:
     def test_z_squared_equals_zeta_squared(self):
         for t in (50.0, 500.0, 5000.0):
             z = zeta.hardy_z(t)
-            zeta_val = zeta.zeta_euler_maclaurin(0.5 + 1j * t)
+            zeta_val = em_zeta(0.5 + 1j * t)
             assert z * z == pytest.approx(abs(zeta_val) ** 2, rel=1e-8)
 
     def test_auto_matches_rotated_em_on_overlap(self):
         # cross-evaluator agreement window
-        for t in np.linspace(30.0, 500.0, 60):
-            em = zeta.hardy_z(float(t), method="em")
-            assert abs(zeta.hardy_z(float(t)) - em) <= 1e-8
+        ts = np.linspace(30.0, 500.0, 60)
+        assert np.abs(zeta.hardy_z_many(ts) - em_z(ts)).max() <= 1e-8
 
     def test_rs_route_vs_em_route(self):
         # genuine dual-route agreement; RS truncation dominates below ~100
-        worst_low = worst_high = 0.0
-        for t in np.linspace(30.0, 500.0, 120):
-            gap = abs(
-                zeta.hardy_z(float(t), method="rs")
-                - zeta.hardy_z(float(t), method="em")
-            )
-            if t < zeta.RS_CROSSOVER:
-                worst_low = max(worst_low, gap)
-            else:
-                worst_high = max(worst_high, gap)
-        assert worst_low < 5e-6
-        assert worst_high < 1e-8
+        ts = np.linspace(30.0, 500.0, 120)
+        gap = np.abs(zeta._z_rs_batch(ts) - em_z(ts))
+        low = ts < zeta.RS_CROSSOVER
+        assert gap[low].max() < 5e-6
+        assert gap[~low].max() < 1e-8
 
     def test_rs_corrections_validated_against_reference(self):
         # the embedded Taylor data, all orders, against 25-digit reference
@@ -167,7 +161,7 @@ class TestHardyZ:
         # Z comes from Re(exp(i theta) zeta); the discarded imaginary part
         # must be residual-sized
         for t in (20.0, 150.0, 1234.5, 9999.0):
-            z = zeta.zeta_euler_maclaurin(0.5 + 1j * t)
+            z = em_zeta(0.5 + 1j * t)
             rotated = cmath.exp(1j * zeta.rs_theta(t)) * z
             assert abs(rotated.imag) <= 1e-9
 
@@ -189,8 +183,6 @@ class TestHardyZ:
             zeta.hardy_z(-3.0)
         with pytest.raises(InputError):
             zeta.hardy_z(2e5)
-        with pytest.raises(InputError):
-            zeta.hardy_z(20.0, method="rs")
 
 
 def _dense_masked_z(ts, order):
@@ -337,26 +329,26 @@ class TestThreadedMainSum:
 
 class TestHardyZPrime:
     def test_first_zero_derivative(self):
-        assert zeta.hardy_z_prime(ov.ZERO_ORDINATES[0]) == pytest.approx(
+        assert z_prime(ov.ZERO_ORDINATES[0]) == pytest.approx(
             ov.Z_PRIME[0], abs=1e-7
         )
 
     def test_nonzero_at_simple_zeros(self):
         for gam in ov.ZERO_ORDINATES:
-            assert abs(zeta.hardy_z_prime(gam)) > 0.1
+            assert abs(z_prime(gam)) > 0.1
 
     def test_step_halving_consistency(self, monkeypatch):
         for t in (100.0, 1234.5, 9876.5):
-            half = zeta.hardy_z_prime(t)
+            half = z_prime(t)
             with monkeypatch.context() as m:
                 m.setattr(zeta, "DERIV_STEP", 2e-4)
-                full = zeta.hardy_z_prime(t)
+                full = z_prime(t)
             assert abs(full - half) < 4e-6
 
     def test_against_reference(self):
         for t in (50.0, 500.0, 5000.0):
             ref = float(mp.siegelz(t, derivative=1))
-            assert zeta.hardy_z_prime(t) == pytest.approx(ref, abs=1e-6)
+            assert z_prime(t) == pytest.approx(ref, abs=1e-6)
 
     def test_stencil_at_the_crossover(self):
         # a stencil across RS_CROSSOVER used to mix the two routes of Z and
@@ -365,19 +357,15 @@ class TestHardyZPrime:
         with mp.workdps(30):
             refs = [float(mp.siegelz(mp.mpf(t), derivative=1)) for t in ts]
         for t, ref, in_batch in zip(ts, refs, zeta.hardy_z_prime_many(ts)):
-            assert abs(zeta.hardy_z_prime(t) - ref) <= 1e-8
+            assert abs(z_prime(t) - ref) <= 1e-8
             assert abs(in_batch - ref) <= 1e-8
-
-    def test_stencil_domain(self):
-        with pytest.raises(InputError):
-            zeta.hardy_z_prime(1e-5)
 
 
 def test_counters_track_evaluations():
     zeta.reset_counters()
     zeta.hardy_z_many(np.linspace(40, 60, 7))
     assert zeta.counters["z_evals"] == 7
-    zeta.zeta_euler_maclaurin(2.0 + 3.0j)
+    zeta._em_batch(np.array([2.0 + 3.0j]))
     assert zeta.counters["zeta_evals"] >= 1
     zeta.reset_counters()
     assert zeta.counters["z_evals"] == 0
