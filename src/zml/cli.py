@@ -16,14 +16,13 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import dirichlet, moments, sieve, zeros, zeta
+from . import dirichlet, moments, sieve, store, zeros, zeta
 from .errors import InputError, ValidationError, ZmlError
 
 SCAN_T_LO = 10.0
@@ -36,9 +35,10 @@ MAX_TRIALS = 50_000
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
 ZERO_CACHE_VERSION = 4
-# Part of the campaign-cache key: raise it whenever the ratios mv_campaign
-# returns for a (seed, trials) change.
-MV_CACHE_VERSION = 3
+# Stored in the campaign cache, which is read only under the same value:
+# raise it whenever the ratios mv_campaign returns for a (seed, trials) change.
+MV_CACHE_VERSION = 4
+MV_CAMPAIGN_MAGIC = "# zml-mv-campaign v1"
 
 
 @dataclass(frozen=True)
@@ -86,28 +86,8 @@ def check_dir(path: Path, name: str) -> None:
             return
 
 
-def _atomic_replace(path: Path, write) -> None:
-    """Build `path` by write(tmp) on a unique temp file in the same directory,
-    then rename it into place; on any failure the temp file is removed and
-    `path` is left as it was."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
-    os.close(fd)
-    try:
-        write(tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _atomic_write(path: Path, text: str) -> None:
-    def write(tmp):
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
-    _atomic_replace(path, write)
+    store.replace(path, lambda fh: fh.write(text.encode()))
 
 
 def _json_text(obj) -> str:
@@ -128,12 +108,27 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
 
-def _check_reach(zlist: zeros.ZeroList, t_max: float, path: Path) -> None:
-    """Reject a list that stops short of t_max, such as a whole, valid
-    list scanned to a smaller t_max (a file cut short fails its CRC): it
-    must hold an ordinate above t_max, and its count at t_max must lie
-    within theta(t_max)/pi + 1 +- 2 (the |S(T)| slack).  Only theta is
-    evaluated, no Z."""
+def _load_or_build(path: Path, load, build, save, reuse: bool = True):
+    """load(path) if `reuse` and the file exists and passes load's checks
+    (no ZmlError); else build(), stored at path by save(value, path)."""
+    if reuse and path.exists():
+        try:
+            return load(path)
+        except ZmlError:
+            pass
+    value = build()
+    save(value, path)
+    return value
+
+
+def _load_zeros(path: Path, t_max: float) -> zeros.ZeroList:
+    """The zero list at path, which must be certified and reach t_max: a
+    whole, valid list scanned to a smaller t_max must fail, so it must hold
+    an ordinate above t_max and theta(t_max)/pi + 1 +- 2 (the |S(T)| slack)
+    up to it.  Only theta is evaluated, no Z."""
+    zlist = zeros.import_zeros(path)
+    if not zlist.certified:
+        raise ValidationError(f"{path}: zero list is not completeness-certified")
     count = zlist.count_below(t_max)
     if count == len(zlist):
         raise ValidationError(f"{path}: no ordinate above t_max = {t_max:g}")
@@ -141,47 +136,44 @@ def _check_reach(zlist: zeros.ZeroList, t_max: float, path: Path) -> None:
     if abs(count - expected) > 2.0:
         raise ValidationError(
             f"{path}: {count} ordinates up to t_max = {t_max:g}, expected {expected:.1f} +- 2")
+    return zlist
 
 
-def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
-    """The cached zero list.  A missing, damaged, uncertified or cut-short
-    cache is rescanned and rewritten atomically if `build`, and is an error
-    otherwise."""
-    path = _zero_cache_path(cfg)
-    if path.exists():
-        try:
-            zlist = zeros.import_zeros(path)
-            if not zlist.certified:
-                raise ValidationError(f"{path}: zero list is not completeness-certified")
-            _check_reach(zlist, cfg.t_max, path)
-            return zlist
-        except ZmlError:
-            if not build:
-                raise
-    elif not build:
-        raise InputError(
-            f"zero cache {path} missing; run the 'zeros' subcommand first"
-        )
+def _scan_zeros(cfg: RunConfig) -> zeros.ZeroList:
     t_top = max(cfg.t_max, SCAN_T_LO) + zeros.SCAN_MARGIN
     zlist = zeros.scan_and_refine(SCAN_T_LO, t_top)
     # below 30 a zero gap can be wider than SCAN_MARGIN: scan on past it
     while zlist.certified and zlist.count_below(cfg.t_max) == len(zlist):
         t_top += zeros.SCAN_MARGIN
         zlist = zeros.scan_and_refine(SCAN_T_LO, t_top)
-    _atomic_replace(path, lambda tmp: zeros.export_zeros(zlist, tmp))
     return zlist
 
 
+def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
+    """The cached zero list.  A missing, damaged, uncertified or cut-short
+    cache is rescanned and rewritten if `build`, and is an error otherwise."""
+    path = _zero_cache_path(cfg)
+    if build:
+        return _load_or_build(path, lambda p: _load_zeros(p, cfg.t_max),
+                              lambda: _scan_zeros(cfg), zeros.export_zeros)
+    if not path.exists():
+        raise InputError(f"zero cache {path} missing; run the 'zeros' subcommand first")
+    return _load_zeros(path, cfg.t_max)
+
+
 def _load_or_build_sieve(cfg: RunConfig) -> sieve.SieveTable:
-    path = cfg.cache_dir / f"sieve_{cfg.sieve_limit}.bin"
-    if path.exists():
-        try:
-            return sieve.load_sieve(path, cfg.sieve_limit)
-        except ZmlError:
-            pass
-    table = sieve.build_sieve(cfg.sieve_limit)
-    _atomic_replace(path, lambda tmp: sieve.save_sieve(table, tmp))
-    return table
+    return _load_or_build(cfg.cache_dir / f"sieve_{cfg.sieve_limit}.bin",
+                          lambda p: sieve.load_sieve(p, cfg.sieve_limit),
+                          lambda: sieve.build_sieve(cfg.sieve_limit), sieve.save_sieve)
+
+
+def _check_sieve_reach(cfg: RunConfig, T: float, thetas) -> None:
+    """Refuse a sieve below the mollifier length xi = floor(T^theta) at T
+    and the largest theta, before the sieve is built or any output written."""
+    theta = max(thetas)
+    if (xi := math.floor(T ** theta)) > cfg.sieve_limit:
+        raise InputError(f"xi = {xi} at T = {T:g}, theta = {theta:g} exceeds "
+                         f"sieve limit {cfg.sieve_limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,10 +207,13 @@ def _moment_grid(cfg: RunConfig) -> list:
 
 
 def cmd_moments(cfg: RunConfig) -> int:
-    zlist = _load_or_scan_zeros(cfg)
-    table = _load_or_build_sieve(cfg)
     thetas = list(cfg.theta_sweep) if cfg.theta_sweep else [cfg.theta]
+    # at the requested T before a scan, then at the mid-gap T the grid uses
+    _check_sieve_reach(cfg, max(_moment_grid(cfg)), thetas)
+    zlist = _load_or_scan_zeros(cfg)
     grid = [(T_req, zeros.snap_to_midgap(zlist, T_req)) for T_req in _moment_grid(cfg)]
+    _check_sieve_reach(cfg, max(T for _, T in grid), thetas)
+    table = _load_or_build_sieve(cfg)
     points = [(th, T) for _, T in grid for th in thetas]
     if cfg.theta_sweep:
         T_sweep = zeros.snap_to_midgap(zlist, cfg.t_max)
@@ -290,39 +285,36 @@ def _mv_summary(cfg: RunConfig, ratios) -> dict:
     }
 
 
-def _campaign_key(cfg: RunConfig) -> dict:
-    return {"seed": cfg.seed, "trials": cfg.trials, "version": MV_CACHE_VERSION}
-
-
 def _campaign_cache_path(cfg: RunConfig) -> Path:
-    return cfg.cache_dir / f"mv_campaign_s{cfg.seed}_n{cfg.trials}_v{MV_CACHE_VERSION}.json"
-
-
-def _cached_ratios(cfg: RunConfig):
-    """The ratios stored for this (seed, trials, version), or None unless
-    the file parses, echoes the key and holds `trials` finite floats."""
-    try:
-        data = json.loads(_campaign_cache_path(cfg).read_text(encoding="utf-8"))
-        ratios = data.pop("ratios")
-    except (OSError, ValueError, AttributeError, KeyError, TypeError):
-        return None
-    if data != _campaign_key(cfg) or not isinstance(ratios, list):
-        return None
-    if len(ratios) != cfg.trials or not all(
-            type(r) is float and math.isfinite(r) for r in ratios):
-        return None
-    return ratios
+    return cfg.cache_dir / f"mv_campaign_s{cfg.seed}_n{cfg.trials}.txt"
 
 
 def _campaign_ratios(cfg: RunConfig, reuse: bool) -> list:
-    """The campaign's ratios: the validated cache file if `reuse`, else a
-    fresh mv_campaign run, which is stored in the cache."""
-    ratios = _cached_ratios(cfg) if reuse else None
-    if ratios is None:
-        ratios = mv_campaign(cfg.seed, cfg.trials)
-        _atomic_write(_campaign_cache_path(cfg),
-                      _json_text({**_campaign_key(cfg), "ratios": ratios}))
-    return ratios
+    """The campaign's ratios: the cached ones if `reuse`, else a fresh
+    mv_campaign run, which is stored.  The cache (keys seed, trials and
+    version) holds the repr of each ratio on a line of its own; it is read
+    only with this run's keys and `trials` finite ratios in that layout."""
+    key = {"seed": cfg.seed, "trials": cfg.trials, "version": MV_CACHE_VERSION}
+
+    def text(ratios) -> bytes:
+        return "".join(f"{float(r)!r}\n" for r in ratios).encode()
+
+    def load(path):
+        fields, payload = store.read(path, MV_CAMPAIGN_MAGIC, dict.fromkeys(key, int))
+        try:
+            ratios = [float(r) for r in payload.splitlines()]
+        except ValueError:
+            ratios = []
+        if (fields != key or len(ratios) != cfg.trials or text(ratios) != payload
+                or not all(map(math.isfinite, ratios))):
+            raise ValidationError(f"{path}: not the campaign of {key}")
+        return ratios
+
+    def save(ratios, path):
+        store.write(path, MV_CAMPAIGN_MAGIC, key, [text(ratios)])
+
+    return _load_or_build(_campaign_cache_path(cfg), load,
+                          lambda: mv_campaign(cfg.seed, cfg.trials), save, reuse)
 
 
 def cmd_mv_check(cfg: RunConfig) -> int:
@@ -377,6 +369,8 @@ def _report_eq1(cfg, zlist):
 
 def cmd_report(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg, build=False)
+    T_m = zeros.snap_to_midgap(zlist, min(5000.0, cfg.t_max))
+    _check_sieve_reach(cfg, T_m, [cfg.theta])
     table = _load_or_build_sieve(cfg)
     check = zeros.zero_count_check(zlist, cfg.t_max)
     hard_ok = bool(check)
@@ -403,7 +397,6 @@ def cmd_report(cfg: RunConfig) -> int:
     }
 
     # m1, m2: the mollified sums at (theta, min(5000, t_max))
-    T_m = zeros.snap_to_midgap(zlist, min(5000.0, cfg.t_max))
     rep = moments.moment_report(zlist, table, cfg.theta, T_m)
     cauchy_ok = moments.cauchy_chain(rep)
     hard_ok &= cauchy_ok

@@ -18,7 +18,7 @@ class BudgetError(ZmlError, ValueError):
 
 
 class ParseError(ZmlError, ValueError):
-    """A file could not be parsed; the message carries the line number."""
+    """A file could not be parsed; a header fault names its line."""
 
 
 class ValidationError(ZmlError, ValueError):

@@ -10,21 +10,18 @@ the last bit and independent of summation order.
 from __future__ import annotations
 
 import math
-import os
-import struct
-import zlib
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from . import store
 from .errors import InputError, NumericsError, ValidationError
 
 MEMORY_CAP = 10**8
 SEGMENT = 1 << 16           # integers per numpy pass over the table
 ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
-SIEVE_MAGIC = b"ZML-SIEVE3"
-SIEVE_HEADER = struct.Struct("<QQI")   # limit, prime count, CRC-32 of the payload
+SIEVE_MAGIC = "# zml-sieve v4"
 
 THREE_OVER_PI2 = 3.0 / math.pi**2
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -37,8 +34,8 @@ class SieveTable:
 
     Attributes:
         limit: Largest tabulated integer N.
-        mobius: int8 array of length N+1, mobius[n] = mu(n); index 0 unused.
-        primes: Ascending int64 array of the primes <= N.
+        mobius: Read-only int8 array of length N+1, mobius[n] = mu(n), mobius[0] = 0.
+        primes: Read-only ascending int64 array of the primes <= N.
     """
     limit: int
     mobius: np.ndarray
@@ -102,6 +99,8 @@ def build_sieve(limit: int) -> SieveTable:
         raise InputError(f"limit = {limit} exceeds the int32 radical's range")
 
     mobius, primes = _mobius_and_primes(limit)
+    for arr in (mobius, primes):
+        arr.setflags(write=False)       # as in a table loaded from its cache
     return SieveTable(limit=limit, mobius=mobius, primes=primes)
 
 
@@ -341,53 +340,32 @@ def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
 # ---------------------------------------------------------------------------
 
 def save_sieve(table: SieveTable, path) -> None:
-    """Write the table as magic + little-endian u64 limit + u64 prime count
-    + u32 zlib.crc32 of the payload, then the payload: mu bytes and the
-    primes as little-endian u32."""
-    primes = table.primes.astype("<u4")
-    crc = zlib.crc32(primes, zlib.crc32(table.mobius[1:]))
-    with open(path, "wb") as fh:
-        fh.write(SIEVE_MAGIC)
-        fh.write(SIEVE_HEADER.pack(table.limit, len(primes), crc))
-        fh.write(table.mobius[1:])
-        fh.write(primes)
+    """Write the table atomically as a store container, kind SIEVE_MAGIC
+    with keys limit and primes (the prime count), whose payload is the
+    primes as little-endian int64, then table.mobius (0, mu(1..limit)) as bytes."""
+    store.write(path, SIEVE_MAGIC, {"limit": table.limit, "primes": len(table.primes)},
+                [table.primes.astype("<i8"), table.mobius])
 
 
 def load_sieve(path, limit: int) -> SieveTable:
-    """Load a cached sieve; the stored limit must equal the requested one,
-    the file must hold exactly magic + 20 + limit + 4 * count bytes, and
-    the primes must ascend from 2 to at most the limit, with mu(p) = -1 and
-    no factor among the smaller stored primes q with q^3 <= limit: a
-    composite n with mu(n) = -1 has three or more prime factors, the least
-    at most n^(1/3).  The CRC of the payload is compared last, so it
-    catches what those checks cannot: a changed mu byte, or a prime taken
-    out together with its count.
-    """
-    with open(path, "rb") as fh:
-        magic = fh.read(len(SIEVE_MAGIC))
-        if magic != SIEVE_MAGIC:
-            raise ValidationError(f"{path}: bad magic {magic!r}")
-        header = fh.read(SIEVE_HEADER.size)
-        if len(header) != SIEVE_HEADER.size:
-            raise ValidationError(f"{path}: truncated header")
-        stored_limit, count, crc = SIEVE_HEADER.unpack(header)
-        if stored_limit != limit:
-            raise ValidationError(
-                f"{path}: cached limit {stored_limit} != requested {limit}"
-            )
-        size = os.fstat(fh.fileno()).st_size
-        want = len(SIEVE_MAGIC) + SIEVE_HEADER.size + limit + 4 * count
-        if size != want:
-            raise ValidationError(f"{path}: {size} bytes, expected {want}")
-        mobius = np.empty(limit + 1, dtype=np.int8)
-        mobius[0] = 0
-        mobius[1:] = np.frombuffer(fh.read(limit), dtype=np.int8)
-        primes = np.frombuffer(fh.read(4 * count), dtype="<u4")
+    """Load a cached sieve (see save_sieve) after store.read's checks.  The
+    limit must be the requested one, the payload 8 * count + limit + 1
+    bytes, and the primes must ascend from 2 to at most the limit, with
+    mu(p) = -1 and no factor among the smaller stored primes q with
+    q^3 <= limit: a composite n with mu(n) = -1 has three or more prime
+    factors, the least at most n^(1/3).  The table's arrays are read-only
+    views of the payload, so loading copies nothing."""
+    fields, payload = store.read(path, SIEVE_MAGIC, {"limit": int, "primes": int})
+    count = fields["primes"]
+    if fields["limit"] != limit:
+        raise ValidationError(f"{path}: cached limit {fields['limit']} != requested {limit}")
+    if count < 0 or len(payload) != (want := 8 * count + limit + 1):
+        raise ValidationError(f"{path}: payload of {len(payload)} bytes, expected {want}")
+    primes = np.frombuffer(payload, dtype="<i8", count=count)
+    mobius = np.frombuffer(payload, dtype=np.int8, offset=8 * count)
     small = primes[: np.searchsorted(primes, limit ** (1 / 3) + 1, side="right")]
-    if not (count and primes[0] == 2 and primes[-1] <= limit
+    if not (count and primes[0] == 2 and primes[-1] <= limit and mobius[0] == 0
             and np.all(primes[1:] > primes[:-1]) and np.all(mobius[primes] == -1)
             and not any(np.any(primes[k + 1:] % q == 0) for k, q in enumerate(small))):
         raise ValidationError(f"{path}: damaged prime list")
-    if zlib.crc32(primes, zlib.crc32(mobius[1:])) != crc:
-        raise ValidationError(f"{path}: crc32 mismatch")
-    return SieveTable(limit=limit, mobius=mobius, primes=primes.astype(np.int64))
+    return SieveTable(limit=limit, mobius=mobius, primes=primes)

@@ -21,11 +21,9 @@ bisected with every midpoint evaluated: the Euler-Maclaurin route sizes
 its main sum from the largest t in its batch, so leaving points out of a
 call would change the values of the rest.
 
-A zero list has one state and one file format: every zero carries a
-finite Z'(gamma) (the sums over 1/zeta'(rho) assume simple zeros), and
-lists are stored as v2 text files: four required header lines (magic,
-t_max, certified and a CRC-32 of the data), then the ordinate and Z'(gamma)
-of each zero.  zeta'(rho) is derived again on import, not stored.
+A zero list has one state: every zero carries a finite Z'(gamma) (the
+sums over 1/zeta'(rho) assume simple zeros).  Its file stores the
+ordinates and Z'(gamma); zeta'(rho) is derived again on import.
 
 Completeness is certified by reconciling the count against
 N(T) = theta(T)/pi + 1 + S(T) anchored at good Gram points, where the count
@@ -36,19 +34,18 @@ mathematics.
 from __future__ import annotations
 
 import math
-import re
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import _special, zeta
+from . import _special, store, zeta
 from .errors import InputError, NumericsError, ParseError, ValidationError
 
 ZEROS_MAGIC = "# zml-zeros v2"
-ORDINATE_ERR_BOUND = 1e-9     # certified enclosure half-width on export
 REFINE_WIDTH = 1e-10          # bisection stops below this bracket width
+# bounds every refined enclosure's half-width, REFINE_WIDTH / 2 by construction
+ORDINATE_ERR_BOUND = 1e-9
 SIMPLICITY_GUARD = 1e-4       # |Z'(gamma)| below this trips re-verification
 MAX_SUBDIV_DEPTH = 12
 # |Z| at or above this fixes the sign of Z at a point: about 5x the largest
@@ -65,38 +62,38 @@ _NON_SEPARATORS = bytes(range(33, 256))
 
 @dataclass(frozen=True, eq=False)
 class ZeroList:
-    """Ascending zero ordinates up to t_max with a completeness flag.
+    """Ascending zero ordinates up to t_max, each within ORDINATE_ERR_BOUND
+    of its zero, with a completeness flag.
 
-    ordinates, ordinate_errs and z_primes are equal-length 1-D float arrays,
-    stored as read-only copies.  Every ordinate, enclosure half-width and
-    Z'(gamma), and t_max, is finite: every zero carries its derivative.
-    zeta'(rho) is not stored: the rotation identity derives it from
-    Z'(gamma) and theta(gamma).
+    ordinates and z_primes are equal-length 1-D float arrays of finite
+    values, stored as read-only copies, and t_max is a finite float: every
+    zero carries its derivative.  zeta'(rho) is not stored: the rotation
+    identity derives it from Z'(gamma) and theta(gamma).
     """
     ordinates: np.ndarray
-    ordinate_errs: np.ndarray
     z_primes: np.ndarray
     t_max: float
     certified: bool
 
     def __post_init__(self):
-        for name in ("ordinates", "ordinate_errs", "z_primes"):
+        for name in ("ordinates", "z_primes"):
             arr = np.array(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        ords, errs = self.ordinates, self.ordinate_errs
-        if ords.ndim != 1 or ords.shape != errs.shape or ords.shape != self.z_primes.shape:
-            raise ValidationError(
-                "ordinates, ordinate_errs and z_primes must be 1-D and of equal length")
-        if not (np.isfinite(ords).all() and np.isfinite(errs).all()
-                and np.isfinite(self.z_primes).all() and math.isfinite(self.t_max)):
-            raise ValidationError("ordinates, enclosure widths, Z'(gamma) and t_max must be finite")
+        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "certified", bool(self.certified))
+        ords = self.ordinates
+        if ords.ndim != 1 or ords.shape != self.z_primes.shape:
+            raise ValidationError("ordinates and z_primes must be 1-D and of equal length")
+        if not (np.isfinite(ords).all() and np.isfinite(self.z_primes).all()
+                and math.isfinite(self.t_max)):
+            raise ValidationError("ordinates, Z'(gamma) and t_max must be finite")
         gaps = np.diff(ords)
         if np.any(gaps <= 0.0):
             raise ValidationError("ordinates must be strictly ascending")
         if len(ords) and ords[-1] > self.t_max:
             raise ValidationError("ordinate beyond t_max")
-        if len(gaps) and gaps.min() <= 2.0 * errs.max():
+        if len(gaps) and gaps.min() <= 2.0 * ORDINATE_ERR_BOUND:
             raise ValidationError("a zero gap is smaller than twice the enclosure width")
 
     def __len__(self):
@@ -266,7 +263,8 @@ def _sign_bounds(lows, highs, f_lows, f_highs):
 
 
 def _refine_brackets(lows, highs, f_lows, f_highs):
-    """Vectorised bisection of sign-change brackets down to REFINE_WIDTH.
+    """Vectorised bisection of sign-change brackets down to REFINE_WIDTH:
+    the midpoints of the final brackets.
 
     Z(lows) and Z(highs) are the values already computed at the bracket
     ends.  Every bracket is halved in every pass until all are narrower than
@@ -301,13 +299,12 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
             goes_low[ask] = (zeta.hardy_z_many(mid[ask]) < 0.0) == fa_neg[ask]
         a = np.where(goes_low, mid, a)
         b = np.where(goes_low, b, mid)
-    return 0.5 * (a + b), 0.5 * (b - a)
+    return 0.5 * (a + b)
 
 
-def _build_records(gammas, errs, t_max, certified) -> ZeroList:
+def _build_records(gammas, t_max, certified) -> ZeroList:
     """The ZeroList of refined zeros, with Z'(gamma) at each one."""
-    return ZeroList(ordinates=gammas, ordinate_errs=errs,
-                    z_primes=zeta.hardy_z_prime_many(gammas),
+    return ZeroList(ordinates=gammas, z_primes=zeta.hardy_z_prime_many(gammas),
                     t_max=t_max, certified=certified)
 
 
@@ -357,11 +354,11 @@ def scan_and_refine(t_lo: float, t_hi: float) -> ZeroList:
     certified = len(lows) == expected
     if len(lows) == 0:
         empty = np.empty(0)
-        return ZeroList(empty, empty, empty, t_max=t_hi, certified=certified)
+        return ZeroList(empty, empty, t_max=t_hi, certified=certified)
 
-    gammas, errs = _refine_brackets(lows, highs, f_lows, f_highs)
+    gammas = _refine_brackets(lows, highs, f_lows, f_highs)
     keep = (gammas > t_lo) & (gammas <= t_hi)
-    return _build_records(gammas[keep], errs[keep], t_hi, certified)
+    return _build_records(gammas[keep], t_hi, certified)
 
 
 # ---------------------------------------------------------------------------
@@ -440,42 +437,27 @@ def snap_to_midgap(zlist: ZeroList, T: float) -> float:
 # ---------------------------------------------------------------------------
 
 def export_zeros(zlist: ZeroList, path) -> None:
-    """Write the v2 text format: the header lines
-
-        # zml-zeros v2
-        # t_max <repr>
-        # certified true|false
-        # crc32 <8 lowercase hex digits>
-
-    then "<ordinate> <Z'(gamma)>\n" per zero, each float as its repr, which
-    reads back to the same bits.  The CRC is zlib.crc32 of the data lines.
-    Lines are formatted EXPORT_CHUNK at a time, and the CRC, known only at
-    the end, is written over a placeholder of the same width."""
-    head = (f"{ZEROS_MAGIC}\n# t_max {zlist.t_max!r}\n"
-            f"# certified {'true' if zlist.certified else 'false'}\n").encode()
-    crc = 0
-    with open(path, "wb") as fh:
-        fh.write(head + b"# crc32 00000000\n")
+    """Write the list atomically as a store container, kind ZEROS_MAGIC with
+    keys t_max and certified, whose payload is "<ordinate> <Z'(gamma)>\n"
+    per zero, each float as its repr, which reads back to the same bits.
+    Lines are formatted EXPORT_CHUNK at a time."""
+    def chunks():
         for lo in range(0, len(zlist), EXPORT_CHUNK):
             rows = zip(zlist.ordinates[lo: lo + EXPORT_CHUNK].tolist(),
                        zlist.z_primes[lo: lo + EXPORT_CHUNK].tolist())
-            chunk = "".join([f"{g!r} {zp!r}\n" for g, zp in rows]).encode()
-            crc = zlib.crc32(chunk, crc)
-            fh.write(chunk)
-        fh.seek(len(head))
-        fh.write(f"# crc32 {crc:08x}\n".encode())
+            yield "".join([f"{g!r} {zp!r}\n" for g, zp in rows]).encode()
+
+    store.write(path, ZEROS_MAGIC, {"t_max": zlist.t_max, "certified": zlist.certified},
+                chunks())
 
 
 def _data_rows(body: bytes):
     """The (n, 2) array of the data lines in body, or None unless every
-    line is two non-empty fields separated by one space and ended by a
-    newline, and each field reads as one number.
-
-    Every byte <= 0x20 (space, newline and the other control bytes)
-    separates fields, so in order the separators must read " \n" once per
-    line, with none first, none after the last newline and no two side by
-    side; np.fromstring then reads all 2n numbers in one call.
-    """
+    line is two fields, each one number, separated by one space and ended
+    by a newline.  Every byte <= 0x20 separates fields, so the separators
+    must read " \n" once per line, with none first, none after the last
+    newline and no two side by side; np.fromstring then reads all 2n
+    numbers in one call."""
     seps = body.translate(None, _NON_SEPARATORS)
     n = len(seps) // 2
     if (seps != b" \n" * n or body[-1:] not in (b"", b"\n") or body[:1] == b" "
@@ -488,71 +470,17 @@ def _data_rows(body: bytes):
     return values.reshape(n, 2) if values.size == 2 * n else None
 
 
-def _bad_line(path, body: bytes) -> ParseError:
-    """The ParseError naming the first data line (line 5 on) that
-    _data_rows rejects, or else the last line, which lacks its newline."""
-    lines = body.split(b"\n")
-    i = next((i for i, line in enumerate(lines[:-1]) if _data_rows(line + b"\n") is None),
-             len(lines) - 1)
-    line, where = lines[i], f"{path}:{i + 5}"
-    fields = line.split()
-    if len(fields) != 2:
-        return ParseError(f"{where}: expected 2 columns, got {len(fields)}")
-    if line != b" ".join(fields):
-        return ParseError(f"{where}: columns not separated by one space")
-    if _data_rows(line + b"\n") is None:
-        return ParseError(f"{where}: non-numeric field")
-    return ParseError(f"{where}: no newline at the end of the file")
-
-
-def _header_value(path, lineno: int, line: bytes, key: str) -> str:
-    prefix = f"# {key} ".encode()
-    if not (line.startswith(prefix) and line.endswith(b"\n")):
-        raise ParseError(f"{path}:{lineno}: missing '# {key}' header")
-    return line[len(prefix): -1].decode("ascii", errors="replace")
-
-
 def import_zeros(path) -> ZeroList:
-    """Read the v2 format (see export_zeros).
-
-    The file is read once.  The four header lines must come first, in
-    order, with t_max the repr of a float, certified true or false and the
-    CRC 8 lowercase hex digits.  All data lines are parsed by one numpy
-    call; only when that fails are they scanned one by one, and the
-    ParseError names the first bad line.  The values then go through
-    ZeroList's checks (finite, strictly ascending, gaps wider than the
-    enclosures), and the CRC of the data bytes is compared last, so that a
-    damaged file keeps the message of the first check it fails and an edit
-    that passes all of them is still rejected.
-    """
-    with open(path, "rb") as fh:
-        head = [fh.readline() for _ in range(4)]
-        body = fh.read()
-    if head[0] != f"{ZEROS_MAGIC}\n".encode():
-        raise ParseError(f"{path}:1: expected '{ZEROS_MAGIC}'")
-    text = _header_value(path, 2, head[1], "t_max")
-    try:
-        t_max = float(text)
-        exact = repr(t_max) == text
-    except ValueError:
-        exact = False
-    if not exact:
-        raise ParseError(f"{path}:2: bad t_max")
-    certified = _header_value(path, 3, head[2], "certified")
-    if certified not in ("true", "false"):
-        raise ParseError(f"{path}:3: '# certified' must be true or false")
-    crc = _header_value(path, 4, head[3], "crc32")
-    if not re.fullmatch("[0-9a-f]{8}", crc):
-        raise ParseError(f"{path}:4: '# crc32' must be 8 lowercase hex digits")
+    """Read a list written by export_zeros.  After store.read's header and
+    CRC checks all data lines are parsed by one numpy call (_data_rows; a
+    bad layout raises one ParseError naming the file), and the values go
+    through ZeroList's checks."""
+    fields, body = store.read(path, ZEROS_MAGIC, {"t_max": float, "certified": bool})
     rows = _data_rows(body)
     if rows is None:
-        raise _bad_line(path, body)
+        raise ParseError(f"{path}: data lines must be two numbers separated by one space, "
+                         "each ended by a newline")
     try:
-        zlist = ZeroList(ordinates=rows[:, 0],
-                         ordinate_errs=np.full(len(rows), ORDINATE_ERR_BOUND),
-                         z_primes=rows[:, 1], t_max=t_max, certified=certified == "true")
+        return ZeroList(ordinates=rows[:, 0], z_primes=rows[:, 1], **fields)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    if zlib.crc32(body) != int(crc, 16):
-        raise ValidationError(f"{path}: crc32 mismatch")
-    return zlist

@@ -3,17 +3,27 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
 
-from zml import cli, moments, sieve, zeros
+from zml import cli, moments, sieve, store, zeros
 from zml.errors import InputError, ValidationError
 
 import oracle_values as ov
+
+
+def with_crc(data: bytes, head_lines: int) -> bytes:
+    """A cache container's bytes with the crc32 line recomputed for the
+    payload that follows the `head_lines` header lines."""
+    *head, payload = data.split(b"\n", head_lines)
+    head[-1] = f"# crc32 {zlib.crc32(payload):08x}".encode()
+    return b"\n".join([*head, payload])
 
 
 def run_cli(tmp_path, *args):
@@ -72,10 +82,9 @@ class TestZerosCommand:
             cut = damage.startswith("truncated")
             bad = b"\n".join(lines[:11] if cut else lines)
         path.write_bytes(bad)
-        if damage in ("cut at a line boundary", "one ordinate digit changed"):
-            # it parses as a valid list, headers intact: the CRC rejects it
-            with pytest.raises(ValidationError, match="crc32 mismatch"):
-                zeros.import_zeros(path)
+        # the CRC, checked before the data lines are parsed, rejects each
+        with pytest.raises(ValidationError, match="crc32 mismatch"):
+            zeros.import_zeros(path)
         capsys.readouterr()
         # report does not scan: it names the damaged file and leaves it
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
@@ -102,7 +111,8 @@ class TestZerosCommand:
                 "nan z_prime": b" ".join([ordinate, b"nan"]),
                 "inf z_prime": b" ".join([ordinate, b"-inf"]),
             }[damage]
-        bad = b"\n".join(lines)
+        # with a CRC that matches the edit, the finite check sees it
+        bad = with_crc(b"\n".join(lines), 4)
         path.write_bytes(bad)
         capsys.readouterr()
         assert run_cli(tmp_path, "report", "--t-max", "120") == 1
@@ -306,7 +316,7 @@ class TestLandauCommand:
     @pytest.mark.parametrize("damage", [
         "truncated", "extra bytes", "wrong magic", "v1 file", "count header",
         "composite prime", "composite prime, mu -1", "swapped primes", "v2 file",
-        "mu(6) -1", "97 deleted, count lowered"])
+        "v3 file", "mu(6) -1", "97 deleted, count lowered"])
     def test_damaged_sieve_cache_rebuilt(self, tmp_path, damaged_sieve, damage):
         args = ("landau", "--t-max", "200", "--x", "2,4,6", "--sieve-limit", "5000")
         fresh = tmp_path / "fresh"
@@ -357,6 +367,9 @@ class TestReportCommand:
                          "--out-dir", str(fresh)]) == 0
         cache_file = cli._campaign_cache_path(
             cli.RunConfig(t_max=300.0, trials=25, seed=9, cache_dir=tmp_path / "cache"))
+        assert cache_file.read_bytes().startswith(
+            b"# zml-mv-campaign v1\n# seed 9\n# trials 25\n# version %d\n# crc32 "
+            % cli.MV_CACHE_VERSION)
         cache_file.unlink()
         assert run_cli(tmp_path, "mv-check", *args) == 0
         assert cache_file.exists()
@@ -368,36 +381,45 @@ class TestReportCommand:
             fresh / "report.json").read_bytes()
 
     @pytest.mark.parametrize("damage", [
-        "truncated", "short", "nan", "other seed", "old version", "not a list"])
+        "truncated", "one ratio edited", "short", "nan", "other seed", "old version",
+        "not a list"])
     def test_damaged_campaign_recomputed(self, tmp_path, monkeypatch, damage):
+        # the cut and the edited ratio fail the CRC; the payload damage
+        # carries a forged CRC, so the content checks see it; the key
+        # lines lie outside the CRC and must equal the run's own
         args = ("--t-max", "300", "--sieve-limit", "5000", "--trials", "25", "--seed", "9")
         run_cli(tmp_path, "zeros", "--t-max", "300")
         assert run_cli(tmp_path, "mv-check", *args) == 0
         assert run_cli(tmp_path, "report", *args) == 0
         good = (tmp_path / "out" / "report.json").read_bytes()
-        path = next((tmp_path / "cache").glob("mv_campaign_*.json"))
-        data = json.loads(path.read_text())
+        path = next((tmp_path / "cache").glob("mv_campaign_*.txt"))
+        cached = path.read_bytes()
+        lines = cached.split(b"\n")
+        ratio = lines[5 + 3]
         if damage == "truncated":
-            text = path.read_text()[:-40]
+            bad = cached[:-40]
+        elif damage == "one ratio edited":
+            bad = cached.replace(b"\n" + ratio + b"\n", b"\n9.5\n")
+        elif damage == "short":
+            bad = with_crc(b"\n".join(lines[:-2] + [b""]), 5)
+        elif damage == "nan":
+            bad = with_crc(cached.replace(b"\n" + ratio + b"\n", b"\nnan\n"), 5)
+        elif damage == "other seed":
+            bad = cached.replace(b"# seed 9\n", b"# seed 10\n")
+        elif damage == "old version":
+            bad = cached.replace(b"# version %d\n" % cli.MV_CACHE_VERSION,
+                                 b"# version %d\n" % (cli.MV_CACHE_VERSION - 1))
         else:
-            if damage == "short":
-                data["ratios"] = data["ratios"][:-1]
-            elif damage == "nan":
-                data["ratios"][3] = math.nan
-            elif damage == "other seed":
-                data["seed"] = 10
-            elif damage == "old version":
-                data["version"] = cli.MV_CACHE_VERSION - 1
-            else:
-                data["ratios"] = {"0": 1.0}
-            text = json.dumps(data)
-        path.write_text(text)
+            bad = with_crc(b"\n".join(lines[:5] + [b"{'0': 1.0}", b""]), 5)
+        assert bad != cached
+        path.write_bytes(bad)
         real = cli.mv_campaign
         calls = []
         monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
         assert run_cli(tmp_path, "report", *args) == 0
         assert calls == [(9, 25)]
         assert (tmp_path / "out" / "report.json").read_bytes() == good
+        assert path.read_bytes() == cached
 
     def test_sieve_limit_below_the_drift_grid(self, tmp_path):
         # the neg4 grid starts at xi = 1000; a smaller sieve keeps only its limit
@@ -496,7 +518,7 @@ class TestConfig:
 
         def scan(t_lo, t_hi):
             tops.append(t_hi)
-            return zeros.ZeroList([], [], [], t_max=t_hi, certified=False)
+            return zeros.ZeroList([], [], t_max=t_hi, certified=False)
 
         monkeypatch.setattr(cli.zeros, "scan_and_refine", scan)
         run_cli(tmp_path, "zeros", "--t-max", "99999")
@@ -547,6 +569,27 @@ class TestConfig:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert list(tmp_path.rglob("*")) == []
+
+    @pytest.mark.parametrize("command, t_max, limit, sweep, xi, theta", [
+        ("report", "1000", "20", None, 31, "0.5"),
+        ("moments", "1000", "20", None, 31, "0.5"),
+        ("moments", "3000", "1000", "0.3:0.9:0.6", 1347, "0.9"),
+        # 195.3^0.5 = 13.97, but T snaps to 196.07 and xi to 14
+        ("report", "195.3", "13", None, 14, "0.5"),
+        ("moments", "195.3", "13", None, 14, "0.5")],
+        ids=["report", "moments", "moments sweep", "report at mid-gap", "moments at mid-gap"])
+    def test_sieve_limit_below_xi_rejected_before_any_work(self, tmp_path, capsys, command,
+                                                           t_max, limit, sweep, xi, theta):
+        # refused before the sieve is built or any output is written
+        assert run_cli(tmp_path, "zeros", "--t-max", t_max) == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        argv = ["--t-max", t_max, "--sieve-limit", limit, "--x", "2"]
+        assert run_cli(tmp_path, command, *argv, *(["--theta-sweep", sweep] if sweep else [])) == 1
+        assert re.fullmatch(rf"error: xi = {xi} at T = [0-9.]+, theta = {theta} exceeds "
+                            rf"sieve limit {limit}\n", capsys.readouterr().err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x, message", [
         ("2000000", "x = 2e+06 lies above sieve_limit = 100000"),
@@ -623,38 +666,39 @@ class TestAtomicWrite:
     def test_failing_writer_leaves_nothing(self, tmp_path):
         target = tmp_path / "cache" / "sieve_10.bin"
 
-        def write(tmp):
-            with open(tmp, "wb") as fh:
-                fh.write(b"partial")
+        def write(fh):
+            fh.write(b"partial")
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            cli._atomic_replace(target, write)
+            store.replace(target, write)
         assert list(target.parent.iterdir()) == []
 
     def test_failure_keeps_the_old_file(self, tmp_path):
         target = tmp_path / "report.json"
         cli._atomic_write(target, "old\n")
 
-        def write(tmp):
+        def write(fh):
             raise RuntimeError("interrupted")
 
         with pytest.raises(RuntimeError):
-            cli._atomic_replace(target, write)
+            store.replace(target, write)
         assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
         assert target.read_text() == "old\n"
 
     def test_caches_written_through_unique_temp_files(self, tmp_path, monkeypatch):
         names = []
-        real = cli._atomic_replace
+        real = store.replace
 
         def spy(path, write):
             names.append(path.name)
             real(path, write)
 
-        monkeypatch.setattr(cli, "_atomic_replace", spy)
+        # every cache and --out-dir file goes through store.replace
+        monkeypatch.setattr(store, "replace", spy)
         assert run_cli(tmp_path, "landau", "--t-max", "50", "--sieve-limit", "100") == 0
         assert "sieve_100.bin" in names and any(n.startswith("zeros_t50_") for n in names)
+        assert "landau_x2.json" in names
         assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".bin", ".txt"]
 
 

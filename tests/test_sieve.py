@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zml import sieve
-from zml.errors import InputError, ValidationError
+from zml.errors import InputError, ParseError, ValidationError, ZmlError
 
 import oracle_values as ov
 
@@ -182,8 +183,11 @@ def test_determinism(sieve_10k):
 def test_cache_roundtrip(tmp_path, sieve_10k):
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
-    # magic, limit, prime count and CRC, one byte of mu per n, four per prime
-    assert path.stat().st_size == 10 + 20 + 10**4 + 4 * 1229
+    # magic, limit, prime count and CRC lines, eight bytes per prime, one
+    # byte of mu per n from 0
+    head = b"# zml-sieve v4\n# limit 10000\n# primes 1229\n# crc32 "
+    assert path.read_bytes().startswith(head)
+    assert path.stat().st_size == len(head) + 9 + 8 * 1229 + 10**4 + 1
     loaded = sieve.load_sieve(path, 10**4)
     assert np.array_equal(loaded.mobius, sieve_10k.mobius)
     assert loaded.primes.dtype == np.int64
@@ -193,7 +197,7 @@ def test_cache_roundtrip(tmp_path, sieve_10k):
         sieve.load_sieve(path, 10**5)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"NOT-A-SIEVE" + b"\x00" * 64)
-    with pytest.raises(ValidationError, match="magic"):
+    with pytest.raises(ParseError, match=":1: expected '# zml-sieve v4'"):
         sieve.load_sieve(bad, 10**4)
 
 
@@ -386,24 +390,29 @@ def test_build_memory_peak():
 @pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header",
                                     "count header"])
 def test_load_rejects_wrong_size(tmp_path, sieve_10k, damaged_sieve, damage):
+    # a file cut or extended fails its CRC; a count that does not match the
+    # payload's size fails the size check
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
     path.write_bytes(damaged_sieve(path.read_bytes(), damage))
-    with pytest.raises(ValidationError, match="bytes|header"):
+    match = {"count header": "payload of 19833 bytes, expected 19825",
+             "short header": ":2: missing '# limit' header"}.get(damage, "crc32 mismatch")
+    with pytest.raises(ZmlError, match=re.escape(match)):
         sieve.load_sieve(path, 10**4)
 
 
-@pytest.mark.parametrize("damage", ["v1 file", "v2 file", "composite prime",
+@pytest.mark.parametrize("damage", ["v1 file", "v2 file", "v3 file", "composite prime",
                                     "composite prime, mu -1", "swapped primes",
                                     "mu(6) -1", "97 deleted, count lowered"])
 def test_load_rejects_damaged_primes(tmp_path, sieve_10k, damaged_sieve, damage):
+    # the prime-list cases carry a forged CRC that matches their payload
     path = tmp_path / "sieve.bin"
     sieve.save_sieve(sieve_10k, path)
     good = path.read_bytes()
     bad = damaged_sieve(good, damage)
-    assert len(bad) == len(good) or damage in ("v1 file", "v2 file", "97 deleted, count lowered")
+    assert len(bad) == len(good) or damage.endswith((" file", "count lowered"))
     path.write_bytes(bad)
-    match = {"v1 file": "magic", "v2 file": "magic", "mu(6) -1": "crc32 mismatch",
-             "97 deleted, count lowered": "crc32 mismatch"}.get(damage, "prime list")
-    with pytest.raises(ValidationError, match=match):
+    match = {"mu(6) -1": "crc32 mismatch", "97 deleted, count lowered": "crc32 mismatch"}.get(
+        damage, "expected '# zml-sieve v4'" if damage.endswith(" file") else "prime list")
+    with pytest.raises(ZmlError, match=match):
         sieve.load_sieve(path, 10**4)

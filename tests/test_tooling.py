@@ -15,14 +15,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from zml import cli, dirichlet, moments, sieve, zeros, zeta
+from zml import cli, dirichlet, moments, sieve, store, zeros, zeta
 
 from test_cli import run_reproduce_all
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = {"cli": cli, "dirichlet": dirichlet, "moments": moments,
-           "sieve": sieve, "zeros": zeros, "zeta": zeta}
+           "sieve": sieve, "store": store, "zeros": zeros, "zeta": zeta}
 # backticked snake_case names in the README that are JSON keys, not attributes
 README_JSON_KEYS = {"z_threads"}
 
@@ -69,8 +69,8 @@ def test_readme_shared_flags_match_parser():
 def test_readme_file_formats_name_the_magics():
     readme = README.read_text(encoding="utf-8")
     section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
-    assert f"`{sieve.SIEVE_MAGIC.decode()}`" in section
-    assert f"`{zeros.ZEROS_MAGIC}`" in section
+    for magic in (zeros.ZEROS_MAGIC, sieve.SIEVE_MAGIC, cli.MV_CAMPAIGN_MAGIC):
+        assert f"`{magic}`" in section
 
 
 def test_readme_names_resolve():
@@ -78,7 +78,7 @@ def test_readme_names_resolve():
     text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
     spans = [re.sub(r"[\w/]+\.py\b", "", span) for span in re.findall(r"`([^`]+)`", text)]
     qualified = {(mod, name) for span in spans for mod, name in re.findall(
-        r"\b(cli|dirichlet|moments|sieve|zeros|zeta)\.(\w+)", span)}
+        r"\b(cli|dirichlet|moments|sieve|store|zeros|zeta)\.(\w+)", span)}
     assert ("cli", "MV_BOUND") in qualified
     assert [f"{mod}.{name}" for mod, name in sorted(qualified)
             if not hasattr(MODULES[mod], name)] == []
