@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -29,9 +30,12 @@ SCAN_T_LO = 10.0
 MAX_SWEEP = 1000          # most theta values a --theta-sweep may give
 MV_BOUND = 10.0           # the mean-value campaign passes when every ratio is at most this
 EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
-# Most mean-value trials: campaign_trials holds every polynomial at once, about
-# 2.3 MB per 1,000 trials, so this cap keeps a campaign within 300 MB.
+# Most mean-value trials.  The campaign holds one batch of trials at a time,
+# so the cap bounds its run time and the ratios it keeps and writes.
 MAX_TRIALS = 50_000
+# Trials per mv_reports call: one pair group of dirichlet._pair_parts_many
+# when the longest polynomial has the campaign's cap of 200 coefficients.
+MV_BATCH = dirichlet.CHUNK_ELEMS // (16 * 200)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
 ZERO_CACHE_VERSION = 4
@@ -63,6 +67,8 @@ class RunConfig:
             raise InputError(f"sieve_limit must lie in [2, {sieve.MEMORY_CAP}]")
         if not all(1.0 < x < math.inf for x in self.x_values):
             raise InputError("every x must be finite and > 1")
+        _check_file_tags("x", self.x_values)
+        _check_file_tags("theta", self.theta_sweep or ())
         for x in self.x_values:
             # sieve.mangoldt rejects an x that is, to 1e-9, an integer above the limit
             if abs(x - round(x)) <= 1e-9 and round(x) > self.sieve_limit:
@@ -73,6 +79,16 @@ class RunConfig:
             raise InputError(f"trials must be <= {MAX_TRIALS}")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
+
+
+def _check_file_tags(name: str, values) -> None:
+    """Refuse two values that print alike ({:g}) in the output file names."""
+    seen = {}
+    for v in values:
+        if (tag := f"{v:g}") in seen:
+            raise InputError(f"{name} = {seen[tag]!r} and {name} = {v!r} would write "
+                             f"the same files ({name}{tag})")
+        seen[tag] = v
 
 
 def check_dir(path: Path, name: str) -> None:
@@ -217,10 +233,8 @@ def cmd_moments(cfg: RunConfig) -> int:
     points = [(th, T) for _, T in grid for th in thetas]
     if cfg.theta_sweep:
         T_sweep = zeros.snap_to_midgap(zlist, cfg.t_max)
-        points += [
-            (th, T_sweep) for th in thetas
-            if moments.point_error(zlist, table, th, T_sweep) is None
-        ]
+        errors = {th: moments.point_error(zlist, table, th, T_sweep) for th in thetas}
+        points += [(th, T_sweep) for th in thetas if errors[th] is None]
     points = list(dict.fromkeys(points))
     reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
     all_ok = True
@@ -239,7 +253,7 @@ def cmd_moments(cfg: RunConfig) -> int:
             )
     _atomic_write(cfg.out_dir / "moments_summary.csv", moments.reports_csv_text(summary))
     if cfg.theta_sweep:
-        rows = moments.theta_sweep(zlist, table, T_sweep, thetas, known=reports)
+        rows = moments.theta_sweep(T_sweep, thetas, reports, errors)
         _atomic_write(cfg.out_dir / "theta_sweep.json", _json_text(rows))
         for row in rows:
             if "error" in row:
@@ -252,24 +266,27 @@ def cmd_moments(cfg: RunConfig) -> int:
     return 0 if all_ok else 2
 
 
-def campaign_trials(seed: int, trials: int) -> list:
-    """The (A, B, T) of each mean-value trial (xi <= 200, T in [10, 1e4],
+def campaign_trials(seed: int, trials: int):
+    """Yield the (A, B, T) of each mean-value trial (xi <= 200, T in [10, 1e4],
     coefficients uniform in [-1, 1]), drawn trial by trial from one
     generator."""
     rng = np.random.default_rng(seed)
-    out = []
     for _ in range(trials):
         xa, xb = rng.integers(1, 201, 2)
         A = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xa)))
         B = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xb)))
-        out.append((A, B, float(rng.uniform(10.0, 1.0e4))))
-    return out
+        yield A, B, float(rng.uniform(10.0, 1.0e4))
 
 
 def mv_campaign(seed: int, trials: int):
     """Randomized mean-value certification trials: the ratio of each of
-    campaign_trials, evaluated together (dirichlet.mv_reports)."""
-    return [rep.ratio for rep in dirichlet.mv_reports(campaign_trials(seed, trials))]
+    campaign_trials, evaluated MV_BATCH trials at a time
+    (dirichlet.mv_reports), so one batch's polynomials are held at once."""
+    drawn = campaign_trials(seed, trials)
+    ratios = []
+    while batch := list(itertools.islice(drawn, MV_BATCH)):
+        ratios += [rep.ratio for rep in dirichlet.mv_reports(batch)]
+    return ratios
 
 
 def _mv_summary(cfg: RunConfig, ratios) -> dict:

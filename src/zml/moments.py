@@ -19,7 +19,7 @@ moment_grid computes a whole (theta, T) grid in one pass: the mollifier is
 evaluated once per zero up to the largest T, block by block and truncated
 at every xi of the grid (dirichlet.truncation_blocks), and each T takes a
 prefix of the ascending zeros; M1 and M2 share those values, and no zeros
-x xi matrix is held.  moment_report and theta_sweep are built on it.  The
+x xi matrix is held; moment_report and the theta-sweep rows use it.  The
 mollifier values are within 1.5e-15 of sum |a_n| n^(-1/2) of 30-digit sums
 at sampled zeros up to 1e4, and 8.0e-16 near 1e5 (see dirichlet); at t_max
 1e4, M1, M2 and the Cauchy bound moved by <= 2.2e-14 relative from the
@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import DirichletPoly, eval_poly_at_zeros, truncation_blocks
+# eval_poly_at_zeros is unused here; perfbench's tracer patches this binding
+from .dirichlet import eval_poly_at_zeros, truncation_blocks  # noqa: F401
 from .errors import InputError, SimplicityError
 from .sieve import SieveTable, _exact_parts, mangoldt, squarefree_harmonic
 from .zeros import SIMPLICITY_GUARD, ZeroList
@@ -121,22 +122,22 @@ def _require_certified(zlist: ZeroList) -> None:
         raise InputError("zero list is not completeness-certified; rescan first")
 
 
-def _check_window(zlist: ZeroList, T: float) -> np.ndarray:
+def _check_window(zlist: ZeroList, T: float) -> int:
+    """The number of zeros up to T, the window's prefix length."""
     if T > zlist.t_max:
         raise InputError(f"T = {T} beyond list t_max = {zlist.t_max}")
-    n = zlist.count_below(T)
-    return np.arange(n)
+    return zlist.count_below(T)
 
 
-def _guard_simplicity(zlist: ZeroList, idx: np.ndarray) -> None:
-    if idx.size == 0:
+def _guard_simplicity(zlist: ZeroList, n: int) -> None:
+    if n == 0:
         return
-    mods = zlist.zeta_prime_mods[idx]
+    mods = zlist.zeta_prime_mods[:n]
     j = int(np.argmin(mods))
     if mods[j] < SIMPLICITY_GUARD:
         raise SimplicityError(
             f"|zeta'(rho)| = {mods[j]:.3e} below guard {SIMPLICITY_GUARD:g} at "
-            f"gamma = {zlist.ordinates[idx][j]:.9f}; re-verify at higher resolution "
+            f"gamma = {zlist.ordinates[j]:.9f}; re-verify at higher resolution "
             "before trusting reciprocal-derivative sums"
         )
 
@@ -150,10 +151,10 @@ def j_moment(zlist: ZeroList, k: float, T: float) -> float:
     if k <= 0:
         raise InputError("k must be positive")
     _require_certified(zlist)
-    idx = _check_window(zlist, T)
-    if idx.size == 0:
+    n = _check_window(zlist, T)
+    if n == 0:
         return 0.0
-    return math.fsum(zlist.zeta_prime_mods[idx] ** (-2.0 * k))
+    return math.fsum(zlist.zeta_prime_mods[:n] ** (-2.0 * k))
 
 
 def gonek_prediction(T: float) -> float:
@@ -191,42 +192,6 @@ def predict_m2(params: MollifierParams) -> float:
     return GONEK_CONSTANT * (th + th * th) * params.T * math.log(params.T) ** 2
 
 
-def _m1_from_values(vals: np.ndarray, zeta_primes: np.ndarray) -> complex:
-    terms = np.conj(vals) / zeta_primes
-    return complex(math.fsum(terms.real), math.fsum(terms.imag))
-
-
-def _m2_from_values(vals: np.ndarray) -> float:
-    return math.fsum(np.abs(vals) ** 2)
-
-
-def m1_sum(zlist: ZeroList, poly: DirichletPoly, T: float) -> complex:
-    """M1 = sum_{0<gamma<=T} conj(M(rho)) / zeta'(rho).
-
-    Uses the critical-line identity M(1-rho) = conj(M(rho)), which needs
-    real coefficients.
-    """
-    _require_certified(zlist)
-    if not poly.is_real:
-        raise InputError("M1 needs a real-coefficient polynomial")
-    idx = _check_window(zlist, T)
-    _guard_simplicity(zlist, idx)
-    if idx.size == 0:
-        return 0.0 + 0.0j
-    vals = eval_poly_at_zeros(poly, zlist.ordinates[idx])
-    return _m1_from_values(vals, zlist.zeta_primes[idx])
-
-
-def m2_sum(zlist: ZeroList, poly: DirichletPoly, T: float) -> float:
-    """M2 = sum_{0<gamma<=T} |M(rho)|^2."""
-    _require_certified(zlist)
-    idx = _check_window(zlist, T)
-    _guard_simplicity(zlist, idx)
-    if idx.size == 0:
-        return 0.0
-    return _m2_from_values(eval_poly_at_zeros(poly, zlist.ordinates[idx]))
-
-
 def cauchy_chain(report: MomentReport) -> bool:
     """Exact Cauchy-Schwarz inequality J_{-1} >= |M1|^2 / M2 (rounding slack
     1e-12 relative only)."""
@@ -242,9 +207,9 @@ def _check_point(
     if params.xi > table.limit:
         raise InputError(f"xi = {params.xi} exceeds sieve limit {table.limit}")
     _require_certified(zlist)
-    idx = _check_window(zlist, T)
-    _guard_simplicity(zlist, idx)
-    return params, idx.size
+    n = _check_window(zlist, T)
+    _guard_simplicity(zlist, n)
+    return params, n
 
 
 def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
@@ -326,20 +291,10 @@ def point_error(zlist: ZeroList, table: SieveTable, theta_exp: float, T: float):
     return None
 
 
-def theta_sweep(
-    zlist: ZeroList, table: SieveTable, T: float, thetas, known=None
-) -> list:
-    """Per-theta rows of (cauchy_lb, sweep_pred, ratio); a row whose xi
-    exceeds the sieve limit carries an error string, other rows still
-    compute.
-
-    `known` maps (theta, T) points to reports already computed, which are
-    reused; the other rows are computed in one moment_grid pass.
-    """
-    errors = {th: point_error(zlist, table, th, T) for th in thetas}
-    reports = dict(known or {})
-    todo = [(th, T) for th, err in errors.items() if err is None and (th, T) not in reports]
-    reports.update(zip(todo, moment_grid(zlist, table, todo)))
+def theta_sweep(T: float, thetas, reports, errors) -> list:
+    """Per-theta rows of (cauchy_lb, sweep_pred, ratio) at T.  errors[theta]
+    is point_error's text for (theta, T): a row carries it if it is not
+    None, and is built from reports[(theta, T)] otherwise."""
     rows = []
     for th in thetas:
         entry = {"theta_exp": th, "t": T}
@@ -374,7 +329,7 @@ def landau_sums(zlist: ZeroList, table: SieveTable, x: float, Ts) -> list:
     if x <= 1.0:
         raise InputError("x > 1 required")
     _require_certified(zlist)
-    ns = [_check_window(zlist, T).size for T in Ts]
+    ns = [_check_window(zlist, T) for T in Ts]
     lx = math.log(x)
     sx = math.sqrt(x)
     phases = zlist.ordinates[: max(ns, default=0)] * lx

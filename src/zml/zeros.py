@@ -308,29 +308,32 @@ def _build_records(gammas, t_max, certified) -> ZeroList:
                     t_max=t_max, certified=certified)
 
 
+def _walk_to_good_gram(k: int, step: int, side, last: int):
+    """(k, g_k) for the first k from `k` in steps of `step` (+1 or -1), up
+    to and including `last`, whose Gram point satisfies side(g_k) and is
+    good; None if there is none.  side is tested before Z(g_k) is
+    evaluated, through hardy_z_many, which has no T_MAX check."""
+    while (last - k) * step >= 0:
+        g = gram_point(k)
+        if side(g) and _good_mask(np.array([k]), zeta.hardy_z_many(np.array([g])))[0]:
+            return k, g
+        k += step
+    return None
+
+
 def _anchored_gram_range(t_lo: float, t_hi: float):
     """Good Gram anchors (k_a below t_lo, k_b at/above t_hi) plus the grid.
 
-    Anchors are evaluated through hardy_z_many, which has no T_MAX check,
-    so the anchor above t_hi may lie past T_MAX + SCAN_MARGIN.
+    The anchor above t_hi may lie past T_MAX + SCAN_MARGIN.
     """
-    k_a = int(math.floor(zeta.rs_theta(t_lo) / math.pi))
-    while k_a >= -1:
-        g = gram_point(k_a)
-        if g < t_lo and _good_mask(np.array([k_a]), zeta.hardy_z_many(np.array([g])))[0]:
-            break
-        k_a -= 1
-    else:
+    k0 = int(math.floor(zeta.rs_theta(t_lo) / math.pi))
+    if (hit := _walk_to_good_gram(k0, -1, lambda g: g < t_lo, -1)) is None:
         raise NumericsError(f"no good Gram anchor below t_lo = {t_lo}")
-    k_b = int(math.ceil(zeta.rs_theta(t_hi) / math.pi))
-    while True:
-        g = gram_point(k_b)
-        if g >= t_hi and _good_mask(np.array([k_b]), zeta.hardy_z_many(np.array([g])))[0]:
-            break
-        k_b += 1
-        if k_b - k_a > 200000:
-            raise NumericsError("no good Gram anchor above t_hi")
-    ks = np.arange(k_a, k_b + 1)
+    k_a = hit[0]
+    k0 = int(math.ceil(zeta.rs_theta(t_hi) / math.pi))
+    if (hit := _walk_to_good_gram(k0, 1, lambda g: g >= t_hi, k_a + 200000)) is None:
+        raise NumericsError("no good Gram anchor above t_hi")
+    ks = np.arange(k_a, hit[0] + 1)
     gs = gram_points_many(ks.astype(float))
     return ks, gs
 
@@ -394,17 +397,11 @@ def zero_count_check(zlist: ZeroList, T: float) -> CountCheck:
     slack_ok = abs(count - expected) <= 2.0
 
     k = int(math.floor(zeta.rs_theta(max(T, 10.0)) / math.pi))
-    anchor_k, anchor_g, exact_ok, count_at = k, math.nan, False, -1
-    while k >= -1:
-        g = gram_point(k)
-        if g <= T and _good_mask(np.array([k]), np.array([zeta.hardy_z(g)]))[0]:
-            anchor_k, anchor_g = k, g
-            count_at = zlist.count_below(g)
-            exact_ok = count_at == k + 1
-            break
-        k -= 1
-    else:
-        exact_ok = count == 0
+    anchor_k, anchor_g, exact_ok, count_at = k, math.nan, count == 0, -1
+    if (hit := _walk_to_good_gram(k, -1, lambda g: g <= T, -1)) is not None:
+        anchor_k, anchor_g = hit
+        count_at = zlist.count_below(anchor_g)
+        exact_ok = count_at == anchor_k + 1
     return CountCheck(
         passed=bool(slack_ok and exact_ok),
         count=count,

@@ -253,6 +253,14 @@ class TestMomentsCommand:
             assert row["cauchy_lb"] == pytest.approx(rep.cauchy_lb, rel=1e-12)
             assert row["cauchy_ok"]
 
+    def test_one_point_check_per_sweep_theta(self, tmp_path, monkeypatch):
+        calls = []
+        real = moments.point_error
+        monkeypatch.setattr(moments, "point_error", lambda *a: calls.append(a[2]) or real(*a))
+        rc = run_cli(tmp_path, "moments", "--t-max", "200", "--theta-sweep", "0.3:0.7:0.2")
+        assert rc == 0
+        assert calls == [0.3, 0.5, 0.7]
+
     def test_sweep_row_beyond_sieve_limit(self, tmp_path, capsys):
         # xi(0.9, 2500) = 1143 > 1000, while every gridpoint fits the sieve
         rc = run_cli(
@@ -289,7 +297,7 @@ class TestMvCheckCommand:
         assert "error: trials must be >= 1" in capsys.readouterr().err
 
     def test_trials_capped(self, tmp_path, capsys, monkeypatch):
-        # the campaign holds every trial's polynomials at once
+        # the cap bounds the campaign's run time and the ratios it keeps
         monkeypatch.setattr(cli, "campaign_trials", lambda *a: pytest.fail("a trial was drawn"))
         assert run_cli(tmp_path, "mv-check", "--trials", "50001") == 1
         assert capsys.readouterr().err == "error: trials must be <= 50000\n"
@@ -588,6 +596,27 @@ class TestConfig:
         assert run_cli(tmp_path, command, *argv, *(["--theta-sweep", sweep] if sweep else [])) == 1
         assert re.fullmatch(rf"error: xi = {xi} at T = [0-9.]+, theta = {theta} exceeds "
                             rf"sieve limit {limit}\n", capsys.readouterr().err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("landau", "--x", "2,2.0000001", "x = 2.0 and x = 2.0000001 would write the same "
+         "files (x2)"),
+        ("report", "--x", "3,2,3", "x = 3.0 and x = 3.0 would write the same files (x3)"),
+        ("moments", "--theta-sweep", "0.3:0.3000001:0.0000001", "theta = 0.3 and "
+         "theta = 0.3000001 would write the same files (theta0.3)"),
+        ("moments", "--theta-sweep", "0.3:0.3:1e-14", "theta = 0.3 and theta = 0.3 would "
+         "write the same files (theta0.3)")],
+        ids=["landau x", "report x repeated", "moments theta", "moments theta repeated"])
+    def test_values_that_print_alike_rejected_before_any_work(self, tmp_path, capsys, command,
+                                                              flag, value, message):
+        # file names carry x and theta as {:g}, so such values would overwrite
+        # each other's files
+        assert run_cli(tmp_path, "zeros", "--t-max", "100") == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert run_cli(tmp_path, command, "--t-max", "100", flag, value) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not (tmp_path / "out").exists()
 

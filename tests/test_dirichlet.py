@@ -1,4 +1,6 @@
+import hashlib
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -485,7 +487,7 @@ class TestPairIntegral:
         poly = dirichlet.DirichletPoly
         triples = {
             "mixed": self._mixed_triples,
-            "campaign": lambda: campaign_trials(7, 300),
+            "campaign": lambda: list(campaign_trials(7, 300)),
             "huge": lambda: [
                 (poly(coeffs=np.array([1e150, 1.0])), poly(coeffs=np.array([1e150, -2.0])), 10.0),
                 (poly(coeffs=np.array([0.5])), poly(coeffs=np.array([0.25, 1.0])), 20.0)],
@@ -552,7 +554,7 @@ class TestMeanValueReport:
         from zml.cli import campaign_trials, mv_campaign
 
         ratio = mv_campaign(seed=42, trials=974)[973]
-        A, B, T = campaign_trials(seed=42, trials=974)[973]
+        A, B, T = list(campaign_trials(seed=42, trials=974))[973]
         _, off = mp_pair_parts(A.coeffs, B.coeffs, T)
         ref = float(abs(off)) / dirichlet.mv_reports([(A, B, T)])[0].envelope
         assert ref == pytest.approx(0.0018150490542916119, rel=1e-15)
@@ -572,3 +574,28 @@ class TestMeanValueReport:
         max_ratio, mean_ratio = ov.MV_CAMPAIGN_42_1000
         assert max(ratios) == pytest.approx(max_ratio, rel=1e-9)
         assert math.fsum(ratios) / len(ratios) == pytest.approx(mean_ratio, rel=1e-9)
+
+    @pytest.mark.parametrize("seed, trials, digest", [
+        (0, 7, "5aea2da344f35d00a157cec28cd30619d41263ebaf46ce521b92b3cbad98434f"),
+        (42, 100, "41dafb8f061b4ad6ea88fa2887bb88238aec56077e7608bdf3e57bb4831be6fc"),
+        (9, 1000, "df84ce268628a02ee81dbf56a6a33a31d2cce016f61ea8598e410511f73badd0")])
+    def test_campaign_bits_pinned(self, seed, trials, digest):
+        # every ratio bit for bit as when one mv_reports call took every
+        # trial, fewer than one batch, across one and across many
+        from zml.cli import mv_campaign
+
+        ratios = np.array(mv_campaign(seed, trials), dtype="<f8")
+        assert hashlib.sha256(ratios.tobytes()).hexdigest() == digest
+
+    def test_campaign_holds_one_batch(self):
+        # 6.5 MB with every trial's polynomials held at once, 3.4 MB with
+        # one batch of MV_BATCH trials
+        from zml.cli import mv_campaign
+
+        tracemalloc.start()
+        try:
+            mv_campaign(42, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5e6

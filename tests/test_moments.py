@@ -141,31 +141,56 @@ class TestPredictions:
             moments.MollifierParams.from_theta(0.5, 0.5)
 
 
-class TestM1M2:
-    def test_below_first_zero(self, zeros_110, poly10):
-        assert moments.m1_sum(zeros_110, poly10, 12.0) == 0.0
-        assert moments.m2_sum(zeros_110, poly10, 12.0) == 0.0
+def _report(zlist, table, poly, T):
+    """moment_report at T with theta such that xi = poly.length (poly_one
+    and poly10 are the mollifiers of lengths 1 and 10)."""
+    rep = moments.moment_report(zlist, table, math.log(poly.length + 0.5) / math.log(T), T)
+    assert rep.params.xi == poly.length
+    return rep
 
-    def test_constant_poly_degenerations(self, zeros_110, poly_one):
+
+def _oracle_sums(zlist, poly, T):
+    """(M1, M2) over the zeros up to T from dirichlet.eval_poly, the exactly
+    rounded scalar evaluator, which shares no code with the prime fill."""
+    n = zlist.count_below(T)
+    vals = np.array([dirichlet.eval_poly(poly, complex(0.5, g)) for g in zlist.ordinates[:n]])
+    terms = np.conj(vals) / zlist.zeta_primes[:n]
+    return complex(math.fsum(terms.real), math.fsum(terms.imag)), math.fsum(np.abs(vals) ** 2)
+
+
+class TestM1M2:
+    def test_below_first_zero(self, zeros_110, sieve_10k, poly_one, poly10):
+        for poly in (poly_one, poly10):
+            rep = _report(zeros_110, sieve_10k, poly, 12.0)
+            assert (rep.m1, rep.m2) == (0j, 0.0)
+
+    def test_constant_poly_degenerations(self, zeros_110, sieve_10k, poly_one):
         T = 100.0
         n = zeros_110.count_below(T)
-        assert moments.m2_sum(zeros_110, poly_one, T) == pytest.approx(float(n), rel=1e-14)
-        m1 = moments.m1_sum(zeros_110, poly_one, T)
+        rep = _report(zeros_110, sieve_10k, poly_one, T)
+        assert rep.m2 == pytest.approx(float(n), rel=1e-14)
         want = complex(
             math.fsum((1.0 / zeros_110.zeta_primes[:n]).real),
             math.fsum((1.0 / zeros_110.zeta_primes[:n]).imag),
         )
-        assert m1 == pytest.approx(want, rel=1e-14)
+        assert rep.m1 == pytest.approx(want, rel=1e-14)
 
-    def test_two_zero_m1_from_oracle(self, zeros_110, poly_one):
+    def test_two_zero_m1_from_oracle(self, zeros_110, sieve_10k, poly_one):
         want = 1.0 / complex(*ov.ZETA_PRIME[0]) + 1.0 / complex(*ov.ZETA_PRIME[1])
-        assert moments.m1_sum(zeros_110, poly_one, 22.0) == pytest.approx(want, abs=1e-8)
+        assert _report(zeros_110, sieve_10k, poly_one, 22.0).m1 == pytest.approx(want, abs=1e-8)
 
-    def test_conjugation_consistency(self, zeros_110, poly10):
+    def test_matches_scalar_oracle(self, zeros_110, sieve_10k, poly_one, poly10):
+        for poly in (poly_one, poly10):
+            rep = _report(zeros_110, sieve_10k, poly, 100.0)
+            m1, m2 = _oracle_sums(zeros_110, poly, 100.0)
+            assert abs(rep.m1 - m1) <= 1e-12 * abs(m1)
+            assert rep.m2 == pytest.approx(m2, rel=1e-12)
+
+    def test_conjugation_consistency(self, zeros_110, sieve_10k, poly10):
         # |M(rho)|^2 equals M(rho) * M(1-rho) through the critical-line identity
         T = 100.0
         n = zeros_110.count_below(T)
-        direct = moments.m2_sum(zeros_110, poly10, T)
+        direct = _report(zeros_110, sieve_10k, poly10, T).m2
         via_reflection = math.fsum(
             (
                 dirichlet.eval_poly(poly10, complex(0.5, g))
@@ -175,17 +200,12 @@ class TestM1M2:
         )
         assert direct == pytest.approx(via_reflection, rel=1e-10)
 
-    def test_complex_poly_refused_for_m1(self, zeros_110):
-        poly = dirichlet.DirichletPoly(coeffs=np.array([1.0 + 1j]))
-        with pytest.raises(InputError, match="real"):
-            moments.m1_sum(zeros_110, poly, 50.0)
-
-    def test_simplicity_guard_halts(self, zeros_110, poly10):
+    def test_simplicity_guard_halts(self, zeros_110, sieve_10k, poly_one, poly10):
         tampered = _tampered(zeros_110, 3)
-        with pytest.raises(SimplicityError, match="guard"):
-            moments.m1_sum(tampered, poly10, 50.0)
-        with pytest.raises(SimplicityError):
-            moments.m2_sum(tampered, poly10, 50.0)
+        for poly in (poly_one, poly10):
+            with pytest.raises(SimplicityError,
+                               match=f"guard .* at gamma = {tampered.ordinates[3]:.9f};"):
+                _report(tampered, sieve_10k, poly, 50.0)
 
 
 class TestCauchyChain:
@@ -202,28 +222,28 @@ class TestCauchyChain:
                 rep = moments.moment_report(zeros_1010, sieve_10k, th, T)
                 assert moments.cauchy_chain(rep)
 
-    def test_constant_weight_case(self, zeros_110, poly_one):
+    def test_constant_weight_case(self, zeros_110, sieve_10k, poly_one):
         T = 100.0
         n = zeros_110.count_below(T)
-        m1 = moments.m1_sum(zeros_110, poly_one, T)
+        m1 = _report(zeros_110, sieve_10k, poly_one, T).m1
         j = moments.j_moment(zeros_110, 1.0, T)
         assert abs(m1) ** 2 / n <= j * (1 + 1e-12)
 
 
 class TestMomentGrid:
     def test_matches_per_point_sums(self, zeros_1010, sieve_10k):
-        # unsorted, with one point repeated; compared with the per-window path
-        # (one mollifier per point, evaluated by eval_poly_at_zeros)
+        # unsorted, with one point repeated; compared with one mollifier per
+        # point, evaluated zero by zero by the scalar oracle
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (1000.0, 100.0, 300.0)]
         points = [(th, T) for T in Ts for th in (0.9, 0.3, 0.5, 0.7)] + [(0.5, Ts[1])]
         reports = moments.moment_grid(zeros_1010, sieve_10k, points)
         assert len(reports) == len(points)
         for (th, T), rep in zip(points, reports):
             assert (rep.params.theta_exp, rep.params.T) == (th, T)
-            poly = dirichlet.mollifier(sieve_10k, rep.params.xi)
+            m1, m2 = _oracle_sums(zeros_1010, dirichlet.mollifier(sieve_10k, rep.params.xi), T)
             assert rep.j_minus_1 == moments.j_moment(zeros_1010, 1.0, T)
-            assert rep.m1 == pytest.approx(moments.m1_sum(zeros_1010, poly, T), rel=1e-12)
-            assert rep.m2 == pytest.approx(moments.m2_sum(zeros_1010, poly, T), rel=1e-12)
+            assert rep.m1 == pytest.approx(m1, rel=1e-12)
+            assert rep.m2 == pytest.approx(m2, rel=1e-12)
             assert rep.sweep_pred == moments.sweep_prediction(th, T)
             assert rep.m1_pred == moments.predict_m1(rep.params)
             assert rep.m2_pred == moments.predict_m2(rep.params)
@@ -277,7 +297,7 @@ class TestMomentGrid:
             with pytest.raises(SimplicityError, match="guard"):
                 moments.moment_grid(tampered, sieve_10k, points)
         with pytest.raises(SimplicityError):
-            moments.theta_sweep(tampered, sieve_10k, after, [0.3, 0.5])
+            moments.point_error(tampered, sieve_10k, 0.3, after)
         assert moments.moment_grid(tampered, sieve_10k, [(0.5, before)])[0].m2 > 0.0
 
     def test_checks_every_point(self, zeros_110, sieve_10k):
@@ -326,25 +346,24 @@ class TestExactParts:
 
 
 class TestThetaSweep:
-    def test_known_reports_are_reused(self, zeros_1010, sieve_10k):
-        T = zeros.snap_to_midgap(zeros_1010, 1000.0)
-        rows = moments.theta_sweep(zeros_1010, sieve_10k, T, [0.3, 0.5])
-        rep = moments.moment_report(zeros_1010, sieve_10k, 0.5, T)
-        marked = dataclasses.replace(rep, cauchy_lb=-1.0)
-        reused = moments.theta_sweep(zeros_1010, sieve_10k, T, [0.3, 0.5],
-                                     known={(0.5, T): marked})
-        assert reused[0] == rows[0]
-        assert reused[1]["cauchy_lb"] == -1.0
-        assert rows[1]["cauchy_lb"] == rep.cauchy_lb
+    @staticmethod
+    def _sweep(zlist, table, T, thetas):
+        # rows as cmd_moments assembles them
+        errors = {th: moments.point_error(zlist, table, th, T) for th in thetas}
+        points = [(th, T) for th in thetas if errors[th] is None]
+        reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
+        return moments.theta_sweep(T, thetas, reports, errors)
 
     def test_rows_and_limit_error(self, zeros_1010, sieve_10k):
         T = zeros.snap_to_midgap(zeros_1010, 1000.0)
-        rows = moments.theta_sweep(zeros_1010, sieve_10k, T, [0.3, 0.5, 0.99])
+        rows = self._sweep(zeros_1010, sieve_10k, T, [0.3, 0.5, 0.99])
         assert rows[0]["cauchy_ok"] and rows[1]["cauchy_ok"]
         assert rows[0]["cauchy_lb"] > 0
+        rep = moments.moment_report(zeros_1010, sieve_10k, 0.5, T)
+        assert rows[1]["cauchy_lb"] == rep.cauchy_lb
         # theta = 0.99 needs xi = 1000^0.99 > sieve... fits 10^4; use tiny table
         small = sieve.build_sieve(20)
-        rows = moments.theta_sweep(zeros_1010, small, T, [0.3, 0.9])
+        rows = self._sweep(zeros_1010, small, T, [0.3, 0.9])
         assert "error" in rows[1] and "cauchy_lb" in rows[0]
 
 

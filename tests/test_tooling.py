@@ -5,8 +5,12 @@ own, so it is checked against the zero-list file the code writes.  The
 README's flag list is checked against the parser the same way, its file
 formats against the magics the code writes, and every zml name it puts in
 backticks against the modules.  The reproduction
-script refuses a --stats path it could not write before it runs a step."""
+script refuses a --stats path it could not write before it runs a step.
+Every public library function or class is reached by the program, the
+tracer, or is a listed test oracle."""
 import argparse
+import ast
+import importlib
 import importlib.util
 import math
 import re
@@ -19,12 +23,22 @@ from zml import cli, dirichlet, moments, sieve, store, zeros, zeta
 
 from test_cli import run_reproduce_all
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+README = ROOT / "README.md"
 MODULES = {"cli": cli, "dirichlet": dirichlet, "moments": moments,
            "sieve": sieve, "store": store, "zeros": zeros, "zeta": zeta}
 # backticked snake_case names in the README that are JSON keys, not attributes
 README_JSON_KEYS = {"z_threads"}
+# Public library names that no CLI step, script or traced span reaches, kept
+# for the tests, each with its reason
+ORACLES = {
+    "dirichlet.eval_poly": "exactly rounded scalar oracle of the batch mollifier fill",
+    "sieve.alpha_coefficients": "tabulated alpha_n, the oracle of alpha_mobius_sum",
+    "moments.predict_m1_finite": "finite-xi diagonal of M1 the acceptance tests compare at 1e5",
+    "zeta.reset_counters": "zeroes the evaluation counters before a test counts Z evaluations",
+    "zeta.hardy_z": "scalar wrapper of hardy_z_many, the Z value tests' one-point form",
+}
 
 
 def _perfbench_module(name):
@@ -51,6 +65,35 @@ def test_digest_reads_the_zero_cache(tmp_path, zeros_110):
         "ordinate_fsum": math.fsum(zeros_110.ordinates.tolist()),
         "abs_zprime_fsum": math.fsum(np.abs(zeros_110.z_primes).tolist()),
     }
+
+
+def test_library_surface_is_reached():
+    # a public name counts as reached when src/zml or scripts/ names it
+    # (as a name, an attribute or an import) outside its own definition
+    tracer = _perfbench_module("tracer")
+    kept = {f"{mod}.{attr}" for mod, attr, _, _ in tracer.WRAPPED} | set(ORACLES)
+    files = sorted((ROOT / "src" / "zml").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+    defined, used = [], set()
+    for path in files:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = (path, top.name)
+                if path.parent.name == "zml" and not top.name.startswith("_"):
+                    defined.append(owner)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    used.add((owner, node.id))
+                elif isinstance(node, ast.Attribute):
+                    used.add((owner, node.attr))
+                elif isinstance(node, ast.alias):
+                    used.add((owner, node.name.rpartition(".")[2]))
+    unreached = [f"{path.stem}.{name}" for path, name in defined
+                 if f"{path.stem}.{name}" not in kept
+                 and not any(n == name and o != (path, name) for o, n in used)]
+    assert unreached == []
+    assert [q for q in ORACLES if not hasattr(
+        importlib.import_module(f"zml.{q.split('.')[0]}"), q.split(".")[1])] == []
 
 
 def test_readme_shared_flags_match_parser():

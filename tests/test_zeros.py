@@ -281,6 +281,31 @@ class TestCountCheck:
         with pytest.raises(InputError):
             zeros.zero_count_check(zeros_110, 1000.0)
 
+    @pytest.mark.parametrize("T, anchor_k, count_at, z_evals", [
+        (9.0, -1, -1, 0), (12.0, -1, 0, 1), (100.0, 28, 29, 1), (296.0, 133, 134, 2),
+        (1000.0, 647, 648, 1)])
+    def test_anchor_walk_pinned(self, zeros_1010, T, anchor_k, count_at, z_evals):
+        # Z is evaluated only at Gram points at or below T; g_134 is bad
+        zeta.reset_counters()
+        chk = zeros.zero_count_check(zeros_1010, T)
+        assert (chk.anchor_k, chk.count_at_anchor, zeta.counters["z_evals"]) == (
+            anchor_k, count_at, z_evals)
+        assert bool(chk)
+        if count_at >= 0:
+            assert chk.anchor_gram == zeros.gram_point(anchor_k)
+
+
+@pytest.mark.parametrize("t_lo, t_hi, k_a, k_b, z_evals", [
+    (10.0, 110.0, -1, 33, 2), (396.0, 446.0, 197, 233, 3), (914.0, 964.0, 577, 619, 3),
+    (99990.0, 100005.0, 138052, 138076, 2)])
+def test_scan_anchors_pinned(t_lo, t_hi, k_a, k_b, z_evals):
+    # one Z evaluation per Gram point on the outer side of the window
+    # until a good one: the walks above 446 and below 914 pass a bad one
+    zeta.reset_counters()
+    ks, gs = zeros._anchored_gram_range(t_lo, t_hi)
+    assert (ks[0], ks[-1], zeta.counters["z_evals"]) == (k_a, k_b, z_evals)
+    assert gs[0] < t_lo <= gs[-1]
+
 
 class TestMidgap:
     def test_snap_lands_between_neighbors(self, zeros_110):
