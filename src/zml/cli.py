@@ -38,10 +38,10 @@ MAX_TRIALS = 50_000
 MV_BATCH = dirichlet.CHUNK_ELEMS // (16 * 200)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
-ZERO_CACHE_VERSION = 4
+ZERO_CACHE_VERSION = 5
 # Stored in the campaign cache, which is read only under the same value:
 # raise it whenever the ratios mv_campaign returns for a (seed, trials) change.
-MV_CACHE_VERSION = 4
+MV_CACHE_VERSION = 5
 MV_CAMPAIGN_MAGIC = "# zml-mv-campaign v1"
 
 

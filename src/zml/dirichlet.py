@@ -6,15 +6,14 @@ The batch evaluation builds n^(-i gamma) multiplicatively: exponentials
 only for the primes of the support, each composite as one product
 (n/P)^(-i gamma) P^(-i gamma) with P its largest prime factor, and every
 large phase gamma log p reduced mod 2 pi in extended precision; the small
-rest of each prime phase goes through the table-driven _exp_minus_i.  A
-zero's error depends on the ordinate its fill block starts at, so it is
-measured with the fill run over every zero of a scanned list.  Against
-30-digit sums of the mollifier at the stored ordinates it is at most
-5.4e-16 of sum |a_n| n^(-1/2) at the 40 highest zeros below 1e4
-(xi = 3980), 1.5e-15 at 20 zeros spread over (0, 1e4] (1.15e-13 at
-gamma = 7563.52) and 8.0e-16 at the 40 highest zeros below 1e5
-(xi = 31622); one double exponential per (gamma, n) gives 1.7e-13,
-1.4e-13 and 8.5e-13.
+rest of each prime phase goes through the table-driven _exp_minus_i.  The
+large phase is split at the start of the ordinate's PHASE_SPREAD cell, so
+a zero's value depends on its ordinate alone.  Against 30-digit sums of
+the mollifier at the stored ordinates the error is at most 1.3e-15 of
+sum |a_n| n^(-1/2) at the 40 highest zeros below 1e4 (xi = 3980; 1.0e-13
+of 76.70 at gamma = 9976.56), 1.0e-15 at 20 zeros spread over (0, 1e4]
+and 4.6e-16 at the 40 highest zeros below 1e5 (xi = 31622); one double
+exponential per (gamma, n) gives 1.7e-13, 1.4e-13 and 8.5e-13.
 
 The closed form
 
@@ -55,9 +54,9 @@ PAIR_BUDGET = 10**8
 # Largest (ordinates x terms) block of n^(-i gamma) values held at once.
 CHUNK_ELEMS = 262_144
 TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
-# Ordinates filled together lie within this distance of the first, whose
-# phases are reduced in extended precision; the rest of each phase,
-# |gamma - g0| log p <= 64 log p, is rounded to at most 64 log p 2^-52.
+# Ordinates filled together lie in one cell [g0, g0 + PHASE_SPREAD), g0 a
+# multiple of it; g0 log p is reduced in extended precision, and the rest,
+# (gamma - g0) log p < 64 log p, is rounded to at most 64 log p 2^-52.
 PHASE_SPREAD = 64.0
 # Rows (in ascending n) per block of the running sums behind truncations.
 PREFIX_BLOCK = 16
@@ -253,10 +252,11 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
     One sparse product with the weights a_n n^(-1/2) then sums the rows:
     the rows with n <= xi are a prefix in ascending n, and a truncation
     adds the running sum over the whole PREFIX_BLOCKs of that prefix to
-    the sum of its last partial block, so its value depends on xi alone,
-    not on the other truncation points.  A fill holds at most CHUNK_ELEMS
-    (rows x ordinates) values, in buffers reused by every fill, and a
-    yielded block covers YIELD_ROWS ordinates rounded up to whole fills.
+    the sum of its last partial block.  A fill takes consecutive ordinates
+    of one PHASE_SPREAD cell, so a value depends on its gamma and xi alone.
+    It holds at most CHUNK_ELEMS (rows x ordinates) values, in buffers
+    reused by every fill; a yielded block covers YIELD_ROWS ordinates
+    rounded up to whole fills.
     """
     xis = np.asarray(xis, dtype=np.int64)
     if xis.ndim != 1 or xis.size == 0:
@@ -286,36 +286,37 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
     fill = max(1, CHUNK_ELEMS // ns.size)
     step = fill * -(-YIELD_ROWS // fill)
     width = min(fill, gammas.size)
-    # flat buffers for the rows, the running sums and a level's two factors,
+    # flat buffers for the rows, the running sums and a level's prime rows,
     # viewed per fill as C-contiguous (rows x ordinates) arrays
     buf = np.empty(ns.size * width, dtype=complex)
     run = np.empty((n_blocks + 1) * width, dtype=complex)
-    factors = np.empty(2 * max(np.diff(levels[2:]), default=0) * width, dtype=complex)
+    prime_rows = np.empty(max(np.diff(levels[2:]), default=0) * width, dtype=complex)
     phases = np.empty(logp.size * width)
     for lo in range(0, gammas.size, step):
         vals = np.empty((min(step, gammas.size - lo), xis.size), dtype=complex)
         a = 0
         while a < len(vals):
             block = gammas[lo + a: lo + min(a + fill, len(vals))]
-            far = np.flatnonzero(np.abs(block - block[0]) > PHASE_SPREAD)
+            cell = np.floor(block / PHASE_SPREAD)
+            far = np.flatnonzero(cell != cell[0])
             block = block[: far[0]] if far.size else block
             m = block.size
             E = buf[: ns.size * m].reshape(ns.size, m)
             E[0] = 1.0
             # p^(-i gamma) = p^(-i g0) p^(-i (gamma - g0)), with the large
             # phase g0 log p reduced in extended precision (_phase)
-            g0 = block[0]
+            g0 = PHASE_SPREAD * cell[0]
             phi = phases[: logp.size * m].reshape(-1, m)
             np.multiply.outer(logp, block - g0, out=phi)
             _exp_minus_i(phi, E[primes])
             E[primes] *= np.exp(-1j * _phase(g0, logp_ext))[:, None]
             for L in range(2, levels.size - 1):
-                level = slice(levels[L], levels[L + 1])
-                k = (levels[L + 1] - levels[L]) * m
-                cof, pr = factors[:k].reshape(-1, m), factors[k: 2 * k].reshape(-1, m)
-                np.take(E, plan.cofactor[level], axis=0, out=cof, mode="clip")
-                np.take(E, plan.prime[level], axis=0, out=pr, mode="clip")
-                np.multiply(cof, pr, out=E[level])
+                # both factors lie below the level, so np.take fills it without a copy
+                level, below = slice(levels[L], levels[L + 1]), E[: levels[L]]
+                pr = prime_rows[: (levels[L + 1] - levels[L]) * m].reshape(-1, m)
+                np.take(below, plan.prime[level], axis=0, out=pr, mode="clip")
+                np.take(below, plan.cofactor[level], axis=0, out=E[level], mode="clip")
+                E[level] *= pr
             S = (sums @ E.view(float)).view(complex) if real else sums @ E
             R = run[: (n_blocks + 1) * m].reshape(n_blocks + 1, m)
             R[0] = 0.0
@@ -405,13 +406,14 @@ def _pair_parts_many(triples) -> tuple:
     pairs, at least one, so that a group's arrays hold about CHUNK_ELEMS
     entries in all (or a single pair's own vectors, if longer).  A group's
     u and v take len A + len B exponentials per pair (_twisted; v with -T);
-    its columns Re v, Im v, Re b and Im b, padded with zeros to the group's
+    its rows Re v, Im v, Re b and Im b, padded with zeros to the group's
     longest B, meet each block of at most CHUNK_ELEMS entries of R in one
-    real matrix product, which gives R v and R b for every pair of the
-    group.  R is built once when one block holds it.  A pair's off-diagonal
-    sum over the blocks of R is exactly rounded (math.fsum), and so are its
-    diagonal and weighted norms, from the group's zero-padded coefficient
-    rows (_row_fsums; the padding adds zeros).  Each pair is capped at
+    matrix-vector product per row, which gives R v and R b for every pair
+    of the group with the same bits on one BLAS thread or two (one
+    matrix-matrix product did not).  A pair's off-diagonal sum over the
+    blocks of R is exactly rounded (math.fsum), and so are its diagonal
+    and weighted norms, from the group's zero-padded coefficient rows
+    (_row_fsums; the padding adds zeros).  Each pair is capped at
     PAIR_BUDGET coefficient pairs.
     """
     triples = list(triples)
@@ -427,7 +429,6 @@ def _pair_parts_many(triples) -> tuple:
     weights = ns.astype(float)
     logs, logs_ext = np.log(weights), np.log(ns.astype(np.longdouble))
     rows = max(1, CHUNK_ELEMS // len_b)
-    whole = _kernel_rows(logs, 0, len_a, len_b) if rows >= len_a else None
     group = max(1, CHUNK_ELEMS // (16 * max(len_a, len_b)))
     diag, off, env = [], [], []
     for first in range(0, len(triples), group):
@@ -446,8 +447,7 @@ def _pair_parts_many(triples) -> tuple:
         parts = []
         for lo in range(0, a.shape[1], rows):
             hi = min(a.shape[1], lo + rows)
-            R = whole[lo:hi, :width] if whole is not None else _kernel_rows(logs, lo, hi, width)
-            P = W @ R.T
+            P = np.matmul(W[:, None, :], _kernel_rows(logs, lo, hi, width).T)[:, 0]
             rv = P[:g] + 1j * P[g: 2 * g]
             rb = P[2 * g: 3 * g] + 1j * P[3 * g:]
             s = (np.einsum("ij,ij->i", u[:, lo:hi], rv)

@@ -20,9 +20,9 @@ evaluated once per zero up to the largest T, block by block and truncated
 at every xi of the grid (dirichlet.truncation_blocks), and each T takes a
 prefix of the ascending zeros; M1 and M2 share those values, and no zeros
 x xi matrix is held; moment_report and the theta-sweep rows use it.  The
-mollifier values are within 1.5e-15 of sum |a_n| n^(-1/2) of 30-digit sums
-at sampled zeros up to 1e4, and 8.0e-16 near 1e5 (see dirichlet); at t_max
-1e4, M1, M2 and the Cauchy bound moved by <= 2.2e-14 relative from the
+mollifier values are within 1.3e-15 of sum |a_n| n^(-1/2) of 30-digit sums
+at sampled zeros up to 1e4, and 4.6e-16 near 1e5 (see dirichlet); at t_max
+1e4, M1, M2 and the Cauchy bound differ by <= 5.4e-14 relative from the
 direct exponential evaluation, and Im M1, a cancelling sum of about 2e-4
 of |M1|, by 1.7e-8 of itself.
 """

@@ -353,8 +353,9 @@ def load_sieve(path, limit: int) -> SieveTable:
     bytes, and the primes must ascend from 2 to at most the limit, with
     mu(p) = -1 and no factor among the smaller stored primes q with
     q^3 <= limit: a composite n with mu(n) = -1 has three or more prime
-    factors, the least at most n^(1/3).  The table's arrays are read-only
-    views of the payload, so loading copies nothing."""
+    factors, the least at most n^(1/3), checked SEGMENT primes at a time
+    (an int cube root keeps searchsorted from copying the primes as
+    floats).  The table's arrays are read-only views of the payload."""
     fields, payload = store.read(path, SIEVE_MAGIC, {"limit": int, "primes": int})
     count = fields["primes"]
     if fields["limit"] != limit:
@@ -363,9 +364,10 @@ def load_sieve(path, limit: int) -> SieveTable:
         raise ValidationError(f"{path}: payload of {len(payload)} bytes, expected {want}")
     primes = np.frombuffer(payload, dtype="<i8", count=count)
     mobius = np.frombuffer(payload, dtype=np.int8, offset=8 * count)
-    small = primes[: np.searchsorted(primes, limit ** (1 / 3) + 1, side="right")]
+    small = primes[: np.searchsorted(primes, int(limit ** (1 / 3) + 1), side="right")]
     if not (count and primes[0] == 2 and primes[-1] <= limit and mobius[0] == 0
             and np.all(primes[1:] > primes[:-1]) and np.all(mobius[primes] == -1)
-            and not any(np.any(primes[k + 1:] % q == 0) for k, q in enumerate(small))):
+            and not any(np.any(primes[max(lo, k + 1): lo + SEGMENT] % q == 0)
+                        for lo in range(0, count, SEGMENT) for k, q in enumerate(small))):
         raise ValidationError(f"{path}: damaged prime list")
     return SieveTable(limit=limit, mobius=mobius, primes=primes)

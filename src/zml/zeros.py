@@ -16,10 +16,8 @@ other midpoint lies where Z keeps the sign of L or R (a bracket holds one
 zero, as the count certificate checks), so it takes the side an
 evaluation would give it.  Every bracket visits the same midpoints and
 makes the same decisions as a bisection that evaluates them all, and the
-ordinates are the same bits.  Brackets that start below RS_CROSSOVER are
-bisected with every midpoint evaluated: the Euler-Maclaurin route sizes
-its main sum from the largest t in its batch, so leaving points out of a
-call would change the values of the rest.
+ordinates are the same bits, because Z(t) does not depend on the other
+points of its batch.
 
 A zero list has one state: every zero carries a finite Z'(gamma) (the
 sums over 1/zeta'(rho) assume simple zeros).  Its file stores the
@@ -212,13 +210,11 @@ def _sign_bounds(lows, highs, f_lows, f_highs):
     probe on each side of the estimate, max(last step, that gap) away, then
     lands just clear of the zero.  Every evaluated point with
     |Z| >= SIGN_MARGIN moves the bound of the side its sign names.  Brackets
-    below RS_CROSSOVER, or without a strict sign change, keep their ends.
+    without a strict sign change keep their ends.
     """
     left = np.array(lows, dtype=float)
     right = np.array(highs, dtype=float)
-    idx = np.flatnonzero((left >= zeta.RS_CROSSOVER) & (f_lows * f_highs < 0.0))
-    if len(idx) == 0:
-        return left, right
+    idx = np.flatnonzero(f_lows * f_highs < 0.0)
     neg = f_lows[idx] < 0.0
 
     def bound(where, t, z):
@@ -276,9 +272,7 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     visit the same midpoints and make the same decisions as plain bisection
     evaluating every midpoint: a skipped midpoint lies on the side of the
     bracket's single zero where Z keeps the sign of L (R), and there Z is
-    larger in size than its evaluation error.  Brackets starting below
-    RS_CROSSOVER have L and R at their ends, so every one of their
-    midpoints is evaluated in every pass, in the same batch as before.
+    larger in size than its evaluation error.
     """
     a = np.asarray(lows, dtype=float)
     b = np.asarray(highs, dtype=float)

@@ -2,12 +2,13 @@
 Hardy's Z(t) and Z'(t).
 
 One batch evaluator, ``hardy_z_many``, routes each point: t < RS_CROSSOVER
-through the rotated Euler-Maclaurin value of zeta(1/2 + it) (``_em_batch``,
+through the rotated Euler-Maclaurin value of zeta(1/2 + it) (``_z_em``,
 absolute error target ``EM_TARGET_ERR`` = 1e-10), larger t through the
 Riemann-Siegel main sum with ``RS_ORDER`` = 4 correction terms
-(``_z_rs_batch``).  ``hardy_z`` is its scalar wrapper, and
-``hardy_z_prime_many`` differentiates it; the test suite cross-checks the
-two routes against each other and against mpmath.
+(``_z_rs_batch``), each giving bits that depend on t alone.  ``hardy_z``
+is its scalar wrapper, and ``hardy_z_prime_many`` differentiates it; the
+test suite cross-checks the two routes against each other and against
+mpmath.
 
 The precision is a set of module constants (``RS_ORDER``, ``EM_TERMS``,
 ``EM_TARGET_ERR``, ``DERIV_STEP``), not a setting: every caller, and so
@@ -96,13 +97,13 @@ def _em_batch(ss: np.ndarray) -> np.ndarray:
     is about 1e-11 relative instead.  The domain is not checked: Z takes
     this route only at s = 1/2 + it with t < RS_CROSSOVER.
 
-    All points share one main-sum length N, chosen from the largest |Im(s)|
-    in the batch; the Bernoulli tail is summed per point until the standard
-    remainder bound drops below EM_TARGET_ERR.
+    All points share one main-sum length N, from max(RS_CROSSOVER, largest
+    |Im(s)|): 181 on Z's route; the Bernoulli tail is summed per point
+    until the standard remainder bound drops below EM_TARGET_ERR.
     """
     ss = np.asarray(ss, dtype=complex)
     counters["zeta_evals"] += ss.size
-    tmax = float(np.max(np.abs(ss.imag))) if ss.size else 0.0
+    tmax = float(np.max(np.abs(ss.imag), initial=RS_CROSSOVER))
     n_main = max(EM_TERMS, int(0.55 * tmax) + 16)
 
     ns = np.arange(1, n_main, dtype=float)
@@ -236,9 +237,7 @@ def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
     thread sums part 0 while the pool sums the rest, in chunks of
     RS_CHUNK // parts terms, so at most RS_CHUNK terms are held at once; numpy
     releases the interpreter lock inside those kernels.  theta, the
-    correction series and every counter stay on the caller's thread.  Only
-    this route is split: the Euler-Maclaurin route sizes its main sum from
-    the whole batch.
+    correction series and every counter stay on the caller's thread.
     """
     ts = np.asarray(ts, dtype=float)
     a = np.sqrt(ts / TWO_PI)
@@ -287,22 +286,22 @@ def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
     return out
 
 
-def hardy_z_many(ts: np.ndarray, route_by: np.ndarray | None = None) -> np.ndarray:
-    """Z(t) for an array of t in (0, T_MAX], routed per point.
+def _z_em(ts: np.ndarray) -> np.ndarray:
+    """Z(t) = Re(exp(i theta(t)) zeta(1/2 + it)) by the Euler-Maclaurin route."""
+    return (np.exp(1j * rs_theta_many(ts)) * _em_batch(0.5 + 1j * ts)).real
 
-    A point takes the Euler-Maclaurin route when it lies below RS_CROSSOVER,
-    or, given route_by (an array of ts's shape), when its entry there does.
-    """
+
+def hardy_z_many(ts: np.ndarray) -> np.ndarray:
+    """Z(t) for an array of t in (0, T_MAX]: _z_em below RS_CROSSOVER,
+    _z_rs_batch from it on."""
     ts = np.asarray(ts, dtype=float)
     counters["z_evals"] += ts.size
-    low = (ts if route_by is None else np.asarray(route_by)) < RS_CROSSOVER
+    low = ts < RS_CROSSOVER
     if ts.ndim == 1 and ts.size and not low.any():
         return _z_rs_batch(ts)     # no copy of ts
     out = np.empty(ts.shape)
     if low.any():
-        t = ts[low]
-        zs = _em_batch(0.5 + 1j * t)
-        out[low] = (np.exp(1j * rs_theta_many(t)) * zs).real
+        out[low] = _z_em(ts[low])
     if (~low).any():
         out[~low] = _z_rs_batch(ts[~low])
     return out
@@ -333,26 +332,16 @@ def hardy_z_prime_many(ts: np.ndarray) -> np.ndarray:
     Every point of a stencil takes the route hardy_z_many gives its centre t,
     so no difference mixes the two routes across RS_CROSSOVER: at
     t = 299.99985, 299.9999, 300 and 300.0001 it is off by 1.1e-9 to
-    2.2e-9.  The stencils centred below it share one Euler-Maclaurin batch
-    and so one main-sum length, which would otherwise step at t = 300 itself.
+    2.2e-9.
     """
     ts = np.asarray(ts, dtype=float)
     h = DERIV_STEP
-    steps = (2.0 * h, h, -h, -2.0 * h)
     out = np.empty(ts.shape)
     low = ts < RS_CROSSOVER
-    if low.any():
-        t = ts[low]
-        zs = hardy_z_many(np.concatenate([t + d for d in steps]),
-                          route_by=np.tile(t, len(steps)))
-        out[low] = _five_point(zs.reshape(len(steps), -1), h)
-    if not low.all():
-        t = ts[~low]
-        out[~low] = _five_point([hardy_z_many(t + d, route_by=t) for d in steps], h)
+    for where, route in ((low, _z_em), (~low, _z_rs_batch)):
+        if where.any():
+            t = ts[where]
+            counters["z_evals"] += 4 * t.size
+            zp2, zp1, zm1, zm2 = (route(t + d) for d in (2.0 * h, h, -h, -2.0 * h))
+            out[where] = (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)
     return out
-
-
-def _five_point(zs, h: float) -> np.ndarray:
-    """The stencil from Z at t + 2h, t + h, t - h, t - 2h."""
-    zp2, zp1, zm1, zm2 = zs
-    return (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)

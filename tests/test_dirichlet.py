@@ -1,5 +1,8 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -13,6 +16,13 @@ from zml import dirichlet, sieve
 from zml.errors import BudgetError, InputError
 
 import oracle_values as ov
+
+
+# sha256 of the little-endian ratios of mv_campaign(seed, trials)
+CAMPAIGN_DIGESTS = [
+    (0, 7, "5000e9dbc1d96b39a8ff3552f60b8a948ea4bb7f4d8330745842194c5488a28c"),
+    (42, 100, "b7c1d62f7e4fe0539588087d25efcd47a7fad581dd8993062c2a299bc7be7c1a"),
+    (9, 1000, "3782be97fe32b57dee0b9b48a2613a4e44f138cddf3194774ead6ac2be6617e9")]
 
 
 def quad_pair_integral(A, B, T):
@@ -233,29 +243,38 @@ class TestFill:
     @pytest.mark.parametrize("xi, sample", [
         (3980, ov.MOLLIFIER_3980), (31622, ov.MOLLIFIER_31622),
         (3980, ov.MOLLIFIER_SPREAD_3980)])
-    def test_error_against_oracle(self, request, sieve_1e6, xi, sample):
-        # error per zero over sum |a_n| n^(-1/2).  A zero's error depends on
-        # the ordinate g0 its fill block starts at, so below 1e4 the fill runs
-        # over every zero of the scanned list up to the sample's last, as in
-        # the moments step; near 1e5 over the sample alone.  Measured on
-        # x86-64 with 80-bit long double: 5.4e-16 (fill) against 1.7e-13
-        # (direct) at the 40 highest zeros below 1e4, 1.5e-15 against 1.4e-13
-        # over (0, 1e4], and 3.6e-16 against 8.5e-13 near 1e5
+    def test_error_against_oracle(self, sieve_1e6, xi, sample):
+        # error per zero over sum |a_n| n^(-1/2), with the sample alone: a
+        # zero's value does not depend on the other ordinates of its fill,
+        # so it is the value of the fill over a whole list.  Measured on
+        # x86-64 with 80-bit long double: 1.3e-15 (fill) against 1.7e-13
+        # (direct) at the 40 highest zeros below 1e4, 1.0e-15 against
+        # 1.4e-13 over (0, 1e4], and 4.6e-16 against 8.5e-13 near 1e5
         gammas = np.array([g for g, _, _ in sample])
         ref = np.array([complex(re, im) for _, re, im in sample])
         poly = dirichlet.mollifier(sieve_1e6, xi)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
-        if gammas[-1] < 1e4:
-            ords = request.getfixturevalue("zeros_10k_timed")[0].ordinates
-            at = np.searchsorted(ords, gammas)
-            assert np.array_equal(ords[at], gammas)
-            vals = dirichlet.eval_poly_at_zeros(poly, ords[: at[-1] + 1])[at]
-        else:
-            vals = dirichlet.eval_poly_at_zeros(poly, gammas)
+        vals = dirichlet.eval_poly_at_zeros(poly, gammas)
         fill = np.abs(vals - ref).max() / scale
         direct = np.abs(direct_truncation(poly, gammas) - ref).max() / scale
         assert fill <= direct
         assert fill <= 1e-14
+
+    def test_value_independent_of_other_ordinates(self, sieve_1e6):
+        # every zero of the oracle samples, alone and inside a list of
+        # other ordinates that moves where each fill starts and ends
+        poly = dirichlet.mollifier(sieve_1e6, 3980)
+        gammas = np.array([g for sample in (ov.MOLLIFIER_3980, ov.MOLLIFIER_SPREAD_3980)
+                           for g, _, _ in sample])
+        alone = [dirichlet.eval_truncations_at_zeros(poly, [3980, 70], gammas[i:i + 1])
+                 for i in range(gammas.size)]
+        rng = np.random.default_rng(5)
+        near = gammas + rng.uniform(-70.0, 70.0, (4, gammas.size))
+        others = np.sort(np.concatenate([near.ravel(), np.linspace(9900.0, 1e4, 200)]))
+        for ords in (np.sort(np.concatenate([gammas, others])), np.concatenate([others, gammas])):
+            vals = dirichlet.eval_truncations_at_zeros(poly, [70, 3980], ords)
+            at = [int(np.flatnonzero(ords == g)[0]) for g in gammas]
+            assert np.array_equal(vals[at][:, ::-1], np.concatenate(alone))
 
     def test_truncation_independent_of_other_points(self, sieve_10k):
         poly = dirichlet.mollifier(sieve_10k, 3000)
@@ -276,8 +295,8 @@ class TestFill:
         monkeypatch.setattr(dirichlet, "YIELD_ROWS", 198)
         blocks = list(dirichlet.truncation_blocks(poly, xis, gammas))
         assert [(lo, v.shape) for lo, v in blocks] == [(0, (200, 5)), (200, (95, 5))]
+        assert np.array_equal(np.concatenate([v for _, v in blocks]), whole)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
-        assert np.abs(np.concatenate([v for _, v in blocks]) - whole).max() <= 1e-14 * scale
         ref = direct_truncation(dirichlet.DirichletPoly(coeffs=poly.coeffs[:150]), gammas)
         assert np.abs(whole[:, 2] - ref).max() <= 1e-12 * scale
 
@@ -575,10 +594,8 @@ class TestMeanValueReport:
         assert max(ratios) == pytest.approx(max_ratio, rel=1e-9)
         assert math.fsum(ratios) / len(ratios) == pytest.approx(mean_ratio, rel=1e-9)
 
-    @pytest.mark.parametrize("seed, trials, digest", [
-        (0, 7, "5aea2da344f35d00a157cec28cd30619d41263ebaf46ce521b92b3cbad98434f"),
-        (42, 100, "41dafb8f061b4ad6ea88fa2887bb88238aec56077e7608bdf3e57bb4831be6fc"),
-        (9, 1000, "df84ce268628a02ee81dbf56a6a33a31d2cce016f61ea8598e410511f73badd0")])
+    @pytest.mark.parametrize("seed, trials, digest", CAMPAIGN_DIGESTS,
+                             ids=[f"{seed}-{trials}" for seed, trials, _ in CAMPAIGN_DIGESTS])
     def test_campaign_bits_pinned(self, seed, trials, digest):
         # every ratio bit for bit as when one mv_reports call took every
         # trial, fewer than one batch, across one and across many
@@ -586,6 +603,21 @@ class TestMeanValueReport:
 
         ratios = np.array(mv_campaign(seed, trials), dtype="<f8")
         assert hashlib.sha256(ratios.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_campaign_bits_do_not_depend_on_blas_threads(self, threads):
+        # one matrix-matrix product of R gave other bits on one BLAS thread
+        # than on two; the pins hold in a process with either count
+        code = ("import hashlib, numpy as np; from zml.cli import mv_campaign\n"
+                "for seed, trials, _ in %r:\n"
+                "    r = np.array(mv_campaign(seed, trials), dtype='<f8')\n"
+                "    print(hashlib.sha256(r.tobytes()).hexdigest())" % (CAMPAIGN_DIGESTS,))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [digest for _, _, digest in CAMPAIGN_DIGESTS]
 
     def test_campaign_holds_one_batch(self):
         # 6.5 MB with every trial's polynomials held at once, 3.4 MB with

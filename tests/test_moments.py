@@ -267,6 +267,18 @@ class TestMomentGrid:
             assert rep.m1 == complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert rep.m2 == math.fsum(np.abs(vals[:n, b]) ** 2)
 
+    def test_every_point_equals_moment_report(self, zeros_10k_timed, sieve_10k):
+        # the reproduction's theta-sweep grid at t_max 1e4: a zero's
+        # mollifier value depends on its gamma and xi alone, so each point
+        # of the one pass is the same bits as the point evaluated alone
+        zlist, _ = zeros_10k_timed
+        Ts = [zeros.snap_to_midgap(zlist, float(t)) for t in range(1000, 10001, 1000)]
+        points = [(th, T) for T in Ts for th in (0.3, 0.5, 0.7, 0.9)]
+        reports = moments.moment_grid(zlist, sieve_10k, points)
+        assert len(reports) == 40
+        for (th, T), rep in zip(points, reports):
+            assert rep == moments.moment_report(zlist, sieve_10k, th, T)
+
     def test_matches_direct_evaluator(self, zeros_1010, sieve_10k):
         # against one exponential per (zero, n), the evaluator the prime fill
         # replaced, reduced with math.fsum

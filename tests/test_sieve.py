@@ -387,6 +387,25 @@ def test_build_memory_peak():
     assert peak < 5 * (limit + 1) + 24 * len(table.primes)
 
 
+def test_load_memory_peak(tmp_path, sieve_1e7):
+    # The load holds the payload (15.3 MB at 1e7) and checks the primes
+    # with temporaries of a few bytes per prime and one SEGMENT slice: 1.3
+    # MB above it.  A float copy of the whole prime list and one int64
+    # remainder of it per small prime made it 6.0 MB.
+    import tracemalloc
+
+    path = tmp_path / "sieve.bin"
+    sieve.save_sieve(sieve_1e7, path)
+    tracemalloc.start()
+    try:
+        table = sieve.load_sieve(path, 10**7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(table.primes, sieve_1e7.primes)
+    assert peak < path.stat().st_size + 2 * 2**20
+
+
 @pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header",
                                     "count header"])
 def test_load_rejects_wrong_size(tmp_path, sieve_10k, damaged_sieve, damage):

@@ -148,16 +148,8 @@ class TestSubdivision:
         assert np.diff(good_idx).max() >= 3
         got = zeros._block_brackets(good_idx, gs, zs)
         want = _per_block_brackets(gs, zs, good_idx)
-        lows, highs = got[:2]
-        assert np.array_equal(lows, want[0])
-        assert np.array_equal(highs, want[1])
-        # the Euler-Maclaurin route below RS_CROSSOVER sizes its sum by the
-        # batch, so only Riemann-Siegel values are batch-independent
-        for f, want_f, ends in ((got[2], want[2], lows), (got[3], want[3], highs)):
-            assert np.array_equal(np.sign(f), np.sign(want_f))
-            rs = ends >= zeta.RS_CROSSOVER
-            assert np.array_equal(f[rs], want_f[rs])
-            assert np.abs(f - want_f).max() <= 1e-10
+        for got_c, want_c in zip(got, want):
+            assert np.array_equal(got_c, want_c)
 
     def test_one_evaluation_call_per_depth(self, monkeypatch):
         gs, zs, good_idx = self._gram_blocks(10.0, 3000.0)
@@ -228,7 +220,7 @@ class TestRefinement:
 
     @pytest.mark.parametrize("shape", ["near-tangent", "zero at a midpoint"])
     def test_stalled_narrowing_matches_plain_bisection(self, monkeypatch, shape):
-        # 20 unit brackets above RS_CROSSOVER, one zero in each
+        # 20 unit brackets, one zero in each
         lows = 1000.0 + np.arange(20.0)
         highs = lows + 1.0
         if shape == "near-tangent":
@@ -246,8 +238,7 @@ class TestRefinement:
             def fake_z(ts):
                 return ts - roots[np.clip(np.floor(ts - 1000.0).astype(int), 0, 19)]
 
-        monkeypatch.setattr(zeta, "hardy_z_many", lambda ts, route_by=None:
-                            fake_z(np.asarray(ts, dtype=float)))
+        monkeypatch.setattr(zeta, "hardy_z_many", lambda ts: fake_z(np.asarray(ts, dtype=float)))
         if shape == "zero at a midpoint":
             assert fake_z(np.array([lows[0] + 0.375]))[0] == 0.0
         _assert_same_refinement(lows, highs, fake_z(lows), fake_z(highs))

@@ -23,9 +23,8 @@ def em_zeta(s):
 
 
 def em_z(ts):
-    """Z(t) with every point forced onto the Euler-Maclaurin route."""
-    ts = np.asarray(ts, dtype=float)
-    return zeta.hardy_z_many(ts, route_by=np.zeros_like(ts))
+    """Z(t) with every point on the Euler-Maclaurin route."""
+    return zeta._z_em(np.asarray(ts, dtype=float))
 
 
 def z_prime(t):
@@ -152,6 +151,17 @@ class TestHardyZ:
             errs = [abs(zeta._z_rs_batch(np.array([t]), j)[0] - ref) for j in range(5)]
             assert errs[4] <= {30.0: 2e-6, 75.0: 1e-7}.get(t, 1e-8)
             assert errs[4] <= errs[0]
+
+    def test_value_below_the_crossover_does_not_depend_on_the_batch(self):
+        # the Euler-Maclaurin main sum has one length below RS_CROSSOVER, so
+        # Z and Z' there are the same bits alone and in any batch
+        ts = np.random.default_rng(10).uniform(10.0, zeta.RS_CROSSOVER, 500)
+        mixed = np.concatenate([ts, np.linspace(300.0, 1e4, 50)])
+        for f in (zeta.hardy_z_many, zeta.hardy_z_prime_many):
+            alone = np.array([f(ts[i:i + 1])[0] for i in range(ts.size)])
+            assert np.array_equal(f(ts), alone)
+            assert np.array_equal(f(mixed)[: ts.size], alone)
+            assert np.array_equal(f(ts[::-1]), alone[::-1])
 
     def test_accuracy_against_reference(self):
         for t in (14.2, 95.0, 299.9, 300.1, 2500.0, 99999.5):
@@ -325,6 +335,10 @@ class TestThreadedMainSum:
             assert len(rs_threads) <= 1
             assert all(t is threading.main_thread() for t in rs_threads)
         assert len(sum_threads) == 2 and threading.main_thread() in sum_threads
+        # the Z' stencil reaches the route by its module name too
+        rs_threads.clear()
+        zeta.hardy_z_prime_many(ts)
+        assert rs_threads == [threading.main_thread()] * 4
 
 
 class TestHardyZPrime:
