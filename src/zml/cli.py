@@ -38,7 +38,7 @@ MAX_TRIALS = 50_000
 MV_BATCH = dirichlet.CHUNK_ELEMS // (16 * 200)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
-ZERO_CACHE_VERSION = 5
+ZERO_CACHE_VERSION = 6
 # Stored in the campaign cache, which is read only under the same value:
 # raise it whenever the ratios mv_campaign returns for a (seed, trials) change.
 MV_CACHE_VERSION = 5
@@ -224,18 +224,16 @@ def _moment_grid(cfg: RunConfig) -> list:
 
 def cmd_moments(cfg: RunConfig) -> int:
     thetas = list(cfg.theta_sweep) if cfg.theta_sweep else [cfg.theta]
-    # at the requested T before a scan, then at the mid-gap T the grid uses
-    _check_sieve_reach(cfg, max(_moment_grid(cfg)), thetas)
+    sweep = [cfg.t_max] if cfg.theta_sweep else []
+    # at the requested Ts before a scan, then at the mid-gap Ts used
+    _check_sieve_reach(cfg, max(_moment_grid(cfg) + sweep), thetas)
     zlist = _load_or_scan_zeros(cfg)
     grid = [(T_req, zeros.snap_to_midgap(zlist, T_req)) for T_req in _moment_grid(cfg)]
-    _check_sieve_reach(cfg, max(T for _, T in grid), thetas)
+    sweep = [zeros.snap_to_midgap(zlist, T) for T in sweep]
+    Ts = [T for _, T in grid] + sweep
+    _check_sieve_reach(cfg, max(Ts), thetas)
     table = _load_or_build_sieve(cfg)
-    points = [(th, T) for _, T in grid for th in thetas]
-    if cfg.theta_sweep:
-        T_sweep = zeros.snap_to_midgap(zlist, cfg.t_max)
-        errors = {th: moments.point_error(zlist, table, th, T_sweep) for th in thetas}
-        points += [(th, T_sweep) for th in thetas if errors[th] is None]
-    points = list(dict.fromkeys(points))
+    points = list(dict.fromkeys((th, T) for T in Ts for th in thetas))
     reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
     all_ok = True
     summary = []
@@ -252,13 +250,10 @@ def cmd_moments(cfg: RunConfig) -> int:
                 f"ratio={rep.j_minus_1 / rep.gonek_pred:.4f} cauchy_ok={ok}"
             )
     _atomic_write(cfg.out_dir / "moments_summary.csv", moments.reports_csv_text(summary))
-    if cfg.theta_sweep:
-        rows = moments.theta_sweep(T_sweep, thetas, reports, errors)
+    for T in sweep:
+        rows = moments.theta_sweep(T, thetas, reports)
         _atomic_write(cfg.out_dir / "theta_sweep.json", _json_text(rows))
         for row in rows:
-            if "error" in row:
-                print(f"moments: sweep theta={row['theta_exp']:g}: {row['error']}")
-                continue
             print(
                 f"moments: sweep theta={row['theta_exp']:g} lb={row['cauchy_lb']:.2f} "
                 f"pred={row['sweep_pred']:.2f} ratio={row['ratio']:.3f}"

@@ -112,10 +112,6 @@ class DirichletPoly:
         """log n in extended precision (long double), for large phases."""
         return np.log(np.arange(1, self.length + 1, dtype=np.longdouble))
 
-    @property
-    def is_real(self) -> bool:
-        return not np.iscomplexobj(self.coeffs)
-
 
 def mollifier(table: SieveTable, xi: int) -> DirichletPoly:
     """The truncated 1/zeta mimic: coefficients mu(n) for n <= xi."""

@@ -281,36 +281,22 @@ def sweep_prediction(theta_exp: float, T: float) -> float:
     return GONEK_CONSTANT * T / (1.0 + 1.0 / theta_exp)
 
 
-def point_error(zlist: ZeroList, table: SieveTable, theta_exp: float, T: float):
-    """The InputError text moment_grid would raise for the point (theta, T)
-    (xi beyond the sieve limit, say), or None if the point computes."""
-    try:
-        _check_point(zlist, table, theta_exp, T)
-    except InputError as exc:
-        return str(exc)
-    return None
-
-
-def theta_sweep(T: float, thetas, reports, errors) -> list:
-    """Per-theta rows of (cauchy_lb, sweep_pred, ratio) at T.  errors[theta]
-    is point_error's text for (theta, T): a row carries it if it is not
-    None, and is built from reports[(theta, T)] otherwise."""
+def theta_sweep(T: float, thetas, reports) -> list:
+    """Per-theta rows of (cauchy_lb, sweep_pred, ratio) at T, each from
+    reports[(theta, T)]."""
     rows = []
     for th in thetas:
-        entry = {"theta_exp": th, "t": T}
-        if errors[th] is not None:
-            entry["error"] = errors[th]
-        else:
-            rep = reports[(th, T)]
-            entry.update(
-                xi=rep.params.xi,
-                cauchy_lb=rep.cauchy_lb,
-                sweep_pred=rep.sweep_pred,
-                ratio=rep.cauchy_lb / rep.sweep_pred if rep.sweep_pred else math.inf,
-                j_minus_1=rep.j_minus_1,
-                cauchy_ok=cauchy_chain(rep),
-            )
-        rows.append(entry)
+        rep = reports[(th, T)]
+        rows.append({
+            "theta_exp": th,
+            "t": T,
+            "xi": rep.params.xi,
+            "cauchy_lb": rep.cauchy_lb,
+            "sweep_pred": rep.sweep_pred,
+            "ratio": rep.cauchy_lb / rep.sweep_pred if rep.sweep_pred else math.inf,
+            "j_minus_1": rep.j_minus_1,
+            "cauchy_ok": cauchy_chain(rep),
+        })
     return rows
 
 

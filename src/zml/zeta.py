@@ -5,10 +5,12 @@ One batch evaluator, ``hardy_z_many``, routes each point: t < RS_CROSSOVER
 through the rotated Euler-Maclaurin value of zeta(1/2 + it) (``_z_em``,
 absolute error target ``EM_TARGET_ERR`` = 1e-10), larger t through the
 Riemann-Siegel main sum with ``RS_ORDER`` = 4 correction terms
-(``_z_rs_batch``), each giving bits that depend on t alone.  ``hardy_z``
-is its scalar wrapper, and ``hardy_z_prime_many`` differentiates it; the
-test suite cross-checks the two routes against each other and against
-mpmath.
+(``_z_rs_batch``), each giving bits that depend on t alone.  The
+corrections C_0..C_4 are Chebyshev series (``_rs_coeffs``: 79 coefficients,
+each C_j truncated within 1.2e-19), summed by Clenshaw's recurrence.
+``hardy_z`` is its scalar wrapper, and ``hardy_z_prime_many`` differentiates
+it; the test suite cross-checks the two routes against each other and
+against mpmath.
 
 The precision is a set of module constants (``RS_ORDER``, ``EM_TERMS``,
 ``EM_TARGET_ERR``, ``DERIV_STEP``), not a setting: every caller, and so
@@ -67,8 +69,6 @@ _THETA_TAIL = tuple(
     (1.0 - 2.0 ** (1 - 2 * n)) * abs(_B2K[n - 1]) / (4 * n * (2 * n - 1))
     for n in range(1, 6)
 )
-
-_RS_SERIES = tuple(np.asarray(c[::-1], dtype=float) for c in _rs_coeffs.SERIES)
 
 counters = {"z_evals": 0, "zeta_evals": 0}
 
@@ -264,22 +264,41 @@ def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
             future.result()
     del by_m, first, rest, args, theta      # freed before the correction buffers exist
 
-    # The correction series C_j(u) a^(-j) by Horner in one reused buffer:
-    # the same multiply-then-add roundings as np.polyval, fewer temporaries.
-    u = 2.0 * (a - m) - 1.0
-    inv_a = 1.0 / a
+    # The corrections sum_j C_j(u) a^(-j) in ascending j, each C_j from its
+    # Chebyshev data in x = 2u^2 - 1 (see _rs_coeffs) by Clenshaw's
+    # recurrence b_k = c_k + 2x b_(k+1) - b_(k+2) down to b_1, in three
+    # rotating buffers; u is remade from a and m for the odd j, so that no
+    # more than five batch-sized arrays are held.
+    y = 2.0 * (a - m) - 1.0                 # u
+    y = 4.0 * y * y - 2.0                   # 2x
     corr = np.zeros(ts.shape)
-    p = np.ones(ts.shape)
-    term = np.empty(ts.shape)
+    b0, b1, b2 = np.empty(ts.shape), np.empty(ts.shape), np.empty(ts.shape)
     for j in range(order + 1):
-        coeffs = _RS_SERIES[j]
-        term.fill(coeffs[0])
-        for c in coeffs[1:]:
-            term *= u
-            term += c
-        term *= p
-        corr += term
-        p *= inv_a
+        c0, *rest = _rs_coeffs.SERIES[j]
+        b1.fill(0.0)
+        b2.fill(0.0)
+        for c in reversed(rest):
+            np.multiply(y, b1, out=b0)
+            b0 -= b2
+            b0 += c
+            b0, b1, b2 = b2, b0, b1
+        # sum_k c_k P_k(x) = P_1(x) b_1 - b_2 + c_0
+        np.multiply(y, b1, out=b0)
+        if j % 2:
+            b0 -= b1                        # P_1 = V_1(x) = 2x - 1
+        else:
+            b0 *= 0.5                       # P_1 = T_1(x) = x
+        b0 -= b2
+        b0 += c0
+        if j % 2:                           # times u
+            np.subtract(a, m, out=b1)
+            b1 *= 2.0
+            b1 -= 1.0
+            b0 *= b1
+        for _ in range(j):
+            b0 /= a
+        corr += b0
+    del y, b0, b1, b2
     np.negative(corr, out=corr, where=m % 2 == 0)
     corr /= np.sqrt(a)
     out += corr

@@ -253,25 +253,21 @@ class TestMomentsCommand:
             assert row["cauchy_lb"] == rep.cauchy_lb
             assert row["cauchy_ok"]
 
-    def test_one_point_check_per_sweep_theta(self, tmp_path, monkeypatch):
-        calls = []
-        real = moments.point_error
-        monkeypatch.setattr(moments, "point_error", lambda *a: calls.append(a[2]) or real(*a))
-        rc = run_cli(tmp_path, "moments", "--t-max", "200", "--theta-sweep", "0.3:0.7:0.2")
-        assert rc == 0
-        assert calls == [0.3, 0.5, 0.7]
-
     def test_sweep_row_beyond_sieve_limit(self, tmp_path, capsys):
-        # xi(0.9, 2500) = 1143 > 1000, while every gridpoint fits the sieve
+        # xi(0.9, 2500) = 1143 > 1000, while every gridpoint fits the sieve:
+        # refused before the sieve is built or any output is written
+        assert run_cli(tmp_path, "zeros", "--t-max", "2500") == 0
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        capsys.readouterr()
         rc = run_cli(
             tmp_path, "moments", "--t-max", "2500", "--theta-sweep", "0.3:0.9:0.6",
             "--sieve-limit", "1000",
         )
-        assert rc == 0
-        rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
-        assert "cauchy_lb" in rows[0]
-        assert rows[1]["error"] == "xi = 1143 exceeds sieve limit 1000"
-        assert "sweep theta=0.9: xi = 1143" in capsys.readouterr().out
+        assert rc == 1
+        assert re.fullmatch(r"error: xi = 1143 at T = [0-9.]+, theta = 0.9 exceeds "
+                            r"sieve limit 1000\n", capsys.readouterr().err)
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+        assert not (tmp_path / "out").exists()
 
 
 class TestMvCheckCommand:

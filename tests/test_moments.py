@@ -308,8 +308,6 @@ class TestMomentGrid:
                        [(0.3, after), (0.5, before)]):
             with pytest.raises(SimplicityError, match="guard"):
                 moments.moment_grid(tampered, sieve_10k, points)
-        with pytest.raises(SimplicityError):
-            moments.point_error(tampered, sieve_10k, 0.3, after)
         assert moments.moment_grid(tampered, sieve_10k, [(0.5, before)])[0].m2 > 0.0
 
     def test_checks_every_point(self, zeros_110, sieve_10k):
@@ -361,10 +359,9 @@ class TestThetaSweep:
     @staticmethod
     def _sweep(zlist, table, T, thetas):
         # rows as cmd_moments assembles them
-        errors = {th: moments.point_error(zlist, table, th, T) for th in thetas}
-        points = [(th, T) for th in thetas if errors[th] is None]
+        points = [(th, T) for th in thetas]
         reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
-        return moments.theta_sweep(T, thetas, reports, errors)
+        return moments.theta_sweep(T, thetas, reports)
 
     def test_rows_and_limit_error(self, zeros_1010, sieve_10k):
         T = zeros.snap_to_midgap(zeros_1010, 1000.0)
@@ -375,8 +372,8 @@ class TestThetaSweep:
         assert rows[1]["cauchy_lb"] == rep.cauchy_lb
         # theta = 0.99 needs xi = 1000^0.99 > sieve... fits 10^4; use tiny table
         small = sieve.build_sieve(20)
-        rows = self._sweep(zeros_1010, small, T, [0.3, 0.9])
-        assert "error" in rows[1] and "cauchy_lb" in rows[0]
+        with pytest.raises(InputError, match="xi = 501 exceeds sieve limit 20"):
+            self._sweep(zeros_1010, small, T, [0.3, 0.9])
 
 
 class TestLandau:

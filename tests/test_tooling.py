@@ -6,6 +6,8 @@ README's flag list is checked against the parser the same way, its file
 formats against the magics the code writes, and every zml name it puts in
 backticks against the modules.  The reproduction
 script refuses a --stats path it could not write before it runs a step.
+The Riemann-Siegel coefficient file is its generator's output, byte for
+byte.
 Every public library function or class is reached by the program, the
 tracer, or is a listed test oracle."""
 import argparse
@@ -14,6 +16,8 @@ import importlib
 import importlib.util
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -142,3 +146,9 @@ def test_reproduce_all_bad_stats_path_rejected_before_any_work(tmp_path, stats, 
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message.format(p=tmp_path)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "F"]
+
+
+def test_rs_coeffs_file_is_the_generator_output():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "gen_rs_coeffs.py")],
+                          capture_output=True, check=True)
+    assert proc.stdout == (ROOT / "src" / "zml" / "_rs_coeffs.py").read_bytes()
