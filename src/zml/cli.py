@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import dirichlet, moments, sieve, store, zeros, zeta
 from .errors import InputError, ValidationError, ZmlError
@@ -265,7 +266,7 @@ def campaign_trials(seed: int, trials: int):
     """Yield the (A, B, T) of each mean-value trial (xi <= 200, T in [10, 1e4],
     coefficients uniform in [-1, 1]), drawn trial by trial from one
     generator."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     for _ in range(trials):
         xa, xb = rng.integers(1, 201, 2)
         A = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xa)))

@@ -2,18 +2,19 @@
 batch evaluation of every truncation at the zeros, and the exact pairwise
 mean-value integral.
 
-The batch evaluation builds n^(-i gamma) multiplicatively: exponentials
-only for the primes of the support, each composite as one product
-(n/P)^(-i gamma) P^(-i gamma) with P its largest prime factor, and every
-large phase gamma log p reduced mod 2 pi in extended precision; the small
-rest of each prime phase goes through the table-driven _exp_minus_i.  The
-large phase is split at the start of the ordinate's PHASE_SPREAD cell, so
-a zero's value depends on its ordinate alone.  Against 30-digit sums of
-the mollifier at the stored ordinates the error is at most 1.3e-15 of
-sum |a_n| n^(-1/2) at the 40 highest zeros below 1e4 (xi = 3980; 1.0e-13
-of 76.70 at gamma = 9976.56), 1.0e-15 at 20 zeros spread over (0, 1e4]
-and 4.6e-16 at the 40 highest zeros below 1e5 (xi = 31622); one double
-exponential per (gamma, n) gives 1.7e-13, 1.4e-13 and 8.5e-13.
+The batch evaluation takes the terms n <= DIRECT_MAX as direct
+exponentials, the large phase g0 log n (g0 the start of the ordinate's
+PHASE_SPREAD cell) reduced mod 2 pi in extended precision and the small
+rest through the table-driven _exp_minus_i, and the terms above it by
+dyadic segments, each a column of the type-3 transform of zml.transform
+over a fixed block of ordinates; a zero's value depends on its ordinate
+and truncation point alone.  Against 30-digit sums of the mollifier at the
+stored ordinates the error is at most 3.9e-16 of sum |a_n| n^(-1/2) at
+the 40 highest zeros below 1e4 (xi = 3980), 2.7e-16 at 20 zeros spread
+over (0, 1e4] and 3.8e-16 at the 40 highest zeros below 1e5 (xi =
+31622), and at 40 zeros spread over (0, 1e5] 2.5e-15 at xi = 70 and
+3.0e-16 at xi = 31622; the tolerance is 5e-15.  One double exponential
+per (gamma, n) gives 1.7e-13, 1.4e-13 and 8.5e-13 on the first three.
 
 The closed form
 
@@ -45,23 +46,26 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
+from . import transform
 from .errors import BudgetError, InputError
-from .sieve import SieveTable, _exact_parts, build_sieve
+from .sieve import SieveTable, _exact_parts
 
 PAIR_BUDGET = 10**8
-# Largest (ordinates x terms) block of n^(-i gamma) values held at once.
+# Entries per group of the pair integral's arrays (_pair_parts_many).
 CHUNK_ELEMS = 262_144
 TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
-# Ordinates filled together lie in one cell [g0, g0 + PHASE_SPREAD), g0 a
-# multiple of it; g0 log p is reduced in extended precision, and the rest,
-# (gamma - g0) log p < 64 log p, is rounded to at most 64 log p 2^-52.
+# Terms n <= DIRECT_MAX of a truncation are direct exponentials; the
+# dyadic segments above it go through zml.transform.
+DIRECT_MAX = 128
+# A direct term's phase splits at g0, the start of gamma's cell [g0, g0 +
+# PHASE_SPREAD); g0 log n is reduced in extended precision, and the rest,
+# (gamma - g0) log n < 64 log n, is rounded to at most 64 log n 2^-52.
 PHASE_SPREAD = 64.0
-# Rows (in ascending n) per block of the running sums behind truncations.
+# Rows (in ascending n) per block of the running sums of the direct terms.
 PREFIX_BLOCK = 16
-# Ordinates per block that truncation_blocks yields, before rounding up.
-YIELD_ROWS = 1024
+# Ordinates per block that truncation_blocks yields.
+YIELD_ROWS = 512
 # The table of _exp_minus_i: e^(-i k c) for k < EXP_TABLE_SIZE, c = 2 pi /
 # EXP_TABLE_SIZE, rounded from long double.
 EXP_TABLE_SIZE = 1024
@@ -77,6 +81,8 @@ _C2 = float.fromhex("0x1.0b4611a6p-42")
 _C3 = float.fromhex("0x1.3198a2e037073p-77")
 EXP_PHASE_MAX = 2.0**21 * 2.0 * math.pi / EXP_TABLE_SIZE
 _ROUND_MAGIC = 1.5 * 2.0**52
+# 2 pi = P1 + P2 + P3 for _reduce, exactly EXP_TABLE_SIZE (C1, C2, C3)
+_P1, _P2, _P3 = (np.longdouble(EXP_TABLE_SIZE * c) for c in (_C1, _C2, _C3))
 # Elements per pass of _exp_minus_i: its seven scratch arrays (0.6 MB)
 # stay in L2 cache.
 EXP_CHUNK = 8192
@@ -187,72 +193,80 @@ def eval_poly(poly: DirichletPoly, s: complex) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
-class FillPlan(NamedTuple):
-    """Row layout of the multiplicative fill of n^(-i gamma) over a support.
+def _reduce(phi: np.ndarray) -> np.ndarray:
+    """Long-double phases reduced mod 2 pi into [-pi, pi], as doubles.
+    2 pi = P1 + P2 + P3 (Cody and Waite; the parts of _exp_minus_i's c,
+    times EXP_TABLE_SIZE) with k P1 and k P2 exact for k < 2^32, so the
+    error is about 2^-64 of the result, not of phi as with np.fmod."""
+    k = np.rint(phi / TWO_PI_EXT)
+    return (((phi - k * _P1) - k * _P2) - k * _P3).astype(float)
 
-    Row r holds n = ns[r].  Rows go by level Omega(n), the number of prime
-    factors counted with multiplicity, ascending n within a level:
-    levels[L]:levels[L+1] is level L, so row 0 is n = 1 and level 1 holds
-    the primes (none when the support is {1}).  A row n of level >= 2 is
-    the product of its cofactor row n/P and its prime row P, P the largest
-    prime factor of n; both lie at lower levels.  Elsewhere cofactor and
-    prime are -1.
-    """
+
+def _exp_at(phi: np.ndarray) -> np.ndarray:
+    """e^(-i phi) of reduced float phases, by _exp_minus_i."""
+    return _exp_minus_i(phi, np.empty(phi.shape, dtype=complex))
+
+
+class _Segment(NamedTuple):
+    """The terms a_n != 0, m < n <= 2m, of one dyadic segment, as sources
+    x = log n - centre of the type-3 transform."""
+    centre: float
     ns: np.ndarray
-    levels: np.ndarray
-    cofactor: np.ndarray
-    prime: np.ndarray
+    weights: np.ndarray
+    x: np.ndarray
+    plan: transform.Spread
 
 
-def fill_plan(support) -> FillPlan:
-    """The FillPlan of an ascending support of integers n >= 1, closed by
-    n -> n/P and n -> P, so every product finds both factors; n = 1 is
-    always a row.  Rows added by the closure carry weight 0 in evaluation.
-    """
-    support = np.asarray(support, dtype=np.int64)
-    top = int(support[-1]) if support.size else 1
-    big = np.arange(top + 1)          # largest prime factor; 1 at n = 1
-    omega = np.zeros(top + 1, dtype=np.int64)
-    for p in build_sieve(max(top, 2)).primes:
-        big[p:: p] = p
-        pk = p
-        while pk <= top:
-            omega[pk:: pk] += 1
-            pk *= p
-    need = np.zeros(top + 1, dtype=bool)
-    need[support] = True
-    need[1] = True
-    for level in range(int(omega[need].max()), 1, -1):
-        ns = np.flatnonzero(need & (omega == level))
-        need[ns // big[ns]] = True
-        need[big[ns]] = True
-    ns = np.flatnonzero(need)
-    ns = ns[np.argsort(omega[ns], kind="stable")]
-    levels = np.searchsorted(omega[ns], np.arange(max(omega[ns][-1], 1) + 2))
-    row = np.empty(top + 1, dtype=np.int64)
-    row[ns] = np.arange(ns.size)
-    composite = omega[ns] >= 2
-    cofactor = np.where(composite, row[ns // big[ns]], -1)
-    prime = np.where(composite, row[big[ns]], -1)
-    return FillPlan(ns=ns, levels=levels, cofactor=cofactor, prime=prime)
+def _direct_sums(logs, logs_ext, w, ends, gammas) -> np.ndarray:
+    """sum over the first e terms (logs, weights w) of w_n n^(-i gamma)
+    for each e of ends, at each ordinate: shape (len(ends), len(gammas)).
+
+    The large phase g0 log n, g0 the start of gamma's PHASE_SPREAD cell, is
+    reduced in extended precision (_phase), the rest (gamma - g0) log n
+    goes through _exp_minus_i.  The terms are summed in ascending n within
+    PREFIX_BLOCK-row blocks (np.cumsum, which adds in order), and a sum
+    over e terms is the running sum of the whole blocks plus the partial
+    sum of the last one."""
+    cell = np.floor(gammas / PHASE_SPREAD)
+    cells, inv = np.unique(cell, return_inverse=True)
+    big = np.exp(-1j * _phase(PHASE_SPREAD * cells, logs_ext[:, None]))
+    n_blocks = max(1, -(-logs.size // PREFIX_BLOCK))
+    E = np.zeros((n_blocks * PREFIX_BLOCK, gammas.size), dtype=complex)
+    rows = E[: logs.size]
+    _exp_minus_i(np.multiply.outer(logs, gammas - PHASE_SPREAD * cell), rows)
+    rows *= big[:, inv]
+    rows *= w[:, None]
+    part = np.zeros((n_blocks, PREFIX_BLOCK + 1, gammas.size), dtype=complex)
+    np.cumsum(E.reshape(n_blocks, PREFIX_BLOCK, -1), axis=1, out=part[:, 1:])
+    run = np.zeros((n_blocks + 1, gammas.size), dtype=complex)
+    np.cumsum(part[:, -1], axis=0, out=run[1:])
+    full = np.minimum(ends // PREFIX_BLOCK, n_blocks - 1)
+    return run[full] + part[full, ends - PREFIX_BLOCK * full]
+
+
+def _segment_of(xi: int) -> int:
+    """The k with DIRECT_MAX 2^k < xi <= DIRECT_MAX 2^(k+1); negative for
+    xi <= DIRECT_MAX."""
+    return (xi - 1).bit_length() - DIRECT_MAX.bit_length()
 
 
 def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
-    """Yield (lo, vals) over consecutive blocks of the ordinates, where
-    vals[i, b] = sum_{n<=xis[b]} a_n n^(-1/2-i*gammas[lo+i]); xis in
+    """Yield (lo, vals) over consecutive blocks of YIELD_ROWS ordinates,
+    where vals[i, b] = sum_{n<=xis[b]} a_n n^(-1/2-i*gammas[lo+i]); xis in
     [1, poly.length].
 
-    n^(-i gamma) is built by the FillPlan of the support {n <= max xi:
-    a_n != 0}: exp(-i gamma log p) for its primes, written in place into
-    their rows, then one complex product per composite row, level by level.
-    One sparse product with the weights a_n n^(-1/2) then sums the rows:
-    the rows with n <= xi are a prefix in ascending n, and a truncation
-    adds the running sum over the whole PREFIX_BLOCKs of that prefix to
-    the sum of its last partial block.  A fill takes consecutive ordinates
-    of one PHASE_SPREAD cell, so a value depends on its gamma and xi alone.
-    It holds at most CHUNK_ELEMS (rows x ordinates) values, in buffers
-    reused by every fill; a yielded block covers YIELD_ROWS ordinates
-    rounded up to whole fills.
+    The terms n <= DIRECT_MAX are direct exponentials (_direct_sums).
+    Above it, the terms of each dyadic segment m < n <= 2m, m =
+    DIRECT_MAX 2^k, are one column of a type-3 transform (zml.transform)
+    per block [j BLOCK, (j + 1) BLOCK) of ordinates: with the segment's
+    centre c and the block's centre g, w_n n^(-i gamma) = e^(-i gamma c)
+    (w_n e^(-i g (log n - c))) e^(-i (gamma - g)(log n - c)), both large
+    phases reduced in extended precision (_reduce).  A truncation inside a
+    segment is one more column over the segment's prefix.  Its value is
+    the direct sum, plus the whole segments below it in ascending order,
+    plus its own column; so a value depends on its gamma and xi alone,
+    whatever the other ordinates and truncation points.  A block's
+    transform is kept while consecutive ordinates stay in it.
     """
     xis = np.asarray(xis, dtype=np.int64)
     if xis.ndim != 1 or xis.size == 0:
@@ -260,65 +274,61 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
     if xis.min() < 1 or xis.max() > poly.length:
         raise InputError(f"truncation points must lie in [1, {poly.length}]")
     gammas = np.asarray(gammas, dtype=float)
+    top = int(xis.max())
+    w = poly.coeffs * np.exp(-0.5 * poly.logs)
     # coefficient index i holds a_{i+1}, so n <= xi means i < xi
-    plan = fill_plan(np.flatnonzero(poly.coeffs[: xis.max()]) + 1)
-    ns, levels = plan.ns, plan.levels
-    logs = poly.logs[ns - 1]
-    w = poly.coeffs[ns - 1] * np.exp(-0.5 * logs)
-    by_n = np.argsort(ns)
-    ends = np.searchsorted(ns[by_n], xis, side="right")
-    n_blocks = ns.size // PREFIX_BLOCK
-    full = ends // PREFIX_BLOCK
-    cols = [by_n[: n_blocks * PREFIX_BLOCK]] + [
-        by_n[f * PREFIX_BLOCK: e] for f, e in zip(full, ends)]
-    rows = np.repeat(np.arange(n_blocks + xis.size),
-                     [PREFIX_BLOCK] * n_blocks + [c.size for c in cols[1:]])
-    cols = np.concatenate(cols)
-    sums = csr_matrix((w[cols], (rows, cols)), shape=(n_blocks + xis.size, ns.size))
-    real = not np.iscomplexobj(w)     # then one real product sums Re and Im
-    primes = slice(levels[1], levels[2])
-    logp = logs[primes]
-    logp_ext = poly.logs_ext[ns[primes] - 1]
-    fill = max(1, CHUNK_ELEMS // ns.size)
-    step = fill * -(-YIELD_ROWS // fill)
-    width = min(fill, gammas.size)
-    # flat buffers for the rows, the running sums and a level's prime rows,
-    # viewed per fill as C-contiguous (rows x ordinates) arrays
-    buf = np.empty(ns.size * width, dtype=complex)
-    run = np.empty((n_blocks + 1) * width, dtype=complex)
-    prime_rows = np.empty(max(np.diff(levels[2:]), default=0) * width, dtype=complex)
-    phases = np.empty(logp.size * width)
-    for lo in range(0, gammas.size, step):
-        vals = np.empty((min(step, gammas.size - lo), xis.size), dtype=complex)
-        a = 0
-        while a < len(vals):
-            block = gammas[lo + a: lo + min(a + fill, len(vals))]
-            cell = np.floor(block / PHASE_SPREAD)
-            far = np.flatnonzero(cell != cell[0])
-            block = block[: far[0]] if far.size else block
-            m = block.size
-            E = buf[: ns.size * m].reshape(ns.size, m)
-            E[0] = 1.0
-            # p^(-i gamma) = p^(-i g0) p^(-i (gamma - g0)), with the large
-            # phase g0 log p reduced in extended precision (_phase)
-            g0 = PHASE_SPREAD * cell[0]
-            phi = phases[: logp.size * m].reshape(-1, m)
-            np.multiply.outer(logp, block - g0, out=phi)
-            _exp_minus_i(phi, E[primes])
-            E[primes] *= np.exp(-1j * _phase(g0, logp_ext))[:, None]
-            for L in range(2, levels.size - 1):
-                # both factors lie below the level, so np.take fills it without a copy
-                level, below = slice(levels[L], levels[L + 1]), E[: levels[L]]
-                pr = prime_rows[: (levels[L + 1] - levels[L]) * m].reshape(-1, m)
-                np.take(below, plan.prime[level], axis=0, out=pr, mode="clip")
-                np.take(below, plan.cofactor[level], axis=0, out=E[level], mode="clip")
-                E[level] *= pr
-            S = (sums @ E.view(float)).view(complex) if real else sums @ E
-            R = run[: (n_blocks + 1) * m].reshape(n_blocks + 1, m)
-            R[0] = 0.0
-            np.cumsum(S[:n_blocks], axis=0, out=R[1:])
-            vals[a: a + m] = (R[full] + S[n_blocks:]).T
-            a += m
+    direct = np.flatnonzero(poly.coeffs[: min(top, DIRECT_MAX)])
+    ends = np.searchsorted(direct, np.minimum(xis, DIRECT_MAX))
+    segments = []
+    while DIRECT_MAX << len(segments) < top:
+        m = DIRECT_MAX << len(segments)
+        ns = np.flatnonzero(poly.coeffs[m: min(2 * m, top)]) + m + 1
+        centre = round(64.0 * (math.log(m) + 0.5 * math.log(2.0))) / 64.0
+        x = poly.logs_ext[ns - 1] - np.longdouble(centre)
+        segments.append(_Segment(centre, ns, w[ns - 1], x, transform.spread_plan(x)))
+    # the columns of each segment: the whole segment if a truncation lies
+    # above it, then one per distinct truncation point inside it
+    n_whole = max(0, _segment_of(top))
+    high = np.flatnonzero(xis > DIRECT_MAX)
+    seg = np.array([_segment_of(xi) for xi in xis[high].tolist()], dtype=np.int64)
+    counts = [[s.ns.size] if k < n_whole else [] for k, s in enumerate(segments)]
+    local = {}
+    for xi in sorted(set(xis[high].tolist())):
+        k = _segment_of(xi)
+        local[xi] = len(counts[k])
+        counts[k].append(int(np.searchsorted(segments[k].ns, xi, side="right")))
+    offsets = np.cumsum([0] + [len(c) for c in counts])
+    col = offsets[seg] + [local[xi] for xi in xis[high].tolist()]
+    cached = (None, None)
+
+    def spectra(j: int) -> np.ndarray:
+        g = np.longdouble(j * transform.BLOCK + transform.BLOCK / 2)
+        grids = np.empty((offsets[-1], transform.GRID_SIZE), dtype=complex)
+        for s, c, a, b in zip(segments, counts, offsets, offsets[1:]):
+            grids[a:b] = transform.grids(s.plan, s.weights * _exp_at(_reduce(g * s.x)), c)
+        return transform.spectra(grids)
+
+    ends, which = np.unique(np.append(ends, direct.size), return_inverse=True)
+    for lo in range(0, gammas.size, YIELD_ROWS):
+        gam = gammas[lo: lo + YIELD_ROWS]
+        sums = _direct_sums(poly.logs[direct], poly.logs_ext[direct], w[direct], ends, gam)
+        vals = sums[which[:-1]]          # (truncations, ordinates) until the end
+        block = np.floor(gam / transform.BLOCK)
+        for j in sorted(set(block.tolist())) if high.size else ():
+            if cached[0] != j:
+                cached = None                   # freed before the next is built
+                cached = (j, spectra(int(j)))
+            at = np.flatnonzero(block == j)
+            h = transform.interpolate(
+                cached[1], transform.targets(gam[at] - j * transform.BLOCK)).T
+            phase = np.multiply.outer([np.longdouble(s.centre) for s in segments],
+                                      gam[at].astype(np.longdouble))
+            h *= np.repeat(_exp_at(_reduce(phase)), np.diff(offsets), axis=0)
+            run = [sums[which[-1], at]]
+            for k in range(n_whole):
+                run.append(run[-1] + h[offsets[k]])
+            vals[np.ix_(high, at)] = np.array(run)[seg] + h[col]
+        vals = vals.T
         yield lo, vals
 
 

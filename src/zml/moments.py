@@ -20,11 +20,11 @@ evaluated once per zero up to the largest T, block by block and truncated
 at every xi of the grid (dirichlet.truncation_blocks), and each T takes a
 prefix of the ascending zeros; M1 and M2 share those values, and no zeros
 x xi matrix is held; moment_report and the theta-sweep rows use it.  The
-mollifier values are within 1.3e-15 of sum |a_n| n^(-1/2) of 30-digit sums
-at sampled zeros up to 1e4, and 4.6e-16 near 1e5 (see dirichlet); at t_max
-1e4, M1, M2 and the Cauchy bound differ by <= 5.4e-14 relative from the
-direct exponential evaluation, and Im M1, a cancelling sum of about 2e-4
-of |M1|, by 1.7e-8 of itself.
+mollifier values are within 5e-15 of sum |a_n| n^(-1/2) of 30-digit sums
+at sampled zeros up to 1e5 (see dirichlet); at t_max 1e4, M1, M2 and the
+Cauchy bound differ by <= 5.4e-14 relative from the direct exponential
+evaluation, and Im M1, a cancelling sum of about 2e-4 of |M1|, by 1.7e-8
+of itself.
 """
 from __future__ import annotations
 
@@ -219,12 +219,13 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
     largest T block by block, truncated at the xi of every point
     (dirichlet.truncation_blocks); the window of each T is a prefix of the
     ascending zeros, and M1 and M2 come from the same values.  Each block
-    leaves exact parts of every point's sums (_exact_parts), and one
-    math.fsum over a point's parts gives the same bits as one math.fsum
-    over its window, while no zeros x xi matrix is held.  Every point is
-    checked (theta range, sieve limit, certificate, t_max, the simplicity
-    guard over its window), in order, before any evaluation.  Each T must
-    already be snapped mid-gap (see zeros.snap_to_midgap).
+    leaves exact parts (_exact_parts) of the sums of the points whose
+    window reaches it, and one math.fsum over a point's parts gives the
+    same bits as one math.fsum over its window, while no zeros x xi matrix
+    is held.  Every point is checked (theta range, sieve limit,
+    certificate, t_max, the simplicity guard over its window), in order,
+    before any evaluation.  Each T must already be snapped mid-gap (see
+    zeros.snap_to_midgap).
     """
     from .dirichlet import mollifier
 
@@ -233,23 +234,27 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
         return []
     xis = [params.xi for params, _ in checked]
     ns = np.array([n for _, n in checked])
-    re, im, sq = [], [], []
+    re, im, sq = ([np.zeros((0, ns.size))] for _ in range(3))
     blocks = truncation_blocks(mollifier(table, max(xis)), xis, zlist.ordinates[: ns.max()])
     for lo, vals in blocks:
+        live = np.flatnonzero(ns > lo)        # the points whose window reaches the block
         rows = np.arange(lo, lo + len(vals))
-        v = np.where(rows[:, None] < ns, vals, 0.0)
+        v = np.where(rows[:, None] < ns[live], vals[:, live], 0.0)
         terms = np.conj(v) / zlist.zeta_primes[rows, None]
-        re += _exact_parts(terms.real)
-        im += _exact_parts(terms.imag)
-        sq += _exact_parts(np.abs(v) ** 2)
+        for sums, x in ((re, terms.real), (im, terms.imag), (sq, np.abs(v) ** 2)):
+            parts = np.reshape(_exact_parts(x), (-1, live.size))
+            sums.append(np.zeros((len(parts), ns.size)))
+            sums[-1][:, live] = parts
+    re, im, sq = (np.concatenate(s).T.copy() for s in (re, im, sq))
+    j_minus_1 = {T: j_moment(zlist, 1.0, T) for T in {params.T for params, _ in checked}}
     reports = []
     for k, (params, n) in enumerate(checked):
-        m1 = complex(math.fsum(p[k] for p in re), math.fsum(p[k] for p in im))
-        m2 = math.fsum(p[k] for p in sq)
+        m1 = complex(math.fsum(re[k].tolist()), math.fsum(im[k].tolist()))
+        m2 = math.fsum(sq[k].tolist())
         T = params.T
         reports.append(MomentReport(
             params=params,
-            j_minus_1=j_moment(zlist, 1.0, T),
+            j_minus_1=j_minus_1[T],
             m1=m1,
             m2=m2,
             m1_pred=predict_m1(params),

@@ -21,6 +21,7 @@ from .errors import InputError, NumericsError, ValidationError
 MEMORY_CAP = 10**8
 SEGMENT = 1 << 16           # integers per numpy pass over the table
 ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
+LOG_CHUNK = 1 << 12         # _prime_logs: primes per list of Python ints
 SIEVE_MAGIC = "# zml-sieve v4"
 
 THREE_OVER_PI2 = 3.0 / math.pi**2
@@ -210,8 +211,13 @@ class AlphaVector:
 
 
 def _prime_logs(primes: np.ndarray) -> np.ndarray:
-    """math.log of each prime; np.log can differ from it in the last bit."""
-    return np.fromiter(map(math.log, primes.tolist()), np.float64, len(primes))
+    """math.log of each prime; np.log can differ from it in the last bit.
+    The primes go to Python ints LOG_CHUNK at a time."""
+    logs = np.empty(len(primes))
+    for lo in range(0, len(primes), LOG_CHUNK):
+        chunk = primes[lo: lo + LOG_CHUNK].tolist()
+        logs[lo: lo + len(chunk)] = np.fromiter(map(math.log, chunk), np.float64, len(chunk))
+    return logs
 
 
 def _prime_powers(primes: np.ndarray, n_max: int) -> tuple:
@@ -300,12 +306,26 @@ def _alpha_mobius_terms(table: SieveTable, xi: int):
         # the primes P > sqrt(xi) with a <= m P < b, for every m at once
         first = np.maximum(np.searchsorted(primes, -(-a // ms)), n_small)
         counts = np.maximum(np.searchsorted(primes, (b - 1) // ms, side="right") - first, 0)
-        ends = np.cumsum(counts)
-        idx = np.arange(ends[-1]) + np.repeat(first - (ends - counts), counts)
-        at = np.repeat(ms, counts) * primes[idx] - a
+        live = np.flatnonzero(counts)
+        first, counts = first[live], counts[live]
+        starts = np.cumsum(counts) - counts
+        # the prime index steps by 1 within an m's slice and jumps to the
+        # slice's first prime at its start; m jumps there and is flat within
+        idx = np.ones(int(counts.sum()), dtype=np.int64)
+        idx[starts] = first - np.append(0, first[:-1] + counts[:-1] - 1)
+        np.cumsum(idx, out=idx)
+        m = np.zeros_like(idx)
+        m[starts] = np.diff(ms[live], prepend=0)
+        np.cumsum(m, out=m)
+        at = primes[idx]
+        at *= m
+        at -= a
+        del m
         s[at] += logs[idx]
+        del idx, at
         ns = np.flatnonzero(table.mobius[a:b])
         terms = np.subtract(0.0, s[ns])      # alpha_1 mu(1) = +0.0, not -0.0
+        del s
         ns += a
         terms /= ns
         yield ns, terms

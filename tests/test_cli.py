@@ -727,12 +727,11 @@ class TestAtomicWrite:
         assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".bin", ".txt"]
 
 
-def test_import_loads_scipy_sparse_only():
-    # the fill's csr_matrix is the one SciPy part at run time, loaded at
-    # import so that no step imports SciPy inside its timed region
-    code = "import sys, zml.cli; print('scipy.special' in sys.modules, 'scipy.sparse' in sys.modules)"
+def test_import_loads_no_scipy():
+    # numpy is the one run-time dependency; SciPy is a test oracle only
+    code = "import sys, zml.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout == "[]\n"

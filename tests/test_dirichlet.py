@@ -112,7 +112,7 @@ def fsum_weighted_norm2(A):
 
 def direct_truncation(poly, gammas):
     """sum a_n n^(-1/2-i gamma) with one exponential per (gamma, n) and
-    a_n != 0: the evaluator that the prime fill replaced."""
+    a_n != 0, the plain evaluator the batch one is measured against."""
     support = np.flatnonzero(poly.coeffs)
     logs = poly.logs[support]
     w = poly.coeffs[support] * np.exp(-0.5 * logs)
@@ -199,66 +199,41 @@ class TestEval:
 
 
 class TestFill:
-    @pytest.mark.parametrize("xi, depth, n_primes, n_products", [
-        (3980, 5, 549, 1870), (31622, 6, 3401, 15822)])
-    def test_mollifier_plan(self, sieve_1e6, xi, depth, n_primes, n_products):
-        support = np.flatnonzero(sieve_1e6.mobius[1: xi + 1]) + 1
-        plan = dirichlet.fill_plan(support)
-        lv = plan.levels
-        assert len(lv) - 2 == depth and plan.ns[0] == 1
-        # no row beyond the squarefree support: it is closed
-        assert np.array_equal(np.sort(plan.ns), support)
-        primes = sieve_1e6.primes[sieve_1e6.primes <= xi]
-        assert np.array_equal(plan.ns[lv[1]: lv[2]], primes) and len(primes) == n_primes
-        # one product per composite row, of its cofactor and largest prime
-        comp = np.arange(lv[2], len(plan.ns))
-        assert len(comp) == n_products == len(support) - n_primes - 1
-        cof, pr = plan.cofactor[comp], plan.prime[comp]
-        assert np.array_equal(plan.ns[cof] * plan.ns[pr], plan.ns[comp])
-        assert np.all((lv[1] <= pr) & (pr < lv[2]))
-        largest = np.arange(xi + 1)
-        for p in primes:
-            largest[p:: p] = p
-        assert np.all(largest[plan.ns[cof]] < plan.ns[pr])
-        level = np.searchsorted(lv, comp, side="right") - 1
-        assert np.all(cof < lv[level]) and np.all(cof >= lv[level - 1])
-        assert np.all(plan.cofactor[: lv[2]] == -1) and np.all(plan.prime[: lv[2]] == -1)
-
-    def test_non_closed_support(self):
-        # a_12 != 0 while a_4 = a_6 = 0: 12 = 4 * 3 and 4 = 2 * 2 need rows
-        # 4 and 2, added with weight 0
-        coeffs = np.zeros(12, dtype=complex)
-        coeffs[[0, 2, 6, 11]] = [1.0 - 0.5j, 2.0j, -0.75, 0.3 + 0.4j]
-        plan = dirichlet.fill_plan(np.flatnonzero(coeffs) + 1)
-        assert plan.ns.tolist() == [1, 2, 3, 7, 4, 12]
-        poly = dirichlet.DirichletPoly(coeffs=coeffs)
-        xis = [12, 3, 11, 4, 1]
-        gammas = np.array([0.0, 14.13, 777.7, 9999.9])
-        vals = dirichlet.eval_truncations_at_zeros(poly, xis, gammas)
-        for b, xi in enumerate(xis):
-            trunc = dirichlet.DirichletPoly(coeffs=coeffs[:xi])
-            for g, v in zip(gammas, vals[:, b]):
-                assert abs(v - dirichlet.eval_poly(trunc, complex(0.5, g))) <= 1e-12
-
     @pytest.mark.parametrize("xi, sample", [
         (3980, ov.MOLLIFIER_3980), (31622, ov.MOLLIFIER_31622),
         (3980, ov.MOLLIFIER_SPREAD_3980)])
     def test_error_against_oracle(self, sieve_1e6, xi, sample):
         # error per zero over sum |a_n| n^(-1/2), with the sample alone: a
-        # zero's value does not depend on the other ordinates of its fill,
-        # so it is the value of the fill over a whole list.  Measured on
-        # x86-64 with 80-bit long double: 1.3e-15 (fill) against 1.7e-13
-        # (direct) at the 40 highest zeros below 1e4, 1.0e-15 against
-        # 1.4e-13 over (0, 1e4], and 4.6e-16 against 8.5e-13 near 1e5
+        # zero's value does not depend on the other ordinates, so it is the
+        # value over a whole list.  Measured on x86-64 with 80-bit long
+        # double: 3.9e-16 against 1.7e-13 (direct) at the 40 highest zeros
+        # below 1e4, 2.7e-16 against 1.4e-13 over (0, 1e4], and 3.8e-16
+        # against 8.5e-13 near 1e5 (the multiplicative fill it replaced:
+        # 1.3e-15, 1.0e-15 and 4.6e-16)
         gammas = np.array([g for g, _, _ in sample])
         ref = np.array([complex(re, im) for _, re, im in sample])
         poly = dirichlet.mollifier(sieve_1e6, xi)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
         vals = dirichlet.eval_poly_at_zeros(poly, gammas)
-        fill = np.abs(vals - ref).max() / scale
+        batch = np.abs(vals - ref).max() / scale
         direct = np.abs(direct_truncation(poly, gammas) - ref).max() / scale
-        assert fill <= direct
-        assert fill <= 1e-14
+        assert batch <= direct
+        assert batch <= 5e-15
+
+    def test_error_against_spread_sample(self, sieve_1e6):
+        # both truncations at 40 zeros spread over (0, 1e5]: xi = 70 is all
+        # direct exponentials, xi = 31622 mostly the transform
+        gammas = np.array([s[0] for s in ov.MOLLIFIER_SPREAD_1E5])
+        poly = dirichlet.mollifier(sieve_1e6, 31622)
+        vals = dirichlet.eval_truncations_at_zeros(poly, [70, 31622], gammas)
+        for b, xi in enumerate((70, 31622)):
+            ref = np.array([complex(s[1 + 2 * b], s[2 + 2 * b]) for s in ov.MOLLIFIER_SPREAD_1E5])
+            scale = np.abs(poly.coeffs[:xi]) @ np.exp(-0.5 * poly.logs[:xi])
+            err = np.abs(vals[:, b] - ref).max() / scale
+            assert err <= 5e-15, (
+                f"xi = {xi}: {err:.2g} of sum |a_n| n^(-1/2), measured 2.5e-15 (xi = 70) and "
+                "3.0e-16 (xi = 31622); the multiplicative fill measured 2.2e-15 and 6.1e-16 "
+                "here, and 1.3e-15, 1.0e-15 and 4.6e-16 on the samples above")
 
     def test_value_independent_of_other_ordinates(self, sieve_1e6):
         # every zero of the oracle samples, alone and inside a list of
@@ -285,16 +260,16 @@ class TestFill:
             assert np.array_equal(vals[:, xis.index(1234)], alone)
 
     def test_small_blocks(self, sieve_10k, monkeypatch):
-        # 243 rows: fills of 4 ordinates, yielded blocks of 200 ordinates
+        # yielded blocks of 198 ordinates, unsorted, over three transform
+        # blocks; truncations below, at and above DIRECT_MAX
         poly = dirichlet.mollifier(sieve_10k, 400)
         gammas = np.concatenate([np.linspace(9000.0, 9100.0, 290),
                                  [14.13, 5000.5, 9050.0, 20.0, 9999.9]])
-        xis = [400, 7, 150, 1, 399]
+        xis = [400, 7, 150, 1, 399, 128]
         whole = dirichlet.eval_truncations_at_zeros(poly, xis, gammas)
-        monkeypatch.setattr(dirichlet, "CHUNK_ELEMS", 1000)
         monkeypatch.setattr(dirichlet, "YIELD_ROWS", 198)
         blocks = list(dirichlet.truncation_blocks(poly, xis, gammas))
-        assert [(lo, v.shape) for lo, v in blocks] == [(0, (200, 5)), (200, (95, 5))]
+        assert [(lo, v.shape) for lo, v in blocks] == [(0, (198, 6)), (198, (97, 6))]
         assert np.array_equal(np.concatenate([v for _, v in blocks]), whole)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
         ref = direct_truncation(dirichlet.DirichletPoly(coeffs=poly.coeffs[:150]), gammas)
@@ -329,7 +304,7 @@ class TestExpMinusI:
                     assert abs(got - want) <= bound
 
     def test_error_against_mpmath(self):
-        # random phases up to the mollifier fill's 64 log p, the rounding
+        # random phases up to the direct terms' 64 log n, the rounding
         # boundaries of k (r = +-c/2) and the ends of the domain
         c = 2.0 * math.pi / dirichlet.EXP_TABLE_SIZE
         rng = np.random.default_rng(17)

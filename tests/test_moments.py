@@ -151,7 +151,7 @@ def _report(zlist, table, poly, T):
 
 def _oracle_sums(zlist, poly, T):
     """(M1, M2) over the zeros up to T from dirichlet.eval_poly, the exactly
-    rounded scalar evaluator, which shares no code with the prime fill."""
+    rounded scalar evaluator, which shares no code with truncation_blocks."""
     n = zlist.count_below(T)
     vals = np.array([dirichlet.eval_poly(poly, complex(0.5, g)) for g in zlist.ordinates[:n]])
     terms = np.conj(vals) / zlist.zeta_primes[:n]
@@ -249,10 +249,8 @@ class TestMomentGrid:
             assert rep.m2_pred == moments.predict_m2(rep.params)
 
     def test_streamed_sums_equal_one_fsum(self, zeros_1010, sieve_10k, monkeypatch):
-        # yielded blocks of 60 zeros (fills of 2000 // 12 = 166 cut to 60):
-        # windows end inside blocks, and each sum must equal one fsum over
-        # its window
-        monkeypatch.setattr(dirichlet, "CHUNK_ELEMS", 2000)
+        # yielded blocks of 60 zeros: windows end inside blocks, and each
+        # sum must equal one fsum over its window
         monkeypatch.setattr(dirichlet, "YIELD_ROWS", 60)
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (1000.0, 100.0, 300.0, 777.0)]
         points = [(th, T) for T in Ts for th in (0.3, 0.5, 0.9)]
@@ -280,8 +278,7 @@ class TestMomentGrid:
             assert rep == moments.moment_report(zlist, sieve_10k, th, T)
 
     def test_matches_direct_evaluator(self, zeros_1010, sieve_10k):
-        # against one exponential per (zero, n), the evaluator the prime fill
-        # replaced, reduced with math.fsum
+        # against one exponential per (zero, n), reduced with math.fsum
         T = zeros.snap_to_midgap(zeros_1010, 1000.0)
         n = zeros_1010.count_below(T)
         for rep in moments.moment_grid(zeros_1010, sieve_10k, [(0.5, T), (0.9, T)]):
@@ -299,6 +296,15 @@ class TestMomentGrid:
         assert moments.moment_grid(zeros_110, sieve_10k, []) == []
         rep, = moments.moment_grid(zeros_110, sieve_10k, [(0.5, 12.0)])
         assert (rep.j_minus_1, rep.m1, rep.m2, rep.cauchy_lb) == (0.0, 0j, 0.0, 0.0)
+
+    def test_block_of_zero_values(self, zeros_110, sieve_10k, monkeypatch):
+        # a block whose every term is zero leaves no exact parts
+        def zero_blocks(poly, xis, gammas):
+            yield 0, np.zeros((len(gammas), len(xis)), dtype=complex)
+        monkeypatch.setattr(moments, "truncation_blocks", zero_blocks)
+        T = zeros.snap_to_midgap(zeros_110, 100.0)
+        rep, = moments.moment_grid(zeros_110, sieve_10k, [(0.5, T)])
+        assert (rep.m1, rep.m2, rep.cauchy_lb) == (0j, 0.0, 0.0)
 
     def test_simplicity_error_from_any_point(self, zeros_110, sieve_10k):
         tampered = _tampered(zeros_110, 3)

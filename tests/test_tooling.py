@@ -7,7 +7,8 @@ formats against the magics the code writes, and every zml name it puts in
 backticks against the modules.  The reproduction
 script refuses a --stats path it could not write before it runs a step.
 The Riemann-Siegel coefficient file is its generator's output, byte for
-byte.
+byte.  The package imports no SciPy, and numpy is its one run-time
+dependency.
 Every public library function or class is reached by the program, the
 tracer, or is a listed test oracle."""
 import argparse
@@ -37,7 +38,7 @@ README_JSON_KEYS = {"z_threads"}
 # Public library names that no CLI step, script or traced span reaches, kept
 # for the tests, each with its reason
 ORACLES = {
-    "dirichlet.eval_poly": "exactly rounded scalar oracle of the batch mollifier fill",
+    "dirichlet.eval_poly": "exactly rounded scalar oracle of the batch mollifier evaluation",
     "sieve.alpha_coefficients": "tabulated alpha_n, the oracle of alpha_mobius_sum",
     "moments.predict_m1_finite": "finite-xi diagonal of M1 the acceptance tests compare at 1e5",
     "zeta.reset_counters": "zeroes the evaluation counters before a test counts Z evaluations",
@@ -146,6 +147,21 @@ def test_reproduce_all_bad_stats_path_rejected_before_any_work(tmp_path, stats, 
     assert proc.returncode == 1
     assert proc.stderr == f"error: {message.format(p=tmp_path)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["D", "F"]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    imports = set()
+    for path in sorted((ROOT / "src" / "zml").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.add(node.module.split(".")[0])
+    assert "numpy" in imports and "scipy" not in imports
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    deps = re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert [re.match(r"[A-Za-z0-9_.-]+", d).group(0)
+            for d in re.findall(r'"([^"]+)"', deps)] == ["numpy"]
 
 
 def test_rs_coeffs_file_is_the_generator_output():
