@@ -34,9 +34,10 @@ EQ_TAGS = ("eq1", "neg2", "m1", "m2", "mv", "langon", "neg4", "sig1")
 # Most mean-value trials.  The campaign holds one batch of trials at a time,
 # so the cap bounds its run time and the ratios it keeps and writes.
 MAX_TRIALS = 50_000
+_MV_MAX_COEFFS = 200      # most coefficients of a campaign polynomial
 # Trials per mv_reports call: one pair group of dirichlet._pair_parts_many
-# when the longest polynomial has the campaign's cap of 200 coefficients.
-MV_BATCH = dirichlet.CHUNK_ELEMS // (16 * 200)
+# when the longest polynomial has _MV_MAX_COEFFS coefficients.
+MV_BATCH = dirichlet.CHUNK_ELEMS // (16 * _MV_MAX_COEFFS)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
 ZERO_CACHE_VERSION = 6
@@ -263,12 +264,12 @@ def cmd_moments(cfg: RunConfig) -> int:
 
 
 def campaign_trials(seed: int, trials: int):
-    """Yield the (A, B, T) of each mean-value trial (xi <= 200, T in [10, 1e4],
-    coefficients uniform in [-1, 1]), drawn trial by trial from one
-    generator."""
+    """Yield the (A, B, T) of each mean-value trial (xi <= _MV_MAX_COEFFS,
+    T in [10, 1e4], coefficients uniform in [-1, 1]), drawn trial by trial
+    from one generator."""
     rng = default_rng(seed)
     for _ in range(trials):
-        xa, xb = rng.integers(1, 201, 2)
+        xa, xb = rng.integers(1, _MV_MAX_COEFFS + 1, 2)
         A = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xa)))
         B = dirichlet.DirichletPoly(coeffs=rng.uniform(-1.0, 1.0, int(xb)))
         yield A, B, float(rng.uniform(10.0, 1.0e4))
@@ -560,7 +561,7 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         return handler(cfg)
-    except ZmlError as exc:
+    except (ZmlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

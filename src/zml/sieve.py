@@ -160,25 +160,34 @@ def _squarefree(table: SieveTable, lo: int, hi: int):
         yield ns
 
 
-def squarefree_harmonics(table: SieveTable, xis) -> list:
-    """sum_{n<=xi} mu(n)^2 / n for every xi of xis (any order, repeats
-    allowed), each bit-identical to one math.fsum over its own terms.
+def _squarefree_sums(table: SieveTable, xis, terms) -> list:
+    """sum_{n<=xi} terms(n) over the squarefree n, for every xi of xis (any
+    order, repeats allowed), each bit-identical to one math.fsum over its
+    own terms.  terms maps an int64 array of n to the float64 array of
+    their terms.
 
     One pass over n up to the largest xi, SEGMENT integers at a time, each
     stretch cut at the xi: exact parts (_exact_parts) of every stretch's
-    reciprocals are carried, and each xi's sum is one math.fsum over the
-    parts so far.  The sums grow like (6/pi^2) log xi + O(1); the report's
-    neg4 section records the O(1) drift, not asserted here.
+    terms are carried, and each xi's sum is one math.fsum over the parts
+    so far.
     """
     for xi in xis:
         table._check_range(xi, "xi")
     sums, parts, lo = {}, [], 1
     for xi in sorted(set(xis)):
         for ns in _squarefree(table, lo, xi):
-            parts += _exact_parts(1.0 / ns)
+            parts += _exact_parts(terms(ns))
         sums[xi] = math.fsum(parts)
         lo = xi + 1
     return [sums[xi] for xi in xis]
+
+
+def squarefree_harmonics(table: SieveTable, xis) -> list:
+    """sum_{n<=xi} mu(n)^2 / n for every xi of xis, exactly rounded (see
+    _squarefree_sums).  The sums grow like (6/pi^2) log xi + O(1); the
+    report's neg4 section records the O(1) drift, not asserted here.
+    """
+    return _squarefree_sums(table, xis, lambda ns: 1.0 / ns)
 
 
 def squarefree_harmonic(table: SieveTable, xi: int) -> float:
@@ -211,8 +220,9 @@ class AlphaVector:
 
 
 def _prime_logs(primes: np.ndarray) -> np.ndarray:
-    """math.log of each prime; np.log can differ from it in the last bit.
-    The primes go to Python ints LOG_CHUNK at a time."""
+    """math.log of each prime, for alpha_coefficients (the tests' oracle)
+    only; np.log can differ from it in the last bit.  The primes go to
+    Python ints LOG_CHUNK at a time."""
     logs = np.empty(len(primes))
     for lo in range(0, len(primes), LOG_CHUNK):
         chunk = primes[lo: lo + LOG_CHUNK].tolist()
@@ -223,8 +233,8 @@ def _prime_logs(primes: np.ndarray) -> np.ndarray:
 def _prime_powers(primes: np.ndarray, n_max: int) -> tuple:
     """The prime powers k <= n_max of the ascending primes <= n_max, level
     by level (the primes, then their squares, cubes, ...), and math.log of
-    each one's prime.  The primes with p^e <= n_max are a prefix of
-    ``primes``."""
+    each one's prime, for alpha_coefficients only.  The primes with
+    p^e <= n_max are a prefix of ``primes``."""
     logs = _prime_logs(primes)
     levels = [primes]
     while True:
@@ -281,76 +291,18 @@ class AlphaMobiusSum(NamedTuple):
     prediction: float
 
 
-def _alpha_mobius_terms(table: SieveTable, xi: int):
-    """The squarefree n <= xi and their terms -S_n / n (alpha_mobius_sum),
-    as arrays covering SEGMENT integers each.
-
-    S_n is built one stretch at a time, holding no array longer than a
-    stretch: one slice per prime p <= sqrt(xi) adds log p to its
-    multiples, in ascending p; then the one prime P > sqrt(xi) of n, if
-    any, comes last.  n = m P with m <= sqrt(xi), and for each m the P
-    with m P in the stretch are a contiguous slice of the primes, so each
-    such n is reached once, with no search per element.
-    """
-    root = math.isqrt(xi)
-    primes = table.primes[: np.searchsorted(table.primes, xi, side="right")]
-    logs = _prime_logs(primes)
-    n_small = int(np.searchsorted(primes, root, side="right"))
-    small = list(zip(primes[:n_small].tolist(), logs[:n_small].tolist()))
-    ms = np.arange(1, root + 1)
-    for a in range(1, xi + 1, SEGMENT):
-        b = min(a + SEGMENT, xi + 1)
-        s = np.zeros(b - a)
-        for p, log_p in small:
-            s[-a % p:: p] += log_p
-        # the primes P > sqrt(xi) with a <= m P < b, for every m at once
-        first = np.maximum(np.searchsorted(primes, -(-a // ms)), n_small)
-        counts = np.maximum(np.searchsorted(primes, (b - 1) // ms, side="right") - first, 0)
-        live = np.flatnonzero(counts)
-        first, counts = first[live], counts[live]
-        starts = np.cumsum(counts) - counts
-        # the prime index steps by 1 within an m's slice and jumps to the
-        # slice's first prime at its start; m jumps there and is flat within
-        idx = np.ones(int(counts.sum()), dtype=np.int64)
-        idx[starts] = first - np.append(0, first[:-1] + counts[:-1] - 1)
-        np.cumsum(idx, out=idx)
-        m = np.zeros_like(idx)
-        m[starts] = np.diff(ms[live], prepend=0)
-        np.cumsum(m, out=m)
-        at = primes[idx]
-        at *= m
-        at -= a
-        del m
-        s[at] += logs[idx]
-        del idx, at
-        ns = np.flatnonzero(table.mobius[a:b])
-        terms = np.subtract(0.0, s[ns])      # alpha_1 mu(1) = +0.0, not -0.0
-        del s
-        ns += a
-        terms /= ns
-        yield ns, terms
-
-
 def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
     """sum_{n<=xi} alpha_n mu(n) / n, with its predicted main term
     -(3/pi^2) (log xi)^2, so callers can report the ratio.
 
-    No alpha vector is built.  Only squarefree n count, and for them
-    l = n/k <= xi always holds and k is a prime p | n, so
-    alpha_coefficients adds Lambda(p) mu(n/p) = -mu(n) log p for the
-    primes p | n in ascending order, starting from 0.0.  Rounding is
-    symmetric under sign, so alpha_n = -mu(n) S_n, with S_n the ascending
-    float sum of math.log(p) over p | n, and alpha_n mu(n) =
-    -mu(n)^2 S_n = -S_n: each term is -S_n / n bit for bit, and
-    _alpha_mobius_terms streams them.  Exact parts (_exact_parts) of every
-    stretch's terms are carried, and the value is one math.fsum over them,
-    as one math.fsum over all terms would give.
+    No alpha vector is built.  Only squarefree n count, and for them the
+    cut l <= xi never binds, so alpha_n mu(n) = -mu(n)^2 log n: the value
+    is the exactly rounded sum of the terms -np.log(n) / n over the
+    squarefree n <= xi (see _squarefree_sums).  It can differ in the last
+    bit from the exactly rounded sum of alpha_coefficients' terms, whose
+    alpha_n adds math.log of n's primes one by one.
     """
-    table._check_range(xi, "xi")
-    parts = []
-    for _, terms in _alpha_mobius_terms(table, xi):
-        parts += _exact_parts(terms)
-    value = math.fsum(parts)
+    [value] = _squarefree_sums(table, [xi], lambda ns: -np.log(ns) / ns)
     pred = -THREE_OVER_PI2 * math.log(xi) ** 2
     return AlphaMobiusSum(value=value, prediction=pred)
 

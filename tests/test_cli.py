@@ -477,6 +477,17 @@ class TestReproduceAll:
         assert z["zeros"] > 1000 and z["moments"] == z["mv-check"] == z["landau"] == 0
         assert 0 < z["report"] < 1000
 
+    def test_failing_step_ends_the_run_and_keeps_the_stats(self, tmp_path):
+        # a directory at report.json fails the last step; the stats say so
+        (tmp_path / "out" / "report.json").mkdir(parents=True)
+        proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / "stats.json"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        errors = [ln for ln in proc.stderr.splitlines() if ln.startswith("error: ")]
+        assert len(errors) == 1 and "report.json" in errors[0]
+        stats = json.loads((tmp_path / "stats.json").read_text())
+        assert [e["step"] for e in stats] == ["zeros", "moments", "mv-check", "landau", "report"]
+
     @pytest.mark.parametrize("where", ["out", "out/sub/stats.json", "out/stats.json"])
     def test_stats_inside_out_dir_rejected(self, tmp_path, where):
         proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / where))
@@ -645,6 +656,24 @@ class TestConfig:
         assert proc.returncode == 1
         assert proc.stderr == f"error: {name}: F is not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["F"]
+
+    @pytest.mark.parametrize("command, where", [
+        ("landau", "c/sieve_1000.bin"), ("zeros", "zero cache"),
+        ("landau", "o/landau_x2.json")])
+    def test_directory_at_a_file_path_is_an_error(self, tmp_path, command, where):
+        # read or replace raises IsADirectoryError: one error line, exit 1
+        if where == "zero cache":
+            where = cli._zero_cache_path(cli.RunConfig(t_max=100.0, cache_dir=Path("c")))
+        (tmp_path / where).mkdir(parents=True)
+        proc = subprocess.run(
+            [sys.executable, "-m", "zml.cli", command, "--t-max", "100", "--x", "2",
+             "--sieve-limit", "1000", "--cache-dir", "c", "--out-dir", "o"],
+            capture_output=True, text=True, timeout=120, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and "Is a directory" in line
 
     def test_env_cache_dir_checked(self, tmp_path, monkeypatch, capsys):
         bad = tmp_path / "F"
