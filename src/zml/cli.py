@@ -41,10 +41,6 @@ MV_BATCH = dirichlet.CHUNK_ELEMS // (16 * _MV_MAX_COEFFS)
 # Part of the zero-cache key: raise it whenever the scanner or the zero-file
 # contents change, so that no list made by an older version is read.
 ZERO_CACHE_VERSION = 6
-# Stored in the campaign cache, which is read only under the same value:
-# raise it whenever the ratios mv_campaign returns for a (seed, trials) change.
-MV_CACHE_VERSION = 5
-MV_CAMPAIGN_MAGIC = "# zml-mv-campaign v1"
 
 
 @dataclass(frozen=True)
@@ -126,10 +122,10 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
 
-def _load_or_build(path: Path, load, build, save, reuse: bool = True):
-    """load(path) if `reuse` and the file exists and passes load's checks
-    (no ZmlError); else build(), stored at path by save(value, path)."""
-    if reuse and path.exists():
+def _load_or_build(path: Path, load, build, save):
+    """load(path) if the file exists and passes load's checks (no
+    ZmlError); else build(), stored at path by save(value, path)."""
+    if path.exists():
         try:
             return load(path)
         except ZmlError:
@@ -299,36 +295,19 @@ def _mv_summary(cfg: RunConfig, ratios) -> dict:
     }
 
 
-def _campaign_cache_path(cfg: RunConfig) -> Path:
-    return cfg.cache_dir / f"mv_campaign_s{cfg.seed}_n{cfg.trials}.txt"
+# The last campaign this process ran, keyed by (seed, trials): `report`
+# after `mv-check` in one process takes its ratios instead of a second run.
+_campaign_memo: dict = {}
 
 
 def _campaign_ratios(cfg: RunConfig, reuse: bool) -> list:
-    """The campaign's ratios: the cached ones if `reuse`, else a fresh
-    mv_campaign run, which is stored.  The cache (keys seed, trials and
-    version) holds the repr of each ratio on a line of its own; it is read
-    only with this run's keys and `trials` finite ratios in that layout."""
-    key = {"seed": cfg.seed, "trials": cfg.trials, "version": MV_CACHE_VERSION}
-
-    def text(ratios) -> bytes:
-        return "".join(f"{float(r)!r}\n" for r in ratios).encode()
-
-    def load(path):
-        fields, payload = store.read(path, MV_CAMPAIGN_MAGIC, dict.fromkeys(key, int))
-        try:
-            ratios = [float(r) for r in payload.splitlines()]
-        except ValueError:
-            ratios = []
-        if (fields != key or len(ratios) != cfg.trials or text(ratios) != payload
-                or not all(map(math.isfinite, ratios))):
-            raise ValidationError(f"{path}: not the campaign of {key}")
-        return ratios
-
-    def save(ratios, path):
-        store.write(path, MV_CAMPAIGN_MAGIC, key, [text(ratios)])
-
-    return _load_or_build(_campaign_cache_path(cfg), load,
-                          lambda: mv_campaign(cfg.seed, cfg.trials), save, reuse)
+    """The campaign's ratios: the memo's if `reuse` and it holds this run's
+    (seed, trials), else a fresh mv_campaign run, which the memo keeps."""
+    key = (cfg.seed, cfg.trials)
+    if not (reuse and key in _campaign_memo):
+        _campaign_memo.clear()
+        _campaign_memo[key] = mv_campaign(cfg.seed, cfg.trials)
+    return _campaign_memo[key]
 
 
 def cmd_mv_check(cfg: RunConfig) -> int:
@@ -427,7 +406,7 @@ def cmd_report(cfg: RunConfig) -> int:
         "cauchy_ok": cauchy_ok,
     }
 
-    # mv: the randomized mean-value campaign, as mv-check stored it
+    # mv: the randomized mean-value campaign, as mv-check left it in this process
     ratios = _campaign_ratios(cfg, reuse=True)
     report["mv"] = _mv_summary(cfg, ratios)
     hard_ok &= report["mv"]["passed"]

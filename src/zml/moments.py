@@ -33,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# eval_poly_at_zeros is unused here; perfbench's tracer patches this binding
+# mollifier is called through the module, where perfbench's tracer wraps it;
+# eval_poly_at_zeros is unused here, and the tracer patches this binding
+from . import dirichlet
 from .dirichlet import eval_poly_at_zeros, truncation_blocks  # noqa: F401
 from .errors import InputError, SimplicityError
 from .sieve import SieveTable, _exact_parts, mangoldt, squarefree_harmonic
@@ -227,15 +229,14 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
     before any evaluation.  Each T must already be snapped mid-gap (see
     zeros.snap_to_midgap).
     """
-    from .dirichlet import mollifier
-
     checked = [_check_point(zlist, table, th, T) for th, T in points]
     if not checked:
         return []
     xis = [params.xi for params, _ in checked]
     ns = np.array([n for _, n in checked])
     re, im, sq = ([np.zeros((0, ns.size))] for _ in range(3))
-    blocks = truncation_blocks(mollifier(table, max(xis)), xis, zlist.ordinates[: ns.max()])
+    blocks = truncation_blocks(dirichlet.mollifier(table, max(xis)), xis,
+                               zlist.ordinates[: ns.max()])
     for lo, vals in blocks:
         live = np.flatnonzero(ns > lo)        # the points whose window reaches the block
         rows = np.arange(lo, lo + len(vals))

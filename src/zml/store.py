@@ -1,9 +1,9 @@
 """Cache files: one checksummed container, written atomically.
 
-The zero list, the sieve and the mean-value campaign are each stored as
-the magic line '# zml-<kind> v<N>', one '# <key> <value>' line per key in
-a fixed order, '# crc32 <8 lowercase hex>' (zlib.crc32 of the payload),
-then the payload.  A float value is written as its repr, which reads back
+The zero list and the sieve are each stored as the magic line
+'# zml-<kind> v<N>', one '# <key> <value>' line per key in a fixed order,
+'# crc32 <8 lowercase hex>' (zlib.crc32 of the payload), then the
+payload.  A float value is written as its repr, which reads back
 to the same bits, an int in decimal and a flag as true or false.
 """
 from __future__ import annotations

@@ -4,7 +4,14 @@ import zlib
 import numpy as np
 import pytest
 
-from zml import sieve, zeros
+from zml import cli, sieve, zeros
+
+
+@pytest.fixture(autouse=True)
+def _no_campaign_in_the_memo():
+    """Each test starts with cli's campaign memo empty, so that the order of
+    the tests cannot decide whether a step computes the campaign."""
+    cli._campaign_memo.clear()
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -363,67 +364,44 @@ class TestReportCommand:
             assert lines and all(len(ln.split()) == 2 for ln in lines)
 
     def test_reuses_the_mv_check_campaign(self, tmp_path, monkeypatch):
+        # report after mv-check in one process takes its ratios; a report
+        # before any mv-check, or with another seed, runs the campaign
         args = ("--t-max", "300", "--sieve-limit", "5000", "--trials", "25", "--seed", "9")
         run_cli(tmp_path, "zeros", "--t-max", "300")
-        # a report with no campaign file computes the campaign itself
-        fresh = tmp_path / "fresh"
-        assert cli.main(["report", *args, "--cache-dir", str(tmp_path / "cache"),
-                         "--out-dir", str(fresh)]) == 0
-        cache_file = cli._campaign_cache_path(
-            cli.RunConfig(t_max=300.0, trials=25, seed=9, cache_dir=tmp_path / "cache"))
-        assert cache_file.read_bytes().startswith(
-            b"# zml-mv-campaign v1\n# seed 9\n# trials 25\n# version %d\n# crc32 "
-            % cli.MV_CACHE_VERSION)
-        cache_file.unlink()
-        assert run_cli(tmp_path, "mv-check", *args) == 0
-        assert cache_file.exists()
-        calls = []
-        monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a))
-        assert run_cli(tmp_path, "report", *args) == 0
-        assert calls == []
-        assert (tmp_path / "out" / "report.json").read_bytes() == (
-            fresh / "report.json").read_bytes()
-
-    @pytest.mark.parametrize("damage", [
-        "truncated", "one ratio edited", "short", "nan", "other seed", "old version",
-        "not a list"])
-    def test_damaged_campaign_recomputed(self, tmp_path, monkeypatch, damage):
-        # the cut and the edited ratio fail the CRC; the payload damage
-        # carries a forged CRC, so the content checks see it; the key
-        # lines lie outside the CRC and must equal the run's own
-        args = ("--t-max", "300", "--sieve-limit", "5000", "--trials", "25", "--seed", "9")
-        run_cli(tmp_path, "zeros", "--t-max", "300")
-        assert run_cli(tmp_path, "mv-check", *args) == 0
-        assert run_cli(tmp_path, "report", *args) == 0
-        good = (tmp_path / "out" / "report.json").read_bytes()
-        path = next((tmp_path / "cache").glob("mv_campaign_*.txt"))
-        cached = path.read_bytes()
-        lines = cached.split(b"\n")
-        ratio = lines[5 + 3]
-        if damage == "truncated":
-            bad = cached[:-40]
-        elif damage == "one ratio edited":
-            bad = cached.replace(b"\n" + ratio + b"\n", b"\n9.5\n")
-        elif damage == "short":
-            bad = with_crc(b"\n".join(lines[:-2] + [b""]), 5)
-        elif damage == "nan":
-            bad = with_crc(cached.replace(b"\n" + ratio + b"\n", b"\nnan\n"), 5)
-        elif damage == "other seed":
-            bad = cached.replace(b"# seed 9\n", b"# seed 10\n")
-        elif damage == "old version":
-            bad = cached.replace(b"# version %d\n" % cli.MV_CACHE_VERSION,
-                                 b"# version %d\n" % (cli.MV_CACHE_VERSION - 1))
-        else:
-            bad = with_crc(b"\n".join(lines[:5] + [b"{'0': 1.0}", b""]), 5)
-        assert bad != cached
-        path.write_bytes(bad)
         real = cli.mv_campaign
         calls = []
         monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
-        assert run_cli(tmp_path, "report", *args) == 0
+        fresh = tmp_path / "fresh"
+        assert cli.main(["report", *args, "--cache-dir", str(tmp_path / "cache"),
+                         "--out-dir", str(fresh)]) == 0
         assert calls == [(9, 25)]
-        assert (tmp_path / "out" / "report.json").read_bytes() == good
-        assert path.read_bytes() == cached
+        assert run_cli(tmp_path, "mv-check", *args) == 0
+        assert calls == [(9, 25)] * 2
+        assert run_cli(tmp_path, "report", *args) == 0
+        assert calls == [(9, 25)] * 2
+        assert (tmp_path / "out" / "report.json").read_bytes() == (
+            fresh / "report.json").read_bytes()
+        assert run_cli(tmp_path, "report", *args[:-1], "10") == 0
+        assert calls == [(9, 25)] * 2 + [(10, 25)]
+        assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == [
+            "sieve_5000.bin", cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
+
+    def test_report_alone_matches_the_in_process_run(self, tmp_path, monkeypatch):
+        # mv-check and report, each in a fresh process, write the report
+        # that the five steps of one process write
+        assert reproduce_all_in_process(tmp_path, monkeypatch) == 0
+        caches = sorted((tmp_path / "cache").iterdir())
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        for step in ("mv-check", "report"):
+            subprocess.run(
+                [sys.executable, "-m", "zml.cli", step, "--t-max", "300", "--sieve-limit",
+                 "5000", "--cache-dir", str(tmp_path / "cache"),
+                 "--out-dir", str(tmp_path / "alone")],
+                env=env, capture_output=True, check=True, timeout=300)
+        for name in ("report.json", "mv_stats.json"):
+            assert (tmp_path / "alone" / name).read_bytes() == (
+                tmp_path / "out" / name).read_bytes()
+        assert sorted((tmp_path / "cache").iterdir()) == caches
 
     def test_sieve_limit_below_the_drift_grid(self, tmp_path):
         # the neg4 grid starts at xi = 1000; a smaller sieve keeps only its limit
@@ -453,7 +431,27 @@ def run_reproduce_all(tmp_path, *args):
         capture_output=True, text=True, env=env, timeout=300)
 
 
+def reproduce_all_in_process(tmp_path, monkeypatch):
+    """run_reproduce_all's run, without --stats, in this process; its exit code."""
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    monkeypatch.setattr(sys, "argv", [
+        str(script), "--t-max", "300", "--sieve-limit", "5000",
+        "--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    return exc.value.code
+
+
 class TestReproduceAll:
+    def test_one_run_keeps_two_caches_and_one_campaign(self, tmp_path, monkeypatch):
+        real = cli.mv_campaign
+        calls = []
+        monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
+        assert reproduce_all_in_process(tmp_path, monkeypatch) == 0
+        assert calls == [(42, 1000)]
+        assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == [
+            "sieve_5000.bin", cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
+
     def test_step_timings_go_to_stderr(self, tmp_path):
         proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / "stats.json"))
         assert proc.returncode == 0, proc.stderr

@@ -3,8 +3,8 @@ resolve is skipped at run time and its per-layer metric reads 0, so every
 name must resolve here.  The benchmark's digest reads the zero cache on its
 own, so it is checked against the zero-list file the code writes.  The
 README's flag list is checked against the parser the same way, its file
-formats against the magics the code writes, and every zml name it puts in
-backticks against the modules.  The reproduction
+formats against the magics the code writes, in both directions, and every
+zml name it puts in backticks against the modules.  The reproduction
 script refuses a --stats path it could not write before it runs a step.
 The Riemann-Siegel coefficient file is its generator's output, byte for
 byte.  The package imports no SciPy, and numpy is its one run-time
@@ -16,6 +16,7 @@ import ast
 import importlib
 import importlib.util
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import zml
 from zml import cli, dirichlet, moments, sieve, store, zeros, zeta
 
 from test_cli import run_reproduce_all
@@ -115,10 +117,18 @@ def test_readme_shared_flags_match_parser():
 
 
 def test_readme_file_formats_name_the_magics():
+    # both ways: every file magic of a zml module is documented, and the
+    # section documents no other kind, so a removed kind leaves no entry
+    magics = {value for info in pkgutil.iter_modules(zml.__path__)
+              for name, value in vars(importlib.import_module(f"zml.{info.name}")).items()
+              if name.endswith("_MAGIC") and isinstance(value, str)}
+    assert len(magics) >= 2
     readme = README.read_text(encoding="utf-8")
     section = readme.split("## File formats", 1)[1].split("\n## ", 1)[0]
-    for magic in (zeros.ZEROS_MAGIC, sieve.SIEVE_MAGIC, cli.MV_CAMPAIGN_MAGIC):
+    for magic in magics:
         assert f"`{magic}`" in section
+    kind = re.compile(r"`# zml-([a-z-]+) v\d+`")
+    assert set(kind.findall(section)) == {kind.fullmatch(f"`{m}`").group(1) for m in magics}
 
 
 def test_readme_names_resolve():

@@ -374,6 +374,17 @@ class TestHardyZPrime:
             ref = float(mp.siegelz(t, derivative=1))
             assert z_prime(t) == pytest.approx(ref, abs=1e-6)
 
+    def test_stencil_error_on_the_stated_sample(self):
+        # 4 of the 40 points of default_rng(2023).uniform(1e3, 1e5, 40), with
+        # the largest error of the 40, 4.56e-6 at t = 88,869.2497, held at
+        # the bound that hardy_z_prime_many's docstring states
+        ts = np.random.default_rng(2023).uniform(1e3, 1e5, 40)[[0, 6, 29, 32]]
+        assert round(ts[2], 4) == 88869.2497
+        with mp.workdps(30):
+            refs = [float(mp.siegelz(mp.mpf(t), derivative=1)) for t in ts]
+        errs = np.abs(zeta.hardy_z_prime_many(ts) - refs)
+        assert errs.max() <= 4.6e-6 and errs.argmax() == 2
+
     def test_stencil_at_the_crossover(self):
         # a stencil across RS_CROSSOVER used to mix the two routes of Z and
         # was off by 1.1e-5 at t = 300; each centre alone and all in a batch
