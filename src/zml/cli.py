@@ -341,14 +341,12 @@ def cmd_landau(cfg: RunConfig) -> int:
     return 0
 
 
-def _report_eq1(cfg, zlist):
-    rows = []
-    for T_req in _moment_grid(cfg):
-        T = zeros.snap_to_midgap(zlist, T_req)
-        j = moments.j_moment(zlist, 1.0, T)
-        rows.append({"t": T, "j_minus_1": j, "ratio": j / moments.gonek_prediction(T)})
-    ts = np.array([r["t"] for r in rows])
-    js = np.array([r["j_minus_1"] for r in rows])
+def _report_eq1(cfg, zlist, T_top):
+    ts = [zeros.snap_to_midgap(zlist, T) for T in _moment_grid(cfg)]
+    *js, j_top = moments.j_moments(zlist, 1.0, ts + [T_top])
+    rows = [{"t": T, "j_minus_1": j, "ratio": j / moments.gonek_prediction(T)}
+            for T, j in zip(ts, js)]
+    ts, js = np.array(ts), np.array(js)
     design = np.vstack([ts, np.ones_like(ts)]).T
     slope, intercept = np.linalg.lstsq(design, js, rcond=None)[0]
     return {
@@ -357,7 +355,7 @@ def _report_eq1(cfg, zlist):
         "intercept": float(intercept),
         "slope_target": moments.GONEK_CONSTANT,
         "slope_rel_dev": abs(float(slope) - moments.GONEK_CONSTANT) / moments.GONEK_CONSTANT,
-    }, ts, js
+    }, ts, js, j_top
 
 
 def cmd_report(cfg: RunConfig) -> int:
@@ -374,14 +372,13 @@ def cmd_report(cfg: RunConfig) -> int:
     }, "certified": bool(check)}
 
     # eq1: the conjectured linear rate of J_{-1}
-    eq1, ts, js = _report_eq1(cfg, zlist)
+    T_top = zeros.snap_to_midgap(zlist, cfg.t_max)
+    eq1, ts, js, j_top = _report_eq1(cfg, zlist, T_top)
     report["eq1"] = eq1
     _atomic_write(plots / "eq1_j_vs_t.txt", _plot_text(ts, js))
     _atomic_write(plots / "eq1_ratio_vs_t.txt", _plot_text(ts, js / (moments.GONEK_CONSTANT * ts)))
 
     # neg2: proven half-rate lower bound
-    T_top = zeros.snap_to_midgap(zlist, cfg.t_max)
-    j_top = moments.j_moment(zlist, 1.0, T_top)
     report["neg2"] = {
         "t": T_top,
         "j_minus_1": j_top,
@@ -413,10 +410,7 @@ def cmd_report(cfg: RunConfig) -> int:
     _atomic_write(plots / "mv_ratio_vs_trial.txt", _plot_text(range(len(ratios)), ratios))
 
     # langon: prime-power zero sums
-    rows = []
-    for x in cfg.x_values:
-        lrep = moments.landau_gonek(zlist, table, x, T_top)
-        rows.append(lrep.to_json_dict())
+    rows = [moments.landau_gonek(zlist, table, x, T_top).to_json_dict() for x in cfg.x_values]
     report["langon"] = {"t": T_top, "rows": rows}
 
     # neg4: squarefree harmonic drift, on the grid points the sieve reaches

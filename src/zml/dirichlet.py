@@ -49,7 +49,7 @@ import numpy as np
 
 from . import transform
 from .errors import BudgetError, InputError
-from .sieve import SieveTable, _exact_parts
+from .sieve import SieveTable, _prefix_fsums
 
 PAIR_BUDGET = 10**8
 # Entries per group of the pair integral's arrays (_pair_parts_many).
@@ -367,14 +367,12 @@ class MeanValueReport:
 
 
 def _row_fsums(x: np.ndarray) -> list:
-    """math.fsum of each row of the 2-d array x, bit for bit: one
-    math.fsum per row over the exact parts of the columns of x.T
-    (_exact_parts), or over the row itself when a term is too large for
-    them."""
+    """math.fsum of each row of the 2-d array x, bit for bit: the columns
+    of x.T summed over their whole length (_prefix_fsums), or the row
+    itself when a term is too large for exact parts."""
     if not np.all(np.abs(x) < 2.0**960):
         return [math.fsum(row) for row in x.tolist()]
-    parts = _exact_parts(x.T)
-    return [math.fsum(row) for row in zip(*parts)] if parts else [0.0] * len(x)
+    return _prefix_fsums(x.T, [x.shape[1]])[0]
 
 
 def _kernel_rows(logs: np.ndarray, lo: int, hi: int, width: int) -> np.ndarray:

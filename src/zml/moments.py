@@ -12,8 +12,8 @@ Predicted main terms (natural logs throughout):
     sweep bound (3/pi^3) T / (1 + 1/theta)
 
 Every sum over zeros is the correctly rounded sum of its per-zero terms
-(math.fsum, or exact parts fed to one math.fsum), so results are
-deterministic and independent of the order the zeros are fed in.
+(exact parts fed to one math.fsum, see sieve._prefix_fsums), so results
+are deterministic and independent of the order the zeros are fed in.
 
 moment_grid computes a whole (theta, T) grid in one pass: the mollifier is
 evaluated once per zero up to the largest T, block by block and truncated
@@ -38,7 +38,8 @@ import numpy as np
 from . import dirichlet
 from .dirichlet import eval_poly_at_zeros, truncation_blocks  # noqa: F401
 from .errors import InputError, SimplicityError
-from .sieve import SieveTable, _exact_parts, mangoldt, squarefree_harmonic
+from .sieve import (SieveTable, _exact_parts, _merge_parts, _prefix_fsums, mangoldt,
+                    squarefree_harmonic)
 from .zeros import SIMPLICITY_GUARD, ZeroList
 
 GONEK_CONSTANT = 3.0 / math.pi**3
@@ -57,10 +58,7 @@ class MollifierParams:
             raise InputError("theta_exp must lie in (0, 1)")
         if T <= 1.0:
             raise InputError("T > 1 required")
-        xi = int(math.floor(T**theta_exp))
-        if xi < 1:
-            raise InputError("xi = floor(T^theta) must be >= 1")
-        return cls(theta_exp=theta_exp, T=T, xi=xi)
+        return cls(theta_exp=theta_exp, T=T, xi=int(math.floor(T**theta_exp)))
 
 
 @dataclass(frozen=True)
@@ -148,15 +146,21 @@ def _guard_simplicity(zlist: ZeroList, n: int) -> None:
 # discrete moments
 # ---------------------------------------------------------------------------
 
-def j_moment(zlist: ZeroList, k: float, T: float) -> float:
-    """J_{-k}(T) = sum_{0<gamma<=T} |zeta'(rho)|^(-2k)."""
+def j_moments(zlist: ZeroList, k: float, Ts) -> list:
+    """J_{-k}(T) = sum_{0<gamma<=T} |zeta'(rho)|^(-2k) at every T of Ts (any
+    order, repeats allowed), from one pass over the zeros (_prefix_fsums):
+    each is bit-identical to one math.fsum over its own window."""
     if k <= 0:
         raise InputError("k must be positive")
     _require_certified(zlist)
-    n = _check_window(zlist, T)
-    if n == 0:
-        return 0.0
-    return math.fsum(zlist.zeta_prime_mods[:n] ** (-2.0 * k))
+    ns = [_check_window(zlist, T) for T in Ts]
+    terms = zlist.zeta_prime_mods[: max(ns, default=0), None] ** (-2.0 * k)
+    return [j for j, in _prefix_fsums(terms, ns)]
+
+
+def j_moment(zlist: ZeroList, k: float, T: float) -> float:
+    """J_{-k}(T) of j_moments at one T."""
+    return j_moments(zlist, k, [T])[0]
 
 
 def gonek_prediction(T: float) -> float:
@@ -220,11 +224,11 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
     The mollifier of the largest xi is evaluated at the zeros up to the
     largest T block by block, truncated at the xi of every point
     (dirichlet.truncation_blocks); the window of each T is a prefix of the
-    ascending zeros, and M1 and M2 come from the same values.  Each block
-    leaves exact parts (_exact_parts) of the sums of the points whose
-    window reaches it, and one math.fsum over a point's parts gives the
-    same bits as one math.fsum over its window, while no zeros x xi matrix
-    is held.  Every point is checked (theta range, sieve limit,
+    ascending zeros, and M1 and M2 come from the same values.  The points
+    whose window is open carry the exact parts of Re M1, Im M1 and M2
+    (_merge_parts), and one math.fsum per part column in the block where a
+    window ends gives the bits of one math.fsum over it, while no zeros x
+    xi matrix is held.  Every point is checked (theta range, sieve limit,
     certificate, t_max, the simplicity guard over its window), in order,
     before any evaluation.  Each T must already be snapped mid-gap (see
     zeros.snap_to_midgap).
@@ -234,37 +238,32 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
         return []
     xis = [params.xi for params, _ in checked]
     ns = np.array([n for _, n in checked])
-    re, im, sq = ([np.zeros((0, ns.size))] for _ in range(3))
+    cols = np.flatnonzero(ns)         # the points whose window is still open
+    carries = [np.zeros((0, cols.size))] * 3
+    sums = [[0.0] * ns.size for _ in range(3)]
     blocks = truncation_blocks(dirichlet.mollifier(table, max(xis)), xis,
                                zlist.ordinates[: ns.max()])
     for lo, vals in blocks:
-        live = np.flatnonzero(ns > lo)        # the points whose window reaches the block
         rows = np.arange(lo, lo + len(vals))
-        v = np.where(rows[:, None] < ns[live], vals[:, live], 0.0)
+        v = np.where(rows[:, None] < ns[cols], vals[:, cols], 0.0)
         terms = np.conj(v) / zlist.zeta_primes[rows, None]
-        for sums, x in ((re, terms.real), (im, terms.imag), (sq, np.abs(v) ** 2)):
-            parts = np.reshape(_exact_parts(x), (-1, live.size))
-            sums.append(np.zeros((len(parts), ns.size)))
-            sums[-1][:, live] = parts
-    re, im, sq = (np.concatenate(s).T.copy() for s in (re, im, sq))
-    j_minus_1 = {T: j_moment(zlist, 1.0, T) for T in {params.T for params, _ in checked}}
+        done = ns[cols] <= lo + len(vals)       # the windows that end in this block
+        for i, x in enumerate((terms.real, terms.imag, np.abs(v) ** 2)):
+            carry = _merge_parts(carries[i], _exact_parts(x))
+            for k, col in zip(cols[done].tolist(), carry[:, done].T.tolist()):
+                sums[i][k] = math.fsum(col)
+            carries[i] = carry[:, ~done]
+        cols = cols[~done]
+    j_minus_1 = j_moments(zlist, 1.0, [params.T for params, _ in checked])
     reports = []
-    for k, (params, n) in enumerate(checked):
-        m1 = complex(math.fsum(re[k].tolist()), math.fsum(im[k].tolist()))
-        m2 = math.fsum(sq[k].tolist())
-        T = params.T
+    for (params, _), j, re, im, m2 in zip(checked, j_minus_1, *sums):
+        m1 = complex(re, im)
         reports.append(MomentReport(
-            params=params,
-            j_minus_1=j_minus_1[T],
-            m1=m1,
-            m2=m2,
-            m1_pred=predict_m1(params),
-            m2_pred=predict_m2(params),
+            params=params, j_minus_1=j, m1=m1, m2=m2,
+            m1_pred=predict_m1(params), m2_pred=predict_m2(params),
             cauchy_lb=(abs(m1) ** 2 / m2) if m2 > 0.0 else 0.0,
-            gonek_pred=gonek_prediction(T),
-            halfbound_pred=halfbound_prediction(T),
-            sweep_pred=sweep_prediction(params.theta_exp, T),
-        ))
+            gonek_pred=gonek_prediction(params.T), halfbound_pred=halfbound_prediction(params.T),
+            sweep_pred=sweep_prediction(params.theta_exp, params.T)))
     return reports
 
 
@@ -314,31 +313,23 @@ def landau_sums(zlist: ZeroList, table: SieveTable, x: float, Ts) -> list:
     """landau_gonek at every T of Ts, from one pass over the zeros.
 
     The phases gamma log x and their cos and sin are computed once up to
-    the largest T.  The windows are prefixes: exact parts (_exact_parts)
-    of each stretch between consecutive window ends are carried, so every
-    report is bit-identical to one math.fsum over its own window.
+    the largest T, and the windows are prefixes of them: every report is
+    bit-identical to one math.fsum over its own window (sieve._prefix_fsums).
     """
     if x <= 1.0:
         raise InputError("x > 1 required")
     _require_certified(zlist)
     ns = [_check_window(zlist, T) for T in Ts]
-    lx = math.log(x)
     sx = math.sqrt(x)
-    phases = zlist.ordinates[: max(ns, default=0)] * lx
+    phases = zlist.ordinates[: max(ns, default=0)] * math.log(x)
     cis = np.column_stack([np.cos(phases), np.sin(phases)])
     lam = mangoldt(table, x)
-    reports = [None] * len(ns)
-    parts, lo = [], 0
-    for k in sorted(range(len(ns)), key=ns.__getitem__):
-        parts += _exact_parts(cis[lo: ns[k]])
-        lo = ns[k]
-        zero_sum = complex(sx * math.fsum(p[0] for p in parts),
-                           sx * math.fsum(p[1] for p in parts))
-        main = -(Ts[k] / (2.0 * math.pi)) * lam
-        reports[k] = LandauReport(
-            x=x, T=Ts[k], zero_sum=zero_sum, main_term=main,
-            deviation=abs(zero_sum - main),
-        )
+    reports = []
+    for T, (re, im) in zip(Ts, _prefix_fsums(cis, ns)):
+        zero_sum = complex(sx * re, sx * im)
+        main = -(T / (2.0 * math.pi)) * lam
+        reports.append(LandauReport(x=x, T=T, zero_sum=zero_sum, main_term=main,
+                                    deviation=abs(zero_sum - main)))
     return reports
 
 

@@ -127,9 +127,9 @@ def mertens(table: SieveTable, x: int) -> int:
     return int(table.mobius[1: x + 1].sum(dtype=np.int64))
 
 
-def _exact_parts(x: np.ndarray) -> list:
-    """Arrays whose column sums add up exactly to the column sums of the
-    2-d array x (a 1-d x is one column), each computed without rounding
+def _exact_parts(x: np.ndarray) -> np.ndarray:
+    """Rows whose column sums add up exactly to the column sums of the
+    2-d array x, each computed without rounding
     (Rump, Ogita and Oishi's ExtractVector, SIAM J. Sci. Comput. 31 (2008)).
 
     With sigma = 2^k >= 2^M max|x| per column and 2^M >= rows + 2,
@@ -145,10 +145,30 @@ def _exact_parts(x: np.ndarray) -> list:
     parts = []
     while np.any(x):
         sigma = np.ldexp(1.0, np.frexp(np.abs(x).max(axis=0))[1] + M)
-        q = (sigma + x) - sigma
+        q = sigma + x
+        q -= sigma
         parts.append(q.sum(axis=0))
         x = x - q
-    return parts
+    return np.reshape(parts, (len(parts), x.shape[1]))
+
+
+def _merge_parts(carry: np.ndarray, parts: np.ndarray) -> np.ndarray:
+    """Two sets of exact-part rows over the same columns, compressed into
+    one set of a few rows.  Callers extract each stretch on its own first
+    (_exact_parts) and never join raw terms to the carry."""
+    return _exact_parts(np.concatenate([carry, parts])) if len(carry) else parts
+
+
+def _prefix_fsums(x: np.ndarray, ends) -> list:
+    """math.fsum of each column of the 2-d x[:end], bit for bit, as a list
+    per end of ends (any order, repeats and 0 allowed): one pass over the
+    rows, carrying their exact parts (_merge_parts) from end to end, and
+    one math.fsum per part column at each end."""
+    carry, sums, lo = np.zeros((0, x.shape[1])), {}, 0
+    for end in sorted(set(ends)):
+        carry, lo = _merge_parts(carry, _exact_parts(x[lo:end])), end
+        sums[end] = [math.fsum(col) for col in carry.T.tolist()]
+    return [sums[end] for end in ends]
 
 
 def _squarefree(table: SieveTable, lo: int, hi: int):
@@ -167,17 +187,16 @@ def _squarefree_sums(table: SieveTable, xis, terms) -> list:
     their terms.
 
     One pass over n up to the largest xi, SEGMENT integers at a time, each
-    stretch cut at the xi: exact parts (_exact_parts) of every stretch's
-    terms are carried, and each xi's sum is one math.fsum over the parts
-    so far.
+    stretch cut at the xi: the exact parts of the terms so far are carried
+    (_merge_parts), and each xi's sum is one math.fsum over them.
     """
     for xi in xis:
         table._check_range(xi, "xi")
-    sums, parts, lo = {}, [], 1
+    sums, parts, lo = {}, np.zeros((0, 1)), 1
     for xi in sorted(set(xis)):
         for ns in _squarefree(table, lo, xi):
-            parts += _exact_parts(terms(ns))
-        sums[xi] = math.fsum(parts)
+            parts = _merge_parts(parts, _exact_parts(terms(ns)[:, None]))
+        sums[xi] = math.fsum(parts[:, 0].tolist())
         lo = xi + 1
     return [sums[xi] for xi in xis]
 

@@ -12,9 +12,9 @@ each C_j truncated within 1.2e-19), summed by Clenshaw's recurrence.
 it; the test suite cross-checks the two routes against each other and
 against mpmath.
 
-The precision is a set of module constants (``RS_ORDER``, ``EM_TERMS``,
-``EM_TARGET_ERR``, ``DERIV_STEP``), not a setting: every caller, and so
-every zero list and report, gets the accuracy stated here.
+The precision is a set of module constants (``RS_ORDER``, ``EM_TARGET_ERR``,
+``DERIV_STEP``), not a setting: every caller, and so every zero list and
+report, gets the accuracy stated here.
 
 All functions are pure, apart from the evaluation counters for performance
 reporting in ``counters``; the batch functions (``*_many``) accept numpy
@@ -47,7 +47,6 @@ EM_CHUNK = 32_768       # Euler-Maclaurin main-sum terms held at once
 
 # Precision: fixed, so that every zero list and report is made at one accuracy
 RS_ORDER = 4            # Riemann-Siegel correction terms C_0..C_4
-EM_TERMS = 48           # least Euler-Maclaurin main-sum length (scaled up with t)
 EM_TARGET_ERR = 1e-10   # Euler-Maclaurin absolute error target
 DERIV_STEP = 1e-4       # step h of the five-point Z' stencil
 
@@ -105,7 +104,7 @@ def _em_batch(ss: np.ndarray) -> np.ndarray:
     ss = np.asarray(ss, dtype=complex)
     counters["zeta_evals"] += ss.size
     tmax = float(np.max(np.abs(ss.imag), initial=RS_CROSSOVER))
-    n_main = max(EM_TERMS, int(0.55 * tmax) + 16)
+    n_main = int(0.55 * tmax) + 16
 
     ns = np.arange(1, n_main, dtype=float)
     logn = np.log(ns)
@@ -222,11 +221,10 @@ def _rs_main_sum(out, part, ts, m, theta, logn, rsqrt, chunk_terms):
             out[idx] = 2.0 * terms.sum(axis=1)
 
 
-def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
+def _z_rs_batch(ts: np.ndarray) -> np.ndarray:
     """Riemann-Siegel Z(t) for an array of t, with the corrections
-    C_0..C_order; every caller takes RS_ORDER, and the accuracy tests compare
-    the lower orders with mpmath.  Every t must be at least 30: there the
-    order-4 value is off by up to 2e-6, and below it the expansion degrades.
+    C_0..C_RS_ORDER.  Every t must be at least 30: there the value is off
+    by up to 2e-6, and below it the expansion degrades.
     hardy_z_many sends it only t >= RS_CROSSOVER.
 
     The main sum of each point has exactly m = floor(sqrt(t/2pi)) terms,
@@ -273,8 +271,7 @@ def _z_rs_batch(ts: np.ndarray, order: int = RS_ORDER) -> np.ndarray:
     y = 4.0 * y * y - 2.0                   # 2x
     corr = np.zeros(ts.shape)
     b0, b1, b2 = np.empty(ts.shape), np.empty(ts.shape), np.empty(ts.shape)
-    for j in range(order + 1):
-        c0, *rest = _rs_coeffs.SERIES[j]
+    for j, (c0, *rest) in enumerate(_rs_coeffs.SERIES[: RS_ORDER + 1]):
         b1.fill(0.0)
         b2.fill(0.0)
         for c in reversed(rest):

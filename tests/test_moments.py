@@ -69,6 +69,17 @@ class TestJMoment:
         with pytest.raises(InputError, match="t_max"):
             moments.j_moment(zeros_110, 1.0, 500.0)
 
+    def test_batch_equals_one_fsum_per_window(self, zeros_1010):
+        # unsorted and repeated T, one below the first zero (an empty window)
+        Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (900.0, 100.0, 500.0, 900.0)] + [12.0]
+        for k in (1.0, 2.0):
+            got = moments.j_moments(zeros_1010, k, Ts)
+            mods = zeros_1010.zeta_prime_mods
+            assert got == [math.fsum(mods[: zeros_1010.count_below(T)] ** (-2.0 * k)) for T in Ts]
+            assert got[-1] == 0.0
+            assert got == [moments.j_moment(zeros_1010, k, T) for T in Ts]
+        assert moments.j_moments(zeros_1010, 1.0, []) == []
+
 
 class TestPredictions:
     def test_gonek_prediction_cancellation(self):
@@ -328,18 +339,22 @@ class TestMomentGrid:
 
 class TestExactParts:
     @staticmethod
-    def _carried(x, block):
-        parts = []
-        for lo in range(0, x.shape[0], block):
-            parts += moments._exact_parts(x[lo: lo + block])
-        return [math.fsum(p[k] for p in parts) for k in range(x.shape[1])]
+    def _check_every_prefix(x, block):
+        # the ends of every stretch of `block` rows, shuffled, with repeats and 0
+        ends = list(range(0, x.shape[0], block)) + [x.shape[0]]
+        ends = [int(e) for e in np.random.default_rng(block).permutation(ends + ends[::3])]
+        sums = sieve._prefix_fsums(x, ends)
+        assert len(sums) == len(ends)
+        for end, got in zip(ends, sums):
+            assert got == [math.fsum(x[:end, k]) for k in range(x.shape[1])]
+        return sums[ends.index(x.shape[0])]
 
     @pytest.mark.parametrize("block", [1, 7, 1000])
     def test_random_magnitudes(self, block):
         rng = np.random.default_rng(block)
         x = rng.standard_normal((600, 4)) * 10.0 ** rng.uniform(-30, 30, (600, 4))
         x[:, 3] = np.abs(x[:, 3])
-        assert self._carried(x, block) == [math.fsum(x[:, k]) for k in range(4)]
+        self._check_every_prefix(x, block)
 
     @pytest.mark.parametrize("block", [1, 2, 3, 64])
     def test_cancelling_terms(self, block):
@@ -350,15 +365,21 @@ class TestExactParts:
             [0.1] * 6 + [-0.6],
             [1e100, 1.0, -1e100, 1e-100, -1.0, 2.0**-60, -1e-100],
         ]
-        x = np.array(cols).T
-        assert self._carried(x, block) == [math.fsum(c) for c in cols]
-        assert self._carried(x, block)[1] == 1.0 + 2.0**-52
+        whole = self._check_every_prefix(np.array(cols).T, block)
+        assert whole == [math.fsum(c) for c in cols]
+        assert whole[1] == 1.0 + 2.0**-52
+
+    def test_one_column_and_no_rows(self):
+        x = np.array([[0.1], [0.2], [0.3]])
+        assert sieve._prefix_fsums(x, [3, 0, 2]) == [[math.fsum(x[:, 0])], [0.0], [0.1 + 0.2]]
+        assert sieve._prefix_fsums(np.zeros((0, 2)), [0, 0]) == [[0.0, 0.0]] * 2
+        assert sieve._prefix_fsums(x, []) == []
 
     def test_non_finite_rejected(self):
         with pytest.raises(NumericsError):
-            moments._exact_parts(np.array([[1.0], [math.nan]]))
+            sieve._exact_parts(np.array([[1.0], [math.nan]]))
         with pytest.raises(NumericsError):
-            moments._exact_parts(np.array([[math.inf], [0.0]]))
+            sieve._exact_parts(np.array([[math.inf], [0.0]]))
 
 
 class TestThetaSweep:
