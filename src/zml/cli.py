@@ -1,4 +1,4 @@
-"""Command-line orchestration: cached sieves and zero lists, the moment
+"""Command-line orchestration: the cached zero list, the moment
 experiments, the mean-value certification campaign, the prime-power zero
 sums, and the consolidated per-equation report.
 
@@ -67,16 +67,21 @@ class RunConfig:
             raise InputError("every x must be finite and > 1")
         _check_file_tags("x", self.x_values)
         _check_file_tags("theta", self.theta_sweep or ())
-        for x in self.x_values:
-            # sieve.mangoldt rejects an x that is, to 1e-9, an integer above the limit
-            if abs(x - round(x)) <= 1e-9 and round(x) > self.sieve_limit:
-                raise InputError(f"x = {x:g} lies above sieve_limit = {self.sieve_limit}")
+        for n in _integral_xs(self.x_values):
+            if n > self.sieve_limit:
+                raise InputError(f"x = {n:g} lies above sieve_limit = {self.sieve_limit}")
         if self.trials < 1:
             raise InputError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
             raise InputError(f"trials must be <= {MAX_TRIALS}")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
+
+
+def _integral_xs(xs) -> list:
+    """The integer within 1e-9 of each x of xs that has one, in order: the
+    n at which sieve.mangoldt reads the table (any other x reads none)."""
+    return [round(x) for x in xs if abs(x - round(x)) <= 1e-9]
 
 
 def _check_file_tags(name: str, values) -> None:
@@ -122,19 +127,6 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
 
-def _load_or_build(path: Path, load, build, save):
-    """load(path) if the file exists and passes load's checks (no
-    ZmlError); else build(), stored at path by save(value, path)."""
-    if path.exists():
-        try:
-            return load(path)
-        except ZmlError:
-            pass
-    value = build()
-    save(value, path)
-    return value
-
-
 def _load_zeros(path: Path, t_max: float) -> zeros.ZeroList:
     """The zero list at path, which must be certified and reach t_max: a
     whole, valid list scanned to a smaller t_max must fail, so it must hold
@@ -167,27 +159,27 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
     """The cached zero list.  A missing, damaged, uncertified or cut-short
     cache is rescanned and rewritten if `build`, and is an error otherwise."""
     path = _zero_cache_path(cfg)
-    if build:
-        return _load_or_build(path, lambda p: _load_zeros(p, cfg.t_max),
-                              lambda: _scan_zeros(cfg), zeros.export_zeros)
-    if not path.exists():
+    if path.exists():
+        try:
+            return _load_zeros(path, cfg.t_max)
+        except ZmlError:
+            if not build:
+                raise
+    elif not build:
         raise InputError(f"zero cache {path} missing; run the 'zeros' subcommand first")
-    return _load_zeros(path, cfg.t_max)
+    zlist = _scan_zeros(cfg)
+    zeros.export_zeros(zlist, path)
+    return zlist
 
 
-def _load_or_build_sieve(cfg: RunConfig) -> sieve.SieveTable:
-    return _load_or_build(cfg.cache_dir / f"sieve_{cfg.sieve_limit}.bin",
-                          lambda p: sieve.load_sieve(p, cfg.sieve_limit),
-                          lambda: sieve.build_sieve(cfg.sieve_limit), sieve.save_sieve)
-
-
-def _check_sieve_reach(cfg: RunConfig, T: float, thetas) -> None:
-    """Refuse a sieve below the mollifier length xi = floor(T^theta) at T
-    and the largest theta, before the sieve is built or any output written."""
+def _check_sieve_reach(cfg: RunConfig, T: float, thetas) -> int:
+    """xi at T and the largest theta, which the step's table must reach;
+    one above --sieve-limit is refused before any table or output."""
     theta = max(thetas)
-    if (xi := math.floor(T ** theta)) > cfg.sieve_limit:
+    if (xi := moments.MollifierParams.from_theta(theta, T).xi) > cfg.sieve_limit:
         raise InputError(f"xi = {xi} at T = {T:g}, theta = {theta:g} exceeds "
                          f"sieve limit {cfg.sieve_limit}")
+    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +212,20 @@ def _moment_grid(cfg: RunConfig) -> list:
     return grid or [cfg.t_max]
 
 
+def _midgap_grid(cfg: RunConfig, zlist: zeros.ZeroList) -> list:
+    return [zeros.snap_to_midgap(zlist, T) for T in _moment_grid(cfg)]
+
+
 def cmd_moments(cfg: RunConfig) -> int:
     thetas = list(cfg.theta_sweep) if cfg.theta_sweep else [cfg.theta]
     sweep = [cfg.t_max] if cfg.theta_sweep else []
     # at the requested Ts before a scan, then at the mid-gap Ts used
     _check_sieve_reach(cfg, max(_moment_grid(cfg) + sweep), thetas)
     zlist = _load_or_scan_zeros(cfg)
-    grid = [(T_req, zeros.snap_to_midgap(zlist, T_req)) for T_req in _moment_grid(cfg)]
+    grid = list(zip(_moment_grid(cfg), _midgap_grid(cfg, zlist)))
     sweep = [zeros.snap_to_midgap(zlist, T) for T in sweep]
     Ts = [T for _, T in grid] + sweep
-    _check_sieve_reach(cfg, max(Ts), thetas)
-    table = _load_or_build_sieve(cfg)
+    table = sieve.build_sieve(max(2, _check_sieve_reach(cfg, max(Ts), thetas)))
     points = list(dict.fromkeys((th, T) for T in Ts for th in thetas))
     reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
     all_ok = True
@@ -324,9 +319,9 @@ def cmd_mv_check(cfg: RunConfig) -> int:
 
 def cmd_landau(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg)
-    table = _load_or_build_sieve(cfg)
+    table = sieve.build_sieve(max([2, *_integral_xs(cfg.x_values)]))
     T = zeros.snap_to_midgap(zlist, cfg.t_max)
-    t_grid = [zeros.snap_to_midgap(zlist, t) for t in _moment_grid(cfg)]
+    t_grid = _midgap_grid(cfg, zlist)
     for x in cfg.x_values:
         rep, *grid_reps = moments.landau_sums(zlist, table, x, [T] + t_grid)
         _atomic_write(
@@ -342,7 +337,7 @@ def cmd_landau(cfg: RunConfig) -> int:
 
 
 def _report_eq1(cfg, zlist, T_top):
-    ts = [zeros.snap_to_midgap(zlist, T) for T in _moment_grid(cfg)]
+    ts = _midgap_grid(cfg, zlist)
     *js, j_top = moments.j_moments(zlist, 1.0, ts + [T_top])
     rows = [{"t": T, "j_minus_1": j, "ratio": j / moments.gonek_prediction(T)}
             for T, j in zip(ts, js)]
@@ -361,8 +356,8 @@ def _report_eq1(cfg, zlist, T_top):
 def cmd_report(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg, build=False)
     T_m = zeros.snap_to_midgap(zlist, min(5000.0, cfg.t_max))
-    _check_sieve_reach(cfg, T_m, [cfg.theta])
-    table = _load_or_build_sieve(cfg)
+    xi = _check_sieve_reach(cfg, T_m, [cfg.theta])
+    table = sieve.build_sieve(max([2, xi, *_integral_xs(cfg.x_values)]))
     check = zeros.zero_count_check(zlist, cfg.t_max)
     hard_ok = bool(check)
     plots = cfg.out_dir / "plots"
@@ -413,14 +408,13 @@ def cmd_report(cfg: RunConfig) -> int:
     rows = [moments.landau_gonek(zlist, table, x, T_top).to_json_dict() for x in cfg.x_values]
     report["langon"] = {"t": T_top, "rows": rows}
 
-    # neg4: squarefree harmonic drift, on the grid points the sieve reaches
-    xi_grid = sorted(
-        xi for xi in {int(x) for x in np.geomspace(1000, table.limit, 25)} | {1000, table.limit}
-        if xi <= table.limit
-    )
+    # neg4: squarefree harmonic drift, on the grid points up to the sieve limit
+    limit = cfg.sieve_limit
+    grid = {int(x) for x in np.geomspace(1000, limit, 25)} | {1000, limit}
+    xi_grid = sorted(xi for xi in grid if xi <= limit)
     drifts = [
         h - sieve.SIX_OVER_PI2 * math.log(xi)
-        for h, xi in zip(sieve.squarefree_harmonics(table, xi_grid), xi_grid)
+        for h, xi in zip(sieve.squarefree_harmonics(xi_grid), xi_grid)
     ]
     report["neg4"] = {
         "xi_min": xi_grid[0], "xi_max": xi_grid[-1],
@@ -430,8 +424,8 @@ def cmd_report(cfg: RunConfig) -> int:
     _atomic_write(plots / "neg4_drift_vs_xi.txt", _plot_text(xi_grid, drifts))
 
     # sig1: the alpha-Mobius sum against its main term
-    xi_s = min(10**6, table.limit)
-    ams = sieve.alpha_mobius_sum(table, xi_s)
+    xi_s = min(10**6, cfg.sieve_limit)
+    ams = sieve.alpha_mobius_sum(xi_s)
     report["sig1"] = {
         "xi": xi_s, "value": ams.value, "prediction": ams.prediction,
         "ratio": ams.value / ams.prediction,

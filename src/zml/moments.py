@@ -178,7 +178,7 @@ def predict_m1(params: MollifierParams) -> float:
     return GONEK_CONSTANT * params.theta_exp * params.T * math.log(params.T)
 
 
-def predict_m1_finite(params: MollifierParams, table: SieveTable) -> float:
+def predict_m1_finite(params: MollifierParams) -> float:
     """Diagonal of the residue sum for M1: (T/2pi) sum_{n<=xi} mu(n)^2/n.
 
     Since sum_{n<=xi} mu(n)^2/n = (6/pi^2)(log xi + c) + O(xi^(-1/2)) with
@@ -187,9 +187,9 @@ def predict_m1_finite(params: MollifierParams, table: SieveTable) -> float:
     log T its first part is predict_m1; the O(T) part (3/pi^3) c T is what
     predict_m1 leaves out, a relative excess c / (theta log T).
 
-    Raises InputError (from the sieve range check) when xi > table.limit.
+    Raises InputError when xi lies outside [1, sieve.MEMORY_CAP].
     """
-    return params.T / (2.0 * math.pi) * squarefree_harmonic(table, params.xi)
+    return params.T / (2.0 * math.pi) * squarefree_harmonic(params.xi)
 
 
 def predict_m2(params: MollifierParams) -> float:

@@ -1,6 +1,6 @@
 """Arithmetic-function tables (Mobius mu and the primes), von Mangoldt's
-Lambda derived from the primes, and the elementary sums and coefficient
-convolutions built on them.
+Lambda derived from the primes, coefficient convolutions built on them,
+and sums over the squarefree integers, streamed without a table.
 
 The Mobius array is indexed by the integer itself (index 0 is present but
 unused), so ``table.mobius[n]`` is mu(n).  All floating-point sums go through
@@ -19,7 +19,7 @@ from . import store
 from .errors import InputError, NumericsError, ValidationError
 
 MEMORY_CAP = 10**8
-SEGMENT = 1 << 16           # integers per numpy pass over the table
+SEGMENT = 1 << 16           # integers per numpy pass
 ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
 LOG_CHUNK = 1 << 12         # _prime_logs: primes per list of Python ints
 SIEVE_MAGIC = "# zml-sieve v4"
@@ -47,6 +47,16 @@ class SieveTable:
             raise InputError(f"{name} = {x} outside table range 1..{self.limit}")
 
 
+def _primes_upto(n: int) -> np.ndarray:
+    """The primes <= n, ascending, by the sieve of Eratosthenes."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p:: p] = False
+    return np.flatnonzero(is_prime)
+
+
 def _mobius_and_primes(limit: int) -> tuple:
     """mu(0..N) and the primes <= N, sieving only with the primes
     p <= sqrt(N).
@@ -57,12 +67,7 @@ def _mobius_and_primes(limit: int) -> tuple:
     such a prime.  rad is compared with n one SEGMENT at a time.
     """
     root = math.isqrt(limit)
-    is_small = np.ones(root + 1, dtype=bool)
-    is_small[:2] = False
-    for p in range(2, math.isqrt(root) + 1):
-        if is_small[p]:
-            is_small[p * p:: p] = False
-    small = np.nonzero(is_small)[0]
+    small = _primes_upto(root)
 
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
@@ -101,7 +106,7 @@ def build_sieve(limit: int) -> SieveTable:
 
     mobius, primes = _mobius_and_primes(limit)
     for arr in (mobius, primes):
-        arr.setflags(write=False)       # as in a table loaded from its cache
+        arr.setflags(write=False)       # as load_sieve's views are
     return SieveTable(limit=limit, mobius=mobius, primes=primes)
 
 
@@ -171,16 +176,23 @@ def _prefix_fsums(x: np.ndarray, ends) -> list:
     return [sums[end] for end in ends]
 
 
-def _squarefree(table: SieveTable, lo: int, hi: int):
+def _squarefree(lo: int, hi: int):
     """The squarefree n in [lo, hi], ascending, as int64 arrays covering
-    SEGMENT integers each."""
+    SEGMENT integers each, with no table: per segment, one slice crosses
+    out the multiples of each prime square below SEGMENT, and one step all
+    larger squares p^2 <= hi, as each hits at most one n of the segment."""
+    squares = _primes_upto(math.isqrt(hi)) ** 2
+    small, large = squares[squares < SEGMENT].tolist(), squares[squares >= SEGMENT]
     for a in range(lo, hi + 1, SEGMENT):
-        ns = np.flatnonzero(table.mobius[a: min(a + SEGMENT, hi + 1)])
-        ns += a
-        yield ns
+        keep = np.ones(min(SEGMENT, hi + 1 - a), dtype=bool)
+        for q in small:
+            keep[-a % q:: q] = False
+        first = -a % large              # offset of each one's first multiple >= a
+        keep[first[first < len(keep)]] = False
+        yield np.flatnonzero(keep) + a
 
 
-def _squarefree_sums(table: SieveTable, xis, terms) -> list:
+def _squarefree_sums(xis, terms) -> list:
     """sum_{n<=xi} terms(n) over the squarefree n, for every xi of xis (any
     order, repeats allowed), each bit-identical to one math.fsum over its
     own terms.  terms maps an int64 array of n to the float64 array of
@@ -190,28 +202,28 @@ def _squarefree_sums(table: SieveTable, xis, terms) -> list:
     stretch cut at the xi: the exact parts of the terms so far are carried
     (_merge_parts), and each xi's sum is one math.fsum over them.
     """
-    for xi in xis:
-        table._check_range(xi, "xi")
+    if bad := [xi for xi in xis if not 1 <= xi <= MEMORY_CAP]:
+        raise InputError(f"xi = {bad[0]} outside range 1..{MEMORY_CAP}")
     sums, parts, lo = {}, np.zeros((0, 1)), 1
     for xi in sorted(set(xis)):
-        for ns in _squarefree(table, lo, xi):
+        for ns in _squarefree(lo, xi):
             parts = _merge_parts(parts, _exact_parts(terms(ns)[:, None]))
         sums[xi] = math.fsum(parts[:, 0].tolist())
         lo = xi + 1
     return [sums[xi] for xi in xis]
 
 
-def squarefree_harmonics(table: SieveTable, xis) -> list:
+def squarefree_harmonics(xis) -> list:
     """sum_{n<=xi} mu(n)^2 / n for every xi of xis, exactly rounded (see
     _squarefree_sums).  The sums grow like (6/pi^2) log xi + O(1); the
     report's neg4 section records the O(1) drift, not asserted here.
     """
-    return _squarefree_sums(table, xis, lambda ns: 1.0 / ns)
+    return _squarefree_sums(xis, lambda ns: 1.0 / ns)
 
 
-def squarefree_harmonic(table: SieveTable, xi: int) -> float:
+def squarefree_harmonic(xi: int) -> float:
     """sum_{n<=xi} mu(n)^2 / n, exactly rounded (see squarefree_harmonics)."""
-    return squarefree_harmonics(table, [xi])[0]
+    return squarefree_harmonics([xi])[0]
 
 
 def prime_log_sum(table: SieveTable, xi: int) -> float:
@@ -232,10 +244,6 @@ class AlphaVector:
     """
     xi: int
     values: np.ndarray
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
 
 
 def _prime_logs(primes: np.ndarray) -> np.ndarray:
@@ -283,7 +291,7 @@ def alpha_coefficients(table: SieveTable, xi: int, n_max: int) -> AlphaVector:
     """
     table._check_range(xi, "xi")
     table._check_range(n_max, "n_max")
-    ls = np.concatenate([ns.astype(np.int32) for ns in _squarefree(table, 1, xi)])
+    ls = np.flatnonzero(table.mobius[: xi + 1]).astype(np.int32)
     mus = table.mobius[ls]
     primes = table.primes[: np.searchsorted(table.primes, n_max, side="right")]
     ks, logs = _prime_powers(primes, n_max)
@@ -310,7 +318,7 @@ class AlphaMobiusSum(NamedTuple):
     prediction: float
 
 
-def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
+def alpha_mobius_sum(xi: int) -> AlphaMobiusSum:
     """sum_{n<=xi} alpha_n mu(n) / n, with its predicted main term
     -(3/pi^2) (log xi)^2, so callers can report the ratio.
 
@@ -321,32 +329,27 @@ def alpha_mobius_sum(table: SieveTable, xi: int) -> AlphaMobiusSum:
     bit from the exactly rounded sum of alpha_coefficients' terms, whose
     alpha_n adds math.log of n's primes one by one.
     """
-    [value] = _squarefree_sums(table, [xi], lambda ns: -np.log(ns) / ns)
+    [value] = _squarefree_sums([xi], lambda ns: -np.log(ns) / ns)
     pred = -THREE_OVER_PI2 * math.log(xi) ** 2
     return AlphaMobiusSum(value=value, prediction=pred)
 
 
 # ---------------------------------------------------------------------------
-# binary cache
+# binary container
 # ---------------------------------------------------------------------------
 
-def save_sieve(table: SieveTable, path) -> None:
-    """Write the table atomically as a store container, kind SIEVE_MAGIC
-    with keys limit and primes (the prime count), whose payload is the
-    primes as little-endian int64, then table.mobius (0, mu(1..limit)) as bytes."""
-    store.write(path, SIEVE_MAGIC, {"limit": table.limit, "primes": len(table.primes)},
-                [table.primes.astype("<i8"), table.mobius])
-
-
 def load_sieve(path, limit: int) -> SieveTable:
-    """Load a cached sieve (see save_sieve) after store.read's checks.  The
-    limit must be the requested one, the payload 8 * count + limit + 1
-    bytes, and the primes must ascend from 2 to at most the limit, with
-    mu(p) = -1 and no factor among the smaller stored primes q with
-    q^3 <= limit: a composite n with mu(n) = -1 has three or more prime
-    factors, the least at most n^(1/3), checked SEGMENT primes at a time
-    (an int cube root keeps searchsorted from copying the primes as
-    floats).  The table's arrays are read-only views of the payload."""
+    """Load a sieve container: kind SIEVE_MAGIC, keys limit and primes (the
+    prime count), and the primes as little-endian int64, then mobius as
+    bytes.  No step writes or reads one; it stays while perfbench's tracer
+    names it (tests write containers with conftest's _sieve_file).  After
+    store.read's checks, the limit must be the requested one, the payload
+    8 * count + limit + 1 bytes, and the primes must ascend from 2 to at
+    most the limit, with mu(p) = -1 and no factor among the smaller stored
+    primes q with q^3 <= limit: a composite n with mu(n) = -1 has three or
+    more prime factors, the least at most n^(1/3), checked SEGMENT primes
+    at a time (an int cube root keeps searchsorted from copying the primes
+    as floats).  The table's arrays are read-only views of the payload."""
     fields, payload = store.read(path, SIEVE_MAGIC, {"limit": int, "primes": int})
     count = fields["primes"]
     if fields["limit"] != limit:

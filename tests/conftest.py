@@ -38,7 +38,7 @@ def _sieve_file(limit, count, payload, crc=None) -> bytes:
 
 
 def _damaged_sieve(good: bytes, damage: str) -> bytes:
-    """The bytes of the sieve cache `good` damaged one way."""
+    """The bytes of the sieve container `good` damaged one way."""
     lines = good.split(b"\n", 4)
     limit, count = (int(line.split()[-1]) for line in lines[1:3])
     crc, payload = int(lines[3].split()[-1], 16), lines[4]
@@ -76,8 +76,16 @@ def _damaged_sieve(good: bytes, damage: str) -> bytes:
 
 
 @pytest.fixture(scope="session")
+def sieve_container():
+    """f(table): the bytes of table's sieve container, as sieve.load_sieve
+    reads it."""
+    return lambda table: _sieve_file(table.limit, len(table.primes),
+                                     table.primes.astype("<i8").tobytes() + table.mobius.tobytes())
+
+
+@pytest.fixture(scope="session")
 def damaged_sieve():
-    """f(good, damage): a valid sieve cache's bytes damaged one way:
+    """f(good, damage): a valid sieve container's bytes damaged one way:
     truncated, extra bytes, wrong magic, short header, v1 file (the
     former ZML-SIEVE1 layout with a dense f64 Lambda column), v2 file (the
     former ZML-SIEVE2 layout, without the CRC), v3 file (the former

@@ -145,9 +145,9 @@ def test_criterion_5_proposition_m2(proposition_report):
     assert ok
 
 
-def test_criterion_5_proposition_m1(proposition_report, sieve_1e7):
+def test_criterion_5_proposition_m1(proposition_report):
     rep = proposition_report
-    finite_pred = moments.predict_m1_finite(rep.params, sieve_1e7)
+    finite_pred = moments.predict_m1_finite(rep.params)
     ratio_re = rep.m1.real / finite_pred
     ratio_first_order = rep.m1.real / rep.m1_pred
     # what the first-order ratio should be if the gap is the constant c alone
@@ -214,11 +214,11 @@ def test_criterion_6_mean_value_lemma():
 def test_criterion_7_elementary_sums(sieve_1e7):
     xi_grid = sorted({int(x) for x in np.geomspace(1e3, 1e7, 21)})
     drifts = [
-        sieve.squarefree_harmonic(sieve_1e7, xi) - sieve.SIX_OVER_PI2 * math.log(xi)
+        sieve.squarefree_harmonic(xi) - sieve.SIX_OVER_PI2 * math.log(xi)
         for xi in xi_grid
     ]
     width = max(drifts) - min(drifts)
-    ams = sieve.alpha_mobius_sum(sieve_1e7, 10**6)
+    ams = sieve.alpha_mobius_sum(10**6)
     alpha_ratio = ams.value / ams.prediction
     alpha = sieve.alpha_coefficients(sieve_1e7, 10**5, 10**5)
     ns = np.arange(2, 10**5 + 1)

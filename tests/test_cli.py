@@ -5,7 +5,6 @@ import math
 import os
 import re
 import runpy
-import shutil
 import subprocess
 import sys
 import zlib
@@ -270,6 +269,12 @@ class TestMomentsCommand:
         assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
         assert not (tmp_path / "out").exists()
 
+    def test_mollifier_of_length_one(self, tmp_path):
+        # theta = 0.01 gives xi = 1, below build_sieve's minimum limit 2
+        assert run_cli(tmp_path, "moments", "--t-max", "100", "--theta", "0.01") == 0
+        rep = json.loads((tmp_path / "out" / "moments_T100_theta0.01.json").read_text())
+        assert rep["xi"] == 1
+
 
 class TestMvCheckCommand:
     def test_deterministic_stats(self, tmp_path):
@@ -318,25 +323,11 @@ class TestLandauCommand:
         assert run_cli(tmp_path, "landau", "--t-max", "100", "--x", xs) == 1
         assert capsys.readouterr().err.startswith("error: --x")
 
-    @pytest.mark.parametrize("damage", [
-        "truncated", "extra bytes", "wrong magic", "v1 file", "count header",
-        "composite prime", "composite prime, mu -1", "swapped primes", "v2 file",
-        "v3 file", "mu(6) -1", "97 deleted, count lowered"])
-    def test_damaged_sieve_cache_rebuilt(self, tmp_path, damaged_sieve, damage):
-        args = ("landau", "--t-max", "200", "--x", "2,4,6", "--sieve-limit", "5000")
-        fresh = tmp_path / "fresh"
-        assert cli.main([*args, "--cache-dir", str(fresh / "cache"),
-                         "--out-dir", str(fresh / "out")]) == 0
-        good = (fresh / "cache" / "sieve_5000.bin").read_bytes()
-        shutil.copytree(fresh / "cache", tmp_path / "cache")
-        path = tmp_path / "cache" / "sieve_5000.bin"
-        path.write_bytes(damaged_sieve(good, damage))
-        assert run_cli(tmp_path, *args) == 0
-        assert path.read_bytes() == good
-        names = sorted(f.name for f in (fresh / "out").iterdir())
-        assert names == sorted(f.name for f in (tmp_path / "out").iterdir())
-        for name in names:
-            assert (tmp_path / "out" / name).read_bytes() == (fresh / "out" / name).read_bytes()
+    def test_non_integral_x_reads_no_table(self, tmp_path):
+        # the table is sized by the integral x alone; one sized to 1e9 + 0.5
+        # would pass sieve.MEMORY_CAP
+        assert run_cli(tmp_path, "landau", "--t-max", "100", "--x", "2.5,1000000000.5",
+                       "--sieve-limit", "1000") == 0
 
 
 class TestReportCommand:
@@ -383,8 +374,8 @@ class TestReportCommand:
             fresh / "report.json").read_bytes()
         assert run_cli(tmp_path, "report", *args[:-1], "10") == 0
         assert calls == [(9, 25)] * 2 + [(10, 25)]
-        assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == [
-            "sieve_5000.bin", cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
+        assert [f.name for f in (tmp_path / "cache").iterdir()] == [
+            cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
 
     def test_report_alone_matches_the_in_process_run(self, tmp_path, monkeypatch):
         # mv-check and report, each in a fresh process, write the report
@@ -443,14 +434,20 @@ def reproduce_all_in_process(tmp_path, monkeypatch):
 
 
 class TestReproduceAll:
-    def test_one_run_keeps_two_caches_and_one_campaign(self, tmp_path, monkeypatch):
-        real = cli.mv_campaign
-        calls = []
+    def test_one_run_keeps_the_zero_list_and_one_campaign(self, tmp_path, monkeypatch):
+        # each step sieves only up to the largest integer it reads, the
+        # mollifier length xi or an integral x, never to --sieve-limit
+        real, real_build = cli.mv_campaign, sieve.build_sieve
+        calls, limits = [], []
         monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
+        monkeypatch.setattr(sieve, "build_sieve", lambda n: limits.append(n) or real_build(n))
         assert reproduce_all_in_process(tmp_path, monkeypatch) == 0
         assert calls == [(42, 1000)]
-        assert sorted(f.name for f in (tmp_path / "cache").iterdir()) == [
-            "sieve_5000.bin", cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
+        rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
+        reach = max(2, *(row["xi"] for row in rows), 6)      # x = 2, ..., 6
+        assert len(limits) == 3 and max(limits) == reach < 5000
+        assert [f.name for f in (tmp_path / "cache").iterdir()] == [
+            cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
 
     def test_step_timings_go_to_stderr(self, tmp_path):
         proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / "stats.json"))
@@ -656,8 +653,7 @@ class TestConfig:
         assert [p.name for p in tmp_path.iterdir()] == ["F"]
 
     @pytest.mark.parametrize("command, where", [
-        ("landau", "c/sieve_1000.bin"), ("zeros", "zero cache"),
-        ("landau", "o/landau_x2.json")])
+        ("zeros", "zero cache"), ("landau", "o/landau_x2.json")])
     def test_directory_at_a_file_path_is_an_error(self, tmp_path, command, where):
         # read or replace raises IsADirectoryError: one error line, exit 1
         if where == "zero cache":
@@ -749,9 +745,9 @@ class TestAtomicWrite:
         # every cache and --out-dir file goes through store.replace
         monkeypatch.setattr(store, "replace", spy)
         assert run_cli(tmp_path, "landau", "--t-max", "50", "--sieve-limit", "100") == 0
-        assert "sieve_100.bin" in names and any(n.startswith("zeros_t50_") for n in names)
+        assert any(n.startswith("zeros_t50_") for n in names)
         assert "landau_x2.json" in names
-        assert sorted(p.suffix for p in (tmp_path / "cache").iterdir()) == [".bin", ".txt"]
+        assert [p.suffix for p in (tmp_path / "cache").iterdir()] == [".txt"]
 
 
 def test_import_loads_no_scipy():

@@ -99,30 +99,31 @@ class TestPredictions:
         )
         assert moments.predict_m1(params) == pytest.approx(2060.4, abs=0.5)
 
-    def test_predict_m1_finite_hand_sum(self, sieve_10k):
+    def test_predict_m1_finite_hand_sum(self):
         params = moments.MollifierParams(theta_exp=0.5, T=100.0, xi=10)
         want = 100.0 / (2 * math.pi) * (1 + 1/2 + 1/3 + 1/5 + 1/6 + 1/7 + 1/10)
-        assert moments.predict_m1_finite(params, sieve_10k) == pytest.approx(want, rel=1e-15)
+        assert moments.predict_m1_finite(params) == pytest.approx(want, rel=1e-15)
 
     def test_predict_m1_finite_beyond_sieve(self):
-        params = moments.MollifierParams.from_theta(0.5, 5000.0)
-        with pytest.raises(InputError, match="xi = 70 outside table range"):
-            moments.predict_m1_finite(params, sieve.build_sieve(50))
+        # no table to reach: the streamed sum stops at the sieve's memory cap
+        params = moments.MollifierParams(theta_exp=0.99, T=1e9, xi=sieve.MEMORY_CAP + 1)
+        with pytest.raises(InputError, match=f"xi = {sieve.MEMORY_CAP + 1} outside range"):
+            moments.predict_m1_finite(params)
 
-    def test_finite_xi_excess_is_the_constant_c(self, sieve_10k):
+    def test_finite_xi_excess_is_the_constant_c(self):
         # sum_{n<=xi} mu(n)^2/n = (6/pi^2)(log xi + c) + O(xi^(-1/2)); the
         # largest |remainder| * sqrt(xi) on this grid is 0.31, at xi = 7
         for xi in (7, 31, 70, 388, 2133, 3980, 10**4):
-            rem = sieve.squarefree_harmonic(sieve_10k, xi) - sieve.SIX_OVER_PI2 * (
+            rem = sieve.squarefree_harmonic(xi) - sieve.SIX_OVER_PI2 * (
                 math.log(xi) + ov.SQUAREFREE_HARMONIC_C
             )
             assert abs(rem) <= xi**-0.5, xi
 
-    def test_finite_over_first_order_at_criterion_5(self, sieve_10k):
+    def test_finite_over_first_order_at_criterion_5(self):
         # (log xi + c) / (theta log T) = 1.4008 at theta = 0.5, T = 5000, xi = 70,
         # up to the xi^(-1/2) remainder of the squarefree harmonic sum
         params = moments.MollifierParams.from_theta(0.5, 5000.0)
-        ratio = moments.predict_m1_finite(params, sieve_10k) / moments.predict_m1(params)
+        ratio = moments.predict_m1_finite(params) / moments.predict_m1(params)
         want = (math.log(params.xi) + ov.SQUAREFREE_HARMONIC_C) / (0.5 * math.log(5000.0))
         slack = params.xi**-0.5 / (sieve.SIX_OVER_PI2 * 0.5 * math.log(5000.0))
         assert want == pytest.approx(1.4008, abs=1e-4)

@@ -103,22 +103,22 @@ def test_mertens_values(sieve_10k):
         sieve.mertens(sieve_10k, 10**5)
 
 
-def test_squarefree_harmonic_hand_values(sieve_10k):
-    assert sieve.squarefree_harmonic(sieve_10k, 1) == 1.0
-    assert sieve.squarefree_harmonic(sieve_10k, 10) == pytest.approx(
+def test_squarefree_harmonic_hand_values():
+    assert sieve.squarefree_harmonic(1) == 1.0
+    assert sieve.squarefree_harmonic(10) == pytest.approx(
         ov.SQUAREFREE_HARMONIC_10, rel=1e-15
     )
 
 
-def test_squarefree_harmonic_monotone(sieve_10k):
-    vals = [sieve.squarefree_harmonic(sieve_10k, xi) for xi in range(1, 200)]
+def test_squarefree_harmonic_monotone():
+    vals = [sieve.squarefree_harmonic(xi) for xi in range(1, 200)]
     assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
-def test_squarefree_harmonic_drift_envelope(sieve_1e6):
+def test_squarefree_harmonic_drift_envelope():
     # measured: the O(1) constant sits near 1.0439 and is flat for xi >= 1e3
     for xi in (10**3, 10**4, 10**5, 10**6):
-        drift = sieve.squarefree_harmonic(sieve_1e6, xi) - sieve.SIX_OVER_PI2 * math.log(xi)
+        drift = sieve.squarefree_harmonic(xi) - sieve.SIX_OVER_PI2 * math.log(xi)
         assert 0.9 < drift < 1.2
 
 
@@ -158,14 +158,14 @@ def test_alpha_trivial_bound(sieve_10k):
     assert np.all(np.abs(a.values[ns]) <= np.log(ns) * (1 + 1e-12))
 
 
-def test_alpha_mobius_sum_small(sieve_10k):
-    assert sieve.alpha_mobius_sum(sieve_10k, 1).value == 0.0
-    got = sieve.alpha_mobius_sum(sieve_10k, 2)
+def test_alpha_mobius_sum_small():
+    assert sieve.alpha_mobius_sum(1).value == 0.0
+    got = sieve.alpha_mobius_sum(2)
     assert got.value == pytest.approx(-math.log(2) / 2, rel=1e-14)
 
 
-def test_alpha_mobius_sum_main_term(sieve_1e6):
-    got = sieve.alpha_mobius_sum(sieve_1e6, 10**6)
+def test_alpha_mobius_sum_main_term():
+    got = sieve.alpha_mobius_sum(10**6)
     assert got.prediction == pytest.approx(-sieve.THREE_OVER_PI2 * math.log(10**6) ** 2, rel=1e-15)
     assert abs(got.value / got.prediction - 1.0) < 0.15
 
@@ -175,14 +175,11 @@ def test_determinism(sieve_10k):
     assert np.array_equal(other.mobius, sieve_10k.mobius)
     assert np.array_equal(other.primes, sieve_10k.primes)
     assert _mangoldt_column(other).tobytes() == _mangoldt_column(sieve_10k).tobytes()
-    assert sieve.squarefree_harmonic(other, 9999) == sieve.squarefree_harmonic(
-        sieve_10k, 9999
-    )
 
 
-def test_cache_roundtrip(tmp_path, sieve_10k):
+def test_cache_roundtrip(tmp_path, sieve_10k, sieve_container):
     path = tmp_path / "sieve.bin"
-    sieve.save_sieve(sieve_10k, path)
+    path.write_bytes(sieve_container(sieve_10k))
     # magic, limit, prime count and CRC lines, eight bytes per prime, one
     # byte of mu per n from 0
     head = b"# zml-sieve v4\n# limit 10000\n# primes 1229\n# crc32 "
@@ -311,16 +308,16 @@ def test_alpha_without_primes(sieve_10k):
 
 def test_squarefree_harmonics_grid(sieve_10k):
     xis = [9999, 10, 1, 5000, 10, 2, 10**4, 1, 4097]
-    got = sieve.squarefree_harmonics(sieve_10k, xis)
+    got = sieve.squarefree_harmonics(xis)
     for xi, value in zip(xis, got):
         ns = [n for n in range(1, xi + 1) if sieve_10k.mobius[n]]
         assert value == math.fsum(1.0 / n for n in ns), xi
     assert got[1] == got[4] and got[2] == got[7]
-    assert sieve.squarefree_harmonics(sieve_10k, []) == []
-    assert sieve.squarefree_harmonic(sieve_10k, 4097) == got[-1]
-    for bad in ([10, 0], [10**4 + 1], [5, -3]):
-        with pytest.raises(InputError, match="outside table range"):
-            sieve.squarefree_harmonics(sieve_10k, bad)
+    assert sieve.squarefree_harmonics([]) == []
+    assert sieve.squarefree_harmonic(4097) == got[-1]
+    for bad in ([10, 0], [sieve.MEMORY_CAP + 1], [5, -3]):
+        with pytest.raises(InputError, match="outside range"):
+            sieve.squarefree_harmonics(bad)
 
 
 def test_alpha_mobius_sum_matches_one_fsum(sieve_10k):
@@ -328,7 +325,7 @@ def test_alpha_mobius_sum_matches_one_fsum(sieve_10k):
     alpha = _loop_alpha(sieve_10k, xi, xi)
     ns = np.nonzero(sieve_10k.mobius[1: xi + 1])[0] + 1
     want = math.fsum(alpha[ns] * sieve_10k.mobius[ns] / ns)
-    assert sieve.alpha_mobius_sum(sieve_10k, xi).value == want
+    assert sieve.alpha_mobius_sum(xi).value == want
 
 
 @pytest.fixture(scope="module")
@@ -342,7 +339,7 @@ def test_alpha_mobius_sum_matches_per_prime_loop(sieve_131073, xi):
     alpha = _loop_alpha(sieve_131073, xi, xi)
     ns = np.nonzero(sieve_131073.mobius[1: xi + 1])[0] + 1
     want = math.fsum(alpha[ns] * sieve_131073.mobius[ns] / ns)
-    assert sieve.alpha_mobius_sum(sieve_131073, xi).value == want
+    assert sieve.alpha_mobius_sum(xi).value == want
 
 
 def test_alpha_mobius_sum_matches_alpha_coefficients(sieve_1e6):
@@ -350,28 +347,53 @@ def test_alpha_mobius_sum_matches_alpha_coefficients(sieve_1e6):
     alpha = sieve.alpha_coefficients(sieve_1e6, xi, xi).values
     ns = np.nonzero(sieve_1e6.mobius[1: xi + 1])[0] + 1
     want = alpha[ns] * sieve_1e6.mobius[ns] / ns
-    assert sieve.alpha_mobius_sum(sieve_1e6, xi).value == math.fsum(want)
+    assert sieve.alpha_mobius_sum(xi).value == math.fsum(want)
 
 
-def test_alpha_mobius_sum_correctly_rounded(sieve_1e6):
+def test_alpha_mobius_sum_correctly_rounded():
     # a near tie: the exactly rounded sum of the alpha_coefficients terms
     # is one ulp off here, the sum of -log n / n is not
-    got = sieve.alpha_mobius_sum(sieve_1e6, 116939).value
+    got = sieve.alpha_mobius_sum(116939).value
     assert got == ov.ALPHA_MOBIUS_SUM_116939
 
 
-def test_alpha_mobius_sum_memory_peak(sieve_1e6):
-    # streamed a SEGMENT at a time: no dense alpha vector (8 MB at 1e6)
+def _sum_peak(f, xi) -> int:
+    """The tracemalloc peak of f(xi), after a warm-up call at 1000."""
     import tracemalloc
 
-    sieve.alpha_mobius_sum(sieve_1e6, 1000)
+    f(1000)
     tracemalloc.start()
     try:
-        sieve.alpha_mobius_sum(sieve_1e6, 10**6)
-        peak = tracemalloc.get_traced_memory()[1]
+        f(xi)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 2**20
+
+
+def test_alpha_mobius_sum_memory_peak():
+    # streamed a SEGMENT at a time: no dense alpha vector (8 MB at 1e6)
+    # and no table (1 MB of mu at 1e6)
+    assert _sum_peak(sieve.alpha_mobius_sum, 10**6) < 2 * 2**20
+
+
+def test_squarefree_harmonics_memory_peak():
+    # no table: mu alone would be 10 MB at 1e7
+    assert _sum_peak(lambda xi: sieve.squarefree_harmonics([xi]), 10**7) < 2 * 2**20
+
+
+@pytest.mark.parametrize("hi", [1, 2, 3, 4, 8, 9, 48, 49, 50, sieve.SEGMENT - 1, sieve.SEGMENT,
+                                sieve.SEGMENT + 1, 257**2, 2 * sieve.SEGMENT + 7, 10**6])
+def test_squarefree_matches_the_table(sieve_1e6, hi):
+    # squares at and either side of hi, the segment edges, 257^2 the first
+    # prime square past SEGMENT (one vectorised step), and lo on both sides
+    # of a segment edge
+    for lo in (1, 2, 49, sieve.SEGMENT, sieve.SEGMENT + 1):
+        parts = list(sieve._squarefree(lo, hi))
+        assert len(parts) == len(range(lo, hi + 1, sieve.SEGMENT))
+        assert all(p.dtype == np.int64 and np.all(p[-1:] - p[:1] < sieve.SEGMENT)
+                   for p in parts)
+        got = np.concatenate([np.zeros(0, np.int64), *parts])
+        assert np.array_equal(got, np.flatnonzero(sieve_1e6.mobius[lo: hi + 1]) + lo), lo
 
 
 def test_build_memory_peak():
@@ -391,7 +413,7 @@ def test_build_memory_peak():
     assert peak < 5 * (limit + 1) + 24 * len(table.primes)
 
 
-def test_load_memory_peak(tmp_path, sieve_1e7):
+def test_load_memory_peak(tmp_path, sieve_1e7, sieve_container):
     # The load holds the payload (15.3 MB at 1e7) and checks the primes
     # with temporaries of a few bytes per prime and one SEGMENT slice: 1.3
     # MB above it.  A float copy of the whole prime list and one int64
@@ -399,7 +421,7 @@ def test_load_memory_peak(tmp_path, sieve_1e7):
     import tracemalloc
 
     path = tmp_path / "sieve.bin"
-    sieve.save_sieve(sieve_1e7, path)
+    path.write_bytes(sieve_container(sieve_1e7))
     tracemalloc.start()
     try:
         table = sieve.load_sieve(path, 10**7)
@@ -412,12 +434,11 @@ def test_load_memory_peak(tmp_path, sieve_1e7):
 
 @pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header",
                                     "count header"])
-def test_load_rejects_wrong_size(tmp_path, sieve_10k, damaged_sieve, damage):
+def test_load_rejects_wrong_size(tmp_path, sieve_10k, sieve_container, damaged_sieve, damage):
     # a file cut or extended fails its CRC; a count that does not match the
     # payload's size fails the size check
     path = tmp_path / "sieve.bin"
-    sieve.save_sieve(sieve_10k, path)
-    path.write_bytes(damaged_sieve(path.read_bytes(), damage))
+    path.write_bytes(damaged_sieve(sieve_container(sieve_10k), damage))
     match = {"count header": "payload of 19833 bytes, expected 19825",
              "short header": ":2: missing '# limit' header"}.get(damage, "crc32 mismatch")
     with pytest.raises(ZmlError, match=re.escape(match)):
@@ -427,11 +448,11 @@ def test_load_rejects_wrong_size(tmp_path, sieve_10k, damaged_sieve, damage):
 @pytest.mark.parametrize("damage", ["v1 file", "v2 file", "v3 file", "composite prime",
                                     "composite prime, mu -1", "swapped primes",
                                     "mu(6) -1", "97 deleted, count lowered"])
-def test_load_rejects_damaged_primes(tmp_path, sieve_10k, damaged_sieve, damage):
+def test_load_rejects_damaged_primes(tmp_path, sieve_10k, sieve_container, damaged_sieve,
+                                     damage):
     # the prime-list cases carry a forged CRC that matches their payload
     path = tmp_path / "sieve.bin"
-    sieve.save_sieve(sieve_10k, path)
-    good = path.read_bytes()
+    good = sieve_container(sieve_10k)
     bad = damaged_sieve(good, damage)
     assert len(bad) == len(good) or damage.endswith((" file", "count lowered"))
     path.write_bytes(bad)
