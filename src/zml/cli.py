@@ -7,10 +7,15 @@ are deterministic functions of (config, seed): no timestamps, sorted JSON
 keys, repr-formatted floats.  Exit code 0 means every hard invariant
 (completeness certification, the Cauchy-Schwarz chain, the mean-value
 ratio bound) held.
+
+Steps run in one process (scripts/reproduce_all.py) share one artifact
+store (_Store) and take from it what an earlier step computed; a step run
+alone computes everything itself, on the same code path and to the same bytes.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -127,12 +132,60 @@ def _zero_cache_path(cfg: RunConfig) -> Path:
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
 
+def _file_id(path: Path) -> tuple:
+    """The identity of the file at path: a file replaced or rewritten since
+    has another, where the file system stamps each write with a new mtime."""
+    st = path.stat()
+    return str(path), st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class _Store:
+    """The artifacts this process computed, for the later steps of a run.
+
+    zlist is the zero list last read or written, under its cache file's
+    _file_id, zero_id; derived holds the values computed from it, keyed by
+    (kind, the rest of their inputs), and goes with it; campaign holds the
+    last mean-value campaign's ratios, keyed by (seed, trials).  Every value
+    is what its own function returns on the same inputs.
+    """
+
+    def __init__(self):
+        self.clear()
+
+    def clear(self) -> None:
+        self.zero_id, self.zlist, self.derived, self.campaign = None, None, {}, {}
+
+    def keep_zeros(self, zero_id: tuple, zlist: zeros.ZeroList) -> None:
+        self.zero_id, self.zlist, self.derived = zero_id, zlist, {}
+
+    def put(self, zlist: zeros.ZeroList, kind, values: dict) -> None:
+        """Keep the value of (kind, a) for each a of values, if computed from zlist."""
+        if zlist is self.zlist:
+            self.derived.update(((kind, a), v) for a, v in values.items())
+
+    def get_many(self, zlist: zeros.ZeroList, kind, args, compute) -> list:
+        """The value of (kind, a) for each a of args: those not kept for
+        zlist from one compute(missing) call, which are kept."""
+        held = self.derived if zlist is self.zlist else {}
+        if missing := [a for a in dict.fromkeys(args) if (kind, a) not in held]:
+            held.update(zip([(kind, a) for a in missing], compute(missing)))
+        return [held[kind, a] for a in args]
+
+
+_store = _Store()
+
+
 def _load_zeros(path: Path, t_max: float) -> zeros.ZeroList:
     """The zero list at path, which must be certified and reach t_max: a
     whole, valid list scanned to a smaller t_max must fail, so it must hold
     an ordinate above t_max and theta(t_max)/pi + 1 +- 2 (the |S(T)| slack)
-    up to it.  Only theta is evaluated, no Z."""
-    zlist = zeros.import_zeros(path)
+    up to it.  Only theta is evaluated, no Z.  The store's list is taken if
+    the file has not changed since it was read or written; the checks run
+    either way."""
+    zero_id = _file_id(path)
+    if zero_id != _store.zero_id:
+        _store.keep_zeros(zero_id, zeros.import_zeros(path))
+    zlist = _store.zlist
     if not zlist.certified:
         raise ValidationError(f"{path}: zero list is not completeness-certified")
     count = zlist.count_below(t_max)
@@ -169,6 +222,7 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
         raise InputError(f"zero cache {path} missing; run the 'zeros' subcommand first")
     zlist = _scan_zeros(cfg)
     zeros.export_zeros(zlist, path)
+    _store.keep_zeros(_file_id(path), zlist)
     return zlist
 
 
@@ -227,7 +281,9 @@ def cmd_moments(cfg: RunConfig) -> int:
     Ts = [T for _, T in grid] + sweep
     table = sieve.build_sieve(max(2, _check_sieve_reach(cfg, max(Ts), thetas)))
     points = list(dict.fromkeys((th, T) for T in Ts for th in thetas))
-    reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
+    reports = dict(zip(points, _store.get_many(
+        zlist, "moment", points, lambda ps: moments.moment_grid(zlist, table, ps))))
+    _store.put(zlist, "j", {T: rep.j_minus_1 for (_, T), rep in reports.items()})
     all_ok = True
     summary = []
     for T_req, T in grid:
@@ -290,19 +346,13 @@ def _mv_summary(cfg: RunConfig, ratios) -> dict:
     }
 
 
-# The last campaign this process ran, keyed by (seed, trials): `report`
-# after `mv-check` in one process takes its ratios instead of a second run.
-_campaign_memo: dict = {}
-
-
 def _campaign_ratios(cfg: RunConfig, reuse: bool) -> list:
-    """The campaign's ratios: the memo's if `reuse` and it holds this run's
-    (seed, trials), else a fresh mv_campaign run, which the memo keeps."""
+    """The campaign's ratios: the store's if `reuse` and it holds this run's
+    (seed, trials), else a fresh mv_campaign run, which the store keeps."""
     key = (cfg.seed, cfg.trials)
-    if not (reuse and key in _campaign_memo):
-        _campaign_memo.clear()
-        _campaign_memo[key] = mv_campaign(cfg.seed, cfg.trials)
-    return _campaign_memo[key]
+    if not (reuse and key in _store.campaign):
+        _store.campaign = {key: mv_campaign(cfg.seed, cfg.trials)}
+    return _store.campaign[key]
 
 
 def cmd_mv_check(cfg: RunConfig) -> int:
@@ -323,7 +373,9 @@ def cmd_landau(cfg: RunConfig) -> int:
     T = zeros.snap_to_midgap(zlist, cfg.t_max)
     t_grid = _midgap_grid(cfg, zlist)
     for x in cfg.x_values:
-        rep, *grid_reps = moments.landau_sums(zlist, table, x, [T] + t_grid)
+        rep, *grid_reps = _store.get_many(
+            zlist, ("landau", x), [T] + t_grid,
+            lambda Ts: moments.landau_sums(zlist, table, x, Ts))
         _atomic_write(
             cfg.out_dir / f"landau_x{x:g}.json", _json_text(rep.to_json_dict())
         )
@@ -338,7 +390,8 @@ def cmd_landau(cfg: RunConfig) -> int:
 
 def _report_eq1(cfg, zlist, T_top):
     ts = _midgap_grid(cfg, zlist)
-    *js, j_top = moments.j_moments(zlist, 1.0, ts + [T_top])
+    *js, j_top = _store.get_many(zlist, "j", ts + [T_top],
+                                 lambda Ts: moments.j_moments(zlist, 1.0, Ts))
     rows = [{"t": T, "j_minus_1": j, "ratio": j / moments.gonek_prediction(T)}
             for T, j in zip(ts, js)]
     ts, js = np.array(ts), np.array(js)
@@ -381,8 +434,10 @@ def cmd_report(cfg: RunConfig) -> int:
         "ratio_to_halfbound": j_top / moments.halfbound_prediction(T_top),
     }
 
-    # m1, m2: the mollified sums at (theta, min(5000, t_max))
-    rep = moments.moment_report(zlist, table, cfg.theta, T_m)
+    # m1, m2: the mollified sums at (theta, min(5000, t_max)), as moments
+    # left them in this process
+    rep, = _store.get_many(zlist, "moment", [(cfg.theta, T_m)],
+                           lambda ps: [moments.moment_report(zlist, table, *ps[0])])
     cauchy_ok = moments.cauchy_chain(rep)
     hard_ok &= cauchy_ok
     report["m1"] = {
@@ -404,8 +459,12 @@ def cmd_report(cfg: RunConfig) -> int:
     hard_ok &= report["mv"]["passed"]
     _atomic_write(plots / "mv_ratio_vs_trial.txt", _plot_text(range(len(ratios)), ratios))
 
-    # langon: prime-power zero sums
-    rows = [moments.landau_gonek(zlist, table, x, T_top).to_json_dict() for x in cfg.x_values]
+    # langon: prime-power zero sums, as landau left them in this process
+    rows = []
+    for x in cfg.x_values:
+        row, = _store.get_many(zlist, ("landau", x), [T_top],
+                               lambda Ts: [moments.landau_gonek(zlist, table, x, *Ts)])
+        rows.append(row.to_json_dict())
     report["langon"] = {"t": T_top, "rows": rows}
 
     # neg4: squarefree harmonic drift, on the grid points up to the sieve limit
@@ -514,8 +573,14 @@ def config_from_args(args) -> RunConfig:
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
         check_dir(cfg.cache_dir, f"cache dir {cfg.cache_dir}")

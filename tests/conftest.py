@@ -8,10 +8,10 @@ from zml import cli, sieve, zeros
 
 
 @pytest.fixture(autouse=True)
-def _no_campaign_in_the_memo():
-    """Each test starts with cli's campaign memo empty, so that the order of
-    the tests cannot decide whether a step computes the campaign."""
-    cli._campaign_memo.clear()
+def _empty_store():
+    """Each test starts with cli's artifact store empty, so that the order
+    of the tests cannot decide whether a step computes what it writes."""
+    cli._store.clear()
 
 
 @pytest.fixture(scope="session")

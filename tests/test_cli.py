@@ -35,6 +35,33 @@ def run_cli(tmp_path, *args):
     return cli.main(argv)
 
 
+ZERO_DAMAGES = ("truncated line", "truncated to one column", "non-numeric field",
+                "non-ascending ordinates", "undecodable bytes", "cut at a line boundary",
+                "one ordinate digit changed")
+
+
+def damaged_zero_cache(good: bytes, damage: str) -> bytes:
+    """A zero cache's bytes with one of ZERO_DAMAGES done to its seventh
+    data line, and the CRC line left as it was."""
+    lines = good.split(b"\n")
+    row = lines[10]
+    second = row.index(b" ") + 1                       # start of column 2
+    lines[10] = {
+        "truncated line": row[:second + 3],
+        "truncated to one column": row[:5],
+        "non-numeric field": row[:second] + b"x" + row[second + 1:],
+        "non-ascending ordinates": lines[9],
+        "undecodable bytes": row[:second] + b"\xff\xfe" + row[second + 2:],
+        "cut at a line boundary": row,
+        # still ascending: the neighbours differ in the integer part
+        "one ordinate digit changed": row[:4] + (b"1" if row[4:5] != b"1" else b"2")
+        + row[5:],
+    }[damage]
+    if damage == "cut at a line boundary":
+        return b"\n".join(lines[:11]) + b"\n"
+    return b"\n".join(lines[:11] if damage.startswith("truncated") else lines)
+
+
 class TestZerosCommand:
     def test_scan_and_cache(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "zeros", "--t-max", "120")
@@ -54,33 +81,12 @@ class TestZerosCommand:
         assert cache.read_bytes() == before
         assert cache.stat().st_mtime_ns == mtime
 
-    @pytest.mark.parametrize("damage", [
-        "truncated line", "truncated to one column", "non-numeric field",
-        "non-ascending ordinates", "undecodable bytes", "cut at a line boundary",
-        "one ordinate digit changed"])
+    @pytest.mark.parametrize("damage", ZERO_DAMAGES)
     def test_damaged_zero_cache_rescanned(self, tmp_path, capsys, damage):
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         path = next((tmp_path / "cache").glob("zeros_t120_*.txt"))
         good = path.read_bytes()
-        lines = good.split(b"\n")
-        row = lines[10]
-        second = row.index(b" ") + 1                       # start of column 2
-        lines[10] = {
-            "truncated line": row[:second + 3],
-            "truncated to one column": row[:5],
-            "non-numeric field": row[:second] + b"x" + row[second + 1:],
-            "non-ascending ordinates": lines[9],
-            "undecodable bytes": row[:second] + b"\xff\xfe" + row[second + 2:],
-            "cut at a line boundary": row,
-            # still ascending: the neighbours differ in the integer part
-            "one ordinate digit changed": row[:4] + (b"1" if row[4:5] != b"1" else b"2")
-            + row[5:],
-        }[damage]
-        if damage == "cut at a line boundary":
-            bad = b"\n".join(lines[:11]) + b"\n"
-        else:
-            cut = damage.startswith("truncated")
-            bad = b"\n".join(lines[:11] if cut else lines)
+        bad = damaged_zero_cache(good, damage)
         path.write_bytes(bad)
         # the CRC, checked before the data lines are parsed, rejects each
         with pytest.raises(ValidationError, match="crc32 mismatch"):
@@ -378,20 +384,25 @@ class TestReportCommand:
             cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
 
     def test_report_alone_matches_the_in_process_run(self, tmp_path, monkeypatch):
-        # mv-check and report, each in a fresh process, write the report
-        # that the five steps of one process write
+        # each step in a fresh process, where it takes nothing from an
+        # earlier step, writes the files that the five steps of one process
+        # write, where moments, landau and report reuse the store
         assert reproduce_all_in_process(tmp_path, monkeypatch) == 0
         caches = sorted((tmp_path / "cache").iterdir())
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-        for step in ("mv-check", "report"):
+        for step in (["moments", "--theta-sweep", "0.3:0.9:0.2"], ["mv-check"],
+                     ["landau", "--x", "2,3,4,5,6"], ["report"]):
             subprocess.run(
-                [sys.executable, "-m", "zml.cli", step, "--t-max", "300", "--sieve-limit",
+                [sys.executable, "-m", "zml.cli", *step, "--t-max", "300", "--sieve-limit",
                  "5000", "--cache-dir", str(tmp_path / "cache"),
                  "--out-dir", str(tmp_path / "alone")],
                 env=env, capture_output=True, check=True, timeout=300)
-        for name in ("report.json", "mv_stats.json"):
+        names = ["moments_summary.csv", "theta_sweep.json", "mv_stats.json", "report.json"]
+        landau = sorted(p.name for p in (tmp_path / "out").glob("landau_x*.json"))
+        assert len(landau) == 5
+        for name in names + landau:
             assert (tmp_path / "alone" / name).read_bytes() == (
-                tmp_path / "out" / name).read_bytes()
+                tmp_path / "out" / name).read_bytes(), name
         assert sorted((tmp_path / "cache").iterdir()) == caches
 
     def test_sieve_limit_below_the_drift_grid(self, tmp_path):
@@ -433,16 +444,68 @@ def reproduce_all_in_process(tmp_path, monkeypatch):
     return exc.value.code
 
 
+class TestArtifactStore:
+    ARGS = ("--t-max", "300", "--sieve-limit", "5000", "--trials", "10")
+
+    @pytest.mark.parametrize("damage", ZERO_DAMAGES)
+    def test_damage_after_a_step_is_seen(self, tmp_path, capsys, monkeypatch, damage):
+        # the store's list is not taken for a file damaged in place since
+        # it was read: report exits 1 naming the file, as it does alone,
+        # and landau rescans
+        assert run_cli(tmp_path, "moments", *self.ARGS) == 0
+        path = next((tmp_path / "cache").glob("zeros_t300_*.txt"))
+        good = path.read_bytes()
+        bad = damaged_zero_cache(good, damage)
+        path.write_bytes(bad)
+        capsys.readouterr()
+        assert run_cli(tmp_path, "report", *self.ARGS) == 1
+        assert f"error: {path}:" in capsys.readouterr().err
+        assert path.read_bytes() == bad
+        real, scans = zeros.scan_and_refine, []
+        monkeypatch.setattr(zeros, "scan_and_refine", lambda *a: scans.append(a) or real(*a))
+        assert run_cli(tmp_path, "landau", *self.ARGS) == 0
+        assert len(scans) == 1 and path.read_bytes() == good
+
+    @pytest.mark.parametrize("change", ["replaced by a copy", "mtime moved"])
+    def test_changed_file_read_again(self, tmp_path, monkeypatch, change):
+        # an unchanged file is not read again; a file replaced or touched
+        # since is, and the values computed from the old list go with it
+        assert run_cli(tmp_path, "moments", *self.ARGS) == 0
+        path = next((tmp_path / "cache").glob("zeros_t300_*.txt"))
+        reads, reports = [], []
+        real_import, real_report = zeros.import_zeros, moments.moment_report
+        monkeypatch.setattr(zeros, "import_zeros", lambda p: reads.append(p) or real_import(p))
+        monkeypatch.setattr(moments, "moment_report",
+                            lambda *a: reports.append(a) or real_report(*a))
+        assert run_cli(tmp_path, "landau", *self.ARGS) == 0
+        assert reads == []
+        if change == "replaced by a copy":
+            copy = path.with_name("copy.txt")
+            copy.write_bytes(path.read_bytes())
+            os.replace(copy, path)
+        else:
+            st = path.stat()
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1))
+        assert run_cli(tmp_path, "report", *self.ARGS) == 0
+        assert reads == [path] and len(reports) == 1
+
+
 class TestReproduceAll:
     def test_one_run_keeps_the_zero_list_and_one_campaign(self, tmp_path, monkeypatch):
         # each step sieves only up to the largest integer it reads, the
-        # mollifier length xi or an integral x, never to --sieve-limit
+        # mollifier length xi or an integral x, never to --sieve-limit;
+        # the zero list the zeros step wrote is never read back, and report
+        # takes its moment and Landau values from moments and landau
         real, real_build = cli.mv_campaign, sieve.build_sieve
-        calls, limits = [], []
+        calls, limits, reads, recomputed = [], [], [], []
         monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
         monkeypatch.setattr(sieve, "build_sieve", lambda n: limits.append(n) or real_build(n))
+        monkeypatch.setattr(zeros, "import_zeros", lambda path: reads.append(path))
+        for name in ("moment_report", "landau_gonek"):
+            monkeypatch.setattr(moments, name, lambda *a, name=name: recomputed.append(name))
         assert reproduce_all_in_process(tmp_path, monkeypatch) == 0
         assert calls == [(42, 1000)]
+        assert reads == [] and recomputed == []
         rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
         reach = max(2, *(row["xi"] for row in rows), 6)      # x = 2, ..., 6
         assert len(limits) == 3 and max(limits) == reach < 5000
@@ -705,6 +768,17 @@ class TestConfig:
             with pytest.raises(SystemExit):
                 parser.parse_args([command, "--help"])
             assert flag not in capsys.readouterr().out
+
+    def test_parser_built_once_per_process(self, tmp_path, monkeypatch):
+        real, built = cli.build_parser, []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            for seed in ("1", "2"):
+                assert run_cli(tmp_path, "mv-check", "--trials", "3", "--seed", seed) == 0
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
     def test_largest_sweep_accepted(self):
         assert len(cli._parse_sweep("0.3:0.9:0.0007")) == 858
