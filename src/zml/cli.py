@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import dirichlet, moments, sieve, store, zeros, zeta
 from .errors import InputError, ValidationError, ZmlError
@@ -313,7 +312,10 @@ def cmd_moments(cfg: RunConfig) -> int:
 def campaign_trials(seed: int, trials: int):
     """Yield the (A, B, T) of each mean-value trial (xi <= _MV_MAX_COEFFS,
     T in [10, 1e4], coefficients uniform in [-1, 1]), drawn trial by trial
-    from one generator."""
+    from one generator.  numpy.random is imported here, so that no other
+    step loads it."""
+    from numpy.random import default_rng
+
     rng = default_rng(seed)
     for _ in range(trials):
         xa, xb = rng.integers(1, _MV_MAX_COEFFS + 1, 2)
@@ -372,10 +374,10 @@ def cmd_landau(cfg: RunConfig) -> int:
     table = sieve.build_sieve(max([2, *_integral_xs(cfg.x_values)]))
     T = zeros.snap_to_midgap(zlist, cfg.t_max)
     t_grid = _midgap_grid(cfg, zlist)
-    for x in cfg.x_values:
-        rep, *grid_reps = _store.get_many(
-            zlist, ("landau", x), [T] + t_grid,
-            lambda Ts: moments.landau_sums(zlist, table, x, Ts))
+    Ts = [T] + t_grid
+    for x, reps in zip(cfg.x_values, moments.landau_sums(zlist, table, cfg.x_values, Ts)):
+        _store.put(zlist, ("landau", x), dict(zip(Ts, reps)))
+        rep, *grid_reps = reps
         _atomic_write(
             cfg.out_dir / f"landau_x{x:g}.json", _json_text(rep.to_json_dict())
         )

@@ -309,34 +309,41 @@ def theta_sweep(T: float, thetas, reports) -> list:
 # Landau-type sum
 # ---------------------------------------------------------------------------
 
-def landau_sums(zlist: ZeroList, table: SieveTable, x: float, Ts) -> list:
-    """landau_gonek at every T of Ts, from one pass over the zeros.
+def landau_sums(zlist: ZeroList, table: SieveTable, xs, Ts) -> list:
+    """landau_gonek at every x of xs and T of Ts, as one list of reports per
+    x, from one pass over the zeros.
 
-    The phases gamma log x and their cos and sin are computed once up to
-    the largest T, and the windows are prefixes of them: every report is
-    bit-identical to one math.fsum over its own window (sieve._prefix_fsums).
+    The phases gamma log x and their cos and sin are computed once up to the
+    largest T, two columns per x, and the windows are prefixes of them:
+    every report is bit-identical to one math.fsum over its own window
+    (sieve._prefix_fsums).
     """
-    if x <= 1.0:
+    if any(x <= 1.0 for x in xs):
         raise InputError("x > 1 required")
     _require_certified(zlist)
     ns = [_check_window(zlist, T) for T in Ts]
-    sx = math.sqrt(x)
-    phases = zlist.ordinates[: max(ns, default=0)] * math.log(x)
-    cis = np.column_stack([np.cos(phases), np.sin(phases)])
-    lam = mangoldt(table, x)
+    phases = np.multiply.outer(zlist.ordinates[: max(ns, default=0)],
+                               [math.log(x) for x in xs])
+    cis = np.empty((len(phases), 2 * len(xs)))
+    cis[:, 0::2], cis[:, 1::2] = np.cos(phases), np.sin(phases)
+    sums = _prefix_fsums(cis, ns)
     reports = []
-    for T, (re, im) in zip(Ts, _prefix_fsums(cis, ns)):
-        zero_sum = complex(sx * re, sx * im)
-        main = -(T / (2.0 * math.pi)) * lam
-        reports.append(LandauReport(x=x, T=T, zero_sum=zero_sum, main_term=main,
+    for i, x in enumerate(xs):
+        sx, lam = math.sqrt(x), mangoldt(table, x)
+        row = []
+        for T, parts in zip(Ts, sums):
+            zero_sum = complex(sx * parts[2 * i], sx * parts[2 * i + 1])
+            main = -(T / (2.0 * math.pi)) * lam
+            row.append(LandauReport(x=x, T=T, zero_sum=zero_sum, main_term=main,
                                     deviation=abs(zero_sum - main)))
+        reports.append(row)
     return reports
 
 
 def landau_gonek(zlist: ZeroList, table: SieveTable, x: float, T: float) -> LandauReport:
     """sum_{0<gamma<=T} x^rho = sqrt(x) sum e^(i gamma log x), with the
     explicit-formula main term -(T/2pi) Lambda(x)."""
-    return landau_sums(zlist, table, x, [T])[0]
+    return landau_sums(zlist, table, [x], [T])[0][0]
 
 
 # ---------------------------------------------------------------------------

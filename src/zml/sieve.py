@@ -329,7 +329,12 @@ def alpha_mobius_sum(xi: int) -> AlphaMobiusSum:
     bit from the exactly rounded sum of alpha_coefficients' terms, whose
     alpha_n adds math.log of n's primes one by one.
     """
-    [value] = _squarefree_sums([xi], lambda ns: -np.log(ns) / ns)
+    def terms(ns):
+        t = np.log(ns)      # in place: -(log n / n) is -log n / n bit for bit
+        t /= ns
+        return np.negative(t, out=t)
+
+    [value] = _squarefree_sums([xi], terms)
     pred = -THREE_OVER_PI2 * math.log(xi) ** 2
     return AlphaMobiusSum(value=value, prediction=pred)
 

@@ -272,10 +272,11 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     visit the same midpoints and make the same decisions as plain bisection
     evaluating every midpoint: a skipped midpoint lies on the side of the
     bracket's single zero where Z keeps the sign of L (R), and there Z is
-    larger in size than its evaluation error.
+    larger in size than its evaluation error.  The passes update the
+    brackets in place, in copies of lows and highs.
     """
-    a = np.asarray(lows, dtype=float)
-    b = np.asarray(highs, dtype=float)
+    a = np.array(lows, dtype=float)
+    b = np.array(highs, dtype=float)
     f_lows = np.asarray(f_lows, dtype=float)
     fa_neg = f_lows < 0.0
     f_highs = np.asarray(f_highs, dtype=float)
@@ -283,16 +284,18 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     for lo in range(0, a.size, NARROW_CHUNK):
         part = slice(lo, lo + NARROW_CHUNK)
         sure_lo[part], sure_hi[part] = _sign_bounds(a[part], b[part], f_lows[part], f_highs[part])
+    mid = np.empty_like(a)
     for _ in range(64):
-        if np.all(b - a <= REFINE_WIDTH):
+        if np.all(np.subtract(b, a, out=mid) <= REFINE_WIDTH):
             break
-        mid = 0.5 * (a + b)
+        np.add(a, b, out=mid)
+        mid *= 0.5
         goes_low = mid <= sure_lo
         ask = ~goes_low & (mid < sure_hi)
         if ask.any():
             goes_low[ask] = (zeta.hardy_z_many(mid[ask]) < 0.0) == fa_neg[ask]
-        a = np.where(goes_low, mid, a)
-        b = np.where(goes_low, b, mid)
+        np.copyto(a, mid, where=goes_low)
+        np.copyto(b, mid, where=~goes_low)
     return 0.5 * (a + b)
 
 
@@ -342,20 +345,19 @@ def scan_and_refine(t_lo: float, t_hi: float) -> ZeroList:
         raise InputError(f"need 10 <= t_lo < t_hi <= {zeta.T_MAX + SCAN_MARGIN:g}")
     ks, gs = _anchored_gram_range(t_lo, t_hi)
     zs = zeta.hardy_z_many(gs)
-    good = _good_mask(ks, zs)
-    good_idx = np.nonzero(good)[0]
-
-    lows, highs, f_lows, f_highs = _block_brackets(good_idx, gs, zs)
-
+    good_idx = np.nonzero(_good_mask(ks, zs))[0]
     expected = int(ks[good_idx[-1]] - ks[good_idx[0]])
-    certified = len(lows) == expected
-    if len(lows) == 0:
+    brackets = _block_brackets(good_idx, gs, zs)
+    del ks, gs, zs, good_idx        # each stage holds only what later ones read
+
+    certified = len(brackets[0]) == expected
+    if len(brackets[0]) == 0:
         empty = np.empty(0)
         return ZeroList(empty, empty, t_max=t_hi, certified=certified)
 
-    gammas = _refine_brackets(lows, highs, f_lows, f_highs)
-    keep = (gammas > t_lo) & (gammas <= t_hi)
-    return _build_records(gammas[keep], t_hi, certified)
+    gammas = _refine_brackets(*brackets)
+    del brackets
+    return _build_records(gammas[(gammas > t_lo) & (gammas <= t_hi)], t_hi, certified)
 
 
 # ---------------------------------------------------------------------------

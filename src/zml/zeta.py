@@ -18,9 +18,11 @@ report, gets the accuracy stated here.
 
 All functions are pure, apart from the evaluation counters for performance
 reporting in ``counters``; the batch functions (``*_many``) accept numpy
-arrays and are what the zero scanner uses.  A large Riemann-Siegel batch
-has its main sum split across ``Z_THREADS`` threads (see ``_z_rs_batch``);
-every other step, and every counter update, runs on the caller's thread.
+arrays and are what the zero scanner uses.  They evaluate ``Z_BLOCK``
+points at a time (``_in_blocks``), so their working set does not grow with
+the batch.  A large Riemann-Siegel block has its main sum split across
+``Z_THREADS`` threads (see ``_z_rs_batch``); every other step, and every
+counter update, runs on the caller's thread.
 """
 from __future__ import annotations
 
@@ -44,6 +46,9 @@ T_MAX = 1.0e5           # hard evaluation ceiling
 RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
 RS_SPLIT_TERMS = 2**14  # smaller Riemann-Siegel main sums run on one thread
 EM_CHUNK = 32_768       # Euler-Maclaurin main-sum terms held at once
+# Points evaluated at a time: a block's main sums fit in RS_CHUNK terms even
+# at m = floor(sqrt(T_MAX / 2pi)) = 126, so 7,936 points.
+Z_BLOCK = RS_CHUNK // math.isqrt(int(T_MAX / TWO_PI))
 
 # Precision: fixed, so that every zero list and report is made at one accuracy
 RS_ORDER = 4            # Riemann-Siegel correction terms C_0..C_4
@@ -307,20 +312,27 @@ def _z_em(ts: np.ndarray) -> np.ndarray:
     return (np.exp(1j * rs_theta_many(ts)) * _em_batch(0.5 + 1j * ts)).real
 
 
+def _in_blocks(ts: np.ndarray, f) -> np.ndarray:
+    """f(route, t) over ts, Z_BLOCK points at a time, each point with the
+    route of its own t: _z_em below RS_CROSSOVER, _z_rs_batch from it on.
+    A point's value depends on its t alone, so the blocks give the bits of
+    one call over the whole batch, and no working array grows with it."""
+    flat = ts.ravel()
+    out = np.empty(flat.shape)
+    for lo in range(0, flat.size, Z_BLOCK):
+        block = flat[lo:lo + Z_BLOCK]
+        low = block < RS_CROSSOVER
+        for where, route in ((low, _z_em), (~low, _z_rs_batch)):
+            if where.any():
+                out[lo:lo + Z_BLOCK][where] = f(route, block[where])
+    return out.reshape(ts.shape)
+
+
 def hardy_z_many(ts: np.ndarray) -> np.ndarray:
-    """Z(t) for an array of t in (0, T_MAX]: _z_em below RS_CROSSOVER,
-    _z_rs_batch from it on."""
+    """Z(t) for an array of t in (0, T_MAX], in blocks (_in_blocks)."""
     ts = np.asarray(ts, dtype=float)
     counters["z_evals"] += ts.size
-    low = ts < RS_CROSSOVER
-    if ts.ndim == 1 and ts.size and not low.any():
-        return _z_rs_batch(ts)     # no copy of ts
-    out = np.empty(ts.shape)
-    if low.any():
-        out[low] = _z_em(ts[low])
-    if (~low).any():
-        out[~low] = _z_rs_batch(ts[~low])
-    return out
+    return _in_blocks(ts, lambda route, t: route(t))
 
 
 def hardy_z(t: float) -> float:
@@ -351,15 +363,17 @@ def hardy_z_prime_many(ts: np.ndarray) -> np.ndarray:
     so no difference mixes the two routes across RS_CROSSOVER: at
     t = 299.99985, 299.9999, 300 and 300.0001 it is off by 1.1e-9 to
     2.2e-9.
+
+    It takes Z_BLOCK centres at a time (_in_blocks), and each of the four
+    stencil offsets is one route call over them.
     """
     ts = np.asarray(ts, dtype=float)
+    counters["z_evals"] += 4 * ts.size
+    return _in_blocks(ts, _stencil)
+
+
+def _stencil(route, t: np.ndarray) -> np.ndarray:
+    """Z'(t) by the five-point stencil, every point on one route."""
     h = DERIV_STEP
-    out = np.empty(ts.shape)
-    low = ts < RS_CROSSOVER
-    for where, route in ((low, _z_em), (~low, _z_rs_batch)):
-        if where.any():
-            t = ts[where]
-            counters["z_evals"] += 4 * t.size
-            zp2, zp1, zm1, zm2 = (route(t + d) for d in (2.0 * h, h, -h, -2.0 * h))
-            out[where] = (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)
-    return out
+    zp2, zp1, zm1, zm2 = (route(t + d) for d in (2.0 * h, h, -h, -2.0 * h))
+    return (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)

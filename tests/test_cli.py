@@ -832,3 +832,22 @@ def test_import_loads_no_scipy():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_only_the_campaign_loads_numpy_random(tmp_path):
+    # numpy.random (about 2 MB of peak RSS) is imported by
+    # campaign_trials alone: not by importing zml.cli, nor by a zeros run
+    code = (
+        "import sys, zml.cli\n"
+        "loaded = lambda: 'numpy.random' in sys.modules\n"
+        "print(loaded())\n"
+        f"print(zml.cli.main(['zeros', '--t-max', '100', '--cache-dir', {str(tmp_path)!r}]))\n"
+        "print(loaded())\n"
+        "next(zml.cli.campaign_trials(42, 1))\n"
+        "print(loaded())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "False"
+    assert proc.stdout.splitlines()[-3:] == ["0", "False", "True"]

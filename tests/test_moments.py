@@ -429,11 +429,12 @@ class TestLandau:
         assert rep.zero_sum == pytest.approx(want, rel=1e-9)
 
     def test_sums_equal_one_fsum_per_window(self, zeros_1010, sieve_10k):
-        # unsorted and repeated T, one below the first zero
+        # unsorted and repeated T, one below the first zero; every x in one
+        # pass gives the bits of one math.fsum per (x, T)
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (900.0, 100.0, 500.0, 900.0)] + [12.0]
-        for x in (2.0, 4.0, 6.5):
-            reps = moments.landau_sums(zeros_1010, sieve_10k, x, Ts)
-            for T, rep in zip(Ts, reps):
+        xs = (2.0, 4.0, 6.5)
+        for x, reps in zip(xs, moments.landau_sums(zeros_1010, sieve_10k, xs, Ts), strict=True):
+            for T, rep in zip(Ts, reps, strict=True):
                 phases = zeros_1010.ordinates[: zeros_1010.count_below(T)] * math.log(x)
                 want = complex(math.sqrt(x) * math.fsum(np.cos(phases)),
                                math.sqrt(x) * math.fsum(np.sin(phases)))

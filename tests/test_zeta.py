@@ -4,6 +4,7 @@ import os
 import signal
 import threading
 import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -347,6 +348,55 @@ class TestThreadedMainSum:
         rs_threads.clear()
         zeta.hardy_z_prime_many(ts)
         assert rs_threads == [threading.main_thread()] * 4
+
+
+def _one_call_z_prime(ts):
+    """hardy_z_prime_many's stencil with one route call per offset over all
+    the centres of that route."""
+    h = zeta.DERIV_STEP
+    out = np.empty(ts.shape)
+    low = ts < zeta.RS_CROSSOVER
+    for where, route in ((low, zeta._z_em), (~low, zeta._z_rs_batch)):
+        zp2, zp1, zm1, zm2 = (route(ts[where] + d) for d in (2.0 * h, h, -h, -2.0 * h))
+        out[where] = (8.0 * (zp1 - zm1) - (zp2 - zm2)) / (12.0 * h)
+    return out
+
+
+class TestBlockedEvaluation:
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_blocks_give_the_bits_of_one_call(self, monkeypatch, block):
+        # both routes, shuffled so that most blocks mix them, over several
+        # block edges at the real Z_BLOCK and at 7 points
+        if block is not None:
+            monkeypatch.setattr(zeta, "Z_BLOCK", block)
+        rng = np.random.default_rng(12)
+        n_rs = 2 * zeta.Z_BLOCK + 100 if block is None else 600
+        ts = rng.permutation(np.concatenate([
+            rng.uniform(10.0, zeta.RS_CROSSOVER, 300), rng.uniform(300.0, 1e5 - 1.0, n_rs)]))
+        low = ts < zeta.RS_CROSSOVER
+        want = np.empty(ts.shape)
+        want[low], want[~low] = zeta._z_em(ts[low]), zeta._z_rs_batch(ts[~low])
+        assert np.array_equal(zeta.hardy_z_many(ts), want)
+        assert np.array_equal(zeta.hardy_z_many(ts.reshape(2, -1)), want.reshape(2, -1))
+        assert np.array_equal(zeta.hardy_z_prime_many(ts), _one_call_z_prime(ts))
+
+    def test_scan_working_set(self, z_threads):
+        # tracemalloc peak of the scan to 3e4 with the main sum on two
+        # threads: 8.3-8.4 MB when Z and Z' took each batch whole and the
+        # bisection copied its brackets every pass (7.6 MB on one thread),
+        # 6.0 MB in blocks of Z_BLOCK points (5.6 MB on one thread, set by
+        # the Gram points)
+        from zml import zeros
+
+        z_threads(2)
+        tracemalloc.start()
+        try:
+            zl = zeros.scan_and_refine(10.0, 30005.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert zl.certified and len(zl) == 35679
+        assert peak < 6.5e6
 
 
 class TestHardyZPrime:
