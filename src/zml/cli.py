@@ -84,7 +84,8 @@ class RunConfig:
 
 def _integral_xs(xs) -> list:
     """The integer within 1e-9 of each x of xs that has one, in order: the
-    n at which sieve.mangoldt reads the table (any other x reads none)."""
+    n that sieve.mangoldt factors (any other x has Lambda(x) = 0), which
+    --sieve-limit bounds."""
     return [round(x) for x in xs if abs(x - round(x)) <= 1e-9]
 
 
@@ -225,14 +226,13 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
     return zlist
 
 
-def _check_sieve_reach(cfg: RunConfig, T: float, thetas) -> int:
-    """xi at T and the largest theta, which the step's table must reach;
-    one above --sieve-limit is refused before any table or output."""
+def _check_sieve_reach(cfg: RunConfig, T: float, thetas) -> None:
+    """Refuse, before any sieve or output, a mollifier length xi at T and
+    the largest theta above --sieve-limit."""
     theta = max(thetas)
     if (xi := moments.MollifierParams.from_theta(theta, T).xi) > cfg.sieve_limit:
         raise InputError(f"xi = {xi} at T = {T:g}, theta = {theta:g} exceeds "
                          f"sieve limit {cfg.sieve_limit}")
-    return xi
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +245,7 @@ def cmd_zeros(cfg: RunConfig) -> int:
     dt = time.perf_counter() - t0
     check = zeros.zero_count_check(zlist, cfg.t_max)
     n = zlist.count_below(cfg.t_max)
-    min_zp = float(np.abs(zlist.z_primes).min()) if len(zlist) else math.nan
+    min_zp = float(np.abs(zlist.z_primes[:n]).min()) if n else math.nan
     print(f"zeros: {n} ordinates in (0, {cfg.t_max:g}], certified={bool(check)}")
     print(f"zeros: min |Z'(gamma)| = {min_zp:.6f}")
     print(f"zeros: cache {_zero_cache_path(cfg)} ({dt:.2f}s)")
@@ -278,10 +278,10 @@ def cmd_moments(cfg: RunConfig) -> int:
     grid = list(zip(_moment_grid(cfg), _midgap_grid(cfg, zlist)))
     sweep = [zeros.snap_to_midgap(zlist, T) for T in sweep]
     Ts = [T for _, T in grid] + sweep
-    table = sieve.build_sieve(max(2, _check_sieve_reach(cfg, max(Ts), thetas)))
+    _check_sieve_reach(cfg, max(Ts), thetas)
     points = list(dict.fromkeys((th, T) for T in Ts for th in thetas))
     reports = dict(zip(points, _store.get_many(
-        zlist, "moment", points, lambda ps: moments.moment_grid(zlist, table, ps))))
+        zlist, "moment", points, lambda ps: moments.moment_grid(zlist, ps))))
     _store.put(zlist, "j", {T: rep.j_minus_1 for (_, T), rep in reports.items()})
     all_ok = True
     summary = []
@@ -371,11 +371,10 @@ def cmd_mv_check(cfg: RunConfig) -> int:
 
 def cmd_landau(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg)
-    table = sieve.build_sieve(max([2, *_integral_xs(cfg.x_values)]))
     T = zeros.snap_to_midgap(zlist, cfg.t_max)
     t_grid = _midgap_grid(cfg, zlist)
     Ts = [T] + t_grid
-    for x, reps in zip(cfg.x_values, moments.landau_sums(zlist, table, cfg.x_values, Ts)):
+    for x, reps in zip(cfg.x_values, moments.landau_sums(zlist, cfg.x_values, Ts)):
         _store.put(zlist, ("landau", x), dict(zip(Ts, reps)))
         rep, *grid_reps = reps
         _atomic_write(
@@ -411,8 +410,7 @@ def _report_eq1(cfg, zlist, T_top):
 def cmd_report(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg, build=False)
     T_m = zeros.snap_to_midgap(zlist, min(5000.0, cfg.t_max))
-    xi = _check_sieve_reach(cfg, T_m, [cfg.theta])
-    table = sieve.build_sieve(max([2, xi, *_integral_xs(cfg.x_values)]))
+    _check_sieve_reach(cfg, T_m, [cfg.theta])
     check = zeros.zero_count_check(zlist, cfg.t_max)
     hard_ok = bool(check)
     plots = cfg.out_dir / "plots"
@@ -439,7 +437,7 @@ def cmd_report(cfg: RunConfig) -> int:
     # m1, m2: the mollified sums at (theta, min(5000, t_max)), as moments
     # left them in this process
     rep, = _store.get_many(zlist, "moment", [(cfg.theta, T_m)],
-                           lambda ps: [moments.moment_report(zlist, table, *ps[0])])
+                           lambda ps: [moments.moment_report(zlist, *ps[0])])
     cauchy_ok = moments.cauchy_chain(rep)
     hard_ok &= cauchy_ok
     report["m1"] = {
@@ -465,7 +463,7 @@ def cmd_report(cfg: RunConfig) -> int:
     rows = []
     for x in cfg.x_values:
         row, = _store.get_many(zlist, ("landau", x), [T_top],
-                               lambda Ts: [moments.landau_gonek(zlist, table, x, *Ts)])
+                               lambda Ts: [moments.landau_gonek(zlist, x, *Ts)])
         rows.append(row.to_json_dict())
     report["langon"] = {"t": T_top, "rows": rows}
 

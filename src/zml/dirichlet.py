@@ -47,9 +47,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import transform
+from . import sieve, transform
 from .errors import BudgetError, InputError
-from .sieve import SieveTable, _prefix_fsums
+from .sieve import _prefix_fsums
 
 PAIR_BUDGET = 10**8
 # Entries per group of the pair integral's arrays (_pair_parts_many).
@@ -119,10 +119,10 @@ class DirichletPoly:
         return np.log(np.arange(1, self.length + 1, dtype=np.longdouble))
 
 
-def mollifier(table: SieveTable, xi: int) -> DirichletPoly:
-    """The truncated 1/zeta mimic: coefficients mu(n) for n <= xi."""
-    table._check_range(xi, "xi")
-    return DirichletPoly(coeffs=table.mobius[1: xi + 1].astype(np.float64))
+def mollifier(xi: int) -> DirichletPoly:
+    """The truncated 1/zeta mimic: coefficients mu(n) for n <= xi, sieved
+    up to xi for this call (1 <= xi <= sieve.MEMORY_CAP)."""
+    return DirichletPoly(coeffs=sieve._mobius_upto(xi, "xi")[1: xi + 1].astype(np.float64))
 
 
 def _phase(t: float, logs_ext: np.ndarray) -> np.ndarray:

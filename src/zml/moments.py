@@ -33,13 +33,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# mollifier is called through the module, where perfbench's tracer wraps it;
-# eval_poly_at_zeros is unused here, and the tracer patches this binding
+# mollifier, which sieves mu for its own xi, is called through the module,
+# where perfbench's tracer wraps it; eval_poly_at_zeros is unused here, and
+# the tracer patches this binding
 from . import dirichlet
 from .dirichlet import eval_poly_at_zeros, truncation_blocks  # noqa: F401
 from .errors import InputError, SimplicityError
-from .sieve import (SieveTable, _exact_parts, _merge_parts, _prefix_fsums, mangoldt,
-                    squarefree_harmonic)
+from .sieve import _exact_parts, _merge_parts, _prefix_fsums, mangoldt, squarefree_harmonic
 from .zeros import SIMPLICITY_GUARD, ZeroList
 
 GONEK_CONSTANT = 3.0 / math.pi**3
@@ -204,21 +204,17 @@ def cauchy_chain(report: MomentReport) -> bool:
     return report.j_minus_1 >= report.cauchy_lb - 1e-12 * abs(report.cauchy_lb)
 
 
-def _check_point(
-    zlist: ZeroList, table: SieveTable, theta_exp: float, T: float
-) -> tuple[MollifierParams, int]:
+def _check_point(zlist: ZeroList, theta_exp: float, T: float) -> tuple[MollifierParams, int]:
     """(params, number of zeros up to T) of one gridpoint, after every check
     a moment report needs; InputError or SimplicityError otherwise."""
     params = MollifierParams.from_theta(theta_exp, T)
-    if params.xi > table.limit:
-        raise InputError(f"xi = {params.xi} exceeds sieve limit {table.limit}")
     _require_certified(zlist)
     n = _check_window(zlist, T)
     _guard_simplicity(zlist, n)
     return params, n
 
 
-def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
+def moment_grid(zlist: ZeroList, points) -> list:
     """One MomentReport per (theta, T) point, from a single pass over the zeros.
 
     The mollifier of the largest xi is evaluated at the zeros up to the
@@ -228,12 +224,12 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
     whose window is open carry the exact parts of Re M1, Im M1 and M2
     (_merge_parts), and one math.fsum per part column in the block where a
     window ends gives the bits of one math.fsum over it, while no zeros x
-    xi matrix is held.  Every point is checked (theta range, sieve limit,
-    certificate, t_max, the simplicity guard over its window), in order,
-    before any evaluation.  Each T must already be snapped mid-gap (see
-    zeros.snap_to_midgap).
+    xi matrix is held.  Every point is checked (theta range, certificate,
+    t_max, the simplicity guard over its window), in order, before any
+    evaluation; mu is sieved up to the largest xi.  Each T must already be
+    snapped mid-gap (see zeros.snap_to_midgap).
     """
-    checked = [_check_point(zlist, table, th, T) for th, T in points]
+    checked = [_check_point(zlist, th, T) for th, T in points]
     if not checked:
         return []
     xis = [params.xi for params, _ in checked]
@@ -241,7 +237,7 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
     cols = np.flatnonzero(ns)         # the points whose window is still open
     carries = [np.zeros((0, cols.size))] * 3
     sums = [[0.0] * ns.size for _ in range(3)]
-    blocks = truncation_blocks(dirichlet.mollifier(table, max(xis)), xis,
+    blocks = truncation_blocks(dirichlet.mollifier(max(xis)), xis,
                                zlist.ordinates[: ns.max()])
     for lo, vals in blocks:
         rows = np.arange(lo, lo + len(vals))
@@ -267,14 +263,12 @@ def moment_grid(zlist: ZeroList, table: SieveTable, points) -> list:
     return reports
 
 
-def moment_report(
-    zlist: ZeroList, table: SieveTable, theta_exp: float, T: float
-) -> MomentReport:
+def moment_report(zlist: ZeroList, theta_exp: float, T: float) -> MomentReport:
     """Assemble every moment and prediction for one (theta, T) gridpoint.
 
     T must already be snapped mid-gap (see zeros.snap_to_midgap).
     """
-    return moment_grid(zlist, table, [(theta_exp, T)])[0]
+    return moment_grid(zlist, [(theta_exp, T)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +303,7 @@ def theta_sweep(T: float, thetas, reports) -> list:
 # Landau-type sum
 # ---------------------------------------------------------------------------
 
-def landau_sums(zlist: ZeroList, table: SieveTable, xs, Ts) -> list:
+def landau_sums(zlist: ZeroList, xs, Ts) -> list:
     """landau_gonek at every x of xs and T of Ts, as one list of reports per
     x, from one pass over the zeros.
 
@@ -329,7 +323,7 @@ def landau_sums(zlist: ZeroList, table: SieveTable, xs, Ts) -> list:
     sums = _prefix_fsums(cis, ns)
     reports = []
     for i, x in enumerate(xs):
-        sx, lam = math.sqrt(x), mangoldt(table, x)
+        sx, lam = math.sqrt(x), mangoldt(x)
         row = []
         for T, parts in zip(Ts, sums):
             zero_sum = complex(sx * parts[2 * i], sx * parts[2 * i + 1])
@@ -340,10 +334,10 @@ def landau_sums(zlist: ZeroList, table: SieveTable, xs, Ts) -> list:
     return reports
 
 
-def landau_gonek(zlist: ZeroList, table: SieveTable, x: float, T: float) -> LandauReport:
+def landau_gonek(zlist: ZeroList, x: float, T: float) -> LandauReport:
     """sum_{0<gamma<=T} x^rho = sqrt(x) sum e^(i gamma log x), with the
     explicit-formula main term -(T/2pi) Lambda(x)."""
-    return landau_sums(zlist, table, [x], [T])[0][0]
+    return landau_sums(zlist, [x], [T])[0][0]
 
 
 # ---------------------------------------------------------------------------

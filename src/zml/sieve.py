@@ -1,9 +1,10 @@
-"""Arithmetic-function tables (Mobius mu and the primes), von Mangoldt's
-Lambda derived from the primes, coefficient convolutions built on them,
-and sums over the squarefree integers, streamed without a table.
+"""Arithmetic functions, each sieved by its caller up to the integers it
+reads: Mobius mu, von Mangoldt's Lambda by trial division, coefficient
+convolutions built on them, and sums over the squarefree integers,
+streamed a segment at a time.
 
 The Mobius array is indexed by the integer itself (index 0 is present but
-unused), so ``table.mobius[n]`` is mu(n).  All floating-point sums go through
+unused), so ``build_sieve(N)[n]`` is mu(n).  All floating-point sums go through
 ``math.fsum`` (exactly rounded), which makes every query deterministic to
 the last bit and independent of summation order.
 """
@@ -28,25 +29,6 @@ THREE_OVER_PI2 = 3.0 / math.pi**2
 SIX_OVER_PI2 = 6.0 / math.pi**2
 
 
-@dataclass(frozen=True)
-class SieveTable:
-    """Precomputed mu(n) and the primes for 1 <= n <= limit; Lambda(n)
-    comes from the primes (see mangoldt).
-
-    Attributes:
-        limit: Largest tabulated integer N.
-        mobius: Read-only int8 array of length N+1, mobius[n] = mu(n), mobius[0] = 0.
-        primes: Read-only ascending int64 array of the primes <= N.
-    """
-    limit: int
-    mobius: np.ndarray
-    primes: np.ndarray
-
-    def _check_range(self, x: int, name: str = "x") -> None:
-        if not 1 <= x <= self.limit:
-            raise InputError(f"{name} = {x} outside table range 1..{self.limit}")
-
-
 def _primes_upto(n: int) -> np.ndarray:
     """The primes <= n, ascending, by the sieve of Eratosthenes."""
     is_prime = np.ones(n + 1, dtype=bool)
@@ -57,45 +39,35 @@ def _primes_upto(n: int) -> np.ndarray:
     return np.flatnonzero(is_prime)
 
 
-def _mobius_and_primes(limit: int) -> tuple:
-    """mu(0..N) and the primes <= N, sieving only with the primes
-    p <= sqrt(N).
+def _mobius(limit: int) -> np.ndarray:
+    """mu(0..N), sieving only with the primes p <= sqrt(N).
 
     rad[n] is the product of the small primes dividing n, so it divides n
-    and fits int32 for N < 2^31.  A squarefree n with rad[n] < n has exactly one more
-    prime factor, above sqrt(N); an n > sqrt(N) with rad[n] = 1 is itself
-    such a prime.  rad is compared with n one SEGMENT at a time.
+    and fits int32 for N < 2^31.  A squarefree n with rad[n] < n has exactly
+    one more prime factor, above sqrt(N), and takes one more sign flip.
+    rad is compared with n one SEGMENT at a time.
     """
     root = math.isqrt(limit)
-    small = _primes_upto(root)
-
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
     rad = np.ones(limit + 1, dtype=np.int32)
-    for p in small.tolist():
+    for p in _primes_upto(root).tolist():
         mobius[p:: p] *= -1
         mobius[p * p:: p * p] = 0
         rad[p:: p] *= p
-    large = []
-    offsets = np.arange(SEGMENT, dtype=np.int32)
+    offsets = np.arange(min(SEGMENT, limit + 1), dtype=np.int32)
     for lo in range(root + 1, limit + 1, SEGMENT):
         r = rad[lo: lo + SEGMENT]
         mu = mobius[lo: lo + SEGMENT]
         np.negative(mu, out=mu, where=r < offsets[: len(r)] + lo)
-        large.append(np.flatnonzero(r == 1) + lo)
-    del rad, r              # r is a view of rad: free both before the join
-    primes = np.concatenate([small, *large]).astype(np.int64, copy=False)
-    return mobius, primes
+    return mobius
 
 
-def build_sieve(limit: int) -> SieveTable:
-    """Sieve mu and the primes up to ``limit``.
+def build_sieve(limit: int) -> np.ndarray:
+    """mu(0..limit) as a read-only int8 array, mobius[n] = mu(n), mobius[0] = 0.
 
     Args:
         limit: Upper bound N >= 2, at most MEMORY_CAP.
-
-    Returns:
-        A fully populated, immutable SieveTable.
     """
     if limit < 2:
         raise InputError(f"limit = {limit} below minimum 2")
@@ -103,22 +75,31 @@ def build_sieve(limit: int) -> SieveTable:
         raise InputError(f"limit = {limit} exceeds memory budget {MEMORY_CAP}")
     if limit >= 2**31:
         raise InputError(f"limit = {limit} exceeds the int32 radical's range")
-
-    mobius, primes = _mobius_and_primes(limit)
-    for arr in (mobius, primes):
-        arr.setflags(write=False)       # as load_sieve's views are
-    return SieveTable(limit=limit, mobius=mobius, primes=primes)
+    mobius = _mobius(limit)
+    mobius.setflags(write=False)        # as load_sieve's view is
+    return mobius
 
 
-def mangoldt(table: SieveTable, x: float) -> float:
+def _in_range(n: int, name: str) -> None:
+    if not 1 <= n <= MEMORY_CAP:
+        raise InputError(f"{name} = {n} outside range 1..{MEMORY_CAP}")
+
+
+def _mobius_upto(n: int, name: str) -> np.ndarray:
+    """mu(0..max(n, 2)) by build_sieve, for 1 <= n <= MEMORY_CAP."""
+    _in_range(n, name)
+    return build_sieve(max(n, 2))
+
+
+def mangoldt(x: float) -> float:
     """Lambda(x): np.log(p) when x is, to 1e-9, an integer n = p^k, and
-    zero otherwise.  p is the least stored prime dividing n, or n itself
-    when no prime <= sqrt(n) divides it."""
+    zero otherwise.  p is the least prime <= sqrt(n) dividing n, found by
+    trial division, or n itself when there is none."""
     n = round(x)
     if abs(x - n) > 1e-9 or n < 2:
         return 0.0
-    table._check_range(n)
-    small = table.primes[: np.searchsorted(table.primes, math.isqrt(n), side="right")]
+    _in_range(n, "x")
+    small = _primes_upto(math.isqrt(n))
     divisors = small[n % small == 0]
     p = int(divisors[0]) if len(divisors) else n
     while n % p == 0:
@@ -126,10 +107,9 @@ def mangoldt(table: SieveTable, x: float) -> float:
     return float(np.log(np.float64(p))) if n == 1 else 0.0
 
 
-def mertens(table: SieveTable, x: int) -> int:
+def mertens(x: int) -> int:
     """M(x) = sum_{n<=x} mu(n), exact integer arithmetic."""
-    table._check_range(x)
-    return int(table.mobius[1: x + 1].sum(dtype=np.int64))
+    return int(_mobius_upto(x, "x")[1: x + 1].sum(dtype=np.int64))
 
 
 def _exact_parts(x: np.ndarray) -> np.ndarray:
@@ -202,8 +182,8 @@ def _squarefree_sums(xis, terms) -> list:
     stretch cut at the xi: the exact parts of the terms so far are carried
     (_merge_parts), and each xi's sum is one math.fsum over them.
     """
-    if bad := [xi for xi in xis if not 1 <= xi <= MEMORY_CAP]:
-        raise InputError(f"xi = {bad[0]} outside range 1..{MEMORY_CAP}")
+    for xi in xis:
+        _in_range(xi, "xi")
     sums, parts, lo = {}, np.zeros((0, 1)), 1
     for xi in sorted(set(xis)):
         for ns in _squarefree(lo, xi):
@@ -226,10 +206,10 @@ def squarefree_harmonic(xi: int) -> float:
     return squarefree_harmonics([xi])[0]
 
 
-def prime_log_sum(table: SieveTable, xi: int) -> float:
+def prime_log_sum(xi: int) -> float:
     """sum over primes p <= xi of log(p)/p (= log xi + O(1))."""
-    table._check_range(xi, "xi")
-    ps = table.primes[table.primes <= xi].astype(np.float64)
+    _in_range(xi, "xi")
+    ps = _primes_upto(xi).astype(np.float64)
     return math.fsum(np.log(ps) / ps)
 
 
@@ -272,7 +252,7 @@ def _prime_powers(primes: np.ndarray, n_max: int) -> tuple:
     return np.concatenate(levels), np.concatenate([logs[: len(k)] for k in levels])
 
 
-def alpha_coefficients(table: SieveTable, xi: int, n_max: int) -> AlphaVector:
+def alpha_coefficients(xi: int, n_max: int) -> AlphaVector:
     """Tabulate alpha_n for n <= n_max with truncation parameter xi.
 
     Every pair (k, l) of a prime power k and a squarefree l <= min(xi,
@@ -289,12 +269,11 @@ def alpha_coefficients(table: SieveTable, xi: int, n_max: int) -> AlphaVector:
     0.6 n_max (log log n_max + 1), of numpy work, one math.log per prime
     and one Python iteration per block.
     """
-    table._check_range(xi, "xi")
-    table._check_range(n_max, "n_max")
-    ls = np.flatnonzero(table.mobius[: xi + 1]).astype(np.int32)
-    mus = table.mobius[ls]
-    primes = table.primes[: np.searchsorted(table.primes, n_max, side="right")]
-    ks, logs = _prime_powers(primes, n_max)
+    mobius = _mobius_upto(xi, "xi")[: xi + 1]
+    _in_range(n_max, "n_max")
+    ls = np.flatnonzero(mobius).astype(np.int32)
+    mus = mobius[ls]
+    ks, logs = _prime_powers(_primes_upto(n_max), n_max)
     counts = np.searchsorted(ls, np.minimum(xi, n_max // ks), side="right")
     total = int(counts.sum())
     ends = np.cumsum(counts)
@@ -343,7 +322,7 @@ def alpha_mobius_sum(xi: int) -> AlphaMobiusSum:
 # binary container
 # ---------------------------------------------------------------------------
 
-def load_sieve(path, limit: int) -> SieveTable:
+def load_sieve(path, limit: int) -> np.ndarray:
     """Load a sieve container: kind SIEVE_MAGIC, keys limit and primes (the
     prime count), and the primes as little-endian int64, then mobius as
     bytes.  No step writes or reads one; it stays while perfbench's tracer
@@ -354,7 +333,8 @@ def load_sieve(path, limit: int) -> SieveTable:
     primes q with q^3 <= limit: a composite n with mu(n) = -1 has three or
     more prime factors, the least at most n^(1/3), checked SEGMENT primes
     at a time (an int cube root keeps searchsorted from copying the primes
-    as floats).  The table's arrays are read-only views of the payload."""
+    as floats).  Returns mu(0..limit), a read-only view of the payload, as
+    build_sieve does."""
     fields, payload = store.read(path, SIEVE_MAGIC, {"limit": int, "primes": int})
     count = fields["primes"]
     if fields["limit"] != limit:
@@ -369,4 +349,4 @@ def load_sieve(path, limit: int) -> SieveTable:
             and not any(np.any(primes[max(lo, k + 1): lo + SEGMENT] % q == 0)
                         for lo in range(0, count, SEGMENT) for k, q in enumerate(small))):
         raise ValidationError(f"{path}: damaged prime list")
-    return SieveTable(limit=limit, mobius=mobius, primes=primes)
+    return mobius

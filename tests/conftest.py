@@ -16,17 +16,14 @@ def _empty_store():
 
 @pytest.fixture(scope="session")
 def sieve_10k():
+    """mu(0..10^4)."""
     return sieve.build_sieve(10**4)
 
 
 @pytest.fixture(scope="session")
 def sieve_1e6():
+    """mu(0..10^6)."""
     return sieve.build_sieve(10**6)
-
-
-@pytest.fixture(scope="session")
-def sieve_1e7():
-    return sieve.build_sieve(10**7)
 
 
 def _sieve_file(limit, count, payload, crc=None) -> bytes:
@@ -46,9 +43,8 @@ def _damaged_sieve(good: bytes, damage: str) -> bytes:
     mobius = bytearray(payload[8 * count:])             # mu(0..limit)
     old = bytes(mobius[1:]) + primes.astype("<u4").tobytes()   # the ZML-SIEVE2/3 payload
     if damage == "v1 file":
-        table = sieve.build_sieve(limit)
-        lam = [sieve.mangoldt(table, n) for n in range(1, limit + 1)]
-        return (b"ZML-SIEVE1" + struct.pack("<Q", limit) + table.mobius[1:].tobytes()
+        lam = [sieve.mangoldt(n) for n in range(1, limit + 1)]
+        return (b"ZML-SIEVE1" + struct.pack("<Q", limit) + bytes(mobius[1:])
                 + np.array(lam, dtype="<f8").tobytes())
     if damage == "v2 file":
         return b"ZML-SIEVE2" + struct.pack("<QQ", limit, count) + old
@@ -75,12 +71,19 @@ def _damaged_sieve(good: bytes, damage: str) -> bytes:
     return _sieve_file(limit, count, primes.tobytes() + bytes(mobius))
 
 
+def _container(mobius) -> bytes:
+    """The sieve container of mu(0..N) = mobius and the primes <= N."""
+    limit = len(mobius) - 1
+    primes = sieve._primes_upto(limit)
+    return _sieve_file(limit, len(primes), primes.astype("<i8").tobytes() + mobius.tobytes())
+
+
 @pytest.fixture(scope="session")
 def sieve_container():
-    """f(table): the bytes of table's sieve container, as sieve.load_sieve
+    """f(mobius): the bytes of the sieve container holding mu(0..N) =
+    mobius (from build_sieve) and the primes <= N, as sieve.load_sieve
     reads it."""
-    return lambda table: _sieve_file(table.limit, len(table.primes),
-                                     table.primes.astype("<i8").tobytes() + table.mobius.tobytes())
+    return _container
 
 
 @pytest.fixture(scope="session")

@@ -100,14 +100,14 @@ def test_criterion_3_conjecture_trend(zeros_10k_timed):
 # 4. Cauchy-Schwarz chain and the half-rate echo
 # ---------------------------------------------------------------------------
 
-def test_criterion_4_theorem_chain(zeros_10k_timed, sieve_1e7):
+def test_criterion_4_theorem_chain(zeros_10k_timed):
     zlist, _ = zeros_10k_timed
     all_ok = True
     lb_09_top = None
     for T_req in GRID:
         T = zeros.snap_to_midgap(zlist, T_req)
         for th in SWEEP:
-            rep = moments.moment_report(zlist, sieve_1e7, th, T)
+            rep = moments.moment_report(zlist, th, T)
             all_ok &= moments.cauchy_chain(rep)
             if th == 0.9 and T_req == 10000.0:
                 lb_09_top = rep.cauchy_lb
@@ -128,10 +128,10 @@ def test_criterion_4_theorem_chain(zeros_10k_timed, sieve_1e7):
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def proposition_report(zeros_10k_timed, sieve_1e7):
+def proposition_report(zeros_10k_timed):
     zlist, _ = zeros_10k_timed
     T = zeros.snap_to_midgap(zlist, 5000.0)
-    return moments.moment_report(zlist, sieve_1e7, 0.5, T)
+    return moments.moment_report(zlist, 0.5, T)
 
 
 def test_criterion_5_proposition_m2(proposition_report):
@@ -211,7 +211,7 @@ def test_criterion_6_mean_value_lemma():
 # 7. elementary sums
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_elementary_sums(sieve_1e7):
+def test_criterion_7_elementary_sums():
     xi_grid = sorted({int(x) for x in np.geomspace(1e3, 1e7, 21)})
     drifts = [
         sieve.squarefree_harmonic(xi) - sieve.SIX_OVER_PI2 * math.log(xi)
@@ -220,10 +220,10 @@ def test_criterion_7_elementary_sums(sieve_1e7):
     width = max(drifts) - min(drifts)
     ams = sieve.alpha_mobius_sum(10**6)
     alpha_ratio = ams.value / ams.prediction
-    alpha = sieve.alpha_coefficients(sieve_1e7, 10**5, 10**5)
+    alpha = sieve.alpha_coefficients(10**5, 10**5)
     ns = np.arange(2, 10**5 + 1)
     ident_err = float(
-        np.max(np.abs(alpha.values[ns] + sieve_1e7.mobius[ns] * np.log(ns)) / np.log(ns))
+        np.max(np.abs(alpha.values[ns] + sieve.build_sieve(10**5)[ns] * np.log(ns)) / np.log(ns))
     )
     ok = _criterion(
         "7",
@@ -238,18 +238,18 @@ def test_criterion_7_elementary_sums(sieve_1e7):
 # 8. prime-power zero sums
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_landau(zeros_10k_timed, sieve_1e7):
+def test_criterion_8_landau(zeros_10k_timed):
     zlist, _ = zeros_10k_timed
     T = zeros.snap_to_midgap(zlist, 10000.0)
     parts = []
     ok = True
     for x in (2.0, 3.0, 4.0):
-        rep = moments.landau_gonek(zlist, sieve_1e7, x, T)
+        rep = moments.landau_gonek(zlist, x, T)
         re_dev = abs(rep.zero_sum.real - rep.main_term) / abs(rep.main_term)
         im_frac = abs(rep.zero_sum.imag) / abs(rep.main_term)
         ok &= re_dev <= 0.3 and im_frac <= 0.3
         parts.append(f"x={x:g}: re_dev {re_dev:.3f}, im {im_frac:.3f}")
-    rep6 = moments.landau_gonek(zlist, sieve_1e7, 6.0, T)
+    rep6 = moments.landau_gonek(zlist, 6.0, T)
     bound = 0.1 * (T / (2 * math.pi)) * math.log(2.0)
     ok &= abs(rep6.zero_sum) <= bound
     parts.append(f"x=6: |sum| {abs(rep6.zero_sum):.2f} <= {bound:.2f}")

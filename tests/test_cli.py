@@ -17,6 +17,33 @@ from zml.errors import InputError, ValidationError
 
 import oracle_values as ov
 
+# sha256 of every --out-dir file that the five scripts/reproduce_all.py
+# steps write at --t-max 300 --trials 25, every other flag at its default
+OUT_SHA256 = {
+    "landau_dev_x2.txt": "c9d8fe229d82fef8b4f62e19be962d0c202b6cad7fdad6dd8648760c49e44a6d",
+    "landau_dev_x3.txt": "928d9bdc48436e13a37173d9a736bd686f279fbe44afe8d2d0df13595eeeb970",
+    "landau_dev_x4.txt": "a5efdb2b088149a6a9cb5ac3efd4e9aa3a355dba67631228c761e34c9b89ea3a",
+    "landau_dev_x5.txt": "c4021441fe93fa5c414b4c47aa27c38a6ff4e029bc1c82aaea579b372fa3f8aa",
+    "landau_dev_x6.txt": "b4df3fc6301d17f15e4452ceb0770fb63d078fae8b09b933462a5f87c0c94e65",
+    "landau_x2.json": "50ac116d10c1441ff94871876315feee82af9c2c383fc55df1fbf646bebe9ec3",
+    "landau_x3.json": "7bb81be19802fad1e2947f1349af9acbe8d330d977109122a7deb86c5c0a1e28",
+    "landau_x4.json": "65d5678425e013c8a647c384a4771226aa2398a4c983fea982b0732e7e45968d",
+    "landau_x5.json": "26fc954b1da282b3f7e60aee13e785e99011d15781b14891fc24868c7a81b2a2",
+    "landau_x6.json": "d7eb362af05f9c106c8371bb0b73e0a43dd26c599b7bc8e7898013877a8fd0fa",
+    "moments_T300_theta0.3.json": "2d914d6f235339cf6936a197a2b689f5b121a5f28c646e08686f1ddac67eb9a6",
+    "moments_T300_theta0.5.json": "dd859b8092f852426e34bd01d264e873da2e26db75dc1761cae1932374f7fc6f",
+    "moments_T300_theta0.7.json": "76e06cb056c2e1213ad3e2bdad5279e020fe24e3c28c401fa2031a1cf3d3a811",
+    "moments_T300_theta0.9.json": "e6c620c4f601a1c63a59a00682e0c37b8444377c92bb40543cec82fb372e71da",
+    "moments_summary.csv": "d52eb7358f3ebc2d5bf53f04dcf5fe41b6fb1bc367644dd49c3562a5c5524a17",
+    "mv_stats.json": "7c85798649e7e45faf8ce5d9915a966c51af99d07cb3e64efac7b1bf945946b2",
+    "plots/eq1_j_vs_t.txt": "6632a34fa2294cce4b3415b752278ffb440a6fd815b76c89dcf25e88e9c8a66a",
+    "plots/eq1_ratio_vs_t.txt": "8ba21494c5cc2a35bd63a63030beb9a303742f030d28c309f214d4516bb1f251",
+    "plots/mv_ratio_vs_trial.txt": "a21c78b666eed26a65a1618a291be61a0678f45c1b990869c8a9c7ccacd8bf0b",
+    "plots/neg4_drift_vs_xi.txt": "4c32ca174c51fdbb93f8b716ad51335b58ea9fb1b247275877661e27b6d4513b",
+    "report.json": "596b51e9e47ece877f2b2ccf30a8081b56b380f3cdac18b6d0cee34ee80b6f68",
+    "theta_sweep.json": "012de46a710148f6d35e854cf2efc007e43db3a6ac12b5e2f0867c9c071dc42f",
+}
+
 
 def with_crc(data: bytes, head_lines: int) -> bytes:
     """A cache container's bytes with the crc32 line recomputed for the
@@ -80,6 +107,17 @@ class TestZerosCommand:
         assert run_cli(tmp_path, "zeros", "--t-max", "120") == 0
         assert cache.read_bytes() == before
         assert cache.stat().st_mtime_ns == mtime
+
+    @pytest.mark.parametrize("t_max, count, min_zp", [("5", 0, "nan"), ("1329", 921, "0.793160")])
+    def test_min_zprime_over_the_reported_ordinates(self, tmp_path, capsys, t_max, count,
+                                                    min_zp):
+        # the cached list runs SCAN_MARGIN or more past t_max: to 15 it holds
+        # the zero 14.13 alone, and to 1334 the zeros 1329.044 and 1329.205,
+        # whose |Z'| (0.627, 0.618) lie below every one up to 1329
+        assert run_cli(tmp_path, "zeros", "--t-max", t_max) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"zeros: {count} ordinates in (0, {t_max}], certified=True"
+        assert out[1] == f"zeros: min |Z'(gamma)| = {min_zp}"
 
     @pytest.mark.parametrize("damage", ZERO_DAMAGES)
     def test_damaged_zero_cache_rescanned(self, tmp_path, capsys, damage):
@@ -248,12 +286,11 @@ class TestMomentsCommand:
         rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
         cache = next((tmp_path / "cache").glob("zeros_t2500_*.txt"))
         zlist = zeros.import_zeros(cache)
-        table = sieve.build_sieve(5000)
         T = zeros.snap_to_midgap(zlist, 2500.0)
         summary = (tmp_path / "out" / "moments_summary.csv").read_text().splitlines()
         assert len(summary) == 1 + 2 * 3     # T = 1000, 2000 by three thetas
         for row in rows:
-            rep = moments.moment_report(zlist, table, row["theta_exp"], T)
+            rep = moments.moment_report(zlist, row["theta_exp"], T)
             assert row["t"] == T and row["xi"] == rep.params.xi
             assert row["j_minus_1"] == rep.j_minus_1
             assert row["cauchy_lb"] == rep.cauchy_lb
@@ -330,10 +367,20 @@ class TestLandauCommand:
         assert capsys.readouterr().err.startswith("error: --x")
 
     def test_non_integral_x_reads_no_table(self, tmp_path):
-        # the table is sized by the integral x alone; one sized to 1e9 + 0.5
-        # would pass sieve.MEMORY_CAP
+        # mangoldt factors the integral x alone; 1e9 + 0.5, above
+        # sieve.MEMORY_CAP, has Lambda = 0 without a factorisation
         assert run_cli(tmp_path, "landau", "--t-max", "100", "--x", "2.5,1000000000.5",
                        "--sieve-limit", "1000") == 0
+
+    def test_integral_x_at_the_memory_cap(self, tmp_path):
+        # Lambda by trial division up to sqrt(x): no sieve up to x
+        # (99999989, the largest prime below 10^8, prints as 1e+08)
+        assert run_cli(tmp_path, "landau", "--t-max", "300", "--sieve-limit", "100000000",
+                       "--x", "99999989") == 0
+        rep = json.loads((tmp_path / "out" / "landau_x1e+08.json").read_text())
+        assert rep["x"] == 99999989.0
+        assert rep["main_term"] == pytest.approx(
+            -rep["t"] / (2 * math.pi) * math.log(99999989), rel=1e-15)
 
 
 class TestReportCommand:
@@ -492,14 +539,16 @@ class TestArtifactStore:
 
 class TestReproduceAll:
     def test_one_run_keeps_the_zero_list_and_one_campaign(self, tmp_path, monkeypatch):
-        # each step sieves only up to the largest integer it reads, the
-        # mollifier length xi or an integral x, never to --sieve-limit;
-        # the zero list the zeros step wrote is never read back, and report
+        # mu is sieved once, by moments, up to the sweep's largest xi, never
+        # to --sieve-limit (landau factors each x by trial division); the
+        # zero list the zeros step wrote is never read back, and report
         # takes its moment and Landau values from moments and landau
-        real, real_build = cli.mv_campaign, sieve.build_sieve
-        calls, limits, reads, recomputed = [], [], [], []
+        real, real_build, real_main = cli.mv_campaign, sieve.build_sieve, cli.main
+        calls, steps, limits, reads, recomputed = [], [], [], [], []
         monkeypatch.setattr(cli, "mv_campaign", lambda *a: calls.append(a) or real(*a))
-        monkeypatch.setattr(sieve, "build_sieve", lambda n: limits.append(n) or real_build(n))
+        monkeypatch.setattr(cli, "main", lambda argv: steps.append(argv[0]) or real_main(argv))
+        monkeypatch.setattr(sieve, "build_sieve",
+                            lambda n: limits.append((steps[-1], n)) or real_build(n))
         monkeypatch.setattr(zeros, "import_zeros", lambda path: reads.append(path))
         for name in ("moment_report", "landau_gonek"):
             monkeypatch.setattr(moments, name, lambda *a, name=name: recomputed.append(name))
@@ -507,10 +556,24 @@ class TestReproduceAll:
         assert calls == [(42, 1000)]
         assert reads == [] and recomputed == []
         rows = json.loads((tmp_path / "out" / "theta_sweep.json").read_text())
-        reach = max(2, *(row["xi"] for row in rows), 6)      # x = 2, ..., 6
-        assert len(limits) == 3 and max(limits) == reach < 5000
+        assert steps == ["zeros", "moments", "mv-check", "landau", "report"]
+        assert limits == [("moments", max(row["xi"] for row in rows))]
         assert [f.name for f in (tmp_path / "cache").iterdir()] == [
             cli._zero_cache_path(cli.RunConfig(t_max=300.0)).name]
+
+    def test_out_dir_bytes_pinned(self, tmp_path):
+        """The five steps, run in this process at --t-max 300 --trials 25,
+        write the bytes of OUT_SHA256, which were recorded before the sieve
+        layer lost its table and must hold across commits.  The table may
+        be re-pinned only by a change that states which bits it changes and
+        why (ROADMAP item 2c)."""
+        dirs = ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
+        for step in (["zeros"], ["moments", "--theta-sweep", "0.3:0.9:0.2"], ["mv-check"],
+                     ["landau", "--x", "2,3,4,5,6"], ["report"]):
+            assert cli.main([*step, "--t-max", "300", "--trials", "25", *dirs]) == 0
+        out = tmp_path / "out"
+        assert {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in out.rglob("*") if p.is_file()} == OUT_SHA256
 
     def test_step_timings_go_to_stderr(self, tmp_path):
         proc = run_reproduce_all(tmp_path, "--stats", str(tmp_path / "stats.json"))
@@ -690,7 +753,7 @@ class TestConfig:
         ("1e300", "x = 1e+300 lies above sieve_limit = 100000"),
         ("100001.0000000001", "x = 100001 lies above sieve_limit = 100000")])
     def test_x_above_sieve_limit_named(self, tmp_path, capsys, x, message):
-        # rejected as sieve.mangoldt would reject it, before the zero scan
+        # --sieve-limit bounds the integral x, before the zero scan
         args = ("landau", "--t-max", "3000", "--sieve-limit", "100000", "--x", x)
         assert run_cli(tmp_path, *args) == 1
         assert capsys.readouterr().err == f"error: {message}\n"

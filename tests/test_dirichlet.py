@@ -120,21 +120,28 @@ def direct_truncation(poly, gammas):
 
 
 class TestMollifier:
-    def test_trivial_length_one(self, sieve_10k):
-        m = dirichlet.mollifier(sieve_10k, 1)
+    def test_trivial_length_one(self):
+        m = dirichlet.mollifier(1)
         assert m.length == 1 and m.coeffs[0] == 1.0
 
-    def test_eval_at_zero_is_mertens(self, sieve_10k):
-        m = dirichlet.mollifier(sieve_10k, 10)
+    def test_xi_range(self):
+        # mu is sieved for the call itself, so xi is bounded by the memory cap alone
+        assert dirichlet.mollifier(2).coeffs.tolist() == [1.0, -1.0]
+        for xi in (0, sieve.MEMORY_CAP + 1):
+            with pytest.raises(InputError, match=f"xi = {xi} outside range"):
+                dirichlet.mollifier(xi)
+
+    def test_eval_at_zero_is_mertens(self):
+        m = dirichlet.mollifier(10)
         assert dirichlet.eval_poly(m, 0.0) == pytest.approx(-1.0, abs=1e-14)
 
-    def test_squarefull_coefficients_vanish(self, sieve_10k):
-        m = dirichlet.mollifier(sieve_10k, 12)
+    def test_squarefull_coefficients_vanish(self):
+        m = dirichlet.mollifier(12)
         for n in (4, 8, 9, 12):
             assert m.coeffs[n - 1] == 0.0
 
-    def test_partial_sums_of_mu_over_n_bounded(self, sieve_1e6):
-        m = dirichlet.mollifier(sieve_1e6, 10**6)
+    def test_partial_sums_of_mu_over_n_bounded(self):
+        m = dirichlet.mollifier(10**6)
         assert abs(dirichlet.eval_poly(m, 1.0)) <= 3.0
 
 
@@ -166,8 +173,8 @@ class TestEval:
         rhs = dirichlet.eval_poly(poly, s).conjugate()
         assert lhs == pytest.approx(rhs, abs=1e-9 * (1 + abs(rhs)))
 
-    def test_batch_matches_scalar(self, sieve_10k):
-        poly = dirichlet.mollifier(sieve_10k, 50)
+    def test_batch_matches_scalar(self):
+        poly = dirichlet.mollifier(50)
         gammas = np.array([14.13, 777.7, 9999.9])
         batch = dirichlet.eval_poly_at_zeros(poly, gammas)
         for g, b in zip(gammas, batch):
@@ -178,7 +185,7 @@ class TestEval:
         # truncation points unsorted and repeated
         ns = np.arange(1, 61)
         taper = np.log(60 / ns) / math.log(60)          # P(x) = x
-        coeffs = sieve_10k.mobius[1:61] * taper * np.exp(1j * np.arange(60) / 7.0)
+        coeffs = sieve_10k[1:61] * taper * np.exp(1j * np.arange(60) / 7.0)
         poly = dirichlet.DirichletPoly(coeffs=coeffs)
         assert np.count_nonzero(coeffs) < 60 and coeffs[-1] == 0.0
         xis = [60, 1, 17, 4, 17, 59, 5]
@@ -190,8 +197,8 @@ class TestEval:
             for g, v in zip(gammas, vals[:, b]):
                 assert v == pytest.approx(dirichlet.eval_poly(trunc, complex(0.5, g)), rel=1e-12)
 
-    def test_truncations_validate_points(self, sieve_10k):
-        poly = dirichlet.mollifier(sieve_10k, 10)
+    def test_truncations_validate_points(self):
+        poly = dirichlet.mollifier(10)
         for bad in ([], [0, 5], [11]):
             with pytest.raises(InputError, match="xis|truncation"):
                 dirichlet.eval_truncations_at_zeros(poly, bad, np.array([14.13]))
@@ -202,7 +209,7 @@ class TestFill:
     @pytest.mark.parametrize("xi, sample", [
         (3980, ov.MOLLIFIER_3980), (31622, ov.MOLLIFIER_31622),
         (3980, ov.MOLLIFIER_SPREAD_3980)])
-    def test_error_against_oracle(self, sieve_1e6, xi, sample):
+    def test_error_against_oracle(self, xi, sample):
         # error per zero over sum |a_n| n^(-1/2), with the sample alone: a
         # zero's value does not depend on the other ordinates, so it is the
         # value over a whole list.  Measured on x86-64 with 80-bit long
@@ -212,7 +219,7 @@ class TestFill:
         # 1.3e-15, 1.0e-15 and 4.6e-16)
         gammas = np.array([g for g, _, _ in sample])
         ref = np.array([complex(re, im) for _, re, im in sample])
-        poly = dirichlet.mollifier(sieve_1e6, xi)
+        poly = dirichlet.mollifier(xi)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
         vals = dirichlet.eval_poly_at_zeros(poly, gammas)
         batch = np.abs(vals - ref).max() / scale
@@ -220,11 +227,11 @@ class TestFill:
         assert batch <= direct
         assert batch <= 5e-15
 
-    def test_error_against_spread_sample(self, sieve_1e6):
+    def test_error_against_spread_sample(self):
         # both truncations at 40 zeros spread over (0, 1e5]: xi = 70 is all
         # direct exponentials, xi = 31622 mostly the transform
         gammas = np.array([s[0] for s in ov.MOLLIFIER_SPREAD_1E5])
-        poly = dirichlet.mollifier(sieve_1e6, 31622)
+        poly = dirichlet.mollifier(31622)
         vals = dirichlet.eval_truncations_at_zeros(poly, [70, 31622], gammas)
         for b, xi in enumerate((70, 31622)):
             ref = np.array([complex(s[1 + 2 * b], s[2 + 2 * b]) for s in ov.MOLLIFIER_SPREAD_1E5])
@@ -235,10 +242,10 @@ class TestFill:
                 "3.0e-16 (xi = 31622); the multiplicative fill measured 2.2e-15 and 6.1e-16 "
                 "here, and 1.3e-15, 1.0e-15 and 4.6e-16 on the samples above")
 
-    def test_value_independent_of_other_ordinates(self, sieve_1e6):
+    def test_value_independent_of_other_ordinates(self):
         # every zero of the oracle samples, alone and inside a list of
         # other ordinates that moves where each fill starts and ends
-        poly = dirichlet.mollifier(sieve_1e6, 3980)
+        poly = dirichlet.mollifier(3980)
         gammas = np.array([g for sample in (ov.MOLLIFIER_3980, ov.MOLLIFIER_SPREAD_3980)
                            for g, _, _ in sample])
         alone = [dirichlet.eval_truncations_at_zeros(poly, [3980, 70], gammas[i:i + 1])
@@ -251,18 +258,18 @@ class TestFill:
             at = [int(np.flatnonzero(ords == g)[0]) for g in gammas]
             assert np.array_equal(vals[at][:, ::-1], np.concatenate(alone))
 
-    def test_truncation_independent_of_other_points(self, sieve_10k):
-        poly = dirichlet.mollifier(sieve_10k, 3000)
+    def test_truncation_independent_of_other_points(self):
+        poly = dirichlet.mollifier(3000)
         gammas = np.linspace(9000.0, 9010.0, 13)
         alone = dirichlet.eval_truncations_at_zeros(poly, [1234], gammas)[:, 0]
         for xis in ([7, 1234, 3000], [3000, 1234, 1234, 17], [1233, 1234]):
             vals = dirichlet.eval_truncations_at_zeros(poly, xis, gammas)
             assert np.array_equal(vals[:, xis.index(1234)], alone)
 
-    def test_small_blocks(self, sieve_10k, monkeypatch):
+    def test_small_blocks(self, monkeypatch):
         # yielded blocks of 198 ordinates, unsorted, over three transform
         # blocks; truncations below, at and above DIRECT_MAX
-        poly = dirichlet.mollifier(sieve_10k, 400)
+        poly = dirichlet.mollifier(400)
         gammas = np.concatenate([np.linspace(9000.0, 9100.0, 290),
                                  [14.13, 5000.5, 9050.0, 20.0, 9999.9]])
         xis = [400, 7, 150, 1, 399, 128]
@@ -524,8 +531,8 @@ class TestMeanValueReport:
         T = 1000.0
         c = 1.0 + 1.0 / math.log(T)
         ns = np.arange(1.0, 101.0)
-        coeffs_a = sieve_10k.mobius[1:101] * ns ** (-c)
-        coeffs_b = sieve_10k.mobius[1:101] * ns ** (c - 1.0)
+        coeffs_a = sieve_10k[1:101] * ns ** (-c)
+        coeffs_b = sieve_10k[1:101] * ns ** (c - 1.0)
         A = dirichlet.DirichletPoly(coeffs=coeffs_a)
         B = dirichlet.DirichletPoly(coeffs=coeffs_b)
         rep = dirichlet.mv_reports([(A, B, T)])[0]

@@ -14,8 +14,8 @@ PI3 = math.pi**3
 
 
 @pytest.fixture(scope="module")
-def poly10(sieve_10k):
-    return dirichlet.mollifier(sieve_10k, 10)
+def poly10():
+    return dirichlet.mollifier(10)
 
 
 @pytest.fixture(scope="module")
@@ -153,10 +153,10 @@ class TestPredictions:
             moments.MollifierParams.from_theta(0.5, 0.5)
 
 
-def _report(zlist, table, poly, T):
+def _report(zlist, poly, T):
     """moment_report at T with theta such that xi = poly.length (poly_one
     and poly10 are the mollifiers of lengths 1 and 10)."""
-    rep = moments.moment_report(zlist, table, math.log(poly.length + 0.5) / math.log(T), T)
+    rep = moments.moment_report(zlist, math.log(poly.length + 0.5) / math.log(T), T)
     assert rep.params.xi == poly.length
     return rep
 
@@ -171,15 +171,15 @@ def _oracle_sums(zlist, poly, T):
 
 
 class TestM1M2:
-    def test_below_first_zero(self, zeros_110, sieve_10k, poly_one, poly10):
+    def test_below_first_zero(self, zeros_110, poly_one, poly10):
         for poly in (poly_one, poly10):
-            rep = _report(zeros_110, sieve_10k, poly, 12.0)
+            rep = _report(zeros_110, poly, 12.0)
             assert (rep.m1, rep.m2) == (0j, 0.0)
 
-    def test_constant_poly_degenerations(self, zeros_110, sieve_10k, poly_one):
+    def test_constant_poly_degenerations(self, zeros_110, poly_one):
         T = 100.0
         n = zeros_110.count_below(T)
-        rep = _report(zeros_110, sieve_10k, poly_one, T)
+        rep = _report(zeros_110, poly_one, T)
         assert rep.m2 == pytest.approx(float(n), rel=1e-14)
         want = complex(
             math.fsum((1.0 / zeros_110.zeta_primes[:n]).real),
@@ -187,22 +187,22 @@ class TestM1M2:
         )
         assert rep.m1 == pytest.approx(want, rel=1e-14)
 
-    def test_two_zero_m1_from_oracle(self, zeros_110, sieve_10k, poly_one):
+    def test_two_zero_m1_from_oracle(self, zeros_110, poly_one):
         want = 1.0 / complex(*ov.ZETA_PRIME[0]) + 1.0 / complex(*ov.ZETA_PRIME[1])
-        assert _report(zeros_110, sieve_10k, poly_one, 22.0).m1 == pytest.approx(want, abs=1e-8)
+        assert _report(zeros_110, poly_one, 22.0).m1 == pytest.approx(want, abs=1e-8)
 
-    def test_matches_scalar_oracle(self, zeros_110, sieve_10k, poly_one, poly10):
+    def test_matches_scalar_oracle(self, zeros_110, poly_one, poly10):
         for poly in (poly_one, poly10):
-            rep = _report(zeros_110, sieve_10k, poly, 100.0)
+            rep = _report(zeros_110, poly, 100.0)
             m1, m2 = _oracle_sums(zeros_110, poly, 100.0)
             assert abs(rep.m1 - m1) <= 1e-12 * abs(m1)
             assert rep.m2 == pytest.approx(m2, rel=1e-12)
 
-    def test_conjugation_consistency(self, zeros_110, sieve_10k, poly10):
+    def test_conjugation_consistency(self, zeros_110, poly10):
         # |M(rho)|^2 equals M(rho) * M(1-rho) through the critical-line identity
         T = 100.0
         n = zeros_110.count_below(T)
-        direct = _report(zeros_110, sieve_10k, poly10, T).m2
+        direct = _report(zeros_110, poly10, T).m2
         via_reflection = math.fsum(
             (
                 dirichlet.eval_poly(poly10, complex(0.5, g))
@@ -212,47 +212,47 @@ class TestM1M2:
         )
         assert direct == pytest.approx(via_reflection, rel=1e-10)
 
-    def test_simplicity_guard_halts(self, zeros_110, sieve_10k, poly_one, poly10):
+    def test_simplicity_guard_halts(self, zeros_110, poly_one, poly10):
         tampered = _tampered(zeros_110, 3)
         for poly in (poly_one, poly10):
             with pytest.raises(SimplicityError,
                                match=f"guard .* at gamma = {tampered.ordinates[3]:.9f};"):
-                _report(tampered, sieve_10k, poly, 50.0)
+                _report(tampered, poly, 50.0)
 
 
 class TestCauchyChain:
-    def test_holds_on_desk_case(self, zeros_110, sieve_10k):
+    def test_holds_on_desk_case(self, zeros_110):
         T = zeros.snap_to_midgap(zeros_110, 22.0)
-        rep = moments.moment_report(zeros_110, sieve_10k, 0.5, T)
+        rep = moments.moment_report(zeros_110, 0.5, T)
         assert moments.cauchy_chain(rep)
         assert rep.j_minus_1 >= rep.cauchy_lb
 
-    def test_holds_across_grid(self, zeros_1010, sieve_10k):
+    def test_holds_across_grid(self, zeros_1010):
         for T_req in (100.0, 300.0, 1000.0):
             T = zeros.snap_to_midgap(zeros_1010, T_req)
             for th in (0.3, 0.5, 0.7):
-                rep = moments.moment_report(zeros_1010, sieve_10k, th, T)
+                rep = moments.moment_report(zeros_1010, th, T)
                 assert moments.cauchy_chain(rep)
 
-    def test_constant_weight_case(self, zeros_110, sieve_10k, poly_one):
+    def test_constant_weight_case(self, zeros_110, poly_one):
         T = 100.0
         n = zeros_110.count_below(T)
-        m1 = _report(zeros_110, sieve_10k, poly_one, T).m1
+        m1 = _report(zeros_110, poly_one, T).m1
         j = moments.j_moment(zeros_110, 1.0, T)
         assert abs(m1) ** 2 / n <= j * (1 + 1e-12)
 
 
 class TestMomentGrid:
-    def test_matches_per_point_sums(self, zeros_1010, sieve_10k):
+    def test_matches_per_point_sums(self, zeros_1010):
         # unsorted, with one point repeated; compared with one mollifier per
         # point, evaluated zero by zero by the scalar oracle
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (1000.0, 100.0, 300.0)]
         points = [(th, T) for T in Ts for th in (0.9, 0.3, 0.5, 0.7)] + [(0.5, Ts[1])]
-        reports = moments.moment_grid(zeros_1010, sieve_10k, points)
+        reports = moments.moment_grid(zeros_1010, points)
         assert len(reports) == len(points)
         for (th, T), rep in zip(points, reports):
             assert (rep.params.theta_exp, rep.params.T) == (th, T)
-            m1, m2 = _oracle_sums(zeros_1010, dirichlet.mollifier(sieve_10k, rep.params.xi), T)
+            m1, m2 = _oracle_sums(zeros_1010, dirichlet.mollifier(rep.params.xi), T)
             assert rep.j_minus_1 == moments.j_moment(zeros_1010, 1.0, T)
             assert rep.m1 == pytest.approx(m1, rel=1e-12)
             assert rep.m2 == pytest.approx(m2, rel=1e-12)
@@ -260,41 +260,41 @@ class TestMomentGrid:
             assert rep.m1_pred == moments.predict_m1(rep.params)
             assert rep.m2_pred == moments.predict_m2(rep.params)
 
-    def test_streamed_sums_equal_one_fsum(self, zeros_1010, sieve_10k, monkeypatch):
+    def test_streamed_sums_equal_one_fsum(self, zeros_1010, monkeypatch):
         # yielded blocks of 60 zeros: windows end inside blocks, and each
         # sum must equal one fsum over its window
         monkeypatch.setattr(dirichlet, "YIELD_ROWS", 60)
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (1000.0, 100.0, 300.0, 777.0)]
         points = [(th, T) for T in Ts for th in (0.3, 0.5, 0.9)]
-        reports = moments.moment_grid(zeros_1010, sieve_10k, points)
+        reports = moments.moment_grid(zeros_1010, points)
         xis = [rep.params.xi for rep in reports]
         n_max = zeros_1010.count_below(max(Ts))
         vals = dirichlet.eval_truncations_at_zeros(
-            dirichlet.mollifier(sieve_10k, max(xis)), xis, zeros_1010.ordinates[:n_max])
+            dirichlet.mollifier(max(xis)), xis, zeros_1010.ordinates[:n_max])
         for b, rep in enumerate(reports):
             n = zeros_1010.count_below(rep.params.T)
             terms = np.conj(vals[:n, b]) / zeros_1010.zeta_primes[:n]
             assert rep.m1 == complex(math.fsum(terms.real), math.fsum(terms.imag))
             assert rep.m2 == math.fsum(np.abs(vals[:n, b]) ** 2)
 
-    def test_every_point_equals_moment_report(self, zeros_10k_timed, sieve_10k):
+    def test_every_point_equals_moment_report(self, zeros_10k_timed):
         # the reproduction's theta-sweep grid at t_max 1e4: a zero's
         # mollifier value depends on its gamma and xi alone, so each point
         # of the one pass is the same bits as the point evaluated alone
         zlist, _ = zeros_10k_timed
         Ts = [zeros.snap_to_midgap(zlist, float(t)) for t in range(1000, 10001, 1000)]
         points = [(th, T) for T in Ts for th in (0.3, 0.5, 0.7, 0.9)]
-        reports = moments.moment_grid(zlist, sieve_10k, points)
+        reports = moments.moment_grid(zlist, points)
         assert len(reports) == 40
         for (th, T), rep in zip(points, reports):
-            assert rep == moments.moment_report(zlist, sieve_10k, th, T)
+            assert rep == moments.moment_report(zlist, th, T)
 
-    def test_matches_direct_evaluator(self, zeros_1010, sieve_10k):
+    def test_matches_direct_evaluator(self, zeros_1010):
         # against one exponential per (zero, n), reduced with math.fsum
         T = zeros.snap_to_midgap(zeros_1010, 1000.0)
         n = zeros_1010.count_below(T)
-        for rep in moments.moment_grid(zeros_1010, sieve_10k, [(0.5, T), (0.9, T)]):
-            poly = dirichlet.mollifier(sieve_10k, rep.params.xi)
+        for rep in moments.moment_grid(zeros_1010, [(0.5, T), (0.9, T)]):
+            poly = dirichlet.mollifier(rep.params.xi)
             support = np.flatnonzero(poly.coeffs)
             logs = poly.logs[support]
             vals = np.exp(np.multiply.outer(zeros_1010.ordinates[:n], -1j * logs)) @ (
@@ -304,38 +304,38 @@ class TestMomentGrid:
             assert abs(rep.m1 - m1) <= 1e-12 * abs(m1)
             assert rep.m2 == pytest.approx(math.fsum(np.abs(vals) ** 2), rel=1e-12)
 
-    def test_empty_grid_and_empty_window(self, zeros_110, sieve_10k):
-        assert moments.moment_grid(zeros_110, sieve_10k, []) == []
-        rep, = moments.moment_grid(zeros_110, sieve_10k, [(0.5, 12.0)])
+    def test_empty_grid_and_empty_window(self, zeros_110):
+        assert moments.moment_grid(zeros_110, []) == []
+        rep, = moments.moment_grid(zeros_110, [(0.5, 12.0)])
         assert (rep.j_minus_1, rep.m1, rep.m2, rep.cauchy_lb) == (0.0, 0j, 0.0, 0.0)
 
-    def test_block_of_zero_values(self, zeros_110, sieve_10k, monkeypatch):
+    def test_block_of_zero_values(self, zeros_110, monkeypatch):
         # a block whose every term is zero leaves no exact parts
         def zero_blocks(poly, xis, gammas):
             yield 0, np.zeros((len(gammas), len(xis)), dtype=complex)
         monkeypatch.setattr(moments, "truncation_blocks", zero_blocks)
         T = zeros.snap_to_midgap(zeros_110, 100.0)
-        rep, = moments.moment_grid(zeros_110, sieve_10k, [(0.5, T)])
+        rep, = moments.moment_grid(zeros_110, [(0.5, T)])
         assert (rep.m1, rep.m2, rep.cauchy_lb) == (0j, 0.0, 0.0)
 
-    def test_simplicity_error_from_any_point(self, zeros_110, sieve_10k):
+    def test_simplicity_error_from_any_point(self, zeros_110):
         tampered = _tampered(zeros_110, 3)
         g = tampered.ordinates[3]
         before, after = 0.5 * (tampered.ordinates[2] + g), 50.0
         for points in ([(0.5, after)], [(0.5, before), (0.3, after)],
                        [(0.3, after), (0.5, before)]):
             with pytest.raises(SimplicityError, match="guard"):
-                moments.moment_grid(tampered, sieve_10k, points)
-        assert moments.moment_grid(tampered, sieve_10k, [(0.5, before)])[0].m2 > 0.0
+                moments.moment_grid(tampered, points)
+        assert moments.moment_grid(tampered, [(0.5, before)])[0].m2 > 0.0
 
-    def test_checks_every_point(self, zeros_110, sieve_10k):
-        with pytest.raises(InputError, match="sieve limit"):
-            moments.moment_grid(zeros_110, sieve.build_sieve(5), [(0.3, 50.0), (0.5, 50.0)])
+    def test_checks_every_point(self, zeros_110):
+        with pytest.raises(InputError, match="theta_exp"):
+            moments.moment_grid(zeros_110, [(0.3, 50.0), (1.0, 50.0)])
         with pytest.raises(InputError, match="t_max"):
-            moments.moment_grid(zeros_110, sieve_10k, [(0.5, 50.0), (0.5, 500.0)])
+            moments.moment_grid(zeros_110, [(0.5, 50.0), (0.5, 500.0)])
         bad = dataclasses.replace(zeros_110, certified=False)
         with pytest.raises(InputError, match="certified"):
-            moments.moment_grid(bad, sieve_10k, [(0.5, 50.0)])
+            moments.moment_grid(bad, [(0.5, 50.0)])
 
 
 class TestExactParts:
@@ -385,72 +385,70 @@ class TestExactParts:
 
 class TestThetaSweep:
     @staticmethod
-    def _sweep(zlist, table, T, thetas):
+    def _sweep(zlist, T, thetas):
         # rows as cmd_moments assembles them
         points = [(th, T) for th in thetas]
-        reports = dict(zip(points, moments.moment_grid(zlist, table, points)))
+        reports = dict(zip(points, moments.moment_grid(zlist, points)))
         return moments.theta_sweep(T, thetas, reports)
 
-    def test_rows_and_limit_error(self, zeros_1010, sieve_10k):
+    def test_rows_match_moment_report(self, zeros_1010):
         T = zeros.snap_to_midgap(zeros_1010, 1000.0)
-        rows = self._sweep(zeros_1010, sieve_10k, T, [0.3, 0.5, 0.99])
+        rows = self._sweep(zeros_1010, T, [0.3, 0.5, 0.99])
         assert rows[0]["cauchy_ok"] and rows[1]["cauchy_ok"]
         assert rows[0]["cauchy_lb"] > 0
-        rep = moments.moment_report(zeros_1010, sieve_10k, 0.5, T)
+        rep = moments.moment_report(zeros_1010, 0.5, T)
         assert rows[1]["cauchy_lb"] == rep.cauchy_lb
-        # theta = 0.99 needs xi = 1000^0.99 > sieve... fits 10^4; use tiny table
-        small = sieve.build_sieve(20)
-        with pytest.raises(InputError, match="xi = 501 exceeds sieve limit 20"):
-            self._sweep(zeros_1010, small, T, [0.3, 0.9])
+        # mu is sieved up to the largest xi, 1000.57^0.99 -> 933, for the grid itself
+        assert rows[2]["xi"] == 933 and rows[2]["cauchy_ok"]
 
 
 class TestLandau:
-    def test_main_terms(self, zeros_110, sieve_10k):
+    def test_main_terms(self, zeros_110):
         T = 100.0
-        rep6 = moments.landau_gonek(zeros_110, sieve_10k, 6.0, T)
+        rep6 = moments.landau_gonek(zeros_110, 6.0, T)
         assert rep6.main_term == 0.0
-        rep4 = moments.landau_gonek(zeros_110, sieve_10k, 4.0, T)
-        rep2 = moments.landau_gonek(zeros_110, sieve_10k, 2.0, T)
+        rep4 = moments.landau_gonek(zeros_110, 4.0, T)
+        rep2 = moments.landau_gonek(zeros_110, 2.0, T)
         want = -(T / (2 * math.pi)) * math.log(2.0)
         assert rep4.main_term == pytest.approx(want, rel=1e-14)
         assert rep2.main_term == rep4.main_term
 
-    def test_non_integer_x(self, zeros_110, sieve_10k):
-        rep = moments.landau_gonek(zeros_110, sieve_10k, 2.5, 100.0)
+    def test_non_integer_x(self, zeros_110):
+        rep = moments.landau_gonek(zeros_110, 2.5, 100.0)
         assert rep.main_term == 0.0
         assert rep.deviation == abs(rep.zero_sum)
 
-    def test_zero_sum_value(self, zeros_110, sieve_10k):
+    def test_zero_sum_value(self, zeros_110):
         # direct two-zero evaluation
-        rep = moments.landau_gonek(zeros_110, sieve_10k, 3.0, 22.0)
+        rep = moments.landau_gonek(zeros_110, 3.0, 22.0)
         want = sum(
             math.sqrt(3.0) * np.exp(1j * g * math.log(3.0)) for g in ov.ZERO_ORDINATES[:2]
         )
         assert rep.zero_sum == pytest.approx(want, rel=1e-9)
 
-    def test_sums_equal_one_fsum_per_window(self, zeros_1010, sieve_10k):
+    def test_sums_equal_one_fsum_per_window(self, zeros_1010):
         # unsorted and repeated T, one below the first zero; every x in one
         # pass gives the bits of one math.fsum per (x, T)
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (900.0, 100.0, 500.0, 900.0)] + [12.0]
         xs = (2.0, 4.0, 6.5)
-        for x, reps in zip(xs, moments.landau_sums(zeros_1010, sieve_10k, xs, Ts), strict=True):
+        for x, reps in zip(xs, moments.landau_sums(zeros_1010, xs, Ts), strict=True):
             for T, rep in zip(Ts, reps, strict=True):
                 phases = zeros_1010.ordinates[: zeros_1010.count_below(T)] * math.log(x)
                 want = complex(math.sqrt(x) * math.fsum(np.cos(phases)),
                                math.sqrt(x) * math.fsum(np.sin(phases)))
                 assert rep.T == T and rep.zero_sum == want
-                assert rep == moments.landau_gonek(zeros_1010, sieve_10k, x, T)
+                assert rep == moments.landau_gonek(zeros_1010, x, T)
                 assert rep.deviation == abs(want - rep.main_term)
 
-    def test_x_domain(self, zeros_110, sieve_10k):
+    def test_x_domain(self, zeros_110):
         with pytest.raises(InputError):
-            moments.landau_gonek(zeros_110, sieve_10k, 1.0, 50.0)
+            moments.landau_gonek(zeros_110, 1.0, 50.0)
 
 
 class TestSerialization:
-    def test_report_json_keys(self, zeros_110, sieve_10k):
+    def test_report_json_keys(self, zeros_110):
         T = zeros.snap_to_midgap(zeros_110, 50.0)
-        rep = moments.moment_report(zeros_110, sieve_10k, 0.5, T)
+        rep = moments.moment_report(zeros_110, 0.5, T)
         import json
 
         data = json.loads(json.dumps(rep.to_json_dict(), sort_keys=True))
@@ -459,9 +457,9 @@ class TestSerialization:
                     "halfbound_pred", "sweep_pred"):
             assert key in data
 
-    def test_csv_rows(self, zeros_110, sieve_10k):
+    def test_csv_rows(self, zeros_110):
         T = zeros.snap_to_midgap(zeros_110, 50.0)
-        reps = [moments.moment_report(zeros_110, sieve_10k, th, T) for th in (0.3, 0.5)]
+        reps = [moments.moment_report(zeros_110, th, T) for th in (0.3, 0.5)]
         lines = moments.reports_csv_text(reps).splitlines()
         assert len(lines) == 3
         assert lines[0].split(",") == sorted(lines[0].split(","))

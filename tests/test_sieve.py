@@ -14,23 +14,41 @@ import oracle_values as ov
 
 
 def test_mobius_first_ten(sieve_10k):
-    assert sieve_10k.mobius[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+    assert sieve_10k[1:11].tolist() == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
-def test_mangoldt_examples(sieve_10k):
-    assert sieve.mangoldt(sieve_10k, 8) == pytest.approx(math.log(2), rel=1e-15)
-    assert sieve.mangoldt(sieve_10k, 6) == 0.0
-    assert sieve.mangoldt(sieve_10k, 1) == 0.0
-    assert sieve.mangoldt(sieve_10k, 9) == pytest.approx(math.log(3), rel=1e-15)
-    assert sieve.mangoldt(sieve_10k, 8 + 1e-10) == sieve.mangoldt(sieve_10k, 8)
-    assert sieve.mangoldt(sieve_10k, 8.5) == 0.0
-    assert sieve.mangoldt(sieve_10k, 10**4 - 1e-12) == 0.0     # 10^4 = 2^4 5^4
-    with pytest.raises(InputError, match="outside table range"):
-        sieve.mangoldt(sieve_10k, 10**4 + 1)
+def test_mangoldt_examples():
+    assert sieve.mangoldt(8) == pytest.approx(math.log(2), rel=1e-15)
+    assert sieve.mangoldt(6) == 0.0
+    assert sieve.mangoldt(1) == 0.0
+    assert sieve.mangoldt(9) == pytest.approx(math.log(3), rel=1e-15)
+    assert sieve.mangoldt(8 + 1e-10) == sieve.mangoldt(8)
+    assert sieve.mangoldt(8.5) == 0.0
+    assert sieve.mangoldt(10**4 - 1e-12) == 0.0     # 10^4 = 2^4 5^4
+    assert sieve.mangoldt(sieve.MEMORY_CAP + 0.5) == 0.0
+    with pytest.raises(InputError, match=f"x = {sieve.MEMORY_CAP + 1} outside range"):
+        sieve.mangoldt(sieve.MEMORY_CAP + 1)
 
 
-def test_primes_ascending(sieve_10k):
-    p = sieve_10k.primes
+def test_mangoldt_up_to_the_memory_cap():
+    # trial division by the primes up to sqrt(n) alone: no sieve up to n
+    import tracemalloc
+
+    sieve.mangoldt(1000)
+    tracemalloc.start()
+    try:
+        got = sieve.mangoldt(99_999_989)            # the largest prime below 10^8
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == float(np.log(np.float64(99_999_989)))
+    assert peak < 2**20
+    assert sieve.mangoldt(2**26) == float(np.log(np.float64(2)))
+    assert sieve.mangoldt(sieve.MEMORY_CAP) == 0.0      # 2^8 5^8
+
+
+def test_primes_ascending():
+    p = sieve._primes_upto(10**4)
     assert p[0] == 2 and p[-1] <= 10**4
     assert np.all(np.diff(p) > 0)
     assert len(p) == 1229  # pi(10^4)
@@ -49,13 +67,13 @@ def test_build_rejects_bad_limits(monkeypatch):
 
 
 def test_divisor_sum_identities(sieve_10k):
-    # direct divisor-sum accumulation, independent of how the table was built
+    # direct divisor-sum accumulation, independent of how mu and Lambda are found
     n_max = 10**4
     mu_acc = np.zeros(n_max + 1, dtype=np.int64)
     lam_acc = np.zeros(n_max + 1)
     for d in range(1, n_max + 1):
-        mu_acc[d::d] += sieve_10k.mobius[d]
-        lam_acc[d::d] += sieve.mangoldt(sieve_10k, d)
+        mu_acc[d::d] += sieve_10k[d]
+        lam_acc[d::d] += sieve.mangoldt(d)
     assert mu_acc[1] == 1
     assert np.all(mu_acc[2:] == 0)
     ns = np.arange(2, n_max + 1)
@@ -64,43 +82,36 @@ def test_divisor_sum_identities(sieve_10k):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**4))
-def test_mobius_mangoldt_vs_factorization(n):
-    table = _small_table()
+def test_mobius_mangoldt_vs_factorization(sieve_10k, n):
     fac = sympy.factorint(n)
     if any(e > 1 for e in fac.values()):
         mu_ref = 0
     else:
         mu_ref = (-1) ** len(fac)
-    assert table.mobius[n] == mu_ref
+    assert sieve_10k[n] == mu_ref
     if len(fac) == 1:
         (p, _), = fac.items()
-        assert sieve.mangoldt(table, n) == pytest.approx(math.log(p), rel=1e-15)
+        assert sieve.mangoldt(n) == pytest.approx(math.log(p), rel=1e-15)
     else:
-        assert sieve.mangoldt(table, n) == 0.0
+        assert sieve.mangoldt(n) == 0.0
 
 
-_CACHED = {}
-
-
-def _small_table():
-    if "t" not in _CACHED:
-        _CACHED["t"] = sieve.build_sieve(10**4)
-    return _CACHED["t"]
-
-
-def test_mertens_values(sieve_10k):
-    assert sieve.mertens(sieve_10k, 1) == 1
-    assert sieve.mertens(sieve_10k, 10) == -1
-    assert sieve.mertens(sieve_10k, 100) == 1
+def test_mertens_values():
+    assert sieve.mertens(1) == 1
+    assert sieve.mertens(10) == -1
+    assert sieve.mertens(100) == 1
     # brute force over a range via independent factorization
     acc = 0
     for n in range(1, 201):
         fac = sympy.factorint(n)
         acc += 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
         if n in (50, 100, 200):
-            assert sieve.mertens(sieve_10k, n) == acc
-    with pytest.raises(InputError, match="outside table range"):
-        sieve.mertens(sieve_10k, 10**5)
+            assert sieve.mertens(n) == acc
+    # M(10^4) and M(10^5), OEIS A084237
+    assert sieve.mertens(10**4) == -23 and sieve.mertens(10**5) == -48
+    for bad in (0, sieve.MEMORY_CAP + 1):
+        with pytest.raises(InputError, match=f"x = {bad} outside range"):
+            sieve.mertens(bad)
 
 
 def test_squarefree_harmonic_hand_values():
@@ -122,20 +133,21 @@ def test_squarefree_harmonic_drift_envelope():
         assert 0.9 < drift < 1.2
 
 
-def test_prime_log_sum_hand_values(sieve_10k):
-    assert sieve.prime_log_sum(sieve_10k, 2) == pytest.approx(math.log(2) / 2, rel=1e-15)
+def test_prime_log_sum_hand_values():
+    assert sieve.prime_log_sum(2) == pytest.approx(math.log(2) / 2, rel=1e-15)
     want = sum(math.log(p) / p for p in (2, 3, 5, 7))
-    assert sieve.prime_log_sum(sieve_10k, 10) == pytest.approx(want, rel=1e-14)
+    assert sieve.prime_log_sum(10) == pytest.approx(want, rel=1e-14)
+    assert sieve.prime_log_sum(1) == 0.0
 
 
-def test_prime_log_sum_drift(sieve_1e6):
+def test_prime_log_sum_drift():
     # Mertens-type constant: the drift settles near -1.332
-    drift = sieve.prime_log_sum(sieve_1e6, 10**6) - math.log(10**6)
+    drift = sieve.prime_log_sum(10**6) - math.log(10**6)
     assert -1.4 < drift < 0.0
 
 
-def test_alpha_examples(sieve_10k):
-    a = sieve.alpha_coefficients(sieve_10k, 10, 10)
+def test_alpha_examples():
+    a = sieve.alpha_coefficients(10, 10)
     assert a.values[1] == 0.0
     assert a.values[2] == pytest.approx(math.log(2), rel=1e-14)
     assert a.values[4] == pytest.approx(0.0, abs=1e-14)
@@ -144,16 +156,16 @@ def test_alpha_examples(sieve_10k):
 
 def test_alpha_identity_below_xi(sieve_10k):
     xi = 8000
-    a = sieve.alpha_coefficients(sieve_10k, xi, xi)
+    a = sieve.alpha_coefficients(xi, xi)
     ns = np.arange(2, xi + 1)
-    ref = -sieve_10k.mobius[ns] * np.log(ns)
+    ref = -sieve_10k[ns] * np.log(ns)
     scale = np.log(ns)
     assert np.max(np.abs(a.values[ns] - ref) / scale) < 1e-12
 
 
-def test_alpha_trivial_bound(sieve_10k):
+def test_alpha_trivial_bound():
     # the constrained convolution never exceeds log n, any xi
-    a = sieve.alpha_coefficients(sieve_10k, 50, 5000)
+    a = sieve.alpha_coefficients(50, 5000)
     ns = np.arange(2, 5001)
     assert np.all(np.abs(a.values[ns]) <= np.log(ns) * (1 + 1e-12))
 
@@ -172,9 +184,8 @@ def test_alpha_mobius_sum_main_term():
 
 def test_determinism(sieve_10k):
     other = sieve.build_sieve(10**4)
-    assert np.array_equal(other.mobius, sieve_10k.mobius)
-    assert np.array_equal(other.primes, sieve_10k.primes)
-    assert _mangoldt_column(other).tobytes() == _mangoldt_column(sieve_10k).tobytes()
+    assert other.dtype == np.int8 and not other.flags.writeable
+    assert other.tobytes() == sieve_10k.tobytes()
 
 
 def test_cache_roundtrip(tmp_path, sieve_10k, sieve_container):
@@ -186,10 +197,8 @@ def test_cache_roundtrip(tmp_path, sieve_10k, sieve_container):
     assert path.read_bytes().startswith(head)
     assert path.stat().st_size == len(head) + 9 + 8 * 1229 + 10**4 + 1
     loaded = sieve.load_sieve(path, 10**4)
-    assert np.array_equal(loaded.mobius, sieve_10k.mobius)
-    assert loaded.primes.dtype == np.int64
-    assert np.array_equal(loaded.primes, sieve_10k.primes)
-    assert _mangoldt_column(loaded).tobytes() == _mangoldt_column(sieve_10k).tobytes()
+    assert loaded.dtype == np.int8 and not loaded.flags.writeable
+    assert loaded.tobytes() == sieve_10k.tobytes()
     with pytest.raises(ValidationError, match="limit"):
         sieve.load_sieve(path, 10**5)
     bad = tmp_path / "bad.bin"
@@ -230,56 +239,53 @@ def _loop_sieve(limit):
     return mobius, mangoldt, primes
 
 
-def _mangoldt_column(table):
-    """sieve.mangoldt at every n <= limit, as the dense column the table
+def _mangoldt_column(limit):
+    """sieve.mangoldt at every n <= limit, as the dense column the sieve
     used to hold."""
-    return np.array([sieve.mangoldt(table, n) for n in range(table.limit + 1)])
+    return np.array([sieve.mangoldt(n) for n in range(limit + 1)])
 
 
-def _loop_alpha(table, xi, n_max):
-    """alpha_n by one progression n = k*l per prime power k."""
+def _loop_alpha(mobius, xi, n_max):
+    """alpha_n by one progression n = k*l per prime power k, with mu(n) =
+    mobius[n] for n <= xi."""
     values = np.zeros(n_max + 1, dtype=np.float64)
-    for p in table.primes:
-        p = int(p)
-        if p > n_max:
-            break
+    for p in sympy.primerange(2, n_max + 1):
         lp = math.log(p)
         k = p
         while k <= n_max:
             n_l = min(xi, n_max // k)
-            values[k:: k][:n_l] += lp * table.mobius[1: n_l + 1]
+            values[k:: k][:n_l] += lp * mobius[1: n_l + 1]
             k *= p
     return values
 
 
 def test_build_matches_per_prime_loop():
     limit = 10**5
-    table = sieve.build_sieve(limit)
+    got = sieve.build_sieve(limit)
     mobius, mangoldt, primes = _loop_sieve(limit)
-    assert table.mobius.dtype == mobius.dtype and np.array_equal(table.mobius, mobius)
-    assert _mangoldt_column(table).tobytes() == mangoldt.tobytes()
-    assert table.primes.dtype == primes.dtype and np.array_equal(table.primes, primes)
+    assert got.dtype == mobius.dtype and np.array_equal(got, mobius)
+    assert _mangoldt_column(limit).tobytes() == mangoldt.tobytes()
+    assert np.array_equal(sieve._primes_upto(limit), primes)
     # n with one prime factor above sqrt(N) = 316, where only the radical
     # comparison sets the last sign
     big = sympy.prevprime(limit // 6)
     for n, want in ((big, -1), (2 * big, 1), (6 * big, -1), (4 * big, 0), (317 * 313, 1)):
-        assert table.mobius[n] == want, n
-    assert table.primes[-1] == sympy.prevprime(limit + 1)
+        assert got[n] == want, n
+    assert sieve._primes_upto(limit)[-1] == sympy.prevprime(limit + 1)
 
 
 @pytest.mark.parametrize("limit", [2, 3, 4, 24, 25, 26, 121, 65537, 65536 + 317])
 def test_build_matches_per_prime_loop_at_edges(limit):
     # squares of primes at the limit and limits either side of a SEGMENT
-    table = sieve.build_sieve(limit)
     mobius, mangoldt, primes = _loop_sieve(limit)
-    assert np.array_equal(table.mobius, mobius)
-    assert _mangoldt_column(table).tobytes() == mangoldt.tobytes()
-    assert np.array_equal(table.primes, primes)
+    assert np.array_equal(sieve.build_sieve(limit), mobius)
+    assert _mangoldt_column(limit).tobytes() == mangoldt.tobytes()
+    assert np.array_equal(sieve._primes_upto(limit), primes)
 
 
 @pytest.mark.parametrize("xi,n_max", [(10, 10), (50, 5000), (8000, 8000), (70, 10**4)])
 def test_alpha_matches_per_prime_loop(sieve_10k, xi, n_max):
-    got = sieve.alpha_coefficients(sieve_10k, xi, n_max).values
+    got = sieve.alpha_coefficients(xi, n_max).values
     want = _loop_alpha(sieve_10k, xi, n_max)
     assert got.tobytes() == want.tobytes()
     # prime-power rows collect terms from several k
@@ -287,12 +293,12 @@ def test_alpha_matches_per_prime_loop(sieve_10k, xi, n_max):
     assert powers and np.array_equal(got[powers], want[powers])
 
 
-def test_alpha_logs_from_math_log(sieve_1e6):
+def test_alpha_logs_from_math_log():
     # with xi = 1 each alpha_k is Lambda(k) * mu(1); np.log differs from
     # math.log in the last bit at a few primes below 1e6 (285343, ...)
-    a = sieve.alpha_coefficients(sieve_1e6, 1, 10**6).values
+    a = sieve.alpha_coefficients(1, 10**6).values
     ks, want = [], []
-    for p in sieve_1e6.primes.tolist():
+    for p in sieve._primes_upto(10**6).tolist():
         k = p
         while k <= 10**6:
             ks.append(k)
@@ -302,15 +308,18 @@ def test_alpha_logs_from_math_log(sieve_1e6):
     assert np.count_nonzero(a) == len(ks)
 
 
-def test_alpha_without_primes(sieve_10k):
-    assert sieve.alpha_coefficients(sieve_10k, 1, 1).values.tolist() == [0.0, 0.0]
+def test_alpha_without_primes():
+    assert sieve.alpha_coefficients(1, 1).values.tolist() == [0.0, 0.0]
+    for xi, n_max in ((0, 10), (10, 0), (sieve.MEMORY_CAP + 1, 10)):
+        with pytest.raises(InputError, match="outside range"):
+            sieve.alpha_coefficients(xi, n_max)
 
 
 def test_squarefree_harmonics_grid(sieve_10k):
     xis = [9999, 10, 1, 5000, 10, 2, 10**4, 1, 4097]
     got = sieve.squarefree_harmonics(xis)
     for xi, value in zip(xis, got):
-        ns = [n for n in range(1, xi + 1) if sieve_10k.mobius[n]]
+        ns = [n for n in range(1, xi + 1) if sieve_10k[n]]
         assert value == math.fsum(1.0 / n for n in ns), xi
     assert got[1] == got[4] and got[2] == got[7]
     assert sieve.squarefree_harmonics([]) == []
@@ -323,8 +332,8 @@ def test_squarefree_harmonics_grid(sieve_10k):
 def test_alpha_mobius_sum_matches_one_fsum(sieve_10k):
     xi = 10**4
     alpha = _loop_alpha(sieve_10k, xi, xi)
-    ns = np.nonzero(sieve_10k.mobius[1: xi + 1])[0] + 1
-    want = math.fsum(alpha[ns] * sieve_10k.mobius[ns] / ns)
+    ns = np.nonzero(sieve_10k[1: xi + 1])[0] + 1
+    want = math.fsum(alpha[ns] * sieve_10k[ns] / ns)
     assert sieve.alpha_mobius_sum(xi).value == want
 
 
@@ -335,18 +344,18 @@ def sieve_131073():
 
 @pytest.mark.parametrize("xi", [1, 2, 3, 4, 65535, 65536, 65537, 131073])
 def test_alpha_mobius_sum_matches_per_prime_loop(sieve_131073, xi):
-    # stretch ends, square roots 1 and 2, and the table's own limit
+    # stretch ends, square roots 1 and 2, and the sieve's own limit
     alpha = _loop_alpha(sieve_131073, xi, xi)
-    ns = np.nonzero(sieve_131073.mobius[1: xi + 1])[0] + 1
-    want = math.fsum(alpha[ns] * sieve_131073.mobius[ns] / ns)
+    ns = np.nonzero(sieve_131073[1: xi + 1])[0] + 1
+    want = math.fsum(alpha[ns] * sieve_131073[ns] / ns)
     assert sieve.alpha_mobius_sum(xi).value == want
 
 
 def test_alpha_mobius_sum_matches_alpha_coefficients(sieve_1e6):
     xi = 10**6
-    alpha = sieve.alpha_coefficients(sieve_1e6, xi, xi).values
-    ns = np.nonzero(sieve_1e6.mobius[1: xi + 1])[0] + 1
-    want = alpha[ns] * sieve_1e6.mobius[ns] / ns
+    alpha = sieve.alpha_coefficients(xi, xi).values
+    ns = np.nonzero(sieve_1e6[1: xi + 1])[0] + 1
+    want = alpha[ns] * sieve_1e6[ns] / ns
     assert sieve.alpha_mobius_sum(xi).value == math.fsum(want)
 
 
@@ -393,27 +402,27 @@ def test_squarefree_matches_the_table(sieve_1e6, hi):
         assert all(p.dtype == np.int64 and np.all(p[-1:] - p[:1] < sieve.SEGMENT)
                    for p in parts)
         got = np.concatenate([np.zeros(0, np.int64), *parts])
-        assert np.array_equal(got, np.flatnonzero(sieve_1e6.mobius[lo: hi + 1]) + lo), lo
+        assert np.array_equal(got, np.flatnonzero(sieve_1e6[lo: hi + 1]) + lo), lo
 
 
 def test_build_memory_peak():
     # The build holds mobius and the int32 radical (1 + 4 bytes per entry)
-    # and at most three int64-sized arrays of the primes; no dense Lambda
-    # column is built.
+    # and one SEGMENT's temporaries (0.6 MB); no list of the primes above
+    # sqrt(N) (0.6 MB at 1e6) and no dense Lambda column is built.
     import tracemalloc
 
     limit = 10**6
     sieve.build_sieve(1000)
     tracemalloc.start()
     try:
-        table = sieve.build_sieve(limit)
+        sieve.build_sieve(limit)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * (limit + 1) + 24 * len(table.primes)
+    assert peak < 5 * (limit + 1) + 2**20
 
 
-def test_load_memory_peak(tmp_path, sieve_1e7, sieve_container):
+def test_load_memory_peak(tmp_path, sieve_container):
     # The load holds the payload (15.3 MB at 1e7) and checks the primes
     # with temporaries of a few bytes per prime and one SEGMENT slice: 1.3
     # MB above it.  A float copy of the whole prime list and one int64
@@ -421,14 +430,15 @@ def test_load_memory_peak(tmp_path, sieve_1e7, sieve_container):
     import tracemalloc
 
     path = tmp_path / "sieve.bin"
-    path.write_bytes(sieve_container(sieve_1e7))
+    mobius = sieve.build_sieve(10**7)
+    path.write_bytes(sieve_container(mobius))
     tracemalloc.start()
     try:
-        table = sieve.load_sieve(path, 10**7)
+        loaded = sieve.load_sieve(path, 10**7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(table.primes, sieve_1e7.primes)
+    assert np.array_equal(loaded, mobius)
     assert peak < path.stat().st_size + 2 * 2**20
 
 
