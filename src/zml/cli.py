@@ -53,7 +53,7 @@ class RunConfig:
     t_max: float = 1000.0
     theta: float = 0.5
     theta_sweep: tuple | None = None
-    sieve_limit: int = 10**6
+    sieve_limit: int = 10**6     # report only: top of the neg4 grid, sig1's xi up to 10^6
     cache_dir: Path = Path(".zml-cache")
     out_dir: Path = Path("zml-out")
     seed: int = 42
@@ -71,22 +71,14 @@ class RunConfig:
             raise InputError("every x must be finite and > 1")
         _check_file_tags("x", self.x_values)
         _check_file_tags("theta", self.theta_sweep or ())
-        for n in _integral_xs(self.x_values):
-            if n > self.sieve_limit:
-                raise InputError(f"x = {n:g} lies above sieve_limit = {self.sieve_limit}")
+        for x in self.x_values:     # refuses an integral x above sieve.MEMORY_CAP
+            sieve.mangoldt(x)
         if self.trials < 1:
             raise InputError("trials must be >= 1")
         if self.trials > MAX_TRIALS:
             raise InputError(f"trials must be <= {MAX_TRIALS}")
         if self.seed < 0:
             raise InputError("seed must be >= 0")
-
-
-def _integral_xs(xs) -> list:
-    """The integer within 1e-9 of each x of xs that has one, in order: the
-    n that sieve.mangoldt factors (any other x has Lambda(x) = 0), which
-    --sieve-limit bounds."""
-    return [round(x) for x in xs if abs(x - round(x)) <= 1e-9]
 
 
 def _check_file_tags(name: str, values) -> None:
@@ -226,15 +218,6 @@ def _load_or_scan_zeros(cfg: RunConfig, build: bool = True) -> zeros.ZeroList:
     return zlist
 
 
-def _check_sieve_reach(cfg: RunConfig, T: float, thetas) -> None:
-    """Refuse, before any sieve or output, a mollifier length xi at T and
-    the largest theta above --sieve-limit."""
-    theta = max(thetas)
-    if (xi := moments.MollifierParams.from_theta(theta, T).xi) > cfg.sieve_limit:
-        raise InputError(f"xi = {xi} at T = {T:g}, theta = {theta:g} exceeds "
-                         f"sieve limit {cfg.sieve_limit}")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -271,14 +254,10 @@ def _midgap_grid(cfg: RunConfig, zlist: zeros.ZeroList) -> list:
 
 def cmd_moments(cfg: RunConfig) -> int:
     thetas = list(cfg.theta_sweep) if cfg.theta_sweep else [cfg.theta]
-    sweep = [cfg.t_max] if cfg.theta_sweep else []
-    # at the requested Ts before a scan, then at the mid-gap Ts used
-    _check_sieve_reach(cfg, max(_moment_grid(cfg) + sweep), thetas)
     zlist = _load_or_scan_zeros(cfg)
     grid = list(zip(_moment_grid(cfg), _midgap_grid(cfg, zlist)))
-    sweep = [zeros.snap_to_midgap(zlist, T) for T in sweep]
+    sweep = [zeros.snap_to_midgap(zlist, cfg.t_max)] if cfg.theta_sweep else []
     Ts = [T for _, T in grid] + sweep
-    _check_sieve_reach(cfg, max(Ts), thetas)
     points = list(dict.fromkeys((th, T) for T in Ts for th in thetas))
     reports = dict(zip(points, _store.get_many(
         zlist, "moment", points, lambda ps: moments.moment_grid(zlist, ps))))
@@ -410,7 +389,6 @@ def _report_eq1(cfg, zlist, T_top):
 def cmd_report(cfg: RunConfig) -> int:
     zlist = _load_or_scan_zeros(cfg, build=False)
     T_m = zeros.snap_to_midgap(zlist, min(5000.0, cfg.t_max))
-    _check_sieve_reach(cfg, T_m, [cfg.theta])
     check = zeros.zero_count_check(zlist, cfg.t_max)
     hard_ok = bool(check)
     plots = cfg.out_dir / "plots"

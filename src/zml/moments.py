@@ -149,12 +149,14 @@ def _guard_simplicity(zlist: ZeroList, n: int) -> None:
 def j_moments(zlist: ZeroList, k: float, Ts) -> list:
     """J_{-k}(T) = sum_{0<gamma<=T} |zeta'(rho)|^(-2k) at every T of Ts (any
     order, repeats allowed), from one pass over the zeros (_prefix_fsums):
-    each is bit-identical to one math.fsum over its own window."""
+    each is bit-identical to one math.fsum over its own window.  The
+    largest window passes the simplicity guard, or SimplicityError."""
     if k <= 0:
         raise InputError("k must be positive")
     _require_certified(zlist)
     ns = [_check_window(zlist, T) for T in Ts]
-    terms = zlist.zeta_prime_mods[: max(ns, default=0), None] ** (-2.0 * k)
+    _guard_simplicity(zlist, top := max(ns, default=0))
+    terms = zlist.zeta_prime_mods[:top, None] ** (-2.0 * k)
     return [j for j, in _prefix_fsums(terms, ns)]
 
 

@@ -94,11 +94,15 @@ def _mobius_upto(n: int, name: str) -> np.ndarray:
 def mangoldt(x: float) -> float:
     """Lambda(x): np.log(p) when x is, to 1e-9, an integer n = p^k, and
     zero otherwise.  p is the least prime <= sqrt(n) dividing n, found by
-    trial division, or n itself when there is none."""
+    trial division, or n itself when there is none.  InputError for an x
+    that is not finite or is an integer above MEMORY_CAP."""
+    if not math.isfinite(x):
+        raise InputError(f"x = {x} is not finite")
     n = round(x)
     if abs(x - n) > 1e-9 or n < 2:
         return 0.0
-    _in_range(n, "x")
+    if n > MEMORY_CAP:
+        raise InputError(f"x = {x} outside range 1..{MEMORY_CAP}")
     small = _primes_upto(math.isqrt(n))
     divisors = small[n % small == 0]
     p = int(divisors[0]) if len(divisors) else n

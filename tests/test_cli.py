@@ -3,7 +3,6 @@ import itertools
 import json
 import math
 import os
-import re
 import runpy
 import subprocess
 import sys
@@ -13,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from zml import cli, moments, sieve, store, zeros
-from zml.errors import InputError, ValidationError
+from zml.errors import ValidationError
 
 import oracle_values as ov
 
@@ -229,7 +228,7 @@ class TestZerosCommand:
         assert run_cli(tmp_path, "zeros", "--t-max", t_max) == 0
         assert (cache.stat().st_ino, cache.stat().st_mtime_ns) == stamp
         inside = float(t_max) > ov.ZERO_ORDINATES[0]
-        for command in ("landau", "report"):
+        for command in ("moments", "landau", "report"):
             capsys.readouterr()
             rc = run_cli(tmp_path, command, "--t-max", t_max, "--sieve-limit", "5000",
                          "--trials", "10")
@@ -295,22 +294,6 @@ class TestMomentsCommand:
             assert row["j_minus_1"] == rep.j_minus_1
             assert row["cauchy_lb"] == rep.cauchy_lb
             assert row["cauchy_ok"]
-
-    def test_sweep_row_beyond_sieve_limit(self, tmp_path, capsys):
-        # xi(0.9, 2500) = 1143 > 1000, while every gridpoint fits the sieve:
-        # refused before the sieve is built or any output is written
-        assert run_cli(tmp_path, "zeros", "--t-max", "2500") == 0
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        capsys.readouterr()
-        rc = run_cli(
-            tmp_path, "moments", "--t-max", "2500", "--theta-sweep", "0.3:0.9:0.6",
-            "--sieve-limit", "1000",
-        )
-        assert rc == 1
-        assert re.fullmatch(r"error: xi = 1143 at T = [0-9.]+, theta = 0.9 exceeds "
-                            r"sieve limit 1000\n", capsys.readouterr().err)
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
-        assert not (tmp_path / "out").exists()
 
     def test_mollifier_of_length_one(self, tmp_path):
         # theta = 0.01 gives xi = 1, below build_sieve's minimum limit 2
@@ -698,34 +681,13 @@ class TestConfig:
         ("landau", "--x", "2,0.5"), ("landau", "--x", "1"), ("report", "--x", "3,-2"),
         ("moments", "--sieve-limit", "1"), ("landau", "--sieve-limit", "-5"),
         ("moments", "--sieve-limit", str(sieve.MEMORY_CAP + 1)),
-        ("landau", "--x", "2000000"), ("landau", "--x", "1e300")])
+        ("landau", "--x", "100000001"), ("landau", "--x", "1e300")])
     def test_bad_x_or_sieve_limit_rejected_before_any_work(self, tmp_path, capsys,
                                                             command, flag, value):
         assert run_cli(tmp_path, command, "--t-max", "3000", flag, value) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert list(tmp_path.rglob("*")) == []
-
-    @pytest.mark.parametrize("command, t_max, limit, sweep, xi, theta", [
-        ("report", "1000", "20", None, 31, "0.5"),
-        ("moments", "1000", "20", None, 31, "0.5"),
-        ("moments", "3000", "1000", "0.3:0.9:0.6", 1347, "0.9"),
-        # 195.3^0.5 = 13.97, but T snaps to 196.07 and xi to 14
-        ("report", "195.3", "13", None, 14, "0.5"),
-        ("moments", "195.3", "13", None, 14, "0.5")],
-        ids=["report", "moments", "moments sweep", "report at mid-gap", "moments at mid-gap"])
-    def test_sieve_limit_below_xi_rejected_before_any_work(self, tmp_path, capsys, command,
-                                                           t_max, limit, sweep, xi, theta):
-        # refused before the sieve is built or any output is written
-        assert run_cli(tmp_path, "zeros", "--t-max", t_max) == 0
-        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-        capsys.readouterr()
-        argv = ["--t-max", t_max, "--sieve-limit", limit, "--x", "2"]
-        assert run_cli(tmp_path, command, *argv, *(["--theta-sweep", sweep] if sweep else [])) == 1
-        assert re.fullmatch(rf"error: xi = {xi} at T = [0-9.]+, theta = {theta} exceeds "
-                            rf"sieve limit {limit}\n", capsys.readouterr().err)
-        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, flag, value, message", [
         ("landau", "--x", "2,2.0000001", "x = 2.0 and x = 2.0000001 would write the same "
@@ -749,11 +711,15 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("x, message", [
-        ("2000000", "x = 2e+06 lies above sieve_limit = 100000"),
-        ("1e300", "x = 1e+300 lies above sieve_limit = 100000"),
-        ("100001.0000000001", "x = 100001 lies above sieve_limit = 100000")])
-    def test_x_above_sieve_limit_named(self, tmp_path, capsys, x, message):
-        # --sieve-limit bounds the integral x, before the zero scan
+        ("1e300", "x = 1e+300 outside range 1..100000000"),
+        ("100000001", "x = 100000001.0 outside range 1..100000000"),
+        ("2000000", None), ("100001.0000000001", None)])
+    def test_x_domain_named(self, tmp_path, capsys, x, message):
+        # Lambda(x) is found by trial division whatever --sieve-limit; an
+        # integral x above sieve.MEMORY_CAP is refused before the zero scan
+        if message is None:
+            assert cli.RunConfig(sieve_limit=100000, x_values=(float(x),)).x_values
+            return
         args = ("landau", "--t-max", "3000", "--sieve-limit", "100000", "--x", x)
         assert run_cli(tmp_path, *args) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -806,13 +772,35 @@ class TestConfig:
         # mangoldt gives 0 away from the integers, at any height
         assert cli.RunConfig(x_values=(2000000.5,)).x_values == (2000000.5,)
         assert cli.RunConfig(sieve_limit=100, x_values=(100.0,)).sieve_limit == 100
-        with pytest.raises(InputError, match="x = 3 lies above sieve_limit = 2"):
-            cli.RunConfig(sieve_limit=2)
 
     def test_sieve_limit_range_ends_accepted(self):
-        # the default x values reach 6, so limit 2 needs x = 2 alone
-        assert cli.RunConfig(sieve_limit=2, x_values=(2.0,)).sieve_limit == 2
+        # the limit bounds only the report's neg4 grid and sig1's xi, not x
+        assert cli.RunConfig(sieve_limit=2).sieve_limit == 2
         assert cli.RunConfig(sieve_limit=sieve.MEMORY_CAP).sieve_limit == sieve.MEMORY_CAP
+
+    def test_sieve_limit_sizes_only_the_report_sums(self, tmp_path):
+        # the mollifier sieves mu up to its own xi and Lambda(x) comes from
+        # trial division, so only report's neg4 and sig1 read the limit
+        assert run_cli(tmp_path, "zeros", "--t-max", "300") == 0
+        for limit in ("2", "1000000"):
+            cli._store.clear()
+            for step in (["moments", "--theta-sweep", "0.3:0.9:0.2"],
+                         ["landau", "--x", "2,3,4,5,6,2000000"], ["report", "--trials", "25"]):
+                assert cli.main([*step, "--t-max", "300", "--sieve-limit", limit,
+                                 "--cache-dir", str(tmp_path / "cache"),
+                                 "--out-dir", str(tmp_path / limit)]) == 0
+        small, large = tmp_path / "2", tmp_path / "1000000"
+        names = sorted(p.name for p in large.glob("*")
+                       if p.name.startswith(("moments_", "theta_sweep", "landau_")))
+        assert len(names) == 4 + 1 + 1 + 2 * 6
+        assert sorted(p.name for p in small.glob("*") if p.name != "report.json"
+                      and p.is_file()) == names
+        for name in names:
+            assert (small / name).read_bytes() == (large / name).read_bytes(), name
+        a, b = (json.loads((d / "report.json").read_text()) for d in (small, large))
+        assert a.keys() == b.keys()
+        assert {k for k in a if a[k] != b[k]} == {"config", "neg4", "sig1"}
+        assert {**a["config"], "sieve_limit": 1000000} == b["config"]
 
     def test_rs_order_flag_removed(self, capsys):
         # Riemann-Siegel orders below 4 and Z' steps other than

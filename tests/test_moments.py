@@ -69,6 +69,17 @@ class TestJMoment:
         with pytest.raises(InputError, match="t_max"):
             moments.j_moment(zeros_110, 1.0, 500.0)
 
+    def test_simplicity_guard(self, zeros_110):
+        # the largest window is guarded, as moment_grid guards each of its
+        # windows; one that ends before the tampered zero sums as before
+        tampered = _tampered(zeros_110, 3)
+        g = tampered.ordinates[3]
+        before = 0.5 * (tampered.ordinates[2] + g)
+        with pytest.raises(SimplicityError, match=f"at gamma = {g:.9f};"):
+            moments.j_moments(tampered, 1.0, [before, 50.0])
+        assert moments.j_moments(tampered, 1.0, [before]) == moments.j_moments(
+            zeros_110, 1.0, [before])
+
     def test_batch_equals_one_fsum_per_window(self, zeros_1010):
         # unsorted and repeated T, one below the first zero (an empty window)
         Ts = [zeros.snap_to_midgap(zeros_1010, t) for t in (900.0, 100.0, 500.0, 900.0)] + [12.0]

@@ -28,6 +28,9 @@ def test_mangoldt_examples():
     assert sieve.mangoldt(sieve.MEMORY_CAP + 0.5) == 0.0
     with pytest.raises(InputError, match=f"x = {sieve.MEMORY_CAP + 1} outside range"):
         sieve.mangoldt(sieve.MEMORY_CAP + 1)
+    for x in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError, match=f"x = {x} is not finite"):
+            sieve.mangoldt(x)
 
 
 def test_mangoldt_up_to_the_memory_cap():
