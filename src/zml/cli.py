@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
 import json
 import math
 import os
 import sys
 import time
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -120,7 +120,7 @@ def _plot_text(xs, ys) -> str:
 
 def _zero_cache_path(cfg: RunConfig) -> Path:
     key = f"v{ZERO_CACHE_VERSION}|{cfg.t_max!r}"
-    digest = hashlib.sha256(key.encode()).hexdigest()[:10]
+    digest = f"{zlib.crc32(key.encode()):08x}"
     return cfg.cache_dir / f"zeros_t{cfg.t_max:g}_{digest}.txt"
 
 
@@ -252,7 +252,17 @@ def _midgap_grid(cfg: RunConfig, zlist: zeros.ZeroList) -> list:
     return [zeros.snap_to_midgap(zlist, T) for T in _moment_grid(cfg)]
 
 
+def _check_zero_below_t_max(cfg: RunConfig) -> None:
+    """Refuse, before any scan, a t_max that lies below every computed
+    ordinate: the sums end at a mid-gap point below t_max, and there is none
+    (snap_to_midgap refuses the rest of such runs)."""
+    if cfg.t_max < zeros.FIRST_ORDINATE - zeros.ORDINATE_ERR_BOUND:
+        raise InputError(f"t_max = {cfg.t_max:g} lies below the first zero ordinate "
+                         f"{zeros.FIRST_ORDINATE:.6f}; this step needs a zero below t_max")
+
+
 def cmd_moments(cfg: RunConfig) -> int:
+    _check_zero_below_t_max(cfg)
     thetas = list(cfg.theta_sweep) if cfg.theta_sweep else [cfg.theta]
     zlist = _load_or_scan_zeros(cfg)
     grid = list(zip(_moment_grid(cfg), _midgap_grid(cfg, zlist)))
@@ -349,6 +359,7 @@ def cmd_mv_check(cfg: RunConfig) -> int:
 
 
 def cmd_landau(cfg: RunConfig) -> int:
+    _check_zero_below_t_max(cfg)
     zlist = _load_or_scan_zeros(cfg)
     T = zeros.snap_to_midgap(zlist, cfg.t_max)
     t_grid = _midgap_grid(cfg, zlist)
@@ -387,6 +398,7 @@ def _report_eq1(cfg, zlist, T_top):
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    _check_zero_below_t_max(cfg)
     zlist = _load_or_scan_zeros(cfg, build=False)
     T_m = zeros.snap_to_midgap(zlist, min(5000.0, cfg.t_max))
     check = zeros.zero_count_check(zlist, cfg.t_max)

@@ -55,6 +55,7 @@ NARROW_CHUNK = 4096           # brackets narrowed at once, to bound the working 
 # strictly inside its ordinate range (the zero above 1e5 closes the gap).
 SCAN_MARGIN = 5.0
 EXPORT_CHUNK = 4096           # zeros formatted and written at a time
+FIRST_ORDINATE = 14.134725141734695   # gamma_1 = 14.13472514173469379...
 _NON_SEPARATORS = bytes(range(33, 256))
 
 
@@ -111,6 +112,11 @@ class ZeroList:
         return int(np.searchsorted(self.ordinates, T, side="right"))
 
 
+def _slices(n: int, size: int) -> list:
+    """The slices that cut range(n) into pieces of `size` items (the last may be shorter)."""
+    return [slice(lo, lo + size) for lo in range(0, n, size)]
+
+
 # ---------------------------------------------------------------------------
 # Gram points
 # ---------------------------------------------------------------------------
@@ -122,19 +128,31 @@ def gram_points_many(ks: np.ndarray) -> np.ndarray:
 
     Stops when every residual is <= 1e-10 or, after 50 steps, when the last
     step moved no point by more than 4 ulp (the double-precision floor of
-    theta near t = 1e5 lies above 1e-10).
+    theta near t = 1e5 lies above 1e-10).  The seeds, residuals and steps
+    are computed zeta.Z_BLOCK points at a time, into g and one step array:
+    each is elementwise, so the blocks give the bits of whole-batch
+    arithmetic, and no other working array grows with the batch.
     """
-    ks = np.asarray(ks, dtype=float)
-    target = ks * math.pi
-    g = 2.0 * math.pi * np.exp(1.0 + _special.lambertw0((8.0 * ks + 1.0) / (8.0 * math.e)))
+    ks = np.asarray(ks, dtype=float).ravel()
+    blocks = _slices(ks.size, zeta.Z_BLOCK)
+    g = np.empty(ks.size)
+    for part in blocks:
+        g[part] = _special.lambertw0((8.0 * ks[part] + 1.0) / (8.0 * math.e))
+    g += 1.0
+    np.exp(g, out=g)
+    g *= 2.0 * math.pi
+    step = np.empty(ks.size)
     for _ in range(50):
-        resid = zeta.rs_theta_many(g) - target
-        if np.all(np.abs(resid) <= 1e-10):
+        converged = True
+        for part in blocks:         # the residuals first: the stop rule is batch-wide
+            step[part] = zeta.rs_theta_many(g[part]) - ks[part] * math.pi
+            converged &= bool(np.all(np.abs(step[part]) <= 1e-10))
+        if converged:
             return g
-        slope = 0.5 * np.log(g / (2.0 * math.pi))
-        step = resid / slope
-        g = g - step
-    if np.all(np.abs(step) <= 4.0 * np.spacing(g)):
+        for part in blocks:         # residual / slope, slope = theta'(g)
+            step[part] /= 0.5 * np.log(g[part] / (2.0 * math.pi))
+        g -= step
+    if all(np.all(np.abs(step[part]) <= 4.0 * np.spacing(g[part])) for part in blocks):
         return g
     raise NumericsError("Gram-point Newton iteration failed to converge")
 
@@ -163,40 +181,69 @@ def _block_brackets(good_idx, gs, zs):
     hold m = good_idx[i + 1] - good_idx[i] sign changes.  At depth d every
     Gram interval of each pending block is cut into 2^d slices at the
     linspace points; blocks that show m sign changes are done, the rest
-    go one depth deeper.  Depth 0 needs no evaluation; each deeper level
-    makes one hardy_z_many call for all pending blocks, up to
-    MAX_SUBDIV_DEPTH.  Brackets come back in ascending order.
+    go one depth deeper.  Depth 0 takes the Gram intervals themselves, with
+    the values at their ends, and makes no evaluation; each deeper level
+    makes one hardy_z_many call for the blocks still pending (_subdivide),
+    up to MAX_SUBDIV_DEPTH.  Brackets come back in ascending order: the
+    deeper ones, sorted, are inserted among those of depth 0, and the four
+    columns are read from gs and zs once each.
     """
+    first, last = good_idx[0], good_idx[-1]
+    flips = zs[first:last] * zs[first + 1:last + 1] < 0.0
     m = np.diff(good_idx)
-    owner = np.repeat(np.arange(len(m)), m)       # the block of each Gram interval
-    intervals = np.arange(good_idx[0], good_idx[-1])
+    pending = np.add.reduceat(flips, good_idx[:-1] - first, dtype=np.int64) < m
+    deeper = np.repeat(pending, m)          # the Gram intervals of pending blocks
+    flips &= ~deeper                        # those taken at depth 0
+    deep_iv, *deep = _subdivide(np.flatnonzero(deeper) + first, m[pending], gs, zs)
+    del m, pending, deeper
+    src = np.flatnonzero(flips) + first     # the Gram interval of each bracket
+    del flips
+    at = np.searchsorted(src, deep_iv)
+    src = np.insert(src, at, 0)
+    at += np.arange(len(at))                # the deeper brackets' places
+    brackets = tuple(col[src] for col in (gs, gs[1:], zs, zs[1:]))
+    for col, piece in zip(brackets, deep):
+        col[at] = piece
+    return brackets
+
+
+def _subdivide(intervals, m, gs, zs):
+    """(Gram interval, low, high, Z at low, Z at high) of the brackets of the
+    blocks that depth 0 left pending, in ascending order: the blocks of m
+    sign changes each whose Gram intervals are listed in `intervals`."""
+    owner = np.repeat(np.arange(len(m)), m)
     pending = np.ones(len(m), dtype=bool)
-    found = []
-    for depth in range(MAX_SUBDIV_DEPTH + 1):
+    found = [(np.empty(0, dtype=intervals.dtype), *[np.empty(0)] * 4)]
+    for depth in range(1, MAX_SUBDIV_DEPTH + 1):
+        if not pending.any():
+            break
         n_sub = 2 ** depth
         live = pending[owner]
         iv, block = intervals[live], owner[live]
         pts = np.linspace(gs[iv], gs[iv + 1], n_sub + 1, axis=1)[:, :-1]
         vals = np.empty(pts.shape)
         vals[:, 0] = zs[iv]
-        if n_sub > 1:
-            vals[:, 1:] = zeta.hardy_z_many(pts[:, 1:].ravel()).reshape(-1, n_sub - 1)
+        vals[:, 1:] = zeta.hardy_z_many(pts[:, 1:].ravel()).reshape(-1, n_sub - 1)
         nxt_pts = np.column_stack([pts[:, 1:], gs[iv + 1]])
         nxt_vals = np.column_stack([vals[:, 1:], zs[iv + 1]])
         flips = vals * nxt_vals < 0.0
         done = pending & (np.bincount(block, flips.sum(axis=1), minlength=len(m)) >= m)
         take = flips & done[block][:, None]
-        found.append((pts[take], nxt_pts[take], vals[take], nxt_vals[take]))
+        found.append((np.broadcast_to(iv[:, None], take.shape)[take],
+                      pts[take], nxt_pts[take], vals[take], nxt_vals[take]))
         pending &= ~done
-        if not pending.any():
-            order = np.argsort(np.concatenate([piece[0] for piece in found]))
-            return tuple(np.concatenate(c)[order] for c in zip(*found))
-    first = np.argmax(pending)
-    lo, hi = good_idx[first], good_idx[first + 1]
-    raise NumericsError(
-        f"Gram block [{gs[lo]:.6f}, {gs[hi]:.6f}] still holds "
-        f"{hi - lo} expected zeros after depth {MAX_SUBDIV_DEPTH}; possible close pair"
-    )
+    if pending.any():
+        stuck = np.argmax(pending)
+        lo = intervals[np.searchsorted(owner, stuck)]
+        hi = lo + m[stuck]
+        raise NumericsError(
+            f"Gram block [{gs[lo]:.6f}, {gs[hi]:.6f}] still holds "
+            f"{hi - lo} expected zeros after depth {MAX_SUBDIV_DEPTH}; possible close pair"
+        )
+    iv, *cols = (np.concatenate(c) for c in zip(*found))
+    del found
+    order = np.argsort(cols[0])
+    return tuple(c[order] for c in (iv, *cols))
 
 
 def _sign_bounds(lows, highs, f_lows, f_highs):
@@ -272,31 +319,38 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     visit the same midpoints and make the same decisions as plain bisection
     evaluating every midpoint: a skipped midpoint lies on the side of the
     bracket's single zero where Z keeps the sign of L (R), and there Z is
-    larger in size than its evaluation error.  The passes update the
-    brackets in place, in copies of lows and highs.
+    larger in size than its evaluation error.
+
+    The four float arrays are taken over, not copied: the passes halve the
+    brackets in lows and highs, and L and R overwrite f_lows and f_highs.
+    Each pass runs zeta.Z_BLOCK brackets at a time (_halve), so that only
+    those four arrays grow with the batch.
     """
-    a = np.array(lows, dtype=float)
-    b = np.array(highs, dtype=float)
-    f_lows = np.asarray(f_lows, dtype=float)
     fa_neg = f_lows < 0.0
-    f_highs = np.asarray(f_highs, dtype=float)
-    sure_lo, sure_hi = np.empty_like(a), np.empty_like(b)
-    for lo in range(0, a.size, NARROW_CHUNK):
-        part = slice(lo, lo + NARROW_CHUNK)
-        sure_lo[part], sure_hi[part] = _sign_bounds(a[part], b[part], f_lows[part], f_highs[part])
-    mid = np.empty_like(a)
+    for p in _slices(lows.size, NARROW_CHUNK):
+        f_lows[p], f_highs[p] = _sign_bounds(lows[p], highs[p], f_lows[p], f_highs[p])
+    parts = _slices(lows.size, zeta.Z_BLOCK)
     for _ in range(64):
-        if np.all(np.subtract(b, a, out=mid) <= REFINE_WIDTH):
+        if all(np.all(highs[p] - lows[p] <= REFINE_WIDTH) for p in parts):
             break
-        np.add(a, b, out=mid)
-        mid *= 0.5
-        goes_low = mid <= sure_lo
-        ask = ~goes_low & (mid < sure_hi)
-        if ask.any():
-            goes_low[ask] = (zeta.hardy_z_many(mid[ask]) < 0.0) == fa_neg[ask]
-        np.copyto(a, mid, where=goes_low)
-        np.copyto(b, mid, where=~goes_low)
-    return 0.5 * (a + b)
+        for p in parts:
+            _halve(lows[p], highs[p], f_lows[p], f_highs[p], fa_neg[p])
+    lows += highs
+    lows *= 0.5
+    return lows
+
+
+def _halve(a, b, sure_lo, sure_hi, fa_neg):
+    """One bisection pass over the brackets [a, b], in place: the midpoint
+    goes low at or below sure_lo, high at or above sure_hi, and by the sign
+    of Z there in between."""
+    mid = 0.5 * (a + b)
+    goes_low = mid <= sure_lo
+    ask = ~goes_low & (mid < sure_hi)
+    if ask.any():
+        goes_low[ask] = (zeta.hardy_z_many(mid[ask]) < 0.0) == fa_neg[ask]
+    np.copyto(a, mid, where=goes_low)
+    np.copyto(b, mid, where=~goes_low)
 
 
 def _build_records(gammas, t_max, certified) -> ZeroList:
@@ -347,8 +401,9 @@ def scan_and_refine(t_lo: float, t_hi: float) -> ZeroList:
     zs = zeta.hardy_z_many(gs)
     good_idx = np.nonzero(_good_mask(ks, zs))[0]
     expected = int(ks[good_idx[-1]] - ks[good_idx[0]])
+    del ks                          # each stage holds only what later ones read
     brackets = _block_brackets(good_idx, gs, zs)
-    del ks, gs, zs, good_idx        # each stage holds only what later ones read
+    del gs, zs, good_idx
 
     certified = len(brackets[0]) == expected
     if len(brackets[0]) == 0:

@@ -43,12 +43,10 @@ LOG_PI = math.log(math.pi)
 # off by at most 1.84e-9 (at t = 300, against 30-digit mpmath on [300, 400])
 RS_CROSSOVER = 300.0
 T_MAX = 1.0e5           # hard evaluation ceiling
-RS_CHUNK = 1_000_000    # Riemann-Siegel main-sum terms held at once
+RS_CHUNK = 2**16        # Riemann-Siegel main-sum terms held at once
 RS_SPLIT_TERMS = 2**14  # smaller Riemann-Siegel main sums run on one thread
 EM_CHUNK = 32_768       # Euler-Maclaurin main-sum terms held at once
-# Points evaluated at a time: a block's main sums fit in RS_CHUNK terms even
-# at m = floor(sqrt(T_MAX / 2pi)) = 126, so 7,936 points.
-Z_BLOCK = RS_CHUNK // math.isqrt(int(T_MAX / TWO_PI))
+Z_BLOCK = 7_936         # points evaluated at a time
 
 # Precision: fixed, so that every zero list and report is made at one accuracy
 RS_ORDER = 4            # Riemann-Siegel correction terms C_0..C_4
@@ -121,6 +119,7 @@ def _em_batch(ss: np.ndarray) -> np.ndarray:
         np.negative(terms, out=terms)
         np.exp(terms, out=terms)
         out.flat[lo:lo + chunk] = terms.sum(axis=1)
+        del terms                           # before the next chunk is made
 
     n = float(n_main)
     n_pow = np.exp(-ss * math.log(n))          # N^(-s)
@@ -224,6 +223,7 @@ def _rs_main_sum(out, part, ts, m, theta, logn, rsqrt, chunk_terms):
             np.cos(terms, out=terms)
             terms *= rsqrt[:k]
             out[idx] = 2.0 * terms.sum(axis=1)
+            del terms                       # before the next chunk is made
 
 
 def _z_rs_batch(ts: np.ndarray) -> np.ndarray:
@@ -238,9 +238,10 @@ def _z_rs_batch(ts: np.ndarray) -> np.ndarray:
     Points are sorted by m and cut into Z_THREADS contiguous parts of equal
     main-sum terms (one part below RS_SPLIT_TERMS terms).  The caller's
     thread sums part 0 while the pool sums the rest, in chunks of
-    RS_CHUNK // parts terms, so at most RS_CHUNK terms are held at once; numpy
-    releases the interpreter lock inside those kernels.  theta, the
-    correction series and every counter stay on the caller's thread.
+    RS_CHUNK // parts terms (or one point), so that at most RS_CHUNK terms
+    are held at once; numpy releases the interpreter lock inside those
+    kernels.  theta, the correction series and every counter stay on the
+    caller's thread.
     """
     ts = np.asarray(ts, dtype=float)
     a = np.sqrt(ts / TWO_PI)

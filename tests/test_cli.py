@@ -689,6 +689,17 @@ class TestConfig:
         assert len(err) == 1 and err[0].startswith("error: ")
         assert list(tmp_path.rglob("*")) == []
 
+    @pytest.mark.parametrize("command", ["moments", "landau", "report"])
+    def test_t_max_below_the_first_zero_rejected_before_any_work(self, tmp_path, capsys,
+                                                                 command):
+        # the sums end at a mid-gap point below t_max, and below gamma_1 there
+        # is none: no scan, no zero cache, no output
+        assert run_cli(tmp_path, command, "--t-max", "10") == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: t_max = 10 lies below the first zero ordinate 14.134725; "
+                       "this step needs a zero below t_max"]
+        assert list(tmp_path.rglob("*")) == []
+
     @pytest.mark.parametrize("command, flag, value, message", [
         ("landau", "--x", "2,2.0000001", "x = 2.0 and x = 2.0000001 would write the same "
          "files (x2)"),
@@ -886,19 +897,21 @@ def test_import_loads_no_scipy():
 
 
 def test_only_the_campaign_loads_numpy_random(tmp_path):
-    # numpy.random (about 2 MB of peak RSS) is imported by
-    # campaign_trials alone: not by importing zml.cli, nor by a zeros run
+    # numpy.random (5.3-5.5 MB of peak RSS with the OpenSSL it loads through
+    # secrets and hmac) is imported by campaign_trials alone: not by
+    # importing zml.cli, nor by a zeros run, and neither of those loads
+    # OpenSSL (_hashlib, 3.7 MB) on its own
     code = (
         "import sys, zml.cli\n"
-        "loaded = lambda: 'numpy.random' in sys.modules\n"
+        "loaded = lambda: ('numpy.random' in sys.modules, '_hashlib' in sys.modules)\n"
         "print(loaded())\n"
         f"print(zml.cli.main(['zeros', '--t-max', '100', '--cache-dir', {str(tmp_path)!r}]))\n"
         "print(loaded())\n"
         "next(zml.cli.campaign_trials(42, 1))\n"
-        "print(loaded())\n")
+        "print(loaded()[0])\n")
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "False"
-    assert proc.stdout.splitlines()[-3:] == ["0", "False", "True"]
+    assert proc.stdout.splitlines()[0] == "(False, False)"
+    assert proc.stdout.splitlines()[-3:] == ["0", "(False, False)", "True"]

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -56,6 +57,19 @@ class TestGramPoints:
         # the bits of g_k for k < 140,000 (past t = 1e5), as SciPy's seed gave them
         gs = zeros.gram_points_many(np.arange(-1, 140_000))
         assert hashlib.sha256(gs.tobytes()).hexdigest() == GRAM_SHA256
+
+    def test_gram_points_working_set(self):
+        # tracemalloc peak over k = -1 ... 140,000: 20.7 MB with the seeds
+        # and Newton steps batch-wide, 3.9 MB in Z_BLOCK blocks (the float
+        # ks, g and the step array, 1.1 MB each)
+        ks = np.arange(-1, 140_000)
+        tracemalloc.start()
+        try:
+            zeros.gram_points_many(ks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.3e6
 
 
 class TestScan:
@@ -204,7 +218,8 @@ def _scan_brackets(t_lo, t_hi):
 
 
 def _assert_same_refinement(lows, highs, f_lows, f_highs):
-    got = zeros._refine_brackets(lows, highs, f_lows, f_highs)
+    # _refine_brackets takes its arrays over, so it is handed copies
+    got = zeros._refine_brackets(lows.copy(), highs.copy(), f_lows.copy(), f_highs.copy())
     mids, half_widths = _plain_bisection(lows, highs, f_lows)
     assert np.array_equal(got, mids)
     # the bound ZeroList's gap check uses holds for every enclosure

@@ -385,7 +385,8 @@ class TestBlockedEvaluation:
         # threads: 8.3-8.4 MB when Z and Z' took each batch whole and the
         # bisection copied its brackets every pass (7.6 MB on one thread),
         # 6.0 MB in blocks of Z_BLOCK points (5.6 MB on one thread, set by
-        # the Gram points)
+        # the Gram points), 2.78-2.80 MB with every scan stage bounded (2.63
+        # MB on one thread)
         from zml import zeros
 
         z_threads(2)
@@ -396,7 +397,7 @@ class TestBlockedEvaluation:
         finally:
             tracemalloc.stop()
         assert zl.certified and len(zl) == 35679
-        assert peak < 6.5e6
+        assert peak < 3.1e6
 
 
 class TestHardyZPrime:
