@@ -54,7 +54,6 @@ from .sieve import _prefix_fsums
 PAIR_BUDGET = 10**8
 # Entries per group of the pair integral's arrays (_pair_parts_many).
 CHUNK_ELEMS = 262_144
-TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
 # Terms n <= DIRECT_MAX of a truncation are direct exponentials; the
 # dyadic segments above it go through zml.transform.
 DIRECT_MAX = 128
@@ -69,7 +68,7 @@ YIELD_ROWS = 512
 # The table of _exp_minus_i: e^(-i k c) for k < EXP_TABLE_SIZE, c = 2 pi /
 # EXP_TABLE_SIZE, rounded from long double.
 EXP_TABLE_SIZE = 1024
-_EXP_ANGLES = np.arange(EXP_TABLE_SIZE) * (TWO_PI_EXT / EXP_TABLE_SIZE)
+_EXP_ANGLES = np.arange(EXP_TABLE_SIZE) * (transform.TWO_PI_EXT / EXP_TABLE_SIZE)
 _EXP_TABLE = np.empty(EXP_TABLE_SIZE, dtype=complex)
 _EXP_TABLE.real = np.cos(_EXP_ANGLES)
 _EXP_TABLE.imag = -np.sin(_EXP_ANGLES)
@@ -129,7 +128,7 @@ def _phase(t: float, logs_ext: np.ndarray) -> np.ndarray:
     """t log n reduced mod 2 pi in extended precision, as doubles.  Its
     error is about |t log n| 2^-64, not the |t| ulp(log n) / 2 +
     ulp(t log n) / 2 (1e-10 at t = 1e5) of a double product."""
-    return np.fmod(t * logs_ext, TWO_PI_EXT).astype(float)
+    return np.fmod(t * logs_ext, transform.TWO_PI_EXT).astype(float)
 
 
 def _exp_minus_i(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -198,7 +197,7 @@ def _reduce(phi: np.ndarray) -> np.ndarray:
     2 pi = P1 + P2 + P3 (Cody and Waite; the parts of _exp_minus_i's c,
     times EXP_TABLE_SIZE) with k P1 and k P2 exact for k < 2^32, so the
     error is about 2^-64 of the result, not of phi as with np.fmod."""
-    k = np.rint(phi / TWO_PI_EXT)
+    k = np.rint(phi / transform.TWO_PI_EXT)
     return (((phi - k * _P1) - k * _P2) - k * _P3).astype(float)
 
 

@@ -78,7 +78,7 @@ LAM_X = _lam(math.pi)
 LAM_Q = _lam(FFT_SIZE / GRID_SIZE)
 _SCALE = math.sqrt(LAM_X * LAM_Q) / math.pi
 _PREMULTIPLY = np.exp((math.pi * np.arange(-GRID_HALF, GRID_HALF + 1) / FFT_SIZE) ** 2 / LAM_Q)
-_TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
+TWO_PI_EXT = 2 * np.arccos(np.longdouble(-1))
 
 
 class Spread(NamedTuple):
@@ -157,7 +157,7 @@ def targets(tau: np.ndarray) -> Targets:
     transform variable is u = tau - BLOCK/2."""
     u = np.asarray(tau, dtype=np.longdouble) - np.longdouble(BLOCK / 2)
     theta = (u * np.longdouble(GRID_STEP)).astype(float)
-    start, weights = _offsets(u * np.longdouble(GRID_STEP * FFT_SIZE) / _TWO_PI_EXT,
+    start, weights = _offsets(u * np.longdouble(GRID_STEP * FFT_SIZE) / TWO_PI_EXT,
                               INTERP_TAPS, LAM_Q)
     weights *= (_SCALE * np.exp(theta * theta / (4.0 * LAM_X)))[:, None]
     return Targets(start=start + Q_HALF, weights=weights)

@@ -266,42 +266,28 @@ def _z_rs_batch(ts: np.ndarray) -> np.ndarray:
     finally:
         for future in futures:
             future.result()
-    del by_m, first, rest, args, theta      # freed before the correction buffers exist
+    del by_m, first, rest, args, theta      # freed before the corrections are summed
 
     # The corrections sum_j C_j(u) a^(-j) in ascending j, each C_j from its
     # Chebyshev data in x = 2u^2 - 1 (see _rs_coeffs) by Clenshaw's
-    # recurrence b_k = c_k + 2x b_(k+1) - b_(k+2) down to b_1, in three
-    # rotating buffers; u is remade from a and m for the odd j, so that no
-    # more than five batch-sized arrays are held.
-    y = 2.0 * (a - m) - 1.0                 # u
-    y = 4.0 * y * y - 2.0                   # 2x
+    # recurrence b_k = c_k + 2x b_(k+1) - b_(k+2) down to b_1, then
+    # P_1(x) b_1 - b_2 + c_0 (times u for the odd j) into b1.  A call gets
+    # at most Z_BLOCK points (_in_blocks), so each step's new arrays are small.
+    u = 2.0 * (a - m) - 1.0
+    y = 4.0 * u * u - 2.0                   # 2x
     corr = np.zeros(ts.shape)
-    b0, b1, b2 = np.empty(ts.shape), np.empty(ts.shape), np.empty(ts.shape)
     for j, (c0, *rest) in enumerate(_rs_coeffs.SERIES[: RS_ORDER + 1]):
-        b1.fill(0.0)
-        b2.fill(0.0)
+        b1 = b2 = 0.0
         for c in reversed(rest):
-            np.multiply(y, b1, out=b0)
-            b0 -= b2
-            b0 += c
-            b0, b1, b2 = b2, b0, b1
-        # sum_k c_k P_k(x) = P_1(x) b_1 - b_2 + c_0
-        np.multiply(y, b1, out=b0)
-        if j % 2:
-            b0 -= b1                        # P_1 = V_1(x) = 2x - 1
-        else:
-            b0 *= 0.5                       # P_1 = T_1(x) = x
-        b0 -= b2
-        b0 += c0
-        if j % 2:                           # times u
-            np.subtract(a, m, out=b1)
-            b1 *= 2.0
-            b1 -= 1.0
-            b0 *= b1
+            b1, b2 = y * b1 - b2 + c, b1
+        if j % 2:                           # P_1 = V_1(x) = 2x - 1
+            b1 = (y * b1 - b1 - b2 + c0) * u
+        else:                               # P_1 = T_1(x) = x
+            b1 = y * b1 * 0.5 - b2 + c0
         for _ in range(j):
-            b0 /= a
-        corr += b0
-    del y, b0, b1, b2
+            b1 /= a
+        corr += b1
+    del u, y, b1, b2                        # their memory serves the last temporaries
     np.negative(corr, out=corr, where=m % 2 == 0)
     corr /= np.sqrt(a)
     out += corr

@@ -146,6 +146,16 @@ def test_readme_names_resolve():
                   if not any(hasattr(m, name) for m in MODULES.values())) == []
 
 
+def test_readme_layout_names_every_module():
+    # the file names listed under src/zml/ in the Layout block, up to the
+    # next top-level entry, are exactly the package's modules
+    readme = README.read_text(encoding="utf-8")
+    block = readme.split("## Layout", 1)[1].split("```", 2)[1]
+    listed = re.search(r"^src/zml/\n(.*?)^\S", block, re.S | re.M).group(1)
+    modules = {p.name for p in (ROOT / "src" / "zml").glob("*.py")} - {"__init__.py"}
+    assert sorted(re.findall(r"^  (\S+\.py) ", listed, re.M)) == sorted(modules)
+
+
 @pytest.mark.parametrize("stats, message", [
     ("F/s.json", "--stats {p}/F/s.json: {p}/F is not a directory"),
     ("F/d/s.json", "--stats {p}/F/d/s.json: {p}/F is not a directory"),

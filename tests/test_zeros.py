@@ -15,6 +15,9 @@ from zml.errors import InputError, ParseError, ValidationError
 import oracle_values as ov
 
 GRAM_SHA256 = "51c030e1811ddcbda47a9f3b54c5745f6f0aa17271a20aec53a00d00668a50c6"
+# sha256 of the ordinates and of the Z'(gamma) of scan_and_refine(10, 10005)
+ORDINATES_SHA256 = "d7fc23adb771a58c696de9226b3fb51f7fa12adc0076d4403bb1870d24b282a0"
+Z_PRIMES_SHA256 = "bcf588b5dc54aff872603dfbcd5c66899346031685f8e170e20100d2363f5f87"
 
 
 class TestGramPoints:
@@ -108,6 +111,15 @@ class TestScan:
     def test_refinement_quality(self, zeros_1010):
         resid = np.abs(zeta.hardy_z_many(zeros_1010.ordinates))
         assert resid.max() <= 1e-8
+
+    def test_zero_list_pinned(self, zeros_10k_timed):
+        """The ordinates and Z'(gamma) to 10005 keep the bits of
+        ORDINATES_SHA256 and Z_PRIMES_SHA256 across commits.  They may be
+        re-pinned only by a change that states which bits it moves and why
+        (ROADMAP item 2c)."""
+        zl, _ = zeros_10k_timed
+        assert hashlib.sha256(zl.ordinates.tobytes()).hexdigest() == ORDINATES_SHA256
+        assert hashlib.sha256(zl.z_primes.tobytes()).hexdigest() == Z_PRIMES_SHA256
 
     def test_simplicity_margin(self, zeros_1010):
         assert zeros_1010.zeta_prime_mods.min() > zeros.SIMPLICITY_GUARD

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import os
 import signal
@@ -17,6 +18,11 @@ from zml.errors import InputError
 import oracle_values as ov
 
 mp.mp.dps = 25
+
+# sha256 of the bits of hardy_z_many(np.linspace(10.0, 1e5, 100_001)) and of
+# hardy_z_prime_many(np.linspace(10.0, 99_990.0, 20_001))
+Z_SHA256 = "51ac345c84ff6870c6e39c6c3ea773f1179783c6d50bfcd066bb0689e711d71d"
+Z_PRIME_SHA256 = "1b69a1139bcf1a88e34f8a181c2c1e1b74ed1dfeafdbeaef15bc6276ca0dfe86"
 
 
 def em_zeta(s):
@@ -443,6 +449,21 @@ class TestHardyZPrime:
         for t, ref, in_batch in zip(ts, refs, zeta.hardy_z_prime_many(ts)):
             assert abs(z_prime(t) - ref) <= 1e-8
             assert abs(in_batch - ref) <= 1e-8
+
+
+class TestPinnedBits:
+    """Z and Z' over [10, 1e5], both routes and the crossover, keep the
+    bits of Z_SHA256 and Z_PRIME_SHA256 across commits.  They may be
+    re-pinned only by a change that states which bits it moves and why
+    (ROADMAP item 2c)."""
+
+    def test_z_pinned(self):
+        z = zeta.hardy_z_many(np.linspace(10.0, 1e5, 100_001))
+        assert hashlib.sha256(z.tobytes()).hexdigest() == Z_SHA256
+
+    def test_z_prime_pinned(self):
+        zp = zeta.hardy_z_prime_many(np.linspace(10.0, 99_990.0, 20_001))
+        assert hashlib.sha256(zp.tobytes()).hexdigest() == Z_PRIME_SHA256
 
 
 def test_counters_track_evaluations():
