@@ -131,9 +131,9 @@ def _phase(t: float, logs_ext: np.ndarray) -> np.ndarray:
     return np.fmod(t * logs_ext, transform.TWO_PI_EXT).astype(float)
 
 
-def _exp_minus_i(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _exp_minus_i(phi: np.ndarray, out: np.ndarray = None) -> np.ndarray:
     """e^(-i phi) into `out`, for a float array phi with |phi| < EXP_PHASE_MAX
-    and a C-contiguous complex array `out` of its shape.
+    and a C-contiguous complex array `out` of its shape, a new one if None.
 
     phi = k c + r with k the nearest integer to phi / c, c = 2 pi /
     EXP_TABLE_SIZE, and r = ((phi - k C1) - k C2) - k C3, so |r| <= c/2 up
@@ -146,6 +146,8 @@ def _exp_minus_i(phi: np.ndarray, out: np.ndarray) -> np.ndarray:
     for np.exp on 2 vCPUs with AVX-512.  Runs EXP_CHUNK elements at a
     time.
     """
+    if out is None:
+        out = np.empty(phi.shape, dtype=complex)
     if out.shape != phi.shape or not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous and of phi's shape")
     phi, flat = phi.reshape(-1), out.reshape(-1)
@@ -199,11 +201,6 @@ def _reduce(phi: np.ndarray) -> np.ndarray:
     error is about 2^-64 of the result, not of phi as with np.fmod."""
     k = np.rint(phi / transform.TWO_PI_EXT)
     return (((phi - k * _P1) - k * _P2) - k * _P3).astype(float)
-
-
-def _exp_at(phi: np.ndarray) -> np.ndarray:
-    """e^(-i phi) of reduced float phases, by _exp_minus_i."""
-    return _exp_minus_i(phi, np.empty(phi.shape, dtype=complex))
 
 
 class _Segment(NamedTuple):
@@ -302,10 +299,11 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
 
     def spectra(j: int) -> np.ndarray:
         g = np.longdouble(j * transform.BLOCK + transform.BLOCK / 2)
-        grids = np.empty((offsets[-1], transform.GRID_SIZE), dtype=complex)
+        out = np.empty((2 * transform.Q_HALF, offsets[-1]), dtype=complex)
         for s, c, a, b in zip(segments, counts, offsets, offsets[1:]):
-            grids[a:b] = transform.grids(s.plan, s.weights * _exp_at(_reduce(g * s.x)), c)
-        return transform.spectra(grids)
+            F = transform.grids(s.plan, s.weights * _exp_minus_i(_reduce(g * s.x)), c)
+            out[:, a:b] = transform.spectra(F)
+        return out
 
     ends, which = np.unique(np.append(ends, direct.size), return_inverse=True)
     for lo in range(0, gammas.size, YIELD_ROWS):
@@ -322,13 +320,12 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
                 cached[1], transform.targets(gam[at] - j * transform.BLOCK)).T
             phase = np.multiply.outer([np.longdouble(s.centre) for s in segments],
                                       gam[at].astype(np.longdouble))
-            h *= np.repeat(_exp_at(_reduce(phase)), np.diff(offsets), axis=0)
+            h *= np.repeat(_exp_minus_i(_reduce(phase)), np.diff(offsets), axis=0)
             run = [sums[which[-1], at]]
             for k in range(n_whole):
                 run.append(run[-1] + h[offsets[k]])
             vals[np.ix_(high, at)] = np.array(run)[seg] + h[col]
-        vals = vals.T
-        yield lo, vals
+        yield lo, vals.T
 
 
 def eval_truncations_at_zeros(poly: DirichletPoly, xis, gammas: np.ndarray) -> np.ndarray:
@@ -395,7 +392,7 @@ def _twisted(polys, Ts, logs_ext: np.ndarray) -> tuple:
     plain = np.zeros((lens.size, lens.max()), dtype=coeffs.dtype)
     twisted = np.zeros((lens.size, lens.max()), dtype=complex)
     plain[rows, cols] = coeffs
-    twisted[rows, cols] = coeffs * _exp_minus_i(phase, np.empty(phase.size, dtype=complex))
+    twisted[rows, cols] = coeffs * _exp_minus_i(phase)
     return plain, twisted
 
 

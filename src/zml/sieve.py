@@ -330,8 +330,8 @@ def load_sieve(path, limit: int) -> np.ndarray:
     """Load a sieve container: kind SIEVE_MAGIC, keys limit and primes (the
     prime count), and the primes as little-endian int64, then mobius as
     bytes.  No step writes or reads one; it stays while perfbench's tracer
-    names it (tests write containers with conftest's _sieve_file).  After
-    store.read's checks, the limit must be the requested one, the payload
+    names it (the tests write their own containers).  After store.read's
+    checks, the limit must be the requested one, the payload
     8 * count + limit + 1 bytes, and the primes must ascend from 2 to at
     most the limit, with mu(p) = -1 and no factor among the smaller stored
     primes q with q^3 <= limit: a composite n with mu(n) = -1 has three or

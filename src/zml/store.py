@@ -20,18 +20,21 @@ from .errors import ParseError, ValidationError
 
 def replace(path, write) -> None:
     """Build `path` by write(fh) on a unique temp file opened for binary
-    writing in the same directory, then rename it into place; on any
-    failure the temp file is removed and `path` is left as it was."""
+    writing in the same directory, with the mode open() would give it (not
+    mkstemp's 0o600), then rename it into place; on any failure the temp
+    file is removed and `path` is left as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
     try:
         with os.fdopen(fd, "wb") as fh:
+            umask = os.umask(0o077)     # os.umask reads the mask only by setting one
+            os.umask(umask)
+            os.fchmod(fd, 0o666 & ~umask)
             write(fh)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        Path(tmp).unlink(missing_ok=True)
         raise
 
 

@@ -7,17 +7,19 @@ bracket by vectorised bisection, and computes Z'(gamma) at every zero;
 zeta'(rho) follows from the rotation identity
 zeta'(rho) = -i exp(-i theta(gamma)) Z'(gamma).
 
-Refinement runs in two phases.  A few Illinois (regula falsi) steps and two
-probes per bracket find evaluated points L < gamma < R with
-|Z| >= SIGN_MARGIN, a margin about 5x the largest measured error of Z (not
-a proven bound), so the computed sign there is taken as the true one.  The bisection then runs from the original
-bracket and evaluates only the midpoints strictly between L and R; any
-other midpoint lies where Z keeps the sign of L or R (a bracket holds one
-zero, as the count certificate checks), so it takes the side an
-evaluation would give it.  Every bracket visits the same midpoints and
-makes the same decisions as a bisection that evaluates them all, and the
-ordinates are the same bits, because Z(t) does not depend on the other
-points of its batch.
+Refinement runs in two phases, in place on the scan's bracket arrays,
+whose end values of Z have strictly opposite signs.  A few Illinois
+(regula falsi) steps and two probes per bracket find evaluated points
+L < gamma < R with |Z| >= SIGN_MARGIN, a margin about 5x the largest
+measured error of Z (not a proven bound), so the computed sign there is
+taken as the true one; L and R overwrite the end values.  The bisection
+then runs from the original bracket and evaluates only the midpoints
+strictly between L and R; any other midpoint lies where Z keeps the sign
+of L or R (a bracket holds one zero, as the count certificate checks), so
+it takes the side an evaluation would give it.  Every bracket visits the
+same midpoints and makes the same decisions as a bisection that
+evaluates them all, and the ordinates are the same bits, because Z(t)
+does not depend on the other points of its batch.
 
 A zero list has one state: every zero carries a finite Z'(gamma) (the
 sums over 1/zeta'(rho) assume simple zeros).  Its file stores the
@@ -246,40 +248,38 @@ def _subdivide(intervals, m, gs, zs):
     return tuple(c[order] for c in (iv, *cols))
 
 
-def _sign_bounds(lows, highs, f_lows, f_highs):
-    """The narrowing phase of _refine_brackets: points L, R with
+def _sign_bounds(lows, highs, left, right, neg):
+    """The narrowing phase of _refine_brackets, in place: points L, R with
     lows <= L < gamma < R <= highs at which Z was evaluated with
-    |Z| >= SIGN_MARGIN, so that its computed sign there is trusted.
+    |Z| >= SIGN_MARGIN, so that its computed sign there is trusted, written
+    over left and right, which hold Z at lows and highs (neg: Z(lows) < 0).
 
     Up to ILLINOIS_STEPS vectorised Illinois steps (regula falsi that halves
     the weight of an end kept twice in a row) estimate gamma; a bracket
     stops once its step is below the probe gap 4*SIGN_MARGIN/slope.  One
     probe on each side of the estimate, max(last step, that gap) away, then
     lands just clear of the zero.  Every evaluated point with
-    |Z| >= SIGN_MARGIN moves the bound of the side its sign names.  Brackets
-    without a strict sign change keep their ends.
+    |Z| >= SIGN_MARGIN moves the bound of the side its sign names.  Every
+    bracket changes sign strictly, Z(lows) Z(highs) < 0, as the scan's do.
     """
-    left = np.array(lows, dtype=float)
-    right = np.array(highs, dtype=float)
-    idx = np.flatnonzero(f_lows * f_highs < 0.0)
-    neg = f_lows[idx] < 0.0
+    x0, x1 = lows.copy(), highs.copy()          # the Illinois bracket
+    f0, f1 = left.copy(), right.copy()
+    w0, w1 = f0.copy(), f1.copy()               # its weighted end values
+    left[:], right[:] = lows, highs
 
     def bound(where, t, z):
-        """Move L or R of brackets idx[where] to the sure points t; True
-        where Z(t) has the sign of the low end."""
+        """Move L or R of brackets `where` to the sure points t; True where
+        Z(t) has the sign of the low end."""
         low = (z < 0.0) == neg[where]
         sure = np.abs(z) >= SIGN_MARGIN
-        left[idx[where[low & sure]]] = t[low & sure]
-        right[idx[where[~low & sure]]] = t[~low & sure]
+        left[where[low & sure]] = t[low & sure]
+        right[where[~low & sure]] = t[~low & sure]
         return low
 
-    x0, x1 = left[idx], right[idx]              # the Illinois bracket
-    f0, f1 = f_lows[idx], f_highs[idx]
-    w0, w1 = f0.copy(), f1.copy()               # its weighted end values
-    kept = np.zeros(len(idx), dtype=np.int8)    # +1/-1: the last step kept x1/x0
-    est = np.full(len(idx), np.inf)             # the last iterate (none yet)
-    step = np.empty(len(idx))                   # its distance from the one before
-    live = np.arange(len(idx))
+    kept = np.zeros(len(lows), dtype=np.int8)   # +1/-1: the last step kept x1/x0
+    est = np.full(len(lows), np.inf)            # the last iterate (none yet)
+    step = np.empty(len(lows))                  # its distance from the one before
+    live = np.arange(len(lows))
     for _ in range(ILLINOIS_STEPS):
         c = x1[live] - w1[live] * (x1[live] - x0[live]) / (w1[live] - w0[live])
         np.clip(c, x0[live], x1[live], out=c)   # rounding must not leave the bracket
@@ -299,10 +299,9 @@ def _sign_bounds(lows, highs, f_lows, f_highs):
     gap = np.maximum(step, 4.0 * SIGN_MARGIN * (x1 - x0) / np.abs(f1 - f0))
     for probe in (est - gap, est + gap):
         # a probe off its intended side still tightens the other bound
-        ask = np.flatnonzero((probe > left[idx]) & (probe < right[idx]))
+        ask = np.flatnonzero((probe > left) & (probe < right))
         if len(ask):
             bound(ask, probe[ask], zeta.hardy_z_many(probe[ask]))
-    return left, right
 
 
 def _refine_brackets(lows, highs, f_lows, f_highs):
@@ -310,9 +309,10 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     the midpoints of the final brackets.
 
     Z(lows) and Z(highs) are the values already computed at the bracket
-    ends.  Every bracket is halved in every pass until all are narrower than
-    REFINE_WIDTH, and each midpoint takes the side whose end shares its sign
-    of Z.  The narrowing phase (_sign_bounds) first finds, per bracket,
+    ends, of strictly opposite signs as _block_brackets makes them.  Every
+    bracket is halved in every pass until all are narrower than
+    REFINE_WIDTH, and each midpoint takes the side whose end shares its
+    sign of Z.  The narrowing phase (_sign_bounds) first finds, per bracket,
     evaluated points L < gamma < R where |Z| >= SIGN_MARGIN.  A midpoint at
     or below L (at or above R) then takes its side without a Z evaluation;
     only midpoints strictly between L and R are evaluated.  So the passes
@@ -321,14 +321,14 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     bracket's single zero where Z keeps the sign of L (R), and there Z is
     larger in size than its evaluation error.
 
-    The four float arrays are taken over, not copied: the passes halve the
-    brackets in lows and highs, and L and R overwrite f_lows and f_highs.
-    Each pass runs zeta.Z_BLOCK brackets at a time (_halve), so that only
-    those four arrays grow with the batch.
+    The four float arrays are taken over, not copied: L and R overwrite
+    f_lows and f_highs, NARROW_CHUNK brackets at a time, and the passes
+    halve the brackets in lows and highs, each zeta.Z_BLOCK brackets at a
+    time (_halve), so that only those four arrays grow with the batch.
     """
     fa_neg = f_lows < 0.0
     for p in _slices(lows.size, NARROW_CHUNK):
-        f_lows[p], f_highs[p] = _sign_bounds(lows[p], highs[p], f_lows[p], f_highs[p])
+        _sign_bounds(lows[p], highs[p], f_lows[p], f_highs[p], fa_neg[p])
     parts = _slices(lows.size, zeta.Z_BLOCK)
     for _ in range(64):
         if all(np.all(highs[p] - lows[p] <= REFINE_WIDTH) for p in parts):
@@ -406,10 +406,6 @@ def scan_and_refine(t_lo: float, t_hi: float) -> ZeroList:
     del gs, zs, good_idx
 
     certified = len(brackets[0]) == expected
-    if len(brackets[0]) == 0:
-        empty = np.empty(0)
-        return ZeroList(empty, empty, t_max=t_hi, certified=certified)
-
     gammas = _refine_brackets(*brackets)
     del brackets
     return _build_records(gammas[(gammas > t_lo) & (gammas <= t_hi)], t_hi, certified)

@@ -1,4 +1,6 @@
+import os
 import re
+import stat
 import zlib
 
 import pytest
@@ -48,3 +50,18 @@ def test_crc_mismatch(tmp_path):
     path.write_bytes(path.read_bytes().replace(b"12345", b"12346"))
     with pytest.raises(ValidationError, match=re.escape(f"{path}: crc32 mismatch")):
         store.read(path, "# zml-test v1", {})
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask 022", "umask 077"])
+def test_mode_is_open_mode(tmp_path, umask):
+    # the mode a plain open() gives under the umask, not mkstemp's 0o600
+    old = os.umask(umask)
+    try:
+        store.replace(tmp_path / "c.txt", lambda fh: fh.write(b"x"))
+        assert os.umask(umask) == umask         # replace left the umask as it was
+        with open(tmp_path / "plain.txt", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "c.txt").stat().st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode)

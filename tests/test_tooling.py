@@ -37,6 +37,9 @@ MODULES = {"cli": cli, "dirichlet": dirichlet, "moments": moments,
            "sieve": sieve, "store": store, "zeros": zeros, "zeta": zeta}
 # backticked snake_case names in the README that are JSON keys, not attributes
 README_JSON_KEYS = {"z_threads"}
+# names in src/zml docstrings that are no attributes: the Riemann-Siegel
+# series symbols, and the suffix of the batch functions' `*_many` pattern
+DOCSTRING_SYMBOLS = {"C_0", "C_4", "C_RS_ORDER", "_many"}
 # Public library names that no CLI step, script or traced span reaches, kept
 # for the tests, each with its reason
 ORACLES = {
@@ -144,6 +147,29 @@ def test_readme_names_resolve():
     assert "hardy_z" in bare and README_JSON_KEYS <= bare
     assert sorted(name for name in bare - README_JSON_KEYS
                   if not any(hasattr(m, name) for m in MODULES.values())) == []
+
+
+def test_docstring_names_resolve():
+    # module.NAME, _snake_case and UPPER_CASE names in every docstring of
+    # src/zml, file names left out, so a removed name leaves no stale mention
+    package = {info.name: importlib.import_module(f"zml.{info.name}")
+               for info in pkgutil.iter_modules(zml.__path__)}
+    names = set()
+    for path in sorted((ROOT / "src" / "zml").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                doc = re.sub(r"[\w/]+\.py\b", "", ast.get_docstring(node, clean=False) or "")
+                names |= set(re.findall(rf"\b(?:{'|'.join(package)})\.\w+", doc))
+                names |= set(re.findall(r"(?<!\w)_[a-z][a-z0-9]*(?:_[a-z0-9]+)*\b", doc))
+                names |= set(re.findall(r"\b[A-Z][A-Z0-9]*(?:_[A-Z0-9]+)+\b", doc))
+    assert {"zeta.Z_BLOCK", "_sign_bounds", "SIGN_MARGIN"} <= names
+
+    def resolves(name):
+        mod, _, attr = name.rpartition(".")
+        return hasattr(package[mod], attr) if mod else any(
+            hasattr(m, attr) for m in package.values())
+
+    assert sorted(name for name in names - DOCSTRING_SYMBOLS if not resolves(name)) == []
 
 
 def test_readme_layout_names_every_module():

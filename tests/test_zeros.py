@@ -247,13 +247,14 @@ class TestRefinement:
 
     @pytest.mark.parametrize("shape", ["near-tangent", "zero at a midpoint"])
     def test_stalled_narrowing_matches_plain_bisection(self, monkeypatch, shape):
-        # 20 unit brackets, one zero in each
+        # 20 brackets 0.75 wide, one zero in each; fake_z picks the piece of
+        # t by floor(t - 1000), so both ends of a bracket read its own piece
         lows = 1000.0 + np.arange(20.0)
-        highs = lows + 1.0
+        highs = lows + 0.75
         if shape == "near-tangent":
             # a cubic zero: |Z| < SIGN_MARGIN for |t - root| < 2e-3, where
             # noise of half the margin flips the sign as rounding would
-            roots = lows + np.linspace(0.1, 0.9, 20)
+            roots = lows + np.linspace(0.1, 0.675, 20)
 
             def fake_z(ts):
                 x = ts - roots[np.clip(np.floor(ts - 1000.0).astype(int), 0, 19)]
@@ -268,7 +269,22 @@ class TestRefinement:
         monkeypatch.setattr(zeta, "hardy_z_many", lambda ts: fake_z(np.asarray(ts, dtype=float)))
         if shape == "zero at a midpoint":
             assert fake_z(np.array([lows[0] + 0.375]))[0] == 0.0
-        _assert_same_refinement(lows, highs, fake_z(lows), fake_z(highs))
+        f_lows, f_highs = fake_z(lows), fake_z(highs)
+        assert np.all(f_lows * f_highs < 0.0)       # the narrowing's precondition
+        _assert_same_refinement(lows, highs, f_lows, f_highs)
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(10.0, 1010.0), (7000.0, 7010.0),
+                                            (30000.0, 30100.0)])
+    def test_scan_brackets_change_sign_strictly(self, t_lo, t_hi):
+        # _sign_bounds relies on this, for the Gram intervals taken at depth
+        # 0 and for the subdivided ones, such as the Lehmer pair's near 7005
+        ks, gs = zeros._anchored_gram_range(t_lo, t_hi)
+        zs = zeta.hardy_z_many(gs)
+        lows, highs, f_lows, f_highs = zeros._block_brackets(
+            np.nonzero(zeros._good_mask(ks, zs))[0], gs, zs)
+        subdivided = ~(np.isin(lows, gs) & np.isin(highs, gs))
+        assert 0 < subdivided.sum() < len(lows)
+        assert np.all(lows < highs) and np.all(f_lows * f_highs < 0.0)
 
     def test_scan_evaluation_count(self):
         # plain bisection made 630 Z evaluations here
