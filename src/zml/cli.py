@@ -507,6 +507,8 @@ def _parse_sweep(text: str) -> tuple:
     while th <= b + 1e-12:
         out.append(round(th, 12))
         th += step
+    if not (out[0] > 0.0 and out[-1] < 1.0):
+        raise InputError(f"--theta-sweep values round to {out[0]!r}..{out[-1]!r}, outside (0, 1)")
     return tuple(out)
 
 

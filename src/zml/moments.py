@@ -34,10 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # mollifier, which sieves mu for its own xi, is called through the module,
-# where perfbench's tracer wraps it; eval_poly_at_zeros is unused here, and
-# the tracer patches this binding
+# where perfbench's tracer wraps it
 from . import dirichlet
-from .dirichlet import eval_poly_at_zeros, truncation_blocks  # noqa: F401
+from .dirichlet import truncation_blocks
 from .errors import InputError, SimplicityError
 from .sieve import _exact_parts, _merge_parts, _prefix_fsums, mangoldt, squarefree_harmonic
 from .zeros import SIMPLICITY_GUARD, ZeroList

@@ -16,14 +16,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import store
-from .errors import InputError, NumericsError, ValidationError
+from .errors import InputError, NumericsError
 
 MEMORY_CAP = 10**8
 SEGMENT = 1 << 16           # integers per numpy pass
 ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
 LOG_CHUNK = 1 << 12         # _prime_logs: primes per list of Python ints
-SIEVE_MAGIC = "# zml-sieve v4"
 
 THREE_OVER_PI2 = 3.0 / math.pi**2
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -76,7 +74,7 @@ def build_sieve(limit: int) -> np.ndarray:
     if limit >= 2**31:
         raise InputError(f"limit = {limit} exceeds the int32 radical's range")
     mobius = _mobius(limit)
-    mobius.setflags(write=False)        # as load_sieve's view is
+    mobius.setflags(write=False)
     return mobius
 
 
@@ -210,13 +208,6 @@ def squarefree_harmonic(xi: int) -> float:
     return squarefree_harmonics([xi])[0]
 
 
-def prime_log_sum(xi: int) -> float:
-    """sum over primes p <= xi of log(p)/p (= log xi + O(1))."""
-    _in_range(xi, "xi")
-    ps = _primes_upto(xi).astype(np.float64)
-    return math.fsum(np.log(ps) / ps)
-
-
 @dataclass(frozen=True)
 class AlphaVector:
     """The convolution alpha_n = sum_{k*l = n, l <= xi} Lambda(k) mu(l).
@@ -321,36 +312,3 @@ def alpha_mobius_sum(xi: int) -> AlphaMobiusSum:
     pred = -THREE_OVER_PI2 * math.log(xi) ** 2
     return AlphaMobiusSum(value=value, prediction=pred)
 
-
-# ---------------------------------------------------------------------------
-# binary container
-# ---------------------------------------------------------------------------
-
-def load_sieve(path, limit: int) -> np.ndarray:
-    """Load a sieve container: kind SIEVE_MAGIC, keys limit and primes (the
-    prime count), and the primes as little-endian int64, then mobius as
-    bytes.  No step writes or reads one; it stays while perfbench's tracer
-    names it (the tests write their own containers).  After store.read's
-    checks, the limit must be the requested one, the payload
-    8 * count + limit + 1 bytes, and the primes must ascend from 2 to at
-    most the limit, with mu(p) = -1 and no factor among the smaller stored
-    primes q with q^3 <= limit: a composite n with mu(n) = -1 has three or
-    more prime factors, the least at most n^(1/3), checked SEGMENT primes
-    at a time (an int cube root keeps searchsorted from copying the primes
-    as floats).  Returns mu(0..limit), a read-only view of the payload, as
-    build_sieve does."""
-    fields, payload = store.read(path, SIEVE_MAGIC, {"limit": int, "primes": int})
-    count = fields["primes"]
-    if fields["limit"] != limit:
-        raise ValidationError(f"{path}: cached limit {fields['limit']} != requested {limit}")
-    if count < 0 or len(payload) != (want := 8 * count + limit + 1):
-        raise ValidationError(f"{path}: payload of {len(payload)} bytes, expected {want}")
-    primes = np.frombuffer(payload, dtype="<i8", count=count)
-    mobius = np.frombuffer(payload, dtype=np.int8, offset=8 * count)
-    small = primes[: np.searchsorted(primes, int(limit ** (1 / 3) + 1), side="right")]
-    if not (count and primes[0] == 2 and primes[-1] <= limit and mobius[0] == 0
-            and np.all(primes[1:] > primes[:-1]) and np.all(mobius[primes] == -1)
-            and not any(np.any(primes[max(lo, k + 1): lo + SEGMENT] % q == 0)
-                        for lo in range(0, count, SEGMENT) for k, q in enumerate(small))):
-        raise ValidationError(f"{path}: damaged prime list")
-    return mobius

@@ -4,8 +4,7 @@ The zero list, the one cache, is stored as the magic line '# zml-<kind>
 v<N>', one '# <key> <value>' line per key in a fixed order, '# crc32 <8
 lowercase hex>' (zlib.crc32 of the payload), then the payload.  A float
 value is written as its repr, which reads back to the same bits, an int
-in decimal and a flag as true or false.  sieve.load_sieve reads mu from
-a sieve container of the same layout, which no step writes or reads.
+in decimal and a flag as true or false.
 """
 from __future__ import annotations
 

@@ -321,6 +321,12 @@ def _refine_brackets(lows, highs, f_lows, f_highs):
     bracket's single zero where Z keeps the sign of L (R), and there Z is
     larger in size than its evaluation error.
 
+    The pass count is the batch's, so the bits depend on the range: a scan
+    from t = 10 to 40005 makes 37 passes (its first bracket is 8.18 wide),
+    the window [39400, 39500] 33.  With the Gram points (46 of the window's
+    142 differ), 112 of its 139 ordinates differ from the full scan's, by
+    up to 4.4e-11 (Z' by 2.6e-6).  The scan to 10^4 is a prefix of it.
+
     The four float arrays are taken over, not copied: L and R overwrite
     f_lows and f_highs, NARROW_CHUNK brackets at a time, and the passes
     halve the brackets in lows and highs, each zeta.Z_BLOCK brackets at a

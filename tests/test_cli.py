@@ -681,12 +681,16 @@ class TestConfig:
         ("landau", "--x", "2,0.5"), ("landau", "--x", "1"), ("report", "--x", "3,-2"),
         ("moments", "--sieve-limit", "1"), ("landau", "--sieve-limit", "-5"),
         ("moments", "--sieve-limit", str(sieve.MEMORY_CAP + 1)),
-        ("landau", "--x", "100000001"), ("landau", "--x", "1e300")])
+        ("landau", "--x", "100000001"), ("landau", "--x", "1e300"),
+        # sweep bounds that round to 1 or 0 at the sweep's 12 decimals
+        ("moments", "--theta-sweep", "0.5:0.9999999999999:0.5"),
+        ("moments", "--theta-sweep", "1e-13:0.5:0.1")])
     def test_bad_x_or_sieve_limit_rejected_before_any_work(self, tmp_path, capsys,
                                                             command, flag, value):
         assert run_cli(tmp_path, command, "--t-max", "3000", flag, value) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert flag.strip("-").replace("-", "_") in err[0].replace("-", "_")
         assert list(tmp_path.rglob("*")) == []
 
     @pytest.mark.parametrize("command", ["moments", "landau", "report"])

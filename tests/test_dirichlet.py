@@ -176,7 +176,7 @@ class TestEval:
     def test_batch_matches_scalar(self):
         poly = dirichlet.mollifier(50)
         gammas = np.array([14.13, 777.7, 9999.9])
-        batch = dirichlet.eval_poly_at_zeros(poly, gammas)
+        batch = dirichlet.eval_truncations_at_zeros(poly, [poly.length], gammas)[:, 0]
         for g, b in zip(gammas, batch):
             assert b == pytest.approx(dirichlet.eval_poly(poly, complex(0.5, g)), rel=1e-12)
 
@@ -221,7 +221,7 @@ class TestFill:
         ref = np.array([complex(re, im) for _, re, im in sample])
         poly = dirichlet.mollifier(xi)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
-        vals = dirichlet.eval_poly_at_zeros(poly, gammas)
+        vals = dirichlet.eval_truncations_at_zeros(poly, [poly.length], gammas)[:, 0]
         batch = np.abs(vals - ref).max() / scale
         direct = np.abs(direct_truncation(poly, gammas) - ref).max() / scale
         assert batch <= direct

@@ -1,5 +1,4 @@
 import math
-import re
 
 import numpy as np
 import pytest
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zml import sieve
-from zml.errors import InputError, ParseError, ValidationError, ZmlError
+from zml.errors import InputError
 
 import oracle_values as ov
 
@@ -136,19 +135,6 @@ def test_squarefree_harmonic_drift_envelope():
         assert 0.9 < drift < 1.2
 
 
-def test_prime_log_sum_hand_values():
-    assert sieve.prime_log_sum(2) == pytest.approx(math.log(2) / 2, rel=1e-15)
-    want = sum(math.log(p) / p for p in (2, 3, 5, 7))
-    assert sieve.prime_log_sum(10) == pytest.approx(want, rel=1e-14)
-    assert sieve.prime_log_sum(1) == 0.0
-
-
-def test_prime_log_sum_drift():
-    # Mertens-type constant: the drift settles near -1.332
-    drift = sieve.prime_log_sum(10**6) - math.log(10**6)
-    assert -1.4 < drift < 0.0
-
-
 def test_alpha_examples():
     a = sieve.alpha_coefficients(10, 10)
     assert a.values[1] == 0.0
@@ -189,25 +175,6 @@ def test_determinism(sieve_10k):
     other = sieve.build_sieve(10**4)
     assert other.dtype == np.int8 and not other.flags.writeable
     assert other.tobytes() == sieve_10k.tobytes()
-
-
-def test_cache_roundtrip(tmp_path, sieve_10k, sieve_container):
-    path = tmp_path / "sieve.bin"
-    path.write_bytes(sieve_container(sieve_10k))
-    # magic, limit, prime count and CRC lines, eight bytes per prime, one
-    # byte of mu per n from 0
-    head = b"# zml-sieve v4\n# limit 10000\n# primes 1229\n# crc32 "
-    assert path.read_bytes().startswith(head)
-    assert path.stat().st_size == len(head) + 9 + 8 * 1229 + 10**4 + 1
-    loaded = sieve.load_sieve(path, 10**4)
-    assert loaded.dtype == np.int8 and not loaded.flags.writeable
-    assert loaded.tobytes() == sieve_10k.tobytes()
-    with pytest.raises(ValidationError, match="limit"):
-        sieve.load_sieve(path, 10**5)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOT-A-SIEVE" + b"\x00" * 64)
-    with pytest.raises(ParseError, match=":1: expected '# zml-sieve v4'"):
-        sieve.load_sieve(bad, 10**4)
 
 
 # ---------------------------------------------------------------------------
@@ -423,53 +390,3 @@ def test_build_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak < 5 * (limit + 1) + 2**20
-
-
-def test_load_memory_peak(tmp_path, sieve_container):
-    # The load holds the payload (15.3 MB at 1e7) and checks the primes
-    # with temporaries of a few bytes per prime and one SEGMENT slice: 1.3
-    # MB above it.  A float copy of the whole prime list and one int64
-    # remainder of it per small prime made it 6.0 MB.
-    import tracemalloc
-
-    path = tmp_path / "sieve.bin"
-    mobius = sieve.build_sieve(10**7)
-    path.write_bytes(sieve_container(mobius))
-    tracemalloc.start()
-    try:
-        loaded = sieve.load_sieve(path, 10**7)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(loaded, mobius)
-    assert peak < path.stat().st_size + 2 * 2**20
-
-
-@pytest.mark.parametrize("damage", ["truncated", "extra bytes", "short header",
-                                    "count header"])
-def test_load_rejects_wrong_size(tmp_path, sieve_10k, sieve_container, damaged_sieve, damage):
-    # a file cut or extended fails its CRC; a count that does not match the
-    # payload's size fails the size check
-    path = tmp_path / "sieve.bin"
-    path.write_bytes(damaged_sieve(sieve_container(sieve_10k), damage))
-    match = {"count header": "payload of 19833 bytes, expected 19825",
-             "short header": ":2: missing '# limit' header"}.get(damage, "crc32 mismatch")
-    with pytest.raises(ZmlError, match=re.escape(match)):
-        sieve.load_sieve(path, 10**4)
-
-
-@pytest.mark.parametrize("damage", ["v1 file", "v2 file", "v3 file", "composite prime",
-                                    "composite prime, mu -1", "swapped primes",
-                                    "mu(6) -1", "97 deleted, count lowered"])
-def test_load_rejects_damaged_primes(tmp_path, sieve_10k, sieve_container, damaged_sieve,
-                                     damage):
-    # the prime-list cases carry a forged CRC that matches their payload
-    path = tmp_path / "sieve.bin"
-    good = sieve_container(sieve_10k)
-    bad = damaged_sieve(good, damage)
-    assert len(bad) == len(good) or damage.endswith((" file", "count lowered"))
-    path.write_bytes(bad)
-    match = {"mu(6) -1": "crc32 mismatch", "97 deleted, count lowered": "crc32 mismatch"}.get(
-        damage, "expected '# zml-sieve v4'" if damage.endswith(" file") else "prime list")
-    with pytest.raises(ZmlError, match=match):
-        sieve.load_sieve(path, 10**4)

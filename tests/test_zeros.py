@@ -509,6 +509,25 @@ class TestPersistence:
         changed = loaded.ordinates != zeros_110.ordinates
         assert changed.sum() == 1 and changed[5]
 
+    @pytest.mark.parametrize("damage, error, match", [
+        ("truncated", ValidationError, ": crc32 mismatch"),
+        ("extra bytes", ValidationError, ": crc32 mismatch"),
+        ("cut in the header", ParseError, ":2: missing '# t_max' header"),
+        ("binary file", ParseError, ":1: expected '# zml-zeros v2'"),
+    ])
+    def test_cut_or_extended_file_rejected(self, tmp_path, zeros_110, damage, error, match):
+        # a payload cut short or extended fails the CRC, a file cut inside
+        # its header names the line left unfinished, and a file with no
+        # newline fails the magic
+        path = tmp_path / "z.txt"
+        zeros.export_zeros(zeros_110, path)
+        good = path.read_bytes()
+        path.write_bytes({"truncated": good[: len(good) // 2], "extra bytes": good + bytes(1),
+                          "cut in the header": good[: len(zeros.ZEROS_MAGIC) + 5],
+                          "binary file": b"ZML-ZEROS1" + bytes(64)}[damage])
+        with pytest.raises(error, match=re.escape(f"{path}{match}")):
+            zeros.import_zeros(path)
+
     @pytest.mark.parametrize("header, match", [
         ("# t_max 50.0\n# certified true\n", ":1: expected '# zml-zeros v2'"),
         ("# t_max 50.0\n# zml-zeros v2\n# certified true\n", ":1: expected"),
