@@ -63,7 +63,7 @@ DIRECT_MAX = 128
 PHASE_SPREAD = 64.0
 # Rows (in ascending n) per block of the running sums of the direct terms.
 PREFIX_BLOCK = 16
-# Ordinates per block that truncation_blocks yields.
+# Ordinates per run, at most, that truncation_blocks yields.
 YIELD_ROWS = 512
 # The table of _exp_minus_i: e^(-i k c) for k < EXP_TABLE_SIZE, c = 2 pi /
 # EXP_TABLE_SIZE, rounded from long double.
@@ -247,9 +247,10 @@ def _segment_of(xi: int) -> int:
 
 
 def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
-    """Yield (lo, vals) over consecutive blocks of YIELD_ROWS ordinates,
-    where vals[i, b] = sum_{n<=xis[b]} a_n n^(-1/2-i*gammas[lo+i]); xis in
-    [1, poly.length].
+    """Yield (lo, vals) over consecutive runs of at most YIELD_ROWS of the
+    finite, ascending gammas, each inside one transform block, where
+    vals[i, b] = sum_{n<=xis[b]} a_n n^(-1/2-i*gammas[lo+i]); xis in [1,
+    poly.length].
 
     The terms n <= DIRECT_MAX are direct exponentials (_direct_sums).
     Above it, the terms of each dyadic segment m < n <= 2m, m =
@@ -262,7 +263,7 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
     the direct sum, plus the whole segments below it in ascending order,
     plus its own column; so a value depends on its gamma and xi alone,
     whatever the other ordinates and truncation points.  A block's
-    transform is kept while consecutive ordinates stay in it.
+    transform is built once, before its first run.
     """
     xis = np.asarray(xis, dtype=np.int64)
     if xis.ndim != 1 or xis.size == 0:
@@ -270,6 +271,8 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
     if xis.min() < 1 or xis.max() > poly.length:
         raise InputError(f"truncation points must lie in [1, {poly.length}]")
     gammas = np.asarray(gammas, dtype=float)
+    if not (np.all(np.isfinite(gammas)) and np.all(gammas[1:] >= gammas[:-1])):
+        raise InputError("ordinates must be finite and ascending")
     top = int(xis.max())
     w = poly.coeffs * np.exp(-0.5 * poly.logs)
     # coefficient index i holds a_{i+1}, so n <= xi means i < xi
@@ -295,7 +298,7 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
         counts[k].append(int(np.searchsorted(segments[k].ns, xi, side="right")))
     offsets = np.cumsum([0] + [len(c) for c in counts])
     col = offsets[seg] + [local[xi] for xi in xis[high].tolist()]
-    cached = (None, None)
+    centres = [np.longdouble(s.centre) for s in segments]
 
     def spectra(j: int) -> np.ndarray:
         g = np.longdouble(j * transform.BLOCK + transform.BLOCK / 2)
@@ -306,31 +309,30 @@ def truncation_blocks(poly: DirichletPoly, xis, gammas: np.ndarray):
         return out
 
     ends, which = np.unique(np.append(ends, direct.size), return_inverse=True)
-    for lo in range(0, gammas.size, YIELD_ROWS):
-        gam = gammas[lo: lo + YIELD_ROWS]
-        sums = _direct_sums(poly.logs[direct], poly.logs_ext[direct], w[direct], ends, gam)
-        vals = sums[which[:-1]]          # (truncations, ordinates) until the end
-        block = np.floor(gam / transform.BLOCK)
-        for j in sorted(set(block.tolist())) if high.size else ():
-            if cached[0] != j:
-                cached = None                   # freed before the next is built
-                cached = (j, spectra(int(j)))
-            at = np.flatnonzero(block == j)
-            h = transform.interpolate(
-                cached[1], transform.targets(gam[at] - j * transform.BLOCK)).T
-            phase = np.multiply.outer([np.longdouble(s.centre) for s in segments],
-                                      gam[at].astype(np.longdouble))
-            h *= np.repeat(_exp_minus_i(_reduce(phase)), np.diff(offsets), axis=0)
-            run = [sums[which[-1], at]]
-            for k in range(n_whole):
-                run.append(run[-1] + h[offsets[k]])
-            vals[np.ix_(high, at)] = np.array(run)[seg] + h[col]
-        yield lo, vals.T
+    stop = 0
+    while stop < gammas.size:           # the ordinates in [j BLOCK, (j + 1) BLOCK)
+        first, j = stop, float(gammas[stop] // transform.BLOCK)
+        stop = int(np.searchsorted(gammas, (j + 1) * transform.BLOCK))
+        spec = None                     # the last block's, freed before the next is built
+        spec = spectra(int(j)) if high.size else None
+        for lo in range(first, stop, YIELD_ROWS):
+            gam = gammas[lo: min(lo + YIELD_ROWS, stop)]
+            sums = _direct_sums(poly.logs[direct], poly.logs_ext[direct], w[direct], ends, gam)
+            vals = sums[which[:-1]]      # (truncations, ordinates) until the end
+            if high.size:
+                h = transform.interpolate(spec, transform.targets(gam - j * transform.BLOCK)).T
+                phase = np.multiply.outer(centres, gam.astype(np.longdouble))
+                h *= np.repeat(_exp_minus_i(_reduce(phase)), np.diff(offsets), axis=0)
+                run = [sums[which[-1]]]
+                for k in range(n_whole):
+                    run.append(run[-1] + h[offsets[k]])
+                vals[high] = np.array(run)[seg] + h[col]
+            yield lo, vals.T
 
 
 def eval_truncations_at_zeros(poly: DirichletPoly, xis, gammas: np.ndarray) -> np.ndarray:
     """Truncations sum_{n<=xi} a_n n^(-1/2-i*gamma) for every xi in xis and
-    every ordinate; shape (len(gammas), len(xis)).  The blocks of
+    every ascending ordinate; shape (len(gammas), len(xis)).  The runs of
     truncation_blocks, concatenated."""
     gammas = np.asarray(gammas, dtype=float)
     out = np.empty((gammas.size, np.size(xis)), dtype=complex)
@@ -405,11 +407,12 @@ def _pair_parts_many(triples) -> tuple:
     longest B, meet each block of at most CHUNK_ELEMS entries of R in one
     matrix-vector product per row, which gives R v and R b for every pair
     of the group with the same bits on one BLAS thread or two (one
-    matrix-matrix product did not), but the group's padded width and R's
-    block rows shape them: cli.campaign_trials(11, 1000) in groups of
-    cli.MV_BATCH = 81 and pair by pair (as pair_integral_exact, the tests'
-    oracle, takes them) differ in 552 of 1,000 ratios (<= 8.7e-15
-    relative) and 641 exact values.  A pair's off-diagonal sum over the
+    matrix-matrix product did not), but not across OpenBLAS kernels
+    (its Haswell and Sandybridge kernels differ), and the group's padded
+    width and R's block rows shape them: cli.campaign_trials(11, 1000) in
+    groups of cli.MV_BATCH = 81 and pair by pair (as pair_integral_exact,
+    the tests' oracle, takes them) differ in 552 of 1,000 ratios
+    (<= 8.7e-15 relative) and 641 exact values.  A pair's off-diagonal sum over the
     blocks of R is exactly rounded (math.fsum), and so are its diagonal and
     weighted norms, from the group's zero-padded coefficient rows
     (_row_fsums; the padding adds zeros).  Each pair is capped at

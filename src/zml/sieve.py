@@ -1,7 +1,6 @@
 """Arithmetic functions, each sieved by its caller up to the integers it
-reads: Mobius mu, von Mangoldt's Lambda by trial division, coefficient
-convolutions built on them, and sums over the squarefree integers,
-streamed a segment at a time.
+reads: Mobius mu, von Mangoldt's Lambda by trial division, and sums over
+the squarefree integers, streamed a segment at a time.
 
 The Mobius array is indexed by the integer itself (index 0 is present but
 unused), so ``build_sieve(N)[n]`` is mu(n).  All floating-point sums go through
@@ -11,7 +10,6 @@ the last bit and independent of summation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,8 +18,6 @@ from .errors import InputError, NumericsError
 
 MEMORY_CAP = 10**8
 SEGMENT = 1 << 16           # integers per numpy pass
-ALPHA_BLOCK = 1 << 14       # alpha_coefficients: (k, l) pairs per np.add.at
-LOG_CHUNK = 1 << 12         # _prime_logs: primes per list of Python ints
 
 THREE_OVER_PI2 = 3.0 / math.pi**2
 SIX_OVER_PI2 = 6.0 / math.pi**2
@@ -208,100 +204,23 @@ def squarefree_harmonic(xi: int) -> float:
     return squarefree_harmonics([xi])[0]
 
 
-@dataclass(frozen=True)
-class AlphaVector:
-    """The convolution alpha_n = sum_{k*l = n, l <= xi} Lambda(k) mu(l).
-
-    values[n] holds alpha_n for 1 <= n <= n_max (index 0 unused).  For
-    n <= xi the constraint l <= xi is inactive and alpha_n collapses to
-    -mu(n) log n; beyond xi the truncation matters.  |alpha_n| <= log n
-    always.
-    """
-    xi: int
-    values: np.ndarray
-
-
-def _prime_logs(primes: np.ndarray) -> np.ndarray:
-    """math.log of each prime, for alpha_coefficients (the tests' oracle)
-    only; np.log can differ from it in the last bit.  The primes go to
-    Python ints LOG_CHUNK at a time."""
-    logs = np.empty(len(primes))
-    for lo in range(0, len(primes), LOG_CHUNK):
-        chunk = primes[lo: lo + LOG_CHUNK].tolist()
-        logs[lo: lo + len(chunk)] = np.fromiter(map(math.log, chunk), np.float64, len(chunk))
-    return logs
-
-
-def _prime_powers(primes: np.ndarray, n_max: int) -> tuple:
-    """The prime powers k <= n_max of the ascending primes <= n_max, level
-    by level (the primes, then their squares, cubes, ...), and math.log of
-    each one's prime, for alpha_coefficients only.  The primes with
-    p^e <= n_max are a prefix of ``primes``."""
-    logs = _prime_logs(primes)
-    levels = [primes]
-    while True:
-        m = int(np.count_nonzero(levels[-1] <= n_max // primes[: len(levels[-1])]))
-        if not m:
-            break
-        levels.append(levels[-1][:m] * primes[:m])
-    return np.concatenate(levels), np.concatenate([logs[: len(k)] for k in levels])
-
-
-def alpha_coefficients(xi: int, n_max: int) -> AlphaVector:
-    """Tabulate alpha_n for n <= n_max with truncation parameter xi.
-
-    Every pair (k, l) of a prime power k and a squarefree l <= min(xi,
-    n_max/k) adds Lambda(k) mu(l) to alpha_{kl}; the pairs with mu(l) = 0
-    add +0.0 and are left out.  The pairs are listed k by k (the primes
-    ascending, then the squares, ...) and l ascending, and added
-    ALPHA_BLOCK at a time with np.add.at, which adds in input order.  An
-    alpha_n gets its terms either from the primes of a squarefree n or from
-    p^(a-1) and p^a for the one p with p^a || n, a >= 2, so every alpha_n
-    receives the same additions in the same order as along the per-prime
-    progressions p, p^2, ... and is bit-identical to them.  log p comes
-    from math.log, as in those progressions; mangoldt's np.log can differ
-    from it in the last bit.  Cost: about (6/pi^2) sum_k min(xi, n_max/k) pairs, at most
-    0.6 n_max (log log n_max + 1), of numpy work, one math.log per prime
-    and one Python iteration per block.
-    """
-    mobius = _mobius_upto(xi, "xi")[: xi + 1]
-    _in_range(n_max, "n_max")
-    ls = np.flatnonzero(mobius).astype(np.int32)
-    mus = mobius[ls]
-    ks, logs = _prime_powers(_primes_upto(n_max), n_max)
-    counts = np.searchsorted(ls, np.minimum(xi, n_max // ks), side="right")
-    total = int(counts.sum())
-    ends = np.cumsum(counts)
-    starts = np.subtract(ends, counts, out=counts)
-    values = np.zeros(n_max + 1, dtype=np.float64)
-    for lo in range(0, total, ALPHA_BLOCK):
-        hi = min(lo + ALPHA_BLOCK, total)
-        first = np.searchsorted(ends, lo, side="right")
-        last = np.searchsorted(ends, hi - 1, side="right") + 1
-        which = np.repeat(
-            np.arange(first, last),
-            np.minimum(ends[first:last], hi) - np.maximum(starts[first:last], lo),
-        )
-        pos = np.arange(lo, hi) - starts[which]
-        np.add.at(values, ks[which] * ls[pos], logs[which] * mus[pos])
-    return AlphaVector(xi=xi, values=values)
-
-
 class AlphaMobiusSum(NamedTuple):
     value: float
     prediction: float
 
 
 def alpha_mobius_sum(xi: int) -> AlphaMobiusSum:
-    """sum_{n<=xi} alpha_n mu(n) / n, with its predicted main term
-    -(3/pi^2) (log xi)^2, so callers can report the ratio.
+    """sum_{n<=xi} alpha_n mu(n) / n, where alpha_n = sum_{kl = n, l <= xi}
+    Lambda(k) mu(l), with its predicted main term -(3/pi^2) (log xi)^2, so
+    callers can report the ratio.
 
     No alpha vector is built.  Only squarefree n count, and for them the
     cut l <= xi never binds, so alpha_n mu(n) = -mu(n)^2 log n: the value
     is the exactly rounded sum of the terms -np.log(n) / n over the
     squarefree n <= xi (see _squarefree_sums).  It can differ in the last
-    bit from the exactly rounded sum of alpha_coefficients' terms, whose
-    alpha_n adds math.log of n's primes one by one.
+    bit from the exactly rounded sum of the terms whose alpha_n adds
+    math.log of n's primes one by one, as one loop per prime power k over
+    the progression n = kl does.
     """
     def terms(ns):
         t = np.log(ns)      # in place: -(log n / n) is -log n / n bit for bit

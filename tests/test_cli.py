@@ -549,7 +549,10 @@ class TestReproduceAll:
         write the bytes of OUT_SHA256, which were recorded before the sieve
         layer lost its table and must hold across commits.  The table may
         be re-pinned only by a change that states which bits it changes and
-        why (ROADMAP item 2c)."""
+        why (ROADMAP item 2c).  They hold one host's bits: the campaign
+        depends on the OpenBLAS kernel, and numpy's float64 np.exp gives
+        other bits in its AVX-512 loop than in its AVX2 one, which moves
+        the mollifier's weights and so the moments files."""
         dirs = ["--cache-dir", str(tmp_path / "cache"), "--out-dir", str(tmp_path / "out")]
         for step in (["zeros"], ["moments", "--theta-sweep", "0.3:0.9:0.2"], ["mv-check"],
                      ["landau", "--x", "2,3,4,5,6"], ["report"]):

@@ -203,6 +203,9 @@ class TestEval:
             with pytest.raises(InputError, match="xis|truncation"):
                 dirichlet.eval_truncations_at_zeros(poly, bad, np.array([14.13]))
         assert dirichlet.eval_truncations_at_zeros(poly, [3, 10], np.array([])).shape == (0, 2)
+        for bad in ([14.13, 21.02, 14.13], [14.13, np.inf], [np.nan]):
+            with pytest.raises(InputError, match="finite and ascending"):
+                dirichlet.eval_truncations_at_zeros(poly, [3, 10], np.array(bad))
 
 
 class TestFill:
@@ -252,8 +255,9 @@ class TestFill:
                  for i in range(gammas.size)]
         rng = np.random.default_rng(5)
         near = gammas + rng.uniform(-70.0, 70.0, (4, gammas.size))
-        others = np.sort(np.concatenate([near.ravel(), np.linspace(9900.0, 1e4, 200)]))
-        for ords in (np.sort(np.concatenate([gammas, others])), np.concatenate([others, gammas])):
+        others = np.concatenate([near.ravel(), np.linspace(9900.0, 1e4, 200)])
+        for ords in (np.sort(np.concatenate([gammas, others])),
+                     np.sort(np.concatenate([gammas, others[::3]]))):
             vals = dirichlet.eval_truncations_at_zeros(poly, [70, 3980], ords)
             at = [int(np.flatnonzero(ords == g)[0]) for g in gammas]
             assert np.array_equal(vals[at][:, ::-1], np.concatenate(alone))
@@ -267,16 +271,17 @@ class TestFill:
             assert np.array_equal(vals[:, xis.index(1234)], alone)
 
     def test_small_blocks(self, monkeypatch):
-        # yielded blocks of 198 ordinates, unsorted, over three transform
+        # runs of at most 198 ordinates inside each of three transform
         # blocks; truncations below, at and above DIRECT_MAX
         poly = dirichlet.mollifier(400)
-        gammas = np.concatenate([np.linspace(9000.0, 9100.0, 290),
-                                 [14.13, 5000.5, 9050.0, 20.0, 9999.9]])
+        gammas = np.sort(np.concatenate([np.linspace(9000.0, 9100.0, 290),
+                                         [14.13, 5000.5, 9050.0, 20.0, 9999.9]]))
         xis = [400, 7, 150, 1, 399, 128]
         whole = dirichlet.eval_truncations_at_zeros(poly, xis, gammas)
         monkeypatch.setattr(dirichlet, "YIELD_ROWS", 198)
         blocks = list(dirichlet.truncation_blocks(poly, xis, gammas))
-        assert [(lo, v.shape) for lo, v in blocks] == [(0, (198, 6)), (198, (97, 6))]
+        assert [(lo, v.shape) for lo, v in blocks] == [
+            (0, (2, 6)), (2, (1, 6)), (3, (198, 6)), (201, (94, 6))]
         assert np.array_equal(np.concatenate([v for _, v in blocks]), whole)
         scale = np.abs(poly.coeffs) @ np.exp(-0.5 * poly.logs)
         ref = direct_truncation(dirichlet.DirichletPoly(coeffs=poly.coeffs[:150]), gammas)
@@ -579,8 +584,11 @@ class TestMeanValueReport:
     @pytest.mark.parametrize("seed, trials, digest", CAMPAIGN_DIGESTS,
                              ids=[f"{seed}-{trials}" for seed, trials, _ in CAMPAIGN_DIGESTS])
     def test_campaign_bits_pinned(self, seed, trials, digest):
-        # every ratio bit for bit as when one mv_reports call took every
-        # trial, fewer than one batch, across one and across many
+        """Every ratio bit for bit as when one mv_reports call took every
+        trial, fewer than one batch, across one and across many.  The
+        digests hold one host's bits: the pair integral's matrix-vector
+        products give other bits under another OpenBLAS kernel, and no
+        kernel of this OpenBLAS gives these digests on an AVX-512 host."""
         from zml.cli import mv_campaign
 
         ratios = np.array(mv_campaign(seed, trials), dtype="<f8")

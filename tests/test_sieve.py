@@ -135,30 +135,6 @@ def test_squarefree_harmonic_drift_envelope():
         assert 0.9 < drift < 1.2
 
 
-def test_alpha_examples():
-    a = sieve.alpha_coefficients(10, 10)
-    assert a.values[1] == 0.0
-    assert a.values[2] == pytest.approx(math.log(2), rel=1e-14)
-    assert a.values[4] == pytest.approx(0.0, abs=1e-14)
-    assert a.values[6] == pytest.approx(-math.log(6), rel=1e-14)
-
-
-def test_alpha_identity_below_xi(sieve_10k):
-    xi = 8000
-    a = sieve.alpha_coefficients(xi, xi)
-    ns = np.arange(2, xi + 1)
-    ref = -sieve_10k[ns] * np.log(ns)
-    scale = np.log(ns)
-    assert np.max(np.abs(a.values[ns] - ref) / scale) < 1e-12
-
-
-def test_alpha_trivial_bound():
-    # the constrained convolution never exceeds log n, any xi
-    a = sieve.alpha_coefficients(50, 5000)
-    ns = np.arange(2, 5001)
-    assert np.all(np.abs(a.values[ns]) <= np.log(ns) * (1 + 1e-12))
-
-
 def test_alpha_mobius_sum_small():
     assert sieve.alpha_mobius_sum(1).value == 0.0
     got = sieve.alpha_mobius_sum(2)
@@ -216,8 +192,9 @@ def _mangoldt_column(limit):
 
 
 def _loop_alpha(mobius, xi, n_max):
-    """alpha_n by one progression n = k*l per prime power k, with mu(n) =
-    mobius[n] for n <= xi."""
+    """alpha_n = sum_{k*l = n, l <= xi} Lambda(k) mu(l) for n <= n_max, by
+    one progression n = k*l per prime power k, with mu(l) = mobius[l] and
+    Lambda(k) = math.log(p): the tests' one alpha reference."""
     values = np.zeros(n_max + 1, dtype=np.float64)
     for p in sympy.primerange(2, n_max + 1):
         lp = math.log(p)
@@ -251,38 +228,6 @@ def test_build_matches_per_prime_loop_at_edges(limit):
     assert np.array_equal(sieve.build_sieve(limit), mobius)
     assert _mangoldt_column(limit).tobytes() == mangoldt.tobytes()
     assert np.array_equal(sieve._primes_upto(limit), primes)
-
-
-@pytest.mark.parametrize("xi,n_max", [(10, 10), (50, 5000), (8000, 8000), (70, 10**4)])
-def test_alpha_matches_per_prime_loop(sieve_10k, xi, n_max):
-    got = sieve.alpha_coefficients(xi, n_max).values
-    want = _loop_alpha(sieve_10k, xi, n_max)
-    assert got.tobytes() == want.tobytes()
-    # prime-power rows collect terms from several k
-    powers = [p**e for p in (2, 3, 5, 7) for e in range(2, 14) if p**e <= n_max]
-    assert powers and np.array_equal(got[powers], want[powers])
-
-
-def test_alpha_logs_from_math_log():
-    # with xi = 1 each alpha_k is Lambda(k) * mu(1); np.log differs from
-    # math.log in the last bit at a few primes below 1e6 (285343, ...)
-    a = sieve.alpha_coefficients(1, 10**6).values
-    ks, want = [], []
-    for p in sieve._primes_upto(10**6).tolist():
-        k = p
-        while k <= 10**6:
-            ks.append(k)
-            want.append(math.log(p))
-            k *= p
-    assert a[ks].tolist() == want
-    assert np.count_nonzero(a) == len(ks)
-
-
-def test_alpha_without_primes():
-    assert sieve.alpha_coefficients(1, 1).values.tolist() == [0.0, 0.0]
-    for xi, n_max in ((0, 10), (10, 0), (sieve.MEMORY_CAP + 1, 10)):
-        with pytest.raises(InputError, match="outside range"):
-            sieve.alpha_coefficients(xi, n_max)
 
 
 def test_squarefree_harmonics_grid(sieve_10k):
@@ -321,16 +266,16 @@ def test_alpha_mobius_sum_matches_per_prime_loop(sieve_131073, xi):
     assert sieve.alpha_mobius_sum(xi).value == want
 
 
-def test_alpha_mobius_sum_matches_alpha_coefficients(sieve_1e6):
+def test_alpha_mobius_sum_matches_per_prime_loop_at_1e6(sieve_1e6):
     xi = 10**6
-    alpha = sieve.alpha_coefficients(xi, xi).values
+    alpha = _loop_alpha(sieve_1e6, xi, xi)
     ns = np.nonzero(sieve_1e6[1: xi + 1])[0] + 1
     want = alpha[ns] * sieve_1e6[ns] / ns
     assert sieve.alpha_mobius_sum(xi).value == math.fsum(want)
 
 
 def test_alpha_mobius_sum_correctly_rounded():
-    # a near tie: the exactly rounded sum of the alpha_coefficients terms
+    # a near tie: the exactly rounded sum of the per-prime loop's terms
     # is one ulp off here, the sum of -log n / n is not
     got = sieve.alpha_mobius_sum(116939).value
     assert got == ov.ALPHA_MOBIUS_SUM_116939

@@ -11,7 +11,8 @@ The Riemann-Siegel coefficient file is its generator's output, byte for
 byte.  The package imports no SciPy, and numpy is its one run-time
 dependency.
 Every top-level function and class of the package is referenced by the
-program or the scripts, or is listed with the reason it is kept."""
+program or the scripts, or is listed with the reason it is kept and used
+by a test."""
 import argparse
 import ast
 import importlib
@@ -49,10 +50,9 @@ TRACED_BUT_GONE = [("sieve", "sieve.load"), ("sieve", "sieve.sums"), ("moments",
 # references, each kept for its reason
 KEPT = {
     "dirichlet.eval_poly": "exactly rounded scalar oracle of the batch mollifier evaluation",
-    "dirichlet.eval_truncations_at_zeros": "truncation_blocks' blocks as one array, "
+    "dirichlet.eval_truncations_at_zeros": "truncation_blocks' runs as one array, "
     "the form the mollifier tests compare",
     "dirichlet.pair_integral_exact": "closed-form pair integral, the mean-value tests' oracle",
-    "sieve.alpha_coefficients": "tabulated alpha_n, the oracle of alpha_mobius_sum",
     "zeta.hardy_z": "scalar wrapper of hardy_z_many, the Z value tests' one-point form",
     "moments.j_moment": "one-point wrapper of j_moments",
     "sieve.mertens": "M(x) by the sieve, the oracle of M(x) from the zeros by the explicit "
@@ -114,6 +114,12 @@ def test_library_surface_is_reached():
     unreferenced = [f"{path.stem}.{name}" for path, name in defined
                     if not any(n == name and o != (path, name) for o, n in used)]
     assert sorted(unreferenced) == sorted(KEPT)
+    # a kept name goes with its last use in another test file
+    texts = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "tests").glob("*.py"))
+             if path.name != Path(__file__).name]
+    unused = [name for name in KEPT if not any(
+        re.search(rf"\b{name.rpartition('.')[2]}\b", text) for text in texts)]
+    assert unused == []
 
 
 def test_readme_shared_flags_match_parser():
